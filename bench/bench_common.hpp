@@ -110,12 +110,6 @@ struct RunOptions {
   /// Capture metrics_to_json into SuiteRunResult::metrics_json even when
   /// the artifact is disabled (the determinism test compares these).
   bool capture_metrics = false;
-  /// PHFTL prediction pipeline (docs/ARCHITECTURE.md "Prediction
-  /// pipeline"): sync (reference), batched (bit-identical WA), or async.
-  core::PhftlConfig::PredictMode predict_mode =
-      core::PhftlConfig::PredictMode::kSync;
-  std::uint32_t predict_batch = 32;
-  std::uint32_t async_staleness = 64;
   /// GC scheduling policy (docs/QOS.md): stop-the-world reclaims whole
   /// victims inside the triggering write; time-sliced bounds each write to
   /// gc_step_pages relocations once above the urgent floor.
@@ -142,21 +136,7 @@ inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
   core::PhftlConfig pcfg = core::default_phftl_config(cfg);
   pcfg.trainer.history_len = opts.history_len;
   pcfg.time_predictions = opts.time_predictions;
-  pcfg.predict_mode = opts.predict_mode;
-  pcfg.predict_batch = opts.predict_batch;
-  pcfg.async_staleness = opts.async_staleness;
   return std::make_unique<core::PhftlFtl>(pcfg);
-}
-
-/// Back-compat overload for callers that predate RunOptions threading.
-inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
-                                            const FtlConfig& cfg,
-                                            std::uint32_t history_len = 8,
-                                            bool time_predictions = true) {
-  RunOptions opts;
-  opts.history_len = history_len;
-  opts.time_predictions = time_predictions;
-  return make_scheme(scheme, cfg, opts);
 }
 
 /// Replay one suite trace under one scheme and collect everything the
@@ -170,7 +150,7 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
   const Trace trace = make_suite_trace(spec, drive_writes);
   auto ftl = make_scheme(scheme, cfg, opts);
   for (const auto& req : trace.ops) ftl->submit(req);
-  ftl->drain();  // flush deferred batched writes / async pipeline
+  ftl->drain();  // finish a parked GC round, flush CMT write-back
 
   SuiteRunResult res;
   res.trace_id = spec.id;
@@ -196,16 +176,6 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
       artifact.add(spec.id, scheme, drive_writes, res.metrics_json);
   }
   return res;
-}
-
-/// Back-compat convenience overload (serial callers).
-inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
-                                      const std::string& scheme,
-                                      double drive_writes,
-                                      std::uint32_t history_len = 8) {
-  RunOptions opts;
-  opts.history_len = history_len;
-  return run_suite_trace(spec, scheme, drive_writes, opts);
 }
 
 /// One cell of a benchmark grid.

@@ -1,10 +1,9 @@
 // End-to-end replay wall-clock benchmark: how long the (scheme × trace)
-// grid takes serially vs on the parallel experiment runner, a PHFTL
-// prediction-pipeline comparison (sync vs batched vs async — batched must
-// reproduce sync's WA bit-for-bit, async reports its WA delta), plus the
-// meta-cache fast-path microbenchmark, written to a schema-versioned
-// artifact (BENCH_replay.json, schema "phftl-bench-replay/2" — see
-// EXPERIMENTS.md).
+// grid takes serially vs on the parallel experiment runner, each cell's
+// exact WA and write counts (CI's identity checks compare against these),
+// plus the meta-cache fast-path microbenchmark, written to a
+// schema-versioned artifact (BENCH_replay.json, schema
+// "phftl-bench-replay/3" — see EXPERIMENTS.md).
 //
 // Usage: bench_replay [--jobs N] [--out <path>]
 //   --jobs  parallel job count for the comparison run (default 4; the
@@ -21,6 +20,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -60,39 +60,12 @@ std::string json_num(double v) {
   return buf;
 }
 
-/// Full precision for WA values: the CI equality check compares the
-/// batched and sync strings byte-for-byte.
+/// Full precision for WA values: CI's identity checks compare them against
+/// fresh replays.
 std::string json_exact(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-/// One timed PHFTL replay under a given prediction pipeline.
-struct ModeRun {
-  const char* mode;
-  double seconds = 0.0;
-  double wa = 0.0;
-  std::uint64_t user_writes = 0;
-  std::uint64_t gc_writes = 0;
-};
-
-ModeRun run_mode(const SuiteTraceSpec& spec, double drive_writes,
-                 core::PhftlConfig::PredictMode mode, const char* name) {
-  bench::RunOptions opts;
-  opts.time_predictions = false;  // measure the pipeline, not the probes
-  opts.record_artifact = false;
-  opts.predict_mode = mode;
-  const auto t0 = Clock::now();
-  const bench::SuiteRunResult r =
-      bench::run_suite_trace(spec, "PHFTL", drive_writes, opts);
-  ModeRun out;
-  out.mode = name;
-  out.seconds = seconds_since(t0);
-  out.wa = r.wa;
-  out.user_writes = r.stats.user_writes;
-  out.gc_writes = r.stats.gc_writes;
-  return out;
 }
 
 }  // namespace
@@ -128,11 +101,14 @@ int main(int argc, char** argv) {
 
   // --- serial pass, timing each cell ---
   std::vector<double> cell_secs;
+  std::vector<bench::SuiteRunResult> serial;
   const auto serial_t0 = Clock::now();
   for (const auto& cell : cells) {
     const auto t0 = Clock::now();
-    bench::ExperimentRunner(1).run({cell});
+    std::vector<bench::SuiteRunResult> r =
+        bench::ExperimentRunner(1).run({cell});
     cell_secs.push_back(seconds_since(t0));
+    serial.push_back(std::move(r.front()));
   }
   const double serial_total = seconds_since(serial_t0);
 
@@ -142,47 +118,6 @@ int main(int argc, char** argv) {
   const double parallel_total = seconds_since(par_t0);
   const double speedup = parallel_total > 0 ? serial_total / parallel_total
                                             : 0.0;
-
-  // --- PHFTL prediction pipeline: sync vs batched vs async ---
-  // Batched must reproduce sync's WA exactly (its contract); async reports
-  // its measured delta. SepBIT's serial time from the grid above gives the
-  // replay-gap ratio per mode.
-  struct TraceModes {
-    std::string trace_id;
-    std::vector<ModeRun> runs;
-    double sepbit_seconds = 0.0;
-  };
-  std::vector<TraceModes> mode_results;
-  for (const auto& id : trace_ids) {
-    TraceModes tm;
-    tm.trace_id = id;
-    const SuiteTraceSpec& spec = suite_spec(id);
-    tm.runs.push_back(run_mode(spec, drive_writes,
-                               core::PhftlConfig::PredictMode::kSync,
-                               "sync"));
-    tm.runs.push_back(run_mode(spec, drive_writes,
-                               core::PhftlConfig::PredictMode::kBatched,
-                               "batched"));
-    tm.runs.push_back(run_mode(spec, drive_writes,
-                               core::PhftlConfig::PredictMode::kAsync,
-                               "async"));
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      if (cells[i].spec->id == id && cells[i].scheme == "SepBIT")
-        tm.sepbit_seconds = cell_secs[i];
-    const ModeRun& sync = tm.runs[0];
-    const ModeRun& batched = tm.runs[1];
-    const ModeRun& async_run = tm.runs[2];
-    std::printf("  %s PHFTL pipeline: sync %.2fs  batched %.2fs  async "
-                "%.2fs | WA sync %.4f batched %.4f (%s) async %.4f "
-                "(delta %+.2f%%)\n",
-                id.c_str(), sync.seconds, batched.seconds, async_run.seconds,
-                sync.wa, batched.wa,
-                batched.wa == sync.wa ? "identical" : "MISMATCH",
-                async_run.wa,
-                sync.wa > 0 ? (async_run.wa - sync.wa) / sync.wa * 100.0
-                            : 0.0);
-    mode_results.push_back(std::move(tm));
-  }
 
   // --- meta-cache fast path (miss-heavy get/put) ---
   constexpr std::uint64_t kCacheOps = 4'000'000;
@@ -196,38 +131,18 @@ int main(int argc, char** argv) {
               flat_ns > 0 ? ref_ns / flat_ns : 0.0);
 
   std::ostringstream js;
-  js << "{\n  \"schema\": \"phftl-bench-replay/2\",\n"
+  js << "{\n  \"schema\": \"phftl-bench-replay/3\",\n"
      << "  \"drive_writes\": " << json_num(drive_writes) << ",\n"
      << "  \"hardware_threads\": " << hw << ",\n"
      << "  \"runs\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
+    const bench::SuiteRunResult& r = serial[i];
     js << "    {\"trace\": \"" << cells[i].spec->id << "\", \"scheme\": \""
        << cells[i].scheme << "\", \"serial_seconds\": "
-       << json_num(cell_secs[i]) << "}";
+       << json_num(cell_secs[i]) << ", \"wa\": " << json_exact(r.wa)
+       << ", \"user_writes\": " << r.stats.user_writes
+       << ", \"gc_writes\": " << r.stats.gc_writes << "}";
     js << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  js << "  ],\n"
-     << "  \"predict_modes\": [\n";
-  for (std::size_t t = 0; t < mode_results.size(); ++t) {
-    const TraceModes& tm = mode_results[t];
-    const double sync_wa = tm.runs[0].wa;
-    js << "    {\"trace\": \"" << tm.trace_id << "\", \"sepbit_seconds\": "
-       << json_num(tm.sepbit_seconds) << ", \"modes\": [\n";
-    for (std::size_t i = 0; i < tm.runs.size(); ++i) {
-      const ModeRun& r = tm.runs[i];
-      js << "      {\"mode\": \"" << r.mode
-         << "\", \"seconds\": " << json_num(r.seconds)
-         << ", \"wa\": " << json_exact(r.wa)
-         << ", \"user_writes\": " << r.user_writes
-         << ", \"gc_writes\": " << r.gc_writes
-         << ", \"vs_sepbit\": "
-         << json_num(tm.sepbit_seconds > 0 ? r.seconds / tm.sepbit_seconds
-                                           : 0.0)
-         << ", \"wa_delta_vs_sync\": "
-         << json_exact(sync_wa > 0 ? (r.wa - sync_wa) / sync_wa : 0.0)
-         << "}" << (i + 1 < tm.runs.size() ? ",\n" : "\n");
-    }
-    js << "    ]}" << (t + 1 < mode_results.size() ? ",\n" : "\n");
   }
   js << "  ],\n"
      << "  \"serial_total_seconds\": " << json_num(serial_total) << ",\n"

@@ -10,8 +10,6 @@
 //                [--power-cut-at <host write #>] [--recover]
 //                [--program-fail-prob <p>] [--erase-fail-prob <p>]
 //                [--fault-seed <n>] [--trim-fraction <f>]
-//                [--predict-mode sync|batched|async] [--predict-batch <K>]
-//                [--staleness <S>]
 //                [--gc-mode stop_the_world|time_sliced] [--gc-step-pages <N>]
 //                [--mapping-tier] [--cmt-pages <N>] [--tp-entries <N>]
 //                [--learned-index] [--learned-error <N>]
@@ -33,11 +31,6 @@
 //   trace_replay --trim-fraction 0.1 --power-cut-at 100000 --recover
 //     (override the suite trace's TRIM request fraction; exercises the trim
 //     journal across the cut)
-//   trace_replay --scheme PHFTL --predict-mode batched --predict-batch 64
-//     (defer writes behind one fused int8 batch GEMM; WA is bit-identical
-//     to sync — docs/ARCHITECTURE.md "Prediction pipeline")
-//   trace_replay --scheme PHFTL --predict-mode async --staleness 64
-//     (background predictor thread; deterministic for a fixed staleness)
 //   trace_replay --scheme all --gc-mode time_sliced --gc-step-pages 8
 //     (preemptive GC: each host write advances the in-flight victim by at
 //     most N relocations instead of paying for a whole round — docs/QOS.md)
@@ -53,12 +46,20 @@
 // Writes are submitted through submit_checked(): if the drive's capacity
 // watermark rejects part of a request (ENOSPC, docs/RECOVERY.md "Capacity
 // watermark"), the replay counts it and moves on rather than aborting.
+//
+// Bad input never aborts: an unknown suite id, an unreadable or malformed
+// CSV, or a numeric flag whose whole token is not a number in the flag's
+// range exits with status 2 and one line naming the flag and the value.
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -92,8 +93,6 @@ void usage() {
                "                    [--program-fail-prob <p>] "
                "[--erase-fail-prob <p>] [--fault-seed <n>]\n"
                "                    [--trim-fraction <f>]\n"
-               "                    [--predict-mode sync|batched|async] "
-               "[--predict-batch <K>] [--staleness <S>]\n"
                "                    [--gc-mode stop_the_world|time_sliced] "
                "[--gc-step-pages <N>]\n"
                "                    [--max-pe-cycles <N>] [--wear-level "
@@ -106,7 +105,55 @@ void usage() {
   std::exit(2);
 }
 
+/// Rejects a flag's value: one line on stderr naming both, then exit 2.
+[[noreturn]] void bad_value(const std::string& flag, const std::string& value,
+                            const std::string& why) {
+  std::fprintf(stderr, "trace_replay: invalid value '%s' for %s: %s\n",
+               value.c_str(), flag.c_str(), why.c_str());
+  std::exit(2);
+}
+
+/// The whole token as an unsigned integer in [lo, hi], else bad_value().
+/// Stricter than strtoull, which skips blanks, stops at junk, and wraps a
+/// leading '-' around to a huge value.
+std::uint64_t parse_uint(
+    const std::string& flag, const char* text, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi)
+    bad_value(flag, text,
+              hi == std::numeric_limits<std::uint64_t>::max()
+                  ? "expected an integer >= " + std::to_string(lo)
+                  : "expected an integer in [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]");
+  return v;
+}
+
+/// The whole token as a real number in [lo, hi], else bad_value().
+double parse_real(const std::string& flag, const char* text, double lo,
+                  double hi) {
+  const char* end = text + std::strlen(text);
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) {
+    char why[96];
+    std::snprintf(why, sizeof(why), "expected a number in [%g, %g]", lo, hi);
+    bad_value(flag, text, why);
+  }
+  return v;
+}
+
 constexpr std::uint64_t kNoCut = ~0ULL;
+
+/// --pages range. The CSV drive is sized from it (7 % OP, 128-page
+/// superblocks). Below ~3.3k pages the over-provisioning cannot hold the GC
+/// reserve, and the FTL constructor aborts; the floor leaves a margin. The
+/// ceiling (a 256 GiB drive) bounds the host RAM the simulator spends per
+/// logical page.
+constexpr std::uint64_t kMinCsvPages = 4096;
+constexpr std::uint64_t kMaxCsvPages = 1ULL << 24;
 
 struct ReplayOptions {
   std::string metrics_json_path;
@@ -117,10 +164,6 @@ struct ReplayOptions {
   bool do_recover = false;
   FaultInjector::Config fault_cfg;
   bool with_faults = false;
-  core::PhftlConfig::PredictMode predict_mode =
-      core::PhftlConfig::PredictMode::kSync;
-  std::uint32_t predict_batch = 32;
-  std::uint32_t staleness = 64;
 };
 
 struct ReplayOutcome {
@@ -128,21 +171,15 @@ struct ReplayOutcome {
   bool ok = true;
 };
 
+const std::vector<std::string> kSchemes = {"Base", "2R", "SepBIT", "PHFTL"};
+
+/// `scheme` is one of kSchemes (main validates it before any replay).
 std::unique_ptr<FtlBase> make_ftl(const std::string& scheme,
-                                  const FtlConfig& cfg,
-                                  const ReplayOptions& opt) {
+                                  const FtlConfig& cfg) {
   if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
   if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
   if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
-  if (scheme == "PHFTL") {
-    core::PhftlConfig pcfg = core::default_phftl_config(cfg);
-    pcfg.predict_mode = opt.predict_mode;
-    pcfg.predict_batch = opt.predict_batch;
-    pcfg.async_staleness = opt.staleness;
-    return std::make_unique<core::PhftlFtl>(pcfg);
-  }
-  usage();
-  return nullptr;
+  return std::make_unique<core::PhftlFtl>(core::default_phftl_config(cfg));
 }
 
 bool write_or_complain(std::ostringstream& out, const std::string& path,
@@ -168,7 +205,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   FaultInjector injector(opt.fault_cfg);
   if (opt.with_faults) cfg.fault_injector = &injector;
 
-  auto ftl = make_ftl(scheme, cfg, opt);
+  auto ftl = make_ftl(scheme, cfg);
 
   if (!opt.trace_out_path.empty())
     ftl->observability().trace().enable(/*capacity=*/65536);
@@ -231,7 +268,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
     if (r.status == WriteResult::kEnospc) ++enospc_requests;
     if (req.op == OpType::kWrite) written += r.pages_completed;
   }
-  ftl->drain();  // flush deferred batched writes / async pipeline
+  ftl->drain();  // finish a parked GC round, flush CMT write-back
 
   const FtlStats& s = ftl->stats();
   std::snprintf(
@@ -430,78 +467,78 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scheme") scheme = next();
-    else if (arg == "--jobs") cli_jobs = std::strtol(next(), nullptr, 10);
+    else if (arg == "--jobs")
+      cli_jobs = static_cast<long>(parse_uint(arg, next(), 0, 256));
     else if (arg == "--trace") trace_id = next();
     else if (arg == "--csv") csv_path = next();
-    else if (arg == "--pages") csv_pages = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--drive-writes") drive_writes = std::atof(next());
+    else if (arg == "--pages")
+      csv_pages = parse_uint(arg, next(), kMinCsvPages, kMaxCsvPages);
+    else if (arg == "--drive-writes")
+      drive_writes = parse_real(arg, next(), 0.01, 1000.0);
     else if (arg == "--export") export_path = next();
     else if (arg == "--metrics-out") opt.metrics_json_path = next();
     else if (arg == "--metrics-csv") opt.metrics_csv_path = next();
     else if (arg == "--trace-out") opt.trace_out_path = next();
     else if (arg == "--snapshot-every")
-      opt.snapshot_every = std::strtoull(next(), nullptr, 10);
+      opt.snapshot_every = parse_uint(arg, next());
     else if (arg == "--power-cut-at")
-      opt.power_cut_at = std::strtoull(next(), nullptr, 10);
+      opt.power_cut_at = parse_uint(arg, next());
     else if (arg == "--recover") opt.do_recover = true;
     else if (arg == "--program-fail-prob") {
-      opt.fault_cfg.program_fail_prob = std::atof(next());
+      opt.fault_cfg.program_fail_prob = parse_real(arg, next(), 0.0, 1.0);
       opt.with_faults = true;
     } else if (arg == "--erase-fail-prob") {
-      opt.fault_cfg.erase_fail_prob = std::atof(next());
+      opt.fault_cfg.erase_fail_prob = parse_real(arg, next(), 0.0, 1.0);
       opt.with_faults = true;
     } else if (arg == "--fault-seed") {
-      opt.fault_cfg.seed = std::strtoull(next(), nullptr, 10);
+      opt.fault_cfg.seed = parse_uint(arg, next());
     } else if (arg == "--trim-fraction") {
-      trim_fraction = std::atof(next());
-    } else if (arg == "--predict-mode") {
-      const std::string mode = next();
-      if (mode == "sync")
-        opt.predict_mode = core::PhftlConfig::PredictMode::kSync;
-      else if (mode == "batched")
-        opt.predict_mode = core::PhftlConfig::PredictMode::kBatched;
-      else if (mode == "async")
-        opt.predict_mode = core::PhftlConfig::PredictMode::kAsync;
-      else usage();
-    } else if (arg == "--predict-batch") {
-      opt.predict_batch =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--staleness") {
-      opt.staleness =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      trim_fraction = parse_real(arg, next(), 0.0, 1.0);
     } else if (arg == "--gc-mode") {
       const std::string mode = next();
       if (mode == "stop_the_world") gc_mode = GcMode::kStopTheWorld;
       else if (mode == "time_sliced") gc_mode = GcMode::kTimeSliced;
-      else usage();
+      else bad_value(arg, mode, "expected stop_the_world or time_sliced");
     } else if (arg == "--gc-step-pages") {
-      gc_step_pages = std::strtoull(next(), nullptr, 10);
-      if (gc_step_pages == 0) usage();
+      gc_step_pages = parse_uint(arg, next(), 1);
     } else if (arg == "--max-pe-cycles") {
-      max_pe_cycles = std::strtoull(next(), nullptr, 10);
+      max_pe_cycles = parse_uint(arg, next());
     } else if (arg == "--wear-level") {
-      wear_level_threshold = std::strtoull(next(), nullptr, 10);
+      wear_level_threshold = parse_uint(arg, next());
     } else if (arg == "--mapping-tier") {
       mapping_tier = true;
     } else if (arg == "--cmt-pages") {
-      cmt_pages = std::strtoull(next(), nullptr, 10);
-      if (cmt_pages == 0) usage();
+      cmt_pages = parse_uint(arg, next(), 1);
     } else if (arg == "--tp-entries") {
-      tp_entries = std::strtoull(next(), nullptr, 10);
+      tp_entries = parse_uint(arg, next());
     } else if (arg == "--learned-index") {
       learned_index = true;
     } else if (arg == "--learned-error") {
-      learned_error = std::strtoull(next(), nullptr, 10);
-      if (learned_error == 0) usage();
+      learned_error = parse_uint(arg, next(), 1, 250);
     } else usage();
+  }
+  if (scheme != "all" &&
+      std::find(kSchemes.begin(), kSchemes.end(), scheme) == kSchemes.end())
+    bad_value("--scheme", scheme, "expected Base, 2R, SepBIT, PHFTL or all");
+  if (learned_index && !mapping_tier) {
+    std::fprintf(stderr, "trace_replay: --learned-index requires "
+                         "--mapping-tier\n");
+    return 2;
   }
 
   // --- build trace + drive config ---
   Trace trace;
   FtlConfig cfg;
   if (!csv_path.empty()) {
-    if (csv_pages == 0) usage();
-    trace = read_trace_csv_file(csv_path, csv_pages);
+    if (csv_pages == 0) {
+      std::fprintf(stderr, "trace_replay: --csv requires --pages <n>\n");
+      return 2;
+    }
+    try {
+      trace = read_trace_csv_file(csv_path, csv_pages);
+    } catch (const std::runtime_error& e) {
+      bad_value("--csv", csv_path, e.what());
+    }
     // Size the drive so the logical space covers the trace at 7% OP.
     cfg.geom.num_dies = 8;
     cfg.geom.pages_per_block = 16;
@@ -509,11 +546,34 @@ int main(int argc, char** argv) {
     cfg.geom.blocks_per_die = static_cast<std::uint32_t>(
         (static_cast<double>(csv_pages) / 0.93 / 128.0) + 1.0);
   } else {
-    SuiteTraceSpec spec = suite_spec(trace_id);
+    SuiteTraceSpec spec;
+    try {
+      spec = suite_spec(trace_id);
+    } catch (const std::runtime_error&) {
+      std::string ids;
+      for (const SuiteTraceSpec& s : alibaba_suite())
+        ids += (ids.empty() ? "" : " ") + s.id;
+      bad_value("--trace", trace_id, "expected a suite id: " + ids);
+    }
     if (trim_fraction >= 0.0) spec.params.trim_request_fraction = trim_fraction;
     cfg = suite_ftl_config(spec);
     trace = make_suite_trace(spec, drive_writes);
   }
+  // Geometry-dependent ranges: a translation page holds at most
+  // page_size / 8 entries, and a CMT larger than the drive's translation
+  // page count only allocates RAM it can never fill.
+  const std::uint64_t max_tp_entries = cfg.geom.page_size / 8;
+  if (tp_entries > max_tp_entries)
+    bad_value("--tp-entries", std::to_string(tp_entries),
+              "expected an integer in [0, " + std::to_string(max_tp_entries) +
+                  "] (0 = page_size / 8)");
+  const std::uint64_t tp = tp_entries > 0 ? tp_entries : max_tp_entries;
+  const std::uint64_t max_cmt_pages = (cfg.geom.total_pages() + tp - 1) / tp;
+  if (cmt_pages > max_cmt_pages)
+    bad_value("--cmt-pages", std::to_string(cmt_pages),
+              "expected an integer in [1, " + std::to_string(max_cmt_pages) +
+                  "] (the drive's translation-page count)");
+
   cfg.gc_mode = gc_mode;
   if (gc_step_pages > 0) cfg.gc_step_pages = gc_step_pages;
   cfg.max_pe_cycles = max_pe_cycles;
@@ -551,9 +611,8 @@ int main(int argc, char** argv) {
   }
   const unsigned jobs = util::resolve_jobs(cli_jobs);
   util::ThreadPool pool(jobs);
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
   std::vector<std::future<ReplayOutcome>> runs;
-  for (const auto& s : schemes)
+  for (const auto& s : kSchemes)
     runs.push_back(pool.submit(
         [&s, &trace, &cfg, &opt] { return run_replay(s, trace, cfg, opt); }));
   bool ok = true;

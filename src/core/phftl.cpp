@@ -89,47 +89,13 @@ PhftlFtl::PhftlFtl(const PhftlConfig& cfg)
   cls_recall_gauge_ =
       &m.gauge("classifier.recall", "ratio", "online recall (Table I)");
   cls_f1_gauge_ = &m.gauge("classifier.f1", "ratio", "online F1 (Table I)");
-  batch_size_hist_ = &m.histogram(
-      "ml.batch_size", {1, 2, 4, 8, 16, 32, 64, 128, 256}, "writes",
-      "pending writes per batched-predict flush (batched mode)");
-  batch_flushes_ctr_ = &m.counter(
-      "ml.batch_flushes", "flushes", "batched-predict queue flushes");
-  batch_dropped_ctr_ = &m.counter(
-      "ml.batch_dropped_writes", "writes",
-      "batched writes admitted at enqueue but rejected at apply because "
-      "the capacity watermark sank mid-flush (fault injection only)");
-  predict_stale_ctr_ = &m.counter(
-      "ml.predict_stale", "writes",
-      "async-mode writes that outran the predictor and fell back to the "
-      "deployed threshold decision");
 
-  const ModelTrainer::Config tc = fill_trainer_config(cfg, logical_pages());
-  PHFTL_CHECK_MSG(tc.gru_hidden <= 32,
+  PHFTL_CHECK_MSG(cfg.trainer.gru_hidden <= 32,
                   "hidden state exceeds the 32-byte metadata slot");
-  if (cfg_.predict_mode == PhftlConfig::PredictMode::kBatched) {
-    PHFTL_CHECK(cfg_.predict_batch >= 1);
-    batch_.reserve(cfg_.predict_batch);
-    in_batch_.assign(logical_pages(), 0);
-  } else if (cfg_.predict_mode == PhftlConfig::PredictMode::kAsync) {
-    AsyncPredictor::Config pc;
-    pc.logical_pages = logical_pages();
-    pc.hidden_dim = tc.gru_hidden;
-    pc.staleness = std::max<std::uint32_t>(cfg_.async_staleness, 2);
-    predictor_ = std::make_unique<AsyncPredictor>(pc);
-    train_pool_ = std::make_unique<util::ThreadPool>(1);
-    last_enq_idx_.assign(logical_pages(), 0);
-    async_deploy_delay_ = cfg_.async_deploy_delay != 0
-                              ? cfg_.async_deploy_delay
-                              : std::max<std::uint64_t>(1, tc.window_pages / 8);
-    // The deploy point must land before the next window boundary, or two
-    // training jobs could be outstanding at once.
-    async_deploy_delay_ =
-        std::min<std::uint64_t>(async_deploy_delay_, tc.window_pages - 1);
-  }
 }
 
 void PhftlFtl::refresh_observability() {
-  drain();  // exported metrics must reflect every acknowledged write
+  drain();  // finish a parked GC round and flush the CMT write-back buffer
   FtlBase::refresh_observability();
   cache_hit_rate_gauge_->set(meta_.cache_hit_rate());
   threshold_gauge_->set(static_cast<double>(trainer_.threshold()));
@@ -164,11 +130,6 @@ MetaEntry PhftlFtl::fetch_metadata(Lpn lpn) {
 }
 
 std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
-  // Batched mode, applying a flushed item: steps 1-3 already ran at
-  // enqueue time (with this exact clock value) and the class came from the
-  // batch predict — consume the staged decision.
-  if (flushing_) return consume_staged(lpn, ctx);
-
   // 1. Retrieve ML metadata (cached hidden state + last write time).
   const MetaEntry entry = fetch_metadata(lpn);
   const std::uint64_t prev_lifetime64 =
@@ -201,286 +162,40 @@ std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
     return kStreamLong;
   }
 
-  bool short_living;
-  if (cfg_.predict_mode == PhftlConfig::PredictMode::kAsync) {
-    // Async: never run the GRU inline. Consume the page's previous
-    // prediction if the predictor has had S ring messages to publish it,
-    // else fall back to the deployed threshold decision; then hand this
-    // write's features to the background thread. The shadow hidden table
-    // in the predictor is canonical here — scratch_entry_.hidden (the
-    // meta/OOB copy) lags by whatever is in flight.
-    const std::uint64_t idx = predictor_->next_index();
-    predictor_->wait_capacity();
-    const std::uint64_t tag = last_enq_idx_[lpn];
-    int cls;
-    if (tag != 0 && (tag - 1) + cfg_.async_staleness <= idx) {
-      cls = predictor_->published_class(lpn, tag - 1);
-    } else {
-      predict_stale_ctr_->inc();
-      const std::uint32_t thr = static_cast<std::uint32_t>(
-          std::max<std::int64_t>(trainer_.threshold(), 0));
-      cls = prev_lifetime <= thr ? 1 : 0;
-    }
-    std::array<float, kInputDim> x;
-    encode_features(raw, x);
-    predictor_->enqueue_predict(lpn, x.data());
-    last_enq_idx_[lpn] = idx + 1;
-    short_living = cls == 1;
-  } else {
-    std::array<float, kInputDim> x;
-    encode_features(raw, x);
-    int cls;
-    if (obs::kEnabled && cfg_.time_predictions) {
-      // Time the device-side inference step (the paper's ~9 us budget,
-      // SIII-C). The clock reads sit outside the kernel, so bench_kernels'
-      // fused-predict numbers are unaffected.
-      const auto t0 = std::chrono::steady_clock::now();
-      cls = trainer_.deployed_model().predict_incremental(
-          x, scratch_entry_.hidden);
-      const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-      predict_latency_hist_->observe(static_cast<double>(dt));
-      observability().trace().record(obs::TraceEventType::kMlPredict, ctx.now,
-                                     static_cast<std::uint64_t>(dt),
-                                     static_cast<std::uint64_t>(cls));
-    } else {
-      cls = trainer_.deployed_model().predict_incremental(
-          x, scratch_entry_.hidden);
-    }
-    short_living = cls == 1;
-  }
-  ++predictions_;
-  predictions_ctr_->inc();
-  if (short_living) {
-    ++short_predictions_;
-    short_predictions_ctr_->inc();
-  }
-
-  pend.predicted = short_living ? 1 : 0;
-  pend.threshold = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(trainer_.threshold(), 0));
-
-  return short_living ? kStreamShort : kStreamLong;
-}
-
-std::uint32_t PhftlFtl::consume_staged(Lpn lpn, const WriteContext& ctx) {
-  PHFTL_CHECK(flush_cursor_ < batch_.size());
-  const BatchItem& it = batch_[flush_cursor_];
-  PHFTL_CHECK(it.lpn == lpn);
-  // The enqueue-time clock projection must equal the actual apply clock —
-  // this is the invariant the whole bit-identical-WA argument rests on.
-  PHFTL_CHECK_MSG(it.expected_now == ctx.now,
-                  "batched write applied at an unexpected clock");
-
-  scratch_entry_.write_time = ctx.now;
-  scratch_entry_.hidden = it.hidden;  // post-predict hidden state
-
-  ++predictions_;
-  predictions_ctr_->inc();
-  const bool short_living = it.cls == 1;
-  if (short_living) {
-    ++short_predictions_;
-    short_predictions_ctr_->inc();
-  }
-  Pending& pend = pending_[lpn];
-  pend.predicted = short_living ? 1 : 0;
-  pend.threshold = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(trainer_.threshold(), 0));
-  return short_living ? kStreamShort : kStreamLong;
-}
-
-WriteResult PhftlFtl::host_write_page(Lpn lpn, const WriteContext& ctx,
-                                      bool checked) {
-  // Batching only pays once the model is deployed (before that, the sync
-  // path is a table lookup); sync and async modes always apply directly.
-  if (cfg_.predict_mode != PhftlConfig::PredictMode::kBatched ||
-      !trainer_.model_deployed())
-    return FtlBase::host_write_page(lpn, ctx, checked);
-
-  // A second write to a pending LPN must observe the first (lifetime
-  // sample, hidden-state chain): flush before enqueueing it.
-  if (in_batch_[lpn]) flush_batch();
-
-  // Conservative admission projection: if this write could approach the
-  // capacity watermark once the pending new-mapping items land, flush and
-  // take the base path so acceptance/rejection accounting is exactly the
-  // sync path's.
-  const bool new_mapping = !is_mapped(lpn);
-  if (mapped_page_count() + batch_pending_new_ +
-          (new_mapping ? 1u : 0u) >
-      capacity_watermark_pages()) {
-    flush_batch();
-    return FtlBase::host_write_page(lpn, ctx, checked);
-  }
-
-  enqueue_batched(lpn, ctx, checked, new_mapping);
-  return WriteResult::kOk;
-}
-
-void PhftlFtl::enqueue_batched(Lpn lpn, const WriteContext& host_ctx,
-                               bool checked, bool new_mapping) {
-  BatchItem item;
-  item.lpn = lpn;
-  item.ctx = host_ctx;
-  item.checked = checked;
-  item.new_mapping = new_mapping;
-  // The clock this write will carry when applied: pending items advance
-  // the clock by one each, and nothing else can move it before the flush
-  // (reads/trims flush first, GC runs only inside applies).
-  item.expected_now = virtual_clock() + batch_.size();
-  WriteContext ctx = host_ctx;
-  ctx.now = item.expected_now;
-
-  // Steps 1-3 of the sync classify path, at the projected clock. Meta
-  // values are position-independent (GC migrates them with the page), so
-  // reading them early yields the same entry the sync path would see —
-  // only cache hit/miss *timing* can differ (docs/ARCHITECTURE.md).
-  const MetaEntry entry = fetch_metadata(lpn);
-  const std::uint64_t prev_lifetime64 = entry.write_time == kNeverWritten
-                                            ? ~0ULL
-                                            : ctx.now - entry.write_time;
-  const std::uint32_t prev_lifetime = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(prev_lifetime64, 0xFFFFFFFFu));
-  const RawFeatures raw = tracker_.make_features(lpn, prev_lifetime, ctx);
-  trainer_.observe_page_write(lpn, raw, ctx.now);
-  Pending& pend = pending_[lpn];
-  if (pend.predicted != 2) {
-    const bool actually_short = prev_lifetime <= pend.threshold;
-    cm_.add(pend.predicted == 1, actually_short);
-    pend.predicted = 2;
-  }
-  encode_features(raw, item.x);
-  item.hidden = entry.hidden;
-
-  in_batch_[lpn] = 1;
-  if (new_mapping) ++batch_pending_new_;
-  batch_.push_back(item);
-
-  // Flush when full — or at a training-window boundary, so the boundary
-  // write is the flush's last item and maybe_train fires at its completion
-  // exactly as in sync mode (items after it would otherwise see the new
-  // model/threshold too early).
-  if (batch_.size() >= cfg_.predict_batch || trainer_.window_complete())
-    flush_batch();
-}
-
-void PhftlFtl::flush_batch() {
-  if (batch_.empty() || flushing_) return;
-  const std::size_t k = batch_.size();
-  batch_flushes_ctr_->inc();
-  batch_size_hist_->observe(static_cast<double>(k));
-
-  // One fused int8 batch predict over all pending items (distinct LPNs by
-  // construction, so their hidden chains are independent).
-  const std::size_t h = trainer_.deployed_model().hidden_dim();
-  batch_xs_.resize(k * kInputDim);
-  batch_hs_.resize(k * h);
-  batch_cls_.resize(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    std::copy(batch_[i].x.begin(), batch_[i].x.end(),
-              batch_xs_.begin() + static_cast<std::ptrdiff_t>(i * kInputDim));
-    std::copy(batch_[i].hidden.begin(), batch_[i].hidden.begin() + h,
-              batch_hs_.begin() + static_cast<std::ptrdiff_t>(i * h));
-  }
-  int64_t dt = 0;
+  std::array<float, kInputDim> x;
+  encode_features(raw, x);
+  int cls;
   if (obs::kEnabled && cfg_.time_predictions) {
+    // Time the device-side inference step (the paper's ~9 us budget,
+    // SIII-C). The clock reads sit outside the kernel, so bench_kernels'
+    // fused-predict numbers are unaffected.
     const auto t0 = std::chrono::steady_clock::now();
-    trainer_.deployed_model().predict_batch(batch_xs_.data(), k,
-                                            batch_hs_.data(),
-                                            batch_cls_.data());
-    dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - t0)
-             .count();
-    // Amortized per-prediction latency; the trace carries one event per
-    // write (same event count as sync, stamped with the apply clock).
-    predict_latency_hist_->observe(static_cast<double>(dt) /
-                                   static_cast<double>(k));
+    cls = trainer_.deployed_model().predict_incremental(
+        x, scratch_entry_.hidden);
+    const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    predict_latency_hist_->observe(static_cast<double>(dt));
+    observability().trace().record(obs::TraceEventType::kMlPredict, ctx.now,
+                                   static_cast<std::uint64_t>(dt),
+                                   static_cast<std::uint64_t>(cls));
   } else {
-    trainer_.deployed_model().predict_batch(batch_xs_.data(), k,
-                                            batch_hs_.data(),
-                                            batch_cls_.data());
+    cls = trainer_.deployed_model().predict_incremental(
+        x, scratch_entry_.hidden);
   }
-  for (std::size_t i = 0; i < k; ++i) {
-    batch_[i].cls = batch_cls_[i];
-    std::copy(batch_hs_.begin() + static_cast<std::ptrdiff_t>(i * h),
-              batch_hs_.begin() + static_cast<std::ptrdiff_t>((i + 1) * h),
-              batch_[i].hidden.begin());
-    if (obs::kEnabled && cfg_.time_predictions) {
-      observability().trace().record(
-          obs::TraceEventType::kMlPredict, batch_[i].expected_now,
-          static_cast<std::uint64_t>(dt / static_cast<std::int64_t>(k)),
-          static_cast<std::uint64_t>(batch_[i].cls));
-    }
+  const bool short_living = cls == 1;
+  ++predictions_;
+  predictions_ctr_->inc();
+  if (short_living) {
+    ++short_predictions_;
+    short_predictions_ctr_->inc();
   }
 
-  // Apply in order through the base write path; classify_user_write
-  // consumes the staged decisions. Window training is suppressed until the
-  // last item (its enqueue-time observe may already have completed the
-  // window; sync trains at the boundary write's completion, which is the
-  // last item here by the boundary-flush rule).
-  flushing_ = true;
-  for (std::size_t i = 0; i < k; ++i) {
-    flush_cursor_ = i;
-    suppress_train_ = i + 1 < k;
-    const WriteResult res =
-        FtlBase::host_write_page(batch_[i].lpn, batch_[i].ctx,
-                                 /*checked=*/true);
-    if (res != WriteResult::kOk) {
-      // Admission passed at enqueue but the watermark sank during the
-      // flush (program failures under fault injection). The write was
-      // already acknowledged; count the divergence from sync-mode
-      // accounting instead of losing it silently.
-      PHFTL_CHECK_MSG(batch_[i].checked,
-                      "unchecked batched write rejected at apply");
-      batch_dropped_ctr_->inc();
-    }
-  }
-  suppress_train_ = false;
-  flushing_ = false;
+  pend.predicted = short_living ? 1 : 0;
+  pend.threshold = static_cast<std::uint32_t>(
+      std::max<std::int64_t>(trainer_.threshold(), 0));
 
-  for (const BatchItem& it : batch_) in_batch_[it.lpn] = 0;
-  batch_.clear();
-  batch_pending_new_ = 0;
-}
-
-void PhftlFtl::on_host_read(Lpn /*lpn*/) { flush_batch(); }
-
-void PhftlFtl::on_host_trim(Lpn /*start*/, std::uint64_t /*n*/) {
-  flush_batch();
-}
-
-void PhftlFtl::drain() {
-  flush_batch();
-  if (cfg_.predict_mode == PhftlConfig::PredictMode::kAsync) {
-    if (train_pending_) apply_async_training();
-    predictor_->drain();
-  }
-  FtlBase::drain();  // complete a preempted time-sliced GC round
-}
-
-void PhftlFtl::async_train_tick() {
-  if (train_pending_ && virtual_clock() >= train_apply_at_)
-    apply_async_training();
-  if (trainer_.window_complete()) {
-    PHFTL_CHECK(!train_pending_);
-    ModelTrainer::TrainJob job = trainer_.begin_async_window();
-    train_future_ = train_pool_->submit(
-        [job = std::move(job)]() mutable {
-          return ModelTrainer::run_train_job(std::move(job));
-        });
-    train_pending_ = true;
-    train_apply_at_ = virtual_clock() + async_deploy_delay_;
-  }
-}
-
-void PhftlFtl::apply_async_training() {
-  // future.get() blocks if the job is still running at the deadline — the
-  // deterministic deploy point outranks latency (and in practice a window
-  // of writes outlasts one training epoch by a wide margin).
-  const bool trained = trainer_.apply_train_result(train_future_.get());
-  train_pending_ = false;
-  if (trained) predictor_->enqueue_model(trainer_.deployed_model());
+  return short_living ? kStreamShort : kStreamLong;
 }
 
 std::uint32_t PhftlFtl::classify_gc_write(Lpn /*lpn*/, std::uint8_t gc_count,
@@ -540,12 +255,6 @@ void PhftlFtl::on_superblock_erased(std::uint64_t sb) {
 }
 
 void PhftlFtl::on_request(const HostRequest& req) {
-  // Non-write requests (reads, trims) must observe all acknowledged
-  // writes: empty the batch queue before processing them. Feature-tracker
-  // request stats update after the flush, matching the sync order (the
-  // deferred writes' features were captured under the *previous* request's
-  // stats, exactly when sync classified them).
-  if (req.op != OpType::kWrite) flush_batch();
   tracker_.observe_request(req);
 }
 
@@ -554,11 +263,6 @@ void PhftlFtl::on_host_write_complete(Lpn /*lpn*/, Ppn ppn,
   // Stage the page's metadata entry (write time + updated hidden state) in
   // the open superblock's buffer; it reaches flash when the block closes.
   meta_.put(ppn, scratch_entry_);
-  if (cfg_.predict_mode == PhftlConfig::PredictMode::kAsync) {
-    async_train_tick();
-    return;
-  }
-  if (suppress_train_) return;  // flush_batch trains at its last item only
   trainer_.maybe_train();
 }
 
@@ -576,24 +280,6 @@ void PhftlFtl::fill_user_oob(Lpn /*lpn*/, OobData& oob) {
 }
 
 void PhftlFtl::on_recovery(const RecoveryReport& /*report*/) {
-  // Deferred pipeline state is host RAM: acknowledged-but-unapplied batched
-  // writes are lost (the crash model already loses the open superblock's
-  // RAM-buffered pages), and the async predictor's shadow hidden table and
-  // in-flight training job restart from scratch with the trainer.
-  for (const BatchItem& it : batch_) in_batch_[it.lpn] = 0;
-  batch_.clear();
-  batch_pending_new_ = 0;
-  flushing_ = false;
-  suppress_train_ = false;
-  if (cfg_.predict_mode == PhftlConfig::PredictMode::kAsync) {
-    if (train_pending_) {
-      (void)train_future_.get();  // discard: the trainer resets below
-      train_pending_ = false;
-    }
-    predictor_->reset();
-    std::fill(last_enq_idx_.begin(), last_enq_idx_.end(), 0);
-  }
-
   // Meta store: RAM cache and open-superblock write buffers are gone.
   // The flash-resident truth is the per-page OOB copy (§III-C) — meta
   // pages of blocks closed before the cut also survive, but the OOB copy

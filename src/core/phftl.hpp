@@ -20,22 +20,16 @@
 // end-of-run).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include <future>
-#include <memory>
-
 #include "core/features.hpp"
 #include "core/meta.hpp"
-#include "core/predictor.hpp"
 #include "core/trainer.hpp"
 #include "ftl/ftl_base.hpp"
 #include "ftl/victim_policy.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace phftl::core {
 
@@ -55,35 +49,12 @@ struct PhftlConfig {
   /// serial and --jobs N execution (docs/METRICS.md).
   bool time_predictions = true;
 
-  /// How the Page Classifier runs relative to the write path
-  /// (docs/ARCHITECTURE.md "Prediction pipeline"):
-  ///  * kSync    — one incremental GRU step inline per host write (the
-  ///               original path; the reference for WA equality);
-  ///  * kBatched — writes are deferred into a bounded queue and applied in
-  ///               bursts behind one fused int8 batch GEMM; WA, stream
-  ///               placement, GC, and trainer state are bit-identical to
-  ///               kSync (the queue flushes before anything that could
-  ///               observe the deferral);
-  ///  * kAsync   — a background predictor thread consumes a bounded SPSC
-  ///               feature queue; the write path never waits for inference
-  ///               and consumes the page's *previous* (one-generation
-  ///               stale) classification, falling back to the deployed
-  ///               threshold decision when even that is still in flight.
-  ///               Deterministic for a fixed staleness window; WA differs
-  ///               from kSync by a small measured delta (BENCH_replay).
-  enum class PredictMode { kSync, kBatched, kAsync };
+  /// Vestige: the Page Classifier always runs inline, one incremental GRU
+  /// step per host write (docs/ARCHITECTURE.md "Prediction pipeline").
+  /// perfbench/replay_bench.cpp still assigns kSync, so the one-value enum
+  /// and the field stay until that benchmark is next revised.
+  enum class PredictMode { kSync };
   PredictMode predict_mode = PredictMode::kSync;
-  /// kBatched: flush the queue after this many pending writes.
-  std::uint32_t predict_batch = 32;
-  /// kAsync: staleness window S (SPSC ring capacity). A write's decision
-  /// uses the previous prediction for that page only once it is at least S
-  /// ring messages old; younger ones fall back to the threshold decision.
-  std::uint32_t async_staleness = 64;
-  /// kAsync: deploy a window's freshly trained model after this many
-  /// further host writes (0 = window_pages / 8). Gives the background
-  /// training job a deterministic deadline: the write path blocks on the
-  /// job only if it is still running when the deadline arrives.
-  std::uint64_t async_deploy_delay = 0;
 };
 
 class PhftlFtl : public FtlBase {
@@ -115,22 +86,7 @@ class PhftlFtl : public FtlBase {
   /// quality, meta-cache hit rate, trainer threshold/windows.
   void refresh_observability() override;
 
-  /// Flush deferred work: pending batched writes, the async predictor
-  /// queue, and an outstanding async training job. Called by harnesses
-  /// after the last request (and implicitly by finalize_evaluation and
-  /// refresh_observability).
-  void drain() override;
-
  protected:
-  /// Batched mode intercepts host writes here and defers them; sync and
-  /// async modes (and batched mode before the first model deployment)
-  /// fall through to the immediate base path.
-  WriteResult host_write_page(Lpn lpn, const WriteContext& ctx,
-                              bool checked) override;
-  /// Reads and trims must observe all acknowledged writes: flush the
-  /// batch queue.
-  void on_host_read(Lpn lpn) override;
-  void on_host_trim(Lpn start, std::uint64_t n) override;
   std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx) override;
   std::uint32_t classify_gc_write(Lpn lpn, std::uint8_t gc_count,
                                   const OobData& oob) override;
@@ -169,39 +125,6 @@ class PhftlFtl : public FtlBase {
   /// on miss). Returns an all-defaults entry for never-written pages.
   MetaEntry fetch_metadata(Lpn lpn);
 
-  // --- batched predict mode (docs/ARCHITECTURE.md "Prediction pipeline") ---
-  /// One deferred host write: everything the sync path would have computed
-  /// up to (but excluding) the GRU step, captured at enqueue time with the
-  /// clock value the write will carry when applied.
-  struct BatchItem {
-    Lpn lpn = 0;
-    WriteContext ctx;
-    bool checked = true;
-    bool new_mapping = false;
-    std::uint64_t expected_now = 0;  ///< virtual clock at apply
-    std::array<float, kInputDim> x{};
-    /// Pre-predict cached hidden state at enqueue; overwritten with the
-    /// post-predict state by flush_batch before the item is applied.
-    std::array<std::int8_t, 32> hidden{};
-    int cls = 0;  ///< batch-predict result (set by flush_batch)
-  };
-  void enqueue_batched(Lpn lpn, const WriteContext& ctx, bool checked,
-                       bool new_mapping);
-  /// Batch-predict all pending items, then apply them through the base
-  /// write path in order (classify_user_write consumes the staged
-  /// decisions). Trainer window training is suppressed until the last
-  /// item so it fires at exactly the write the sync path trains at.
-  void flush_batch();
-  /// classify_user_write body while a flush is applying item
-  /// batch_[flush_cursor_].
-  std::uint32_t consume_staged(Lpn lpn, const WriteContext& ctx);
-
-  // --- async predict mode ---
-  /// Per-write-complete bookkeeping: apply a due training job, then launch
-  /// one if the window just completed.
-  void async_train_tick();
-  void apply_async_training();
-
   PhftlConfig cfg_;
   FeatureTracker tracker_;
   MetaStore meta_;
@@ -222,28 +145,6 @@ class PhftlFtl : public FtlBase {
   std::uint64_t predictions_ = 0;
   std::uint64_t short_predictions_ = 0;
 
-  // --- batched-mode state ---
-  std::vector<BatchItem> batch_;        ///< pending deferred writes
-  std::vector<std::uint8_t> in_batch_;  ///< per-LPN pending flag
-  std::uint64_t batch_pending_new_ = 0;  ///< pending items that map new LPNs
-  bool flushing_ = false;         ///< a flush is applying items right now
-  std::size_t flush_cursor_ = 0;  ///< item being applied during a flush
-  bool suppress_train_ = false;   ///< defer maybe_train to the flush's tail
-  std::vector<float> batch_xs_;   ///< gathered features for predict_batch
-  std::vector<std::int8_t> batch_hs_;
-  std::vector<int> batch_cls_;
-
-  // --- async-mode state ---
-  std::unique_ptr<AsyncPredictor> predictor_;
-  std::unique_ptr<util::ThreadPool> train_pool_;
-  std::future<ModelTrainer::TrainResult> train_future_;
-  bool train_pending_ = false;
-  std::uint64_t train_apply_at_ = 0;  ///< virtual clock of the deploy point
-  std::uint64_t async_deploy_delay_ = 0;  ///< resolved from config
-  /// Ring index + 1 of the last prediction enqueued per LPN (0 = none);
-  /// drives the staleness arithmetic in classify_user_write.
-  std::vector<std::uint64_t> last_enq_idx_;
-
   // --- observability handles (registered once in the constructor) ---
   obs::Counter* predictions_ctr_ = nullptr;
   obs::Counter* short_predictions_ctr_ = nullptr;
@@ -259,10 +160,6 @@ class PhftlFtl : public FtlBase {
   obs::Gauge* cls_precision_gauge_ = nullptr;
   obs::Gauge* cls_recall_gauge_ = nullptr;
   obs::Gauge* cls_f1_gauge_ = nullptr;
-  obs::Histogram* batch_size_hist_ = nullptr;
-  obs::Counter* batch_flushes_ctr_ = nullptr;
-  obs::Counter* batch_dropped_ctr_ = nullptr;
-  obs::Counter* predict_stale_ctr_ = nullptr;
 };
 
 /// Convenience: a PHFTL with paper-default parameters for a geometry

@@ -97,53 +97,36 @@ bool ModelTrainer::maybe_train() {
 }
 
 void ModelTrainer::train_window() {
-  const TrainOutcome out =
-      train_on_window(cfg_, samples_, samples_seen_, pages_in_window_, model_,
-                      controller_, deployed_, rng_);
-  last_sample_count_ = out.sample_count;
-  if (out.trained) {
-    last_loss_ = out.loss;
-    last_train_accuracy_ = out.accuracy;
-    ++trainings_;
-  }
-}
-
-ModelTrainer::TrainOutcome ModelTrainer::train_on_window(
-    const Config& cfg, const std::vector<WindowSample>& samples,
-    std::uint64_t samples_seen, std::uint64_t pages_in_window,
-    ml::GruClassifier& model, ThresholdController& controller,
-    ml::QuantizedGru& deployed, Xoshiro256& rng) {
-  TrainOutcome out;
-  out.sample_count = samples.size();
-  if (samples.empty()) return out;
+  last_sample_count_ = samples_.size();
+  if (samples_.empty()) return;
 
   // 1. Threshold adjustment (Algorithm 1) on (lifetime, last-step feature)
   //    pairs. The lightweight model consumes the compact monotone encoding
   //    (see features.hpp) so candidate accuracy actually peaks at the knee.
-  std::vector<std::uint64_t> lifetimes(samples.size());
-  std::vector<std::vector<float>> last_feats(samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    lifetimes[i] = samples[i].lifetime;
-    PHFTL_CHECK(!samples[i].sequence.empty());
-    last_feats[i] = encode_features_compact(samples[i].sequence.back());
+  std::vector<std::uint64_t> lifetimes(samples_.size());
+  std::vector<std::vector<float>> last_feats(samples_.size());
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    lifetimes[i] = samples_[i].lifetime;
+    PHFTL_CHECK(!samples_[i].sequence.empty());
+    last_feats[i] = encode_features_compact(samples_[i].sequence.back());
   }
   const std::uint64_t threshold =
-      controller.pick_threshold(lifetimes, last_feats);
+      controller_.pick_threshold(lifetimes, last_feats);
 
   // 2. Label sequences and balance classes.
   std::vector<std::size_t> pos_idx, neg_idx;
-  for (std::size_t i = 0; i < samples.size(); ++i)
-    (samples[i].lifetime <= threshold ? pos_idx : neg_idx).push_back(i);
-  if (pos_idx.empty() || neg_idx.empty()) return out;  // degenerate window
+  for (std::size_t i = 0; i < samples_.size(); ++i)
+    (samples_[i].lifetime <= threshold ? pos_idx : neg_idx).push_back(i);
+  if (pos_idx.empty() || neg_idx.empty()) return;  // degenerate window
 
   const std::size_t per_class =
-      std::min({cfg.train_per_class, pos_idx.size(), neg_idx.size()});
+      std::min({cfg_.train_per_class, pos_idx.size(), neg_idx.size()});
   auto draw = [&](std::vector<std::size_t>& idx,
                   std::vector<ml::Sequence>& dst, int label) {
     for (std::size_t k = 0; k < per_class; ++k) {
-      const std::size_t j = k + rng.next_below(idx.size() - k);
+      const std::size_t j = k + rng_.next_below(idx.size() - k);
       std::swap(idx[k], idx[j]);
-      const WindowSample& s = samples[idx[k]];
+      const WindowSample& s = samples_[idx[k]];
       ml::Sequence seq;
       seq.label = label;
       seq.steps.reserve(s.sequence.size());
@@ -158,12 +141,11 @@ ModelTrainer::TrainOutcome ModelTrainer::train_on_window(
   draw(neg_idx, train_set, 0);
 
   // 3. One epoch of training on the persistent model (paper §III-B).
-  out.loss = model.train_epoch(train_set, cfg.batch_size, rng);
-  if (cfg.eval_train_accuracy) out.accuracy = model.evaluate(train_set);
+  last_loss_ = model_.train_epoch(train_set, cfg_.batch_size, rng_);
 
   // 4. Deployment: quantize to int8, recalibrate the decision boundary to
   //    the window's natural class prior, and hand to the device.
-  deployed = ml::QuantizedGru(model);
+  deployed_ = ml::QuantizedGru(model_);
   // Natural positive rate: short-living versions nearly always die inside
   // the window (their lifetime is below the threshold, which is below the
   // window length), so the positive samples over *all* page writes in the
@@ -172,59 +154,14 @@ ModelTrainer::TrainOutcome ModelTrainer::train_on_window(
   // and overstate the prior badly.
   const double pos_rate = std::clamp(
       static_cast<double>(pos_idx.size()) *
-          (static_cast<double>(samples_seen) /
-           std::max<double>(1.0, static_cast<double>(samples.size()))) /
-          static_cast<double>(pages_in_window),
+          (static_cast<double>(samples_seen_) /
+           std::max<double>(1.0, static_cast<double>(samples_.size()))) /
+          static_cast<double>(pages_in_window_),
       0.02, 0.98);
-  deployed.set_decision_bias(
-      cfg.prior_bias_strength *
+  deployed_.set_decision_bias(
+      cfg_.prior_bias_strength *
       static_cast<float>(std::log(pos_rate / (1.0 - pos_rate))));
-  out.trained = true;
-  return out;
-}
-
-ModelTrainer::TrainJob ModelTrainer::begin_async_window() {
-  PHFTL_CHECK(window_complete());
-  // Fork the job RNG with one member draw: the member stream stays
-  // deterministic (the next window's reservoir picks are independent of
-  // the job's shuffle/draw consumption), and distinct windows get distinct
-  // job streams.
-  TrainJob job{cfg_,
-               std::move(samples_),
-               samples_seen_,
-               pages_in_window_,
-               model_,
-               controller_,
-               Xoshiro256(rng_() ^ 0x7261696e5f6a6f62ULL)};
-  samples_.clear();
-  samples_.reserve(cfg_.max_window_samples);
-  samples_seen_ = 0;
-  window_start_ = now_ + 1;
-  pages_in_window_ = 0;
-  ++windows_;
-  return job;
-}
-
-ModelTrainer::TrainResult ModelTrainer::run_train_job(TrainJob job) {
-  TrainResult r{TrainOutcome{}, std::move(job.model), std::move(job.controller),
-                ml::QuantizedGru{}};
-  r.outcome = train_on_window(job.cfg, job.samples, job.samples_seen,
-                              job.pages_in_window, r.model, r.controller,
-                              r.deployed, job.rng);
-  return r;
-}
-
-bool ModelTrainer::apply_train_result(TrainResult&& r) {
-  last_sample_count_ = r.outcome.sample_count;
-  model_ = std::move(r.model);
-  controller_ = std::move(r.controller);
-  if (r.outcome.trained) {
-    deployed_ = std::move(r.deployed);
-    last_loss_ = r.outcome.loss;
-    last_train_accuracy_ = r.outcome.accuracy;
-    ++trainings_;
-  }
-  return r.outcome.trained;
+  ++trainings_;
 }
 
 }  // namespace phftl::core

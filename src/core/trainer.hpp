@@ -54,13 +54,6 @@ class ModelTrainer {
     /// Disable training entirely (model never deploys; PHFTL degrades to
     /// one-stream user writes + GC-count separation).
     bool enabled = true;
-    /// Compute training-set accuracy after each window train. Pure
-    /// diagnostic (read back through last_train_accuracy(), which nothing
-    /// on the replay path consumes); the extra forward sweep over the
-    /// train set costs a measurable slice of the whole training budget,
-    /// so it defaults off. Ablations and tests that want the number turn
-    /// it on.
-    bool eval_train_accuracy = false;
   };
 
   explicit ModelTrainer(const Config& cfg);
@@ -91,7 +84,6 @@ class ModelTrainer {
   std::uint64_t windows_completed() const { return windows_; }
   std::uint64_t trainings_run() const { return trainings_; }
   float last_train_loss() const { return last_loss_; }
-  float last_train_accuracy() const { return last_train_accuracy_; }
   const ThresholdController& controller() const { return controller_; }
   std::size_t last_window_sample_count() const { return last_sample_count_; }
   /// Host-side RAM the trainer uses for histories, in bytes (diagnostic).
@@ -114,78 +106,10 @@ class ModelTrainer {
     std::vector<RawFeatures> sequence;  ///< oldest → newest
   };
 
-  /// What one window-boundary training pass produced (shared between the
-  /// synchronous train_window() and the async job path).
-  struct TrainOutcome {
-    bool trained = false;  ///< model updated + quantized model produced
-    float loss = 0.0f;
-    float accuracy = 0.0f;
-    std::size_t sample_count = 0;
-  };
-
   std::vector<RawFeatures> history_snapshot(const History& h) const;
+  /// The window-boundary pipeline: threshold → label → balanced draw →
+  /// train → quantize + bias.
   void train_window();
-  /// The window-boundary pipeline (threshold → label → balanced draw →
-  /// train → quantize + bias). Static and parameterized on explicit state
-  /// so the synchronous path and an async job run the *same* code: called
-  /// on the members it is bit-identical to the historical train_window().
-  static TrainOutcome train_on_window(const Config& cfg,
-                                      const std::vector<WindowSample>& samples,
-                                      std::uint64_t samples_seen,
-                                      std::uint64_t pages_in_window,
-                                      ml::GruClassifier& model,
-                                      ThresholdController& controller,
-                                      ml::QuantizedGru& deployed,
-                                      Xoshiro256& rng);
-
- public:
-  /// Snapshot of one completed window's training inputs, detachable from
-  /// the trainer so the pipeline can run on a worker thread while the
-  /// device keeps serving writes (async predict mode). Opaque to callers;
-  /// move it into run_train_job().
-  struct TrainJob {
-    Config cfg;
-    std::vector<WindowSample> samples;
-    std::uint64_t samples_seen = 0;
-    std::uint64_t pages_in_window = 0;
-    ml::GruClassifier model;
-    ThresholdController controller;
-    Xoshiro256 rng;
-  };
-  /// The job's products, handed back via apply_train_result().
-  struct TrainResult {
-    TrainOutcome outcome;
-    ml::GruClassifier model;
-    ThresholdController controller;
-    ml::QuantizedGru deployed;
-  };
-
-  /// True when the current window has accumulated window_pages writes and
-  /// the boundary pipeline is due (the condition maybe_train() fires on).
-  bool window_complete() const {
-    return cfg_.enabled && pages_in_window_ >= cfg_.window_pages;
-  }
-
-  /// Close the current window and return its training inputs as a job:
-  /// moves the sample set out, copies the float model + threshold
-  /// controller, and forks a job-private RNG off rng_ (one draw — the
-  /// member RNG's subsequent reservoir stream is deterministic regardless
-  /// of when, or on which thread, the job runs). Window bookkeeping
-  /// advances exactly as maybe_train() does.
-  TrainJob begin_async_window();
-
-  /// Run the window pipeline on a job (any thread; touches no trainer
-  /// state). Pairs with apply_train_result() on the owning thread.
-  static TrainResult run_train_job(TrainJob job);
-
-  /// Deploy a finished job at a caller-chosen deterministic point: the
-  /// float model and controller state come back (training continuity),
-  /// and if the window actually trained, the quantized model + threshold
-  /// become visible to the device here — this is the async analogue of
-  /// maybe_train() returning true. Returns outcome.trained.
-  bool apply_train_result(TrainResult&& r);
-
- private:
 
   Config cfg_;
   Xoshiro256 rng_;
@@ -203,7 +127,6 @@ class ModelTrainer {
   std::uint64_t windows_ = 0;
   std::uint64_t trainings_ = 0;
   float last_loss_ = 0.0f;
-  float last_train_accuracy_ = 0.0f;
   std::size_t last_sample_count_ = 0;
 };
 

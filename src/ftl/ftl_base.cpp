@@ -497,7 +497,7 @@ SubmitResult FtlBase::submit_checked(const HostRequest& req) {
   ctx.is_sequential = (req.start_lpn == prev_req_end_);
   for (std::uint32_t i = 0; i < req.num_pages; ++i) {
     ctx.now = virtual_clock_;
-    if (host_write_page(req.start_lpn + i, ctx, /*checked=*/true) ==
+    if (write_page_impl(req.start_lpn + i, ctx, /*checked=*/true) ==
         WriteResult::kEnospc) {
       res.status = WriteResult::kEnospc;
       res.pages_completed = i;
@@ -511,11 +511,11 @@ SubmitResult FtlBase::submit_checked(const HostRequest& req) {
 }
 
 void FtlBase::write_page(Lpn lpn, const WriteContext& ctx) {
-  host_write_page(lpn, ctx, /*checked=*/false);
+  write_page_impl(lpn, ctx, /*checked=*/false);
 }
 
 WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx) {
-  return host_write_page(lpn, ctx, /*checked=*/true);
+  return write_page_impl(lpn, ctx, /*checked=*/true);
 }
 
 WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
@@ -603,7 +603,6 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
 
 std::uint64_t FtlBase::read_page(Lpn lpn) {
   PHFTL_CHECK(lpn < logical_pages_);
-  on_host_read(lpn);
   const Ppn ppn =
       cfg_.mapping_tier ? map_lookup(lpn, /*host_read=*/true) : l2p_[lpn];
   if (ppn == kInvalidPpn) {
@@ -629,7 +628,6 @@ std::uint64_t FtlBase::trim_range(Lpn start, std::uint64_t n) {
   // near-UINT64_MAX starts.
   PHFTL_CHECK_MSG(start < logical_pages_ && n <= logical_pages_ - start,
                   "trim beyond logical capacity");
-  on_host_trim(start, n);
   // Unmap in RAM first, collecting the *effective* runs (pages that were
   // actually mapped); already-unmapped pages are no-ops and neither counted
   // nor journaled. The loop is sequential, so each run is contiguous.

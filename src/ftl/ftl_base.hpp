@@ -169,14 +169,11 @@ class FtlBase {
   /// (an effective trim, journaled for crash durability).
   bool trim_page(Lpn lpn);
 
-  /// Flush any work the scheme buffers outside the flash + mapping state
-  /// (e.g. PHFTL's batched-prediction queue or async predictor backlog) and
-  /// complete an in-flight time-sliced GC round, leaving the drive
-  /// quiescent. Harnesses call this after the last request and before
-  /// reading final statistics. Overrides must finish with FtlBase::drain().
-  /// Reads and trims drain implicitly — only back-to-back write streams
-  /// can leave work pending.
-  virtual void drain();
+  /// Complete an in-flight time-sliced GC round and flush the mapping
+  /// tier's translation write-back buffer, leaving the drive quiescent.
+  /// Harnesses call this after the last request and before reading final
+  /// statistics.
+  void drain();
 
   bool is_mapped(Lpn lpn) const { return l2p_[lpn] != kInvalidPpn; }
   Ppn lookup(Lpn lpn) const { return l2p_[lpn]; }
@@ -414,23 +411,9 @@ class FtlBase {
   virtual void on_page_invalidated(Lpn /*lpn*/, Ppn /*ppn*/,
                                    std::uint64_t /*now*/) {}
   virtual void on_superblock_erased(std::uint64_t /*sb*/) {}
-  virtual void on_host_read(Lpn /*lpn*/) {}
-  /// Called before a trim range is applied (deferring schemes flush here —
-  /// a trim must observe every acknowledged write).
-  virtual void on_host_trim(Lpn /*start*/, std::uint64_t /*n*/) {}
   /// Called once per submitted request, before its pages are processed
   /// (PHFTL's feature tracker consumes request-level statistics here).
   virtual void on_request(const HostRequest& /*req*/) {}
-  /// Host-write entry point behind submit/write_page/try_write_page. The
-  /// default applies the write immediately; a scheme that defers writes
-  /// (PHFTL's batched predict mode) overrides this to enqueue, and later
-  /// applies each deferred page by calling FtlBase::host_write_page —
-  /// `checked` selects ENOSPC rejection vs abort exactly as in
-  /// write_page_impl.
-  virtual WriteResult host_write_page(Lpn lpn, const WriteContext& ctx,
-                                      bool checked) {
-    return write_page_impl(lpn, ctx, checked);
-  }
   /// Called once per host page write after the page has been appended.
   virtual void on_host_write_complete(Lpn /*lpn*/, Ppn /*ppn*/,
                                       const WriteContext& /*ctx*/) {}
@@ -522,8 +505,9 @@ class FtlBase {
   /// stamps (lower-bound contract — docs/ENDURANCE.md, docs/RECOVERY.md).
   void rederive_wear_from_flash();
 
-  /// Shared body of write_page / try_write_page. `checked` selects whether
-  /// the capacity watermark rejects (kEnospc) or aborts.
+  /// Shared body of submit_checked / write_page / try_write_page.
+  /// `checked` selects whether the capacity watermark rejects (kEnospc) or
+  /// aborts.
   WriteResult write_page_impl(Lpn lpn, const WriteContext& ctx, bool checked);
   /// Trim [start, start+n): raw-unmap every mapped page, set tombstones,
   /// and journal the effective runs. Returns the number of effective trims.

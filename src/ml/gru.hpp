@@ -109,7 +109,7 @@ class GruClassifier {
   /// untouched, so results are bit-identical to the historical
   /// allocate-per-call implementation. Mutable because prediction is
   /// logically const; one instance must not be used from two threads at
-  /// once (async training clones the model per job).
+  /// once.
   struct Workspace {
     std::vector<float> z, r, n, s;                  // step()
     std::vector<StepActs> acts;                     // backward forward pass

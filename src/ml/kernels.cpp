@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "util/assert.hpp"
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PHFTL_KERNELS_X86 1
 #include <immintrin.h>
@@ -110,87 +108,8 @@ void fused_gemv3_avx2(const PackedGates3& m, const std::int8_t* x,
 
 #endif  // PHFTL_KERNELS_X86
 
-void fused_gemm3_scalar(const PackedGates3& m, const std::int8_t* xs,
-                        std::size_t batch, std::size_t x_stride,
-                        std::int32_t* out0, std::int32_t* out1,
-                        std::int32_t* out2) {
-  const std::size_t stride = m.stride;
-  const std::size_t rows = m.rows;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int8_t* __restrict w0 = m.data.data() + r * 3 * stride;
-    const std::int8_t* __restrict w1 = w0 + stride;
-    const std::int8_t* __restrict w2 = w1 + stride;
-    for (std::size_t k = 0; k < batch; ++k) {
-      const std::int8_t* __restrict xp = xs + k * x_stride;
-      std::int32_t a0 = 0, a1 = 0, a2 = 0;
-      for (std::size_t c = 0; c < stride; c += 4) {
-        const std::int32_t xc0 = xp[c + 0], xc1 = xp[c + 1];
-        const std::int32_t xc2 = xp[c + 2], xc3 = xp[c + 3];
-        a0 += w0[c + 0] * xc0 + w0[c + 1] * xc1 + w0[c + 2] * xc2 +
-              w0[c + 3] * xc3;
-        a1 += w1[c + 0] * xc0 + w1[c + 1] * xc1 + w1[c + 2] * xc2 +
-              w1[c + 3] * xc3;
-        a2 += w2[c + 0] * xc0 + w2[c + 1] * xc1 + w2[c + 2] * xc2 +
-              w2[c + 3] * xc3;
-      }
-      out0[k * rows + r] = a0;
-      out1[k * rows + r] = a1;
-      out2[k * rows + r] = a2;
-    }
-  }
-}
-
-#if PHFTL_KERNELS_X86
-
-#ifndef __AVX2__
-__attribute__((target("avx2")))
-#endif
-void fused_gemm3_avx2(const PackedGates3& m, const std::int8_t* xs,
-                      std::size_t batch, std::size_t x_stride,
-                      std::int32_t* out0, std::int32_t* out1,
-                      std::int32_t* out2) {
-  const std::size_t stride = m.stride;
-  const std::size_t rows = m.rows;
-  // Same row-block pass as the GEMV, with the batch as the inner loop: the
-  // three gate rows stay in registers/L1 while every item consumes them.
-  // Per-item accumulation is identical to fused_gemv3_avx2, so the int32
-  // results match the GEMV (and the scalar path) bit-for-bit.
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::int8_t* w0 = m.data.data() + r * 3 * stride;
-    const std::int8_t* w1 = w0 + stride;
-    const std::int8_t* w2 = w1 + stride;
-    for (std::size_t k = 0; k < batch; ++k) {
-      const std::int8_t* xp = xs + k * x_stride;
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      for (std::size_t c = 0; c < stride; c += 16) {
-        const __m256i xv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xp + c)));
-        const __m256i v0 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w0 + c)));
-        const __m256i v1 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w1 + c)));
-        const __m256i v2 = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(w2 + c)));
-        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(v0, xv));
-        acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(v1, xv));
-        acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(v2, xv));
-      }
-      out0[k * rows + r] = hsum_epi32(acc0);
-      out1[k * rows + r] = hsum_epi32(acc1);
-      out2[k * rows + r] = hsum_epi32(acc2);
-    }
-  }
-}
-
-#endif  // PHFTL_KERNELS_X86
-
 using KernelFn = void (*)(const PackedGates3&, const std::int8_t*,
                           std::int32_t*, std::int32_t*, std::int32_t*);
-using BatchKernelFn = void (*)(const PackedGates3&, const std::int8_t*,
-                               std::size_t, std::size_t, std::int32_t*,
-                               std::int32_t*, std::int32_t*);
 
 KernelFn resolve_kernel() {
 #if PHFTL_KERNELS_X86
@@ -199,15 +118,7 @@ KernelFn resolve_kernel() {
   return fused_gemv3_scalar;
 }
 
-BatchKernelFn resolve_batch_kernel() {
-#if PHFTL_KERNELS_X86
-  if (__builtin_cpu_supports("avx2")) return fused_gemm3_avx2;
-#endif
-  return fused_gemm3_scalar;
-}
-
 const KernelFn g_fused_gemv3 = resolve_kernel();
-const BatchKernelFn g_fused_gemm3 = resolve_batch_kernel();
 
 }  // namespace
 
@@ -217,25 +128,9 @@ void fused_gemv3_i8(const PackedGates3& m, const std::int8_t* x,
   g_fused_gemv3(m, x, out0, out1, out2);
 }
 
-void fused_gemm3_i8(const PackedGates3& m, const std::int8_t* xs,
-                    std::size_t batch, std::size_t x_stride,
-                    std::int32_t* out0, std::int32_t* out1,
-                    std::int32_t* out2) {
-  PHFTL_CHECK(x_stride >= m.stride);
-  g_fused_gemm3(m, xs, batch, x_stride, out0, out1, out2);
-}
-
 bool fused_gemv3_uses_avx2() {
 #if PHFTL_KERNELS_X86
   return g_fused_gemv3 == fused_gemv3_avx2;
-#else
-  return false;
-#endif
-}
-
-bool fused_gemm3_uses_avx2() {
-#if PHFTL_KERNELS_X86
-  return g_fused_gemm3 == fused_gemm3_avx2;
 #else
   return false;
 #endif

@@ -61,20 +61,6 @@ void fused_gemv3_i8(const PackedGates3& m, const std::int8_t* x,
                     std::int32_t* out0, std::int32_t* out1,
                     std::int32_t* out2);
 
-/// Fused triple GEMM over a batch of independent input vectors: for every
-/// item k in [0, batch) and gate g,
-///   out_g[k * m.rows + r] = Σ_c gate_g[r][c] · xs[k * x_stride + c].
-/// Item k's vector starts at xs + k * x_stride with x_stride >= m.stride and
-/// elements [m.cols, x_stride) zero (same zero-tail contract as the GEMV).
-/// The loop nest runs rows-outer / items-inner so one pass keeps each packed
-/// gate row hot across the whole batch. Accumulation is int32, so results
-/// are bit-exact against `batch` repeated fused_gemv3_i8 calls and identical
-/// across the scalar and SIMD paths.
-void fused_gemm3_i8(const PackedGates3& m, const std::int8_t* xs,
-                    std::size_t batch, std::size_t x_stride,
-                    std::int32_t* out0, std::int32_t* out1,
-                    std::int32_t* out2);
-
 /// Naive single-matrix int8 GEMV — the reference the fused kernel is
 /// benchmarked and parity-tested against (same loop shape as the original
 /// QuantizedGru::gate_preact inner loops).
@@ -84,8 +70,5 @@ void gemv_i8_ref(const std::int8_t* w, std::size_t rows, std::size_t cols,
 /// True when the runtime dispatcher selected the AVX2 kernel (exposed so
 /// benchmarks can report which path they measured).
 bool fused_gemv3_uses_avx2();
-
-/// Same, for the batch GEMM dispatcher.
-bool fused_gemm3_uses_avx2();
 
 }  // namespace phftl::ml::kernels

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "util/assert.hpp"
 
@@ -146,90 +145,6 @@ int QuantizedGru::predict_incremental(std::span<const float> x,
     }
   }
   return best_cls;
-}
-
-void QuantizedGru::predict_batch(const float* xs, std::size_t count,
-                                 std::int8_t* hs, int* cls_out) const {
-  PHFTL_CHECK(deployed());
-  if (count == 0) return;
-  const float x_scale = 1.0f / 127.0f;
-  const std::size_t h = hidden_dim_;
-  const std::size_t xs_stride = w_packed_.stride;
-  const std::size_t hs_stride = u_packed_.stride;
-  BatchScratch& s = batch_scratch_;
-  if (count > s.capacity) {
-    // Grow-only: zero-fill so the padded tails of every row stay zero for
-    // the lifetime of the buffers (the logical prefix is overwritten below).
-    s.xq.assign(count * xs_stride, 0);
-    s.hq.assign(count * hs_stride, 0);
-    s.ax.resize(3 * count * h);
-    s.ah.resize(3 * count * h);
-    s.capacity = count;
-  }
-
-  for (std::size_t k = 0; k < count; ++k) {
-    std::int8_t* xq = s.xq.data() + k * xs_stride;
-    const float* x = xs + k * input_dim_;
-    for (std::size_t i = 0; i < input_dim_; ++i) xq[i] = quantize_input(x[i]);
-    std::memcpy(s.hq.data() + k * hs_stride, hs + k * h, h);
-  }
-
-  // Six GEMVs per item collapse into two fused GEMM passes over the whole
-  // batch; per-item accumulators are identical to the GEMV path.
-  std::int32_t* az = s.ax.data();
-  std::int32_t* ar = az + count * h;
-  std::int32_t* an = ar + count * h;
-  std::int32_t* uz = s.ah.data();
-  std::int32_t* ur = uz + count * h;
-  std::int32_t* un = ur + count * h;
-  kernels::fused_gemm3_i8(w_packed_, s.xq.data(), count, xs_stride, az, ar,
-                          an);
-  kernels::fused_gemm3_i8(u_packed_, s.hq.data(), count, hs_stride, uz, ur,
-                          un);
-
-  // Per-item combine + head: exactly predict_incremental's float
-  // expressions (term order preserved) over that item's accumulator slice,
-  // so each item is bit-exact against a sequential predict_incremental.
-  Scratch& ss = scratch_;
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::size_t base = k * h;
-    std::int8_t* h_inout = hs + k * h;
-    for (std::size_t i = 0; i < h; ++i) {
-      ss.z[i] = sigmoidf(static_cast<float>(az[base + i]) * wz_.scale *
-                             x_scale +
-                         static_cast<float>(uz[base + i]) * uz_.scale *
-                             kHiddenScale +
-                         bz_[i]);
-      ss.r[i] = sigmoidf(static_cast<float>(ar[base + i]) * wr_.scale *
-                             x_scale +
-                         static_cast<float>(ur[base + i]) * ur_.scale *
-                             kHiddenScale +
-                         br_[i]);
-      const float sn = static_cast<float>(un[base + i]) * un_.scale *
-                           kHiddenScale +
-                       bun_[i];
-      ss.n[i] = std::tanh(static_cast<float>(an[base + i]) * wn_.scale *
-                              x_scale +
-                          bn_[i] + ss.r[i] * sn);
-      const float h_prev = static_cast<float>(h_inout[i]) * kHiddenScale;
-      ss.h_new[i] = (1.0f - ss.z[i]) * ss.n[i] + ss.z[i] * h_prev;
-    }
-    for (std::size_t i = 0; i < h; ++i)
-      h_inout[i] = quantize_hidden(ss.h_new[i]);
-
-    float best = -1e30f;
-    int best_cls = 0;
-    for (std::size_t cls = 0; cls < wo_.rows; ++cls) {
-      float acc = bo_[cls] + (cls == 1 ? decision_bias_ : 0.0f);
-      const float* wrow = wo_deq_.data() + cls * wo_.cols;
-      for (std::size_t c = 0; c < h; ++c) acc += wrow[c] * ss.h_new[c];
-      if (acc > best) {
-        best = acc;
-        best_cls = static_cast<int>(cls);
-      }
-    }
-    cls_out[k] = best_cls;
-  }
 }
 
 int QuantizedGru::predict_incremental_reference(

@@ -90,19 +90,6 @@ class QuantizedGru {
   int predict_incremental_reference(std::span<const float> x,
                                     std::span<std::int8_t> h_inout) const;
 
-  /// Batched incremental step for `count` *distinct* pages: one fused int8
-  /// GEMM per gate triple instead of `count` GEMV pairs, then the same
-  /// per-item float combine. Item k reads its features from
-  /// xs[k*input_dim .. k*input_dim+input_dim), its cached hidden state from
-  /// hs[k*hidden_dim ..) (updated in place), and writes its class to
-  /// cls_out[k]. Bit-exact against `count` sequential predict_incremental
-  /// calls — items must reference distinct pages, whose hidden chains are
-  /// independent, so batching cannot reorder any page's own chain. Uses the
-  /// internal batch scratch (grows to the largest count seen, then
-  /// allocation-free); not safe to call concurrently on one instance.
-  void predict_batch(const float* xs, std::size_t count, std::int8_t* hs,
-                     int* cls_out) const;
-
   /// Full-sequence prediction from a zero hidden state (used in tests and
   /// the sequence-length ablation).
   int predict_sequence(const std::vector<std::vector<float>>& steps) const;
@@ -151,16 +138,6 @@ class QuantizedGru {
     std::vector<float> z, r, n, h_new;
   };
   mutable Scratch scratch_;
-
-  /// Batch-predict scratch: stride-padded per-item input/hidden rows (tails
-  /// stay 0 across calls) and 3 gate-accumulator planes laid out
-  /// [gate][item * H + row] as fused_gemm3_i8 produces them.
-  struct BatchScratch {
-    std::vector<std::int8_t> xq, hq;   // count x stride, zero tails
-    std::vector<std::int32_t> ax, ah;  // 3 x count x H
-    std::size_t capacity = 0;          // items the buffers are sized for
-  };
-  mutable BatchScratch batch_scratch_;
 };
 
 }  // namespace phftl::ml

@@ -1,5 +1,6 @@
 #include "trace/csv.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -48,10 +49,11 @@ Trace read_trace_csv(std::istream& is, std::uint64_t logical_pages,
       throw std::runtime_error("trace CSV: malformed line " +
                                std::to_string(lineno));
     HostRequest req;
+    std::uint64_t num_pages = 0;
     try {
       req.timestamp_us = std::stoull(ts);
       req.start_lpn = std::stoull(lpn);
-      req.num_pages = static_cast<std::uint32_t>(std::stoul(np));
+      num_pages = std::stoull(np);
     } catch (const std::exception&) {
       throw std::runtime_error("trace CSV: bad number on line " +
                                std::to_string(lineno));
@@ -65,10 +67,13 @@ Trace read_trace_csv(std::istream& is, std::uint64_t logical_pages,
     else
       throw std::runtime_error("trace CSV: bad op on line " +
                                std::to_string(lineno));
-    if (req.num_pages == 0 ||
-        req.start_lpn + req.num_pages > logical_pages)
+    // Overflow-safe: a huge start or count must not wrap into range.
+    if (num_pages == 0 || num_pages > UINT32_MAX ||
+        req.start_lpn >= logical_pages ||
+        num_pages > logical_pages - req.start_lpn)
       throw std::runtime_error("trace CSV: request out of range on line " +
                                std::to_string(lineno));
+    req.num_pages = static_cast<std::uint32_t>(num_pages);
     trace.ops.push_back(req);
   }
   return trace;

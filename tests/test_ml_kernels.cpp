@@ -80,82 +80,6 @@ TEST(FusedGemv3, MatchesReferenceGemvExactly) {
   }
 }
 
-TEST(FusedGemm3, MatchesRepeatedGemvExactly) {
-  Xoshiro256 rng(23);
-  const std::size_t shapes[][2] = {{3, 5}, {32, 20}, {32, 32}, {40, 33}};
-  const std::size_t batches[] = {1, 2, 7, 32, 100};
-  for (const auto& shape : shapes) {
-    const std::size_t rows = shape[0], cols = shape[1];
-    const auto g0 = random_i8(rows * cols, rng);
-    const auto g1 = random_i8(rows * cols, rng);
-    const auto g2 = random_i8(rows * cols, rng);
-    const auto p =
-        kernels::pack_gates3(g0.data(), g1.data(), g2.data(), rows, cols);
-    for (const std::size_t k : batches) {
-      std::vector<std::int8_t> xs(k * p.stride, 0);
-      for (std::size_t i = 0; i < k; ++i) {
-        const auto xv = random_i8(cols, rng);
-        std::copy(xv.begin(), xv.end(),
-                  xs.begin() + static_cast<std::ptrdiff_t>(i * p.stride));
-      }
-      std::vector<std::int32_t> out0(k * rows), out1(k * rows),
-          out2(k * rows);
-      kernels::fused_gemm3_i8(p, xs.data(), k, p.stride, out0.data(),
-                              out1.data(), out2.data());
-      for (std::size_t i = 0; i < k; ++i) {
-        std::vector<std::int32_t> ref0(rows), ref1(rows), ref2(rows);
-        kernels::fused_gemv3_i8(p, xs.data() + i * p.stride, ref0.data(),
-                                ref1.data(), ref2.data());
-        for (std::size_t r = 0; r < rows; ++r) {
-          ASSERT_EQ(out0[i * rows + r], ref0[r])
-              << rows << "x" << cols << " batch " << k << " item " << i;
-          ASSERT_EQ(out1[i * rows + r], ref1[r]);
-          ASSERT_EQ(out2[i * rows + r], ref2[r]);
-        }
-      }
-    }
-  }
-}
-
-/// The batched entry point must be a pure reordering of the incremental
-/// path: same classes, same int8 hidden states, bit for bit.
-TEST(QuantizedGruBatch, BitExactAgainstSequentialIncremental) {
-  Xoshiro256 rng(501);
-  const std::size_t dims[][2] = {{6, 16}, {20, 32}, {7, 24}};
-  for (const auto& d : dims) {
-    GruClassifier::Config cfg;
-    cfg.input_dim = d[0];
-    cfg.hidden_dim = d[1];
-    cfg.seed = 300 + d[0];
-    const GruClassifier model(cfg);
-    QuantizedGru q(model);
-    q.set_decision_bias(static_cast<float>(rng.next_gaussian()));
-
-    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
-                                std::size_t{32}, std::size_t{77}}) {
-      std::vector<float> xs(k * d[0]);
-      for (auto& x : xs) x = static_cast<float>(rng.next_double());
-      std::vector<std::int8_t> hs(k * d[1]);
-      for (auto& h : hs)
-        h = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255)) -
-                                     127);
-      std::vector<std::int8_t> hs_ref = hs;
-      std::vector<int> cls(k, -1);
-      q.predict_batch(xs.data(), k, hs.data(), cls.data());
-      for (std::size_t i = 0; i < k; ++i) {
-        std::span<const float> x(xs.data() + i * d[0], d[0]);
-        std::span<std::int8_t> h(hs_ref.data() + i * d[1], d[1]);
-        const int ref = q.predict_incremental(x, h);
-        ASSERT_EQ(cls[i], ref) << "dims " << d[0] << "x" << d[1]
-                               << " batch " << k << " item " << i;
-      }
-      ASSERT_EQ(0, std::memcmp(hs.data(), hs_ref.data(), hs.size()))
-          << "hidden diverged, dims " << d[0] << "x" << d[1] << " batch "
-          << k;
-    }
-  }
-}
-
 /// End-to-end parity: the fused predict_incremental must return the same
 /// class and leave the same int8 hidden state as the retained reference
 /// implementation, bit for bit, over randomized models and sequences.

@@ -174,6 +174,16 @@ TEST(Csv, RejectsMalformedInput) {
 
   std::stringstream bad_num("timestamp_us,op,lpn,num_pages\n1,W,abc,1\n");
   EXPECT_THROW(read_trace_csv(bad_num, 100, "x"), std::runtime_error);
+
+  // start + count would wrap past 2^64 back into range.
+  std::stringstream wraps(
+      "timestamp_us,op,lpn,num_pages\n1,W,18446744073709551615,2\n");
+  EXPECT_THROW(read_trace_csv(wraps, 100, "x"), std::runtime_error);
+
+  // A count beyond 32 bits must not truncate to a small one.
+  std::stringstream truncates(
+      "timestamp_us,op,lpn,num_pages\n1,W,0,4294967297\n");
+  EXPECT_THROW(read_trace_csv(truncates, 100, "x"), std::runtime_error);
 }
 
 TEST(AlibabaSuite, TwentyTracesWithPaperIds) {
