@@ -1,10 +1,13 @@
 // Kernel-layer micro-benchmarks (google-benchmark).
 //
-// Tracks the two per-operation hot paths this repo optimizes:
+// Tracks the hot paths this repo optimizes:
 //
 //  * predict_incremental — one call per host write. Fused packed-gate
 //    kernels + reusable scratch vs the retained reference implementation
 //    (six naive GEMVs + six heap allocations per call).
+//  * window training — one GRU epoch (lane-batched BPTT), one
+//    logistic-regression fit and one threshold adjustment (Algorithm 1),
+//    run once per window.
 //  * GC victim selection — greedy via the incremental victim index (O(1)
 //    pop) and Adjusted Greedy via the bounded ascending-bucket scan, vs
 //    the historical full superblock scan. Run at 1k and 10k superblocks:
@@ -21,9 +24,11 @@
 
 #include "baselines/base_ftl.hpp"
 #include "core/features.hpp"
+#include "core/threshold.hpp"
 #include "ftl/victim_policy.hpp"
 #include "ml/gru.hpp"
 #include "ml/kernels.hpp"
+#include "ml/logreg.hpp"
 #include "ml/qgru.hpp"
 #include "util/rng.hpp"
 
@@ -118,6 +123,69 @@ void BM_ReferenceGemv3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReferenceGemv3)->Arg(32)->Arg(64)->Arg(128);
+
+// --- Window training: GRU epoch, light-model fit, threshold search ---
+
+void BM_TrainEpoch(benchmark::State& state) {
+  ml::GruClassifier::Config cfg;
+  cfg.input_dim = core::kInputDim;
+  cfg.hidden_dim = 32;
+  ml::GruClassifier model(cfg);
+  Xoshiro256 rng(5);
+  std::vector<ml::Sequence> data;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    ml::Sequence s;
+    for (int t = 0; t < 8; ++t) s.steps.push_back(random_input(rng));
+    s.label = static_cast<int>(rng.next_below(2));
+    data.push_back(std::move(s));
+  }
+  Xoshiro256 train_rng(6);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(model.train_epoch(data, 32, train_rng));
+}
+BENCHMARK(BM_TrainEpoch)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
+
+void BM_ThresholdAdjustment(benchmark::State& state) {
+  Xoshiro256 rng(7);
+  std::vector<std::uint64_t> lifetimes;
+  std::vector<std::vector<float>> feats;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t lt =
+        rng.next_bool(0.7) ? 100 + rng.next_below(100)
+                           : 5000 + rng.next_below(5000);
+    lifetimes.push_back(lt);
+    core::RawFeatures raw;
+    raw.prev_lifetime = static_cast<std::uint32_t>(lt);
+    feats.push_back(core::encode_features_compact(raw));
+  }
+  for (auto _ : state) {
+    core::ThresholdController::Config cfg;
+    core::ThresholdController tc(cfg);
+    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, feats));
+    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, feats));
+  }
+}
+BENCHMARK(BM_ThresholdAdjustment)->Unit(benchmark::kMillisecond);
+
+void BM_LogRegFit(benchmark::State& state) {
+  Xoshiro256 rng(9);
+  std::vector<std::vector<float>> x;
+  std::vector<int> y;
+  for (int i = 0; i < 1024; ++i) {
+    core::RawFeatures raw;
+    raw.prev_lifetime = static_cast<std::uint32_t>(rng.next_below(10000));
+    x.push_back(core::encode_features_compact(raw));
+    y.push_back(raw.prev_lifetime < 2000 ? 1 : 0);
+  }
+  for (auto _ : state) {
+    ml::LogisticRegression::Config cfg;
+    cfg.input_dim = core::kCompactDim;
+    ml::LogisticRegression model(cfg);
+    model.fit(x, y);
+    benchmark::DoNotOptimize(model.bias());
+  }
+}
+BENCHMARK(BM_LogRegFit)->Unit(benchmark::kMicrosecond);
 
 // --- GC victim selection: indexed vs linear scan, 1k vs 10k superblocks ---
 

@@ -3,16 +3,14 @@
 // Quantifies the §III-C design points:
 //   * O(1) incremental prediction from a cached hidden state vs O(N)
 //     recomputation of the full feature sequence,
-//   * int8-quantized inference vs float inference,
-//   * the cost of one window's training epoch and threshold adjustment.
+//   * int8-quantized inference vs float inference.
+// The window-training benchmarks live in bench_kernels.
 // The paper tunes one int8 prediction to ~9 µs on a Cortex-A9; on a host
 // CPU the same kernel runs in well under a microsecond.
 #include <benchmark/benchmark.h>
 
 #include "core/features.hpp"
-#include "core/threshold.hpp"
 #include "ml/gru.hpp"
-#include "ml/logreg.hpp"
 #include "ml/qgru.hpp"
 #include "util/rng.hpp"
 
@@ -92,64 +90,6 @@ void BM_Quantization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Quantization);
-
-void BM_TrainEpoch(benchmark::State& state) {
-  auto model = make_model();
-  Xoshiro256 rng(5);
-  std::vector<ml::Sequence> data;
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    ml::Sequence s;
-    for (int t = 0; t < 8; ++t) s.steps.push_back(random_input(rng));
-    s.label = static_cast<int>(rng.next_below(2));
-    data.push_back(std::move(s));
-  }
-  Xoshiro256 train_rng(6);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(model.train_epoch(data, 32, train_rng));
-}
-BENCHMARK(BM_TrainEpoch)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
-
-void BM_ThresholdAdjustment(benchmark::State& state) {
-  Xoshiro256 rng(7);
-  std::vector<std::uint64_t> lifetimes;
-  std::vector<std::vector<float>> feats;
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t lt =
-        rng.next_bool(0.7) ? 100 + rng.next_below(100)
-                           : 5000 + rng.next_below(5000);
-    lifetimes.push_back(lt);
-    RawFeatures raw;
-    raw.prev_lifetime = static_cast<std::uint32_t>(lt);
-    feats.push_back(encode_features_compact(raw));
-  }
-  for (auto _ : state) {
-    ThresholdController::Config cfg;
-    ThresholdController tc(cfg);
-    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, feats));
-    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, feats));
-  }
-}
-BENCHMARK(BM_ThresholdAdjustment)->Unit(benchmark::kMillisecond);
-
-void BM_LogRegFit(benchmark::State& state) {
-  Xoshiro256 rng(9);
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  for (int i = 0; i < 1024; ++i) {
-    RawFeatures raw;
-    raw.prev_lifetime = static_cast<std::uint32_t>(rng.next_below(10000));
-    x.push_back(encode_features_compact(raw));
-    y.push_back(raw.prev_lifetime < 2000 ? 1 : 0);
-  }
-  for (auto _ : state) {
-    ml::LogisticRegression::Config cfg;
-    cfg.input_dim = kCompactDim;
-    ml::LogisticRegression model(cfg);
-    model.fit(x, y);
-    benchmark::DoNotOptimize(model.bias());
-  }
-}
-BENCHMARK(BM_LogRegFit)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -22,6 +22,7 @@ ModelTrainer::ModelTrainer(const Config& cfg)
       controller_(cfg.threshold) {
   PHFTL_CHECK(cfg_.logical_pages > 0);
   PHFTL_CHECK(cfg_.window_pages > 0);
+  PHFTL_CHECK_MSG(cfg_.batch_size > 0, "training batch_size must be positive");
   PHFTL_CHECK_MSG(cfg_.history_len >= 1 && cfg_.history_len <= 16,
                   "history ring holds at most 16 steps");
   history_.resize(cfg_.logical_pages);

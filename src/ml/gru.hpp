@@ -63,8 +63,8 @@ class GruClassifier {
   int predict_incremental(std::span<const float> x,
                           std::span<float> h_inout) const;
 
-  /// Train one epoch over `data` with minibatch Adam.
-  /// Returns mean cross-entropy loss over the epoch.
+  /// Train one epoch over `data` with minibatch Adam. `batch_size` must be
+  /// positive. Returns mean cross-entropy loss over the epoch.
   float train_epoch(const std::vector<Sequence>& data, std::size_t batch_size,
                     Xoshiro256& rng);
 
@@ -90,32 +90,47 @@ class GruClassifier {
   ConstMatView wo() const { return store_.param_matrix(wo_); }
   std::span<const float> bo() const { return store_.param_vector(bo_); }
 
-  /// Accumulate gradients for one sequence (used by train_epoch and the
-  /// gradient-check test). Returns the sample's cross-entropy loss.
-  float backward_sequence(const Sequence& seq);
+  /// Add the gradients of data[batch[0]], data[batch[1]], ... to
+  /// store().all_grads() (summed, not averaged; no optimizer step) and write
+  /// each sequence's cross-entropy loss to `losses`. The sequences run as
+  /// SIMD lanes, up to 32 per pass, yet every gradient float is bit-identical
+  /// to per-sequence scalar BPTT applied in batch order (see gru.cpp).
+  void backward_batch(const std::vector<Sequence>& data,
+                      std::span<const std::size_t> batch,
+                      std::span<float> losses);
 
   ParamStore& store() { return store_; }
 
  private:
-  struct StepActs {
-    std::vector<float> z, r, n, h, s;  // s = Un h_prev + bun
+  /// backward_batch for at most 32 sequences, one per lane.
+  void backward_lanes(const std::vector<Sequence>& data,
+                      std::span<const std::size_t> batch,
+                      std::span<float> losses);
+
+  /// Training tiles, lane-major: element (unit i, lane l) of step t sits at
+  /// (t * units + i) * lanes + l. Sized for the longest chunk seen.
+  struct LaneTiles {
+    std::vector<float> x;                     // inputs
+    std::vector<float> z, r, n, s, h;         // activations, s = Un h + bun
+    std::vector<float> dan, ds, daz, dar;     // gate gradients per step
+    std::vector<float> h_rows;                // h again, [lane][step][unit]
+    std::vector<float> u, dh, dh_prev, zero;  // one step's [unit][lane]
+    std::vector<float> logits, dlogits;       // [class][lane]
+    std::vector<std::size_t> first;           // first active step per lane
+    // Weight-gradient updates in scalar order (see gru.cpp).
+    std::vector<std::size_t> off, head_off;
+    std::vector<const float*> xs, hs, head_h;
   };
 
-  /// Scratch reused across step/backward/predict calls. Training replays a
-  /// window thousands of times per run, and per-call vector allocation was
-  /// the dominant non-arithmetic cost; the buffers grow to the longest
-  /// sequence seen and are then reused allocation-free. Every element the
-  /// math reads is (re)written before use and the float operation order is
-  /// untouched, so results are bit-identical to the historical
-  /// allocate-per-call implementation. Mutable because prediction is
-  /// logically const; one instance must not be used from two threads at
-  /// once.
+  /// Scratch reused across calls so that prediction and training allocate
+  /// nothing per step once warm. Every element the math reads is (re)written
+  /// before use. Mutable because prediction is logically const; one
+  /// instance must not be used from two threads at once.
   struct Workspace {
-    std::vector<float> z, r, n, s;                  // step()
-    std::vector<StepActs> acts;                     // backward forward pass
-    std::vector<float> logits, probs, dlogits, dh;  // head + BPTT seeds
-    std::vector<float> dz, dr, dn, ds, daz, dar, dan, dh_prev, zero_h;
-    std::vector<float> h_seq;                       // predict_sequence
+    std::vector<float> z, r, n, s;         // step()
+    std::vector<float> logits, probs;      // head + loss, one sequence
+    std::vector<float> h_seq;              // predict_sequence
+    LaneTiles lane;                        // backward_batch
   };
   mutable Workspace ws_;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "ml/kernels.hpp"
 #include "ml/tensor.hpp"
 #include "util/assert.hpp"
 
@@ -22,28 +23,47 @@ float LogisticRegression::predict_proba(std::span<const float> x) const {
 void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
                              const std::vector<int>& labels) {
   PHFTL_CHECK(features.size() == labels.size());
+  PHFTL_CHECK_MSG(cfg_.batch_size > 0, "training batch_size must be positive");
   if (features.empty()) return;
   Xoshiro256 rng(cfg_.seed);
   std::vector<std::size_t> order(features.size());
   std::iota(order.begin(), order.end(), 0);
 
-  std::vector<float> gw(w_.size());
+  // A minibatch's samples are all scored against the same weights, so they
+  // run as SIMD lanes: lane l holds b + w·x_l summed left to right from b,
+  // the predict_proba chain. The gradient is then accumulated sample by
+  // sample, so the result is bit-identical to per-sample scoring.
+  const std::size_t dim = w_.size();
+  const std::size_t max_lanes =
+      kernels::padded_lanes(std::min(cfg_.batch_size, features.size()));
+  std::vector<float> xt(dim * max_lanes), acc(max_lanes);
+  std::vector<float> gw(dim);
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
     deterministic_shuffle(order, rng);
     std::size_t pos = 0;
     while (pos < order.size()) {
       const std::size_t end = std::min(pos + cfg_.batch_size, order.size());
+      const std::size_t nb = end - pos, lanes = kernels::padded_lanes(nb);
+      std::fill_n(xt.begin(), dim * lanes, 0.0f);
+      for (std::size_t l = 0; l < nb; ++l) {
+        const auto& x = features[order[pos + l]];
+        PHFTL_CHECK(x.size() == dim);
+        for (std::size_t j = 0; j < dim; ++j) xt[j * lanes + l] = x[j];
+      }
+      std::fill_n(acc.begin(), lanes, b_);
+      kernels::lane_gemv(w_.data(), 1, dim, xt.data(), lanes, acc.data());
+
       std::fill(gw.begin(), gw.end(), 0.0f);
       float gb = 0.0f;
-      for (std::size_t i = pos; i < end; ++i) {
-        const auto& x = features[order[i]];
+      for (std::size_t l = 0; l < nb; ++l) {
+        const auto& x = features[order[pos + l]];
         const float err =
-            predict_proba(x) - static_cast<float>(labels[order[i]]);
-        for (std::size_t j = 0; j < w_.size(); ++j) gw[j] += err * x[j];
+            sigmoidf(acc[l]) - static_cast<float>(labels[order[pos + l]]);
+        for (std::size_t j = 0; j < dim; ++j) gw[j] += err * x[j];
         gb += err;
       }
-      const float inv = 1.0f / static_cast<float>(end - pos);
-      for (std::size_t j = 0; j < w_.size(); ++j)
+      const float inv = 1.0f / static_cast<float>(nb);
+      for (std::size_t j = 0; j < dim; ++j)
         w_[j] -= cfg_.lr * (gw[j] * inv + cfg_.l2 * w_[j]);
       b_ -= cfg_.lr * gb * inv;
       pos = end;

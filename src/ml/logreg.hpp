@@ -34,7 +34,8 @@ class LogisticRegression {
     return predict_proba(x) >= 0.5f ? 1 : 0;
   }
 
-  /// Mini-batch SGD training on (features, labels).
+  /// Mini-batch SGD training on (features, labels). Config::batch_size
+  /// must be positive.
   void fit(const std::vector<std::vector<float>>& features,
            const std::vector<int>& labels);
 

@@ -69,6 +69,7 @@ float MlpClassifier::train_epoch(
     const std::vector<std::vector<float>>& features,
     const std::vector<int>& labels, std::size_t batch_size, Xoshiro256& rng) {
   PHFTL_CHECK(features.size() == labels.size());
+  PHFTL_CHECK_MSG(batch_size > 0, "training batch_size must be positive");
   if (features.empty()) return 0.0f;
   std::vector<std::size_t> order(features.size());
   std::iota(order.begin(), order.end(), 0);

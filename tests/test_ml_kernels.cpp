@@ -1,13 +1,17 @@
-// Fused int8 kernel layer: exactness against the reference scalar path.
+// Kernel layer: exactness against the reference scalar paths.
 //
-// The fused kernels accumulate in int32, so their results must be *bit
+// The fused int8 kernels accumulate in int32, so their results must be *bit
 // identical* to the naive loops regardless of which dispatch target (scalar
 // or AVX2) runs — these tests assert that, both at the GEMV level and
-// end-to-end through QuantizedGru::predict_incremental.
+// end-to-end through QuantizedGru::predict_incremental. The float lane
+// kernels keep the scalar operation order per output, so they too must
+// match their scalar definitions bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ml/gru.hpp"
@@ -78,6 +82,93 @@ TEST(FusedGemv3, MatchesReferenceGemvExactly) {
     EXPECT_EQ(out1, ref1) << rows << "x" << cols;
     EXPECT_EQ(out2, ref2) << rows << "x" << cols;
   }
+}
+
+/// Random floats in [-1, 1). With `zeros`, about a quarter are exact zeros
+/// of either sign, so the kernels' zero-gradient skips and signed-zero sums
+/// are exercised; without, the AVX2 transpose takes its blend-free path.
+std::vector<float> random_floats(std::size_t n, Xoshiro256& rng,
+                                 bool zeros) {
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const std::uint64_t k = zeros ? rng.next_below(8) : 2;
+    x = k == 0 ? 0.0f
+        : k == 1 ? -0.0f
+                 : static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(FloatLaneKernels, DispatchedMatchScalarBitForBit) {
+  // On an AVX2 host this compares the AVX2 kernels with their scalar
+  // definitions; the shapes cover every lane-block width (8-40 lanes),
+  // 2-row blocking with an odd tail row, column tails, and column blocks
+  // past 32.
+  Xoshiro256 rng(5150);
+  const std::size_t row_counts[] = {1, 2, 3, 5, 32};
+  const std::size_t col_counts[] = {1, 3, 9, 20, 32, 38, 72};
+  const std::size_t lane_counts[] = {8, 16, 24, 32, 40};
+  for (std::size_t rows : row_counts)
+    for (std::size_t cols : col_counts)
+      for (std::size_t lanes : lane_counts)
+        for (bool zeros : {true, false}) {
+          SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                       ", " + std::to_string(lanes) + " lanes" +
+                       (zeros ? ", with zeros" : ""));
+          const auto w = random_floats(rows * cols, rng, zeros);
+          const auto x = random_floats(cols * lanes, rng, zeros);
+          const auto g = random_floats(rows * lanes, rng, zeros);
+
+          const auto y0 = random_floats(rows * lanes, rng, zeros);
+          auto y = y0, y_ref = y0;
+          kernels::lane_gemv(w.data(), rows, cols, x.data(), lanes, y.data());
+          kernels::lane_gemv_ref(w.data(), rows, cols, x.data(), lanes,
+                                 y_ref.data());
+          EXPECT_TRUE(same_bits(y, y_ref)) << "lane_gemv";
+
+          const auto yt0 = random_floats(cols * lanes, rng, zeros);
+          auto yt = yt0, yt_ref = yt0;
+          kernels::lane_gemv_t_masked(w.data(), rows, cols, g.data(), lanes,
+                                      yt.data());
+          kernels::lane_gemv_t_masked_ref(w.data(), rows, cols, g.data(), lanes,
+                                          yt_ref.data());
+          EXPECT_TRUE(same_bits(yt, yt_ref)) << "lane_gemv_t_masked";
+
+          // Updates read g columns (lane k % lanes) and x rows in a
+          // scrambled, repeating order.
+          const std::size_t count = lanes + 3;
+          std::vector<std::size_t> g_off(count);
+          std::vector<const float*> xs(count);
+          for (std::size_t k = 0; k < count; ++k) {
+            g_off[k] = (k * 5) % lanes;
+            xs[k] = x.data() + rng.next_below(lanes) * cols;
+          }
+          const auto dw0 = random_floats(rows * cols, rng, zeros);
+          auto dw = dw0, dw_ref = dw0;
+          kernels::outer_acc_batch(g.data(), g_off.data(), lanes, xs.data(),
+                                   count, rows, cols, dw.data());
+          kernels::outer_acc_batch_ref(g.data(), g_off.data(), lanes, xs.data(),
+                                       count, rows, cols, dw_ref.data());
+          EXPECT_TRUE(same_bits(dw, dw_ref)) << "outer_acc_batch";
+        }
+}
+
+TEST(FloatLaneKernels, MaskedTransposeSkipsZeroGradientsPerLane) {
+  // A zero gradient must leave its lane untouched even where adding
+  // w * 0 would flip a -0.0 accumulator to +0.0.
+  const std::vector<float> w = {2.0f};  // 1 x 1
+  std::vector<float> g(kernels::kFloatLanes, 0.0f);
+  g[1] = 0.5f;
+  std::vector<float> y(kernels::kFloatLanes, -0.0f);
+  kernels::lane_gemv_t_masked(w.data(), 1, 1, g.data(), kernels::kFloatLanes,
+                              y.data());
+  EXPECT_TRUE(std::signbit(y[0]));
+  EXPECT_EQ(y[1], 1.0f);
 }
 
 /// End-to-end parity: the fused predict_incremental must return the same

@@ -90,5 +90,12 @@ TEST(MlpClassifier, EmptyTrainingIsNoop) {
   EXPECT_EQ(model.train_epoch({}, {}, 32, rng), 0.0f);
 }
 
+TEST(MlpClassifierDeathTest, ZeroBatchSizeIsRejected) {
+  MlpClassifier model(tiny_cfg());
+  Xoshiro256 rng(1);
+  const std::vector<std::vector<float>> x{random_vec(4, rng)};
+  EXPECT_DEATH(model.train_epoch(x, {1}, 0, rng), "batch_size");
+}
+
 }  // namespace
 }  // namespace phftl::ml

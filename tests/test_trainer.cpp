@@ -42,6 +42,12 @@ void drive_pattern(ModelTrainer& trainer, std::uint64_t& clock,
   }
 }
 
+TEST(ModelTrainerDeathTest, ZeroBatchSizeIsRejected) {
+  auto cfg = trainer_cfg();
+  cfg.batch_size = 0;
+  EXPECT_DEATH(ModelTrainer{cfg}, "batch_size");
+}
+
 TEST(ModelTrainer, NoDeploymentBeforeFirstWindow) {
   ModelTrainer trainer(trainer_cfg());
   EXPECT_FALSE(trainer.model_deployed());
