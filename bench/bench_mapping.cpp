@@ -33,18 +33,22 @@
 // Usage: bench_mapping [--jobs N] [--ops-per-page X] [--warmup F]
 //                      [--smoke] [--out <path>]
 // Writes BENCH_mapping.json (schema "phftl-bench-mapping/2" — see
-// EXPERIMENTS.md). --smoke shrinks the drive and the op count for a
-// seconds-scale CI run.
+// EXPERIMENTS.md). --smoke shrinks the drive and the default op count
+// (0.5 ops per page instead of 2) for a seconds-scale CI run; an explicit
+// --ops-per-page wins in either order. A numeric flag whose whole token is
+// not a number in its range (--jobs [0, 256], 0 = 4; --ops-per-page
+// [0, 1000]; --warmup [0, 1)) exits with status 2.
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -265,22 +269,25 @@ void emit_cell_json(std::ostringstream& js, const CellResult& c, bool tb_row,
 }  // namespace
 
 int main(int argc, char** argv) {
-  long cli_jobs = 4;
+  const phftl::util::FlagParser flags("bench_mapping");
+  std::uint64_t cli_jobs = 4;  // 0: the default, 4
   bool smoke = false;
-  double ops_per_page = 2.0;
+  std::optional<double> ops_flag;
   double warmup_fraction = 0.10;
   std::string out_path = "BENCH_mapping.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = std::strtol(argv[++i], nullptr, 10);
+      cli_jobs = flags.parse_uint(arg, argv[++i], 0, 256);
     } else if (arg == "--ops-per-page" && i + 1 < argc) {
-      ops_per_page = std::atof(argv[++i]);
+      ops_flag = flags.parse_real(arg, argv[++i], 0.0, 1000.0);
     } else if (arg == "--warmup" && i + 1 < argc) {
-      warmup_fraction = std::atof(argv[++i]);
+      const char* text = argv[++i];
+      warmup_fraction = flags.parse_real(arg, text, 0.0, 1.0);
+      if (warmup_fraction == 1.0)
+        flags.bad_value(arg, text, "expected a number in [0, 1)");
     } else if (arg == "--smoke") {
       smoke = true;
-      ops_per_page = 0.5;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -291,11 +298,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (warmup_fraction < 0.0 || warmup_fraction >= 1.0) {
-    std::fprintf(stderr, "--warmup must be in [0, 1)\n");
-    return 2;
-  }
-  const unsigned jobs = cli_jobs <= 0 ? 4 : static_cast<unsigned>(cli_jobs);
+  // --smoke only changes the default, whatever the flag order.
+  const double ops_per_page = ops_flag.value_or(smoke ? 0.5 : 2.0);
+  const unsigned jobs = cli_jobs == 0 ? 4 : static_cast<unsigned>(cli_jobs);
   const unsigned hw = std::thread::hardware_concurrency();
 
   const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
@@ -303,9 +308,10 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> tb_tp_entries = {2048, 256, 32, 2};
   std::printf("Mapping-tier sweep: %zu schemes x %zu CMT sizes "
               "(0 = flat L2P) x learned off/on, %zu-point multi-TB "
-              "tp_entries sweep, %u jobs, %u hardware threads\n\n",
-              schemes.size(), cmt_sizes.size(), tb_tp_entries.size(), jobs,
-              hw);
+              "tp_entries sweep, %g ops per page, %u jobs, %u hardware "
+              "threads\n\n",
+              schemes.size(), cmt_sizes.size(), tb_tp_entries.size(),
+              ops_per_page, jobs, hw);
 
   phftl::util::ThreadPool pool(jobs);
   std::vector<std::future<CellResult>> futures;

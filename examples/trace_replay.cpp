@@ -51,12 +51,9 @@
 // CSV, or a numeric flag whose whole token is not a number in the flag's
 // range exits with status 2 and one line naming the flag and the value.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -71,6 +68,7 @@
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
 #include "trace/csv.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace phftl;
@@ -103,46 +101,6 @@ void usage() {
                "  (--scheme all replays every scheme; file outputs require a "
                "single scheme)\n");
   std::exit(2);
-}
-
-/// Rejects a flag's value: one line on stderr naming both, then exit 2.
-[[noreturn]] void bad_value(const std::string& flag, const std::string& value,
-                            const std::string& why) {
-  std::fprintf(stderr, "trace_replay: invalid value '%s' for %s: %s\n",
-               value.c_str(), flag.c_str(), why.c_str());
-  std::exit(2);
-}
-
-/// The whole token as an unsigned integer in [lo, hi], else bad_value().
-/// Stricter than strtoull, which skips blanks, stops at junk, and wraps a
-/// leading '-' around to a huge value.
-std::uint64_t parse_uint(
-    const std::string& flag, const char* text, std::uint64_t lo = 0,
-    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
-  const char* end = text + std::strlen(text);
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi)
-    bad_value(flag, text,
-              hi == std::numeric_limits<std::uint64_t>::max()
-                  ? "expected an integer >= " + std::to_string(lo)
-                  : "expected an integer in [" + std::to_string(lo) + ", " +
-                        std::to_string(hi) + "]");
-  return v;
-}
-
-/// The whole token as a real number in [lo, hi], else bad_value().
-double parse_real(const std::string& flag, const char* text, double lo,
-                  double hi) {
-  const char* end = text + std::strlen(text);
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) {
-    char why[96];
-    std::snprintf(why, sizeof(why), "expected a number in [%g, %g]", lo, hi);
-    bad_value(flag, text, why);
-  }
-  return v;
 }
 
 constexpr std::uint64_t kNoCut = ~0ULL;
@@ -441,6 +399,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const util::FlagParser flags("trace_replay");
   std::string scheme = "PHFTL";
   std::string trace_id = "#52";
   std::string csv_path;
@@ -468,58 +427,59 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scheme") scheme = next();
     else if (arg == "--jobs")
-      cli_jobs = static_cast<long>(parse_uint(arg, next(), 0, 256));
+      cli_jobs = static_cast<long>(flags.parse_uint(arg, next(), 0, 256));
     else if (arg == "--trace") trace_id = next();
     else if (arg == "--csv") csv_path = next();
     else if (arg == "--pages")
-      csv_pages = parse_uint(arg, next(), kMinCsvPages, kMaxCsvPages);
+      csv_pages = flags.parse_uint(arg, next(), kMinCsvPages, kMaxCsvPages);
     else if (arg == "--drive-writes")
-      drive_writes = parse_real(arg, next(), 0.01, 1000.0);
+      drive_writes = flags.parse_real(arg, next(), 0.01, 1000.0);
     else if (arg == "--export") export_path = next();
     else if (arg == "--metrics-out") opt.metrics_json_path = next();
     else if (arg == "--metrics-csv") opt.metrics_csv_path = next();
     else if (arg == "--trace-out") opt.trace_out_path = next();
     else if (arg == "--snapshot-every")
-      opt.snapshot_every = parse_uint(arg, next());
+      opt.snapshot_every = flags.parse_uint(arg, next());
     else if (arg == "--power-cut-at")
-      opt.power_cut_at = parse_uint(arg, next());
+      opt.power_cut_at = flags.parse_uint(arg, next());
     else if (arg == "--recover") opt.do_recover = true;
     else if (arg == "--program-fail-prob") {
-      opt.fault_cfg.program_fail_prob = parse_real(arg, next(), 0.0, 1.0);
+      opt.fault_cfg.program_fail_prob = flags.parse_real(arg, next(), 0.0, 1.0);
       opt.with_faults = true;
     } else if (arg == "--erase-fail-prob") {
-      opt.fault_cfg.erase_fail_prob = parse_real(arg, next(), 0.0, 1.0);
+      opt.fault_cfg.erase_fail_prob = flags.parse_real(arg, next(), 0.0, 1.0);
       opt.with_faults = true;
     } else if (arg == "--fault-seed") {
-      opt.fault_cfg.seed = parse_uint(arg, next());
+      opt.fault_cfg.seed = flags.parse_uint(arg, next());
     } else if (arg == "--trim-fraction") {
-      trim_fraction = parse_real(arg, next(), 0.0, 1.0);
+      trim_fraction = flags.parse_real(arg, next(), 0.0, 1.0);
     } else if (arg == "--gc-mode") {
       const std::string mode = next();
       if (mode == "stop_the_world") gc_mode = GcMode::kStopTheWorld;
       else if (mode == "time_sliced") gc_mode = GcMode::kTimeSliced;
-      else bad_value(arg, mode, "expected stop_the_world or time_sliced");
+      else flags.bad_value(arg, mode, "expected stop_the_world or time_sliced");
     } else if (arg == "--gc-step-pages") {
-      gc_step_pages = parse_uint(arg, next(), 1);
+      gc_step_pages = flags.parse_uint(arg, next(), 1);
     } else if (arg == "--max-pe-cycles") {
-      max_pe_cycles = parse_uint(arg, next());
+      max_pe_cycles = flags.parse_uint(arg, next());
     } else if (arg == "--wear-level") {
-      wear_level_threshold = parse_uint(arg, next());
+      wear_level_threshold = flags.parse_uint(arg, next());
     } else if (arg == "--mapping-tier") {
       mapping_tier = true;
     } else if (arg == "--cmt-pages") {
-      cmt_pages = parse_uint(arg, next(), 1);
+      cmt_pages = flags.parse_uint(arg, next(), 1);
     } else if (arg == "--tp-entries") {
-      tp_entries = parse_uint(arg, next());
+      tp_entries = flags.parse_uint(arg, next());
     } else if (arg == "--learned-index") {
       learned_index = true;
     } else if (arg == "--learned-error") {
-      learned_error = parse_uint(arg, next(), 1, 250);
+      learned_error = flags.parse_uint(arg, next(), 1, 250);
     } else usage();
   }
   if (scheme != "all" &&
       std::find(kSchemes.begin(), kSchemes.end(), scheme) == kSchemes.end())
-    bad_value("--scheme", scheme, "expected Base, 2R, SepBIT, PHFTL or all");
+    flags.bad_value("--scheme", scheme,
+                    "expected Base, 2R, SepBIT, PHFTL or all");
   if (learned_index && !mapping_tier) {
     std::fprintf(stderr, "trace_replay: --learned-index requires "
                          "--mapping-tier\n");
@@ -537,7 +497,7 @@ int main(int argc, char** argv) {
     try {
       trace = read_trace_csv_file(csv_path, csv_pages);
     } catch (const std::runtime_error& e) {
-      bad_value("--csv", csv_path, e.what());
+      flags.bad_value("--csv", csv_path, e.what());
     }
     // Size the drive so the logical space covers the trace at 7% OP.
     cfg.geom.num_dies = 8;
@@ -553,7 +513,7 @@ int main(int argc, char** argv) {
       std::string ids;
       for (const SuiteTraceSpec& s : alibaba_suite())
         ids += (ids.empty() ? "" : " ") + s.id;
-      bad_value("--trace", trace_id, "expected a suite id: " + ids);
+      flags.bad_value("--trace", trace_id, "expected a suite id: " + ids);
     }
     if (trim_fraction >= 0.0) spec.params.trim_request_fraction = trim_fraction;
     cfg = suite_ftl_config(spec);
@@ -564,15 +524,17 @@ int main(int argc, char** argv) {
   // page count only allocates RAM it can never fill.
   const std::uint64_t max_tp_entries = cfg.geom.page_size / 8;
   if (tp_entries > max_tp_entries)
-    bad_value("--tp-entries", std::to_string(tp_entries),
-              "expected an integer in [0, " + std::to_string(max_tp_entries) +
-                  "] (0 = page_size / 8)");
+    flags.bad_value("--tp-entries", std::to_string(tp_entries),
+                    "expected an integer in [0, " +
+                        std::to_string(max_tp_entries) +
+                        "] (0 = page_size / 8)");
   const std::uint64_t tp = tp_entries > 0 ? tp_entries : max_tp_entries;
   const std::uint64_t max_cmt_pages = (cfg.geom.total_pages() + tp - 1) / tp;
   if (cmt_pages > max_cmt_pages)
-    bad_value("--cmt-pages", std::to_string(cmt_pages),
-              "expected an integer in [1, " + std::to_string(max_cmt_pages) +
-                  "] (the drive's translation-page count)");
+    flags.bad_value("--cmt-pages", std::to_string(cmt_pages),
+                    "expected an integer in [1, " +
+                        std::to_string(max_cmt_pages) +
+                        "] (the drive's translation-page count)");
 
   cfg.gc_mode = gc_mode;
   if (gc_step_pages > 0) cfg.gc_step_pages = gc_step_pages;

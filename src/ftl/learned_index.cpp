@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -28,6 +30,15 @@ int rational_cmp(std::int64_t a_n, std::int64_t a_d, std::int64_t b_n,
   return 0;
 }
 
+// The entry of `segs` whose cover holds `lpn`, or segs.end().
+template <class Map>
+auto cover_of(Map& segs, Lpn lpn) -> decltype(segs.begin()) {
+  auto it = segs.upper_bound(lpn);
+  if (it == segs.begin()) return segs.end();
+  --it;
+  return lpn < it->first + it->second.len ? it : segs.end();
+}
+
 }  // namespace
 
 void LearnedIndex::reset(std::uint64_t logical_pages, std::uint64_t tp_entries,
@@ -39,6 +50,7 @@ void LearnedIndex::reset(std::uint64_t logical_pages, std::uint64_t tp_entries,
   tp_entries_ = tp_entries;
   error_bound_ = error_bound;
   segs_.clear();
+  ram_cap_ = 0;
   pts_.clear();
   scratch_.clear();
   order_.clear();
@@ -52,15 +64,10 @@ std::int64_t LearnedIndex::eval(const Segment& s, Lpn x) {
 
 bool LearnedIndex::predict(Lpn lpn, std::int64_t* pred,
                            std::uint32_t* radius) const {
-  if (segs_.empty()) return false;
-  auto it = std::upper_bound(
-      segs_.begin(), segs_.end(), lpn,
-      [](Lpn l, const Segment& s) { return l < s.start; });
-  if (it == segs_.begin()) return false;
-  const Segment& s = *(it - 1);
-  if (lpn >= s.start + s.len) return false;
-  *pred = eval(s, lpn);
-  *radius = s.radius;
+  const auto it = cover_of(segs_, lpn);
+  if (it == segs_.end()) return false;
+  *pred = eval(it->second, lpn);
+  *radius = it->second.radius;
   return true;
 }
 
@@ -144,37 +151,49 @@ void LearnedIndex::build_plr() {
   }
 }
 
-std::size_t LearnedIndex::splice_range(Lpn lo, Lpn hi) {
-  // First segment whose cover ends past `lo`.
-  auto it = std::partition_point(
-      segs_.begin(), segs_.end(),
-      [lo](const Segment& s) { return s.start + s.len <= lo; });
-  std::size_t i = static_cast<std::size_t>(it - segs_.begin());
-  while (i < segs_.size() && segs_[i].start < hi) {
-    Segment& s = segs_[i];
+void LearnedIndex::grow_ram(std::uint64_t n) {
+  // The growth rule libstdc++ applies to std::vector, which produced the
+  // RAM figures in BENCH_mapping.json (its capacity of 1600 segments rules
+  // out plain doubling).
+  const std::uint64_t size = segs_.size();
+  if (size + n > ram_cap_) ram_cap_ = size + std::max(size, n);
+}
+
+LearnedIndex::SegMap::iterator LearnedIndex::move_start(SegMap::iterator it,
+                                                      Lpn start) {
+  const Lpn end = it->first + it->second.len;
+  const auto next = std::next(it);
+  auto node = segs_.extract(it);
+  node.key() = start;
+  node.mapped().start = start;
+  node.mapped().len = static_cast<std::uint32_t>(end - start);
+  return segs_.insert(next, std::move(node));
+}
+
+LearnedIndex::SegMap::iterator LearnedIndex::splice_range(Lpn lo, Lpn hi) {
+  auto it = segs_.upper_bound(lo);
+  if (it != segs_.begin()) {
+    Segment& s = std::prev(it)->second;
     const Lpn s_end = s.start + s.len;
-    if (s.start < lo && s_end > hi) {
-      // Range is interior: keep the left piece, split off the right.
-      Segment right = s;
-      right.start = hi;
-      right.len = static_cast<std::uint32_t>(s_end - hi);
+    if (s.start == lo) {
+      --it;  // starts inside the range: erased or trimmed below
+    } else if (s_end > lo) {
       s.len = static_cast<std::uint32_t>(lo - s.start);
-      segs_.insert(segs_.begin() + static_cast<std::ptrdiff_t>(i) + 1, right);
-      return i + 1;
+      if (s_end > hi) {
+        // Range is interior: keep the left piece, split off the right.
+        Segment right = s;
+        right.start = hi;
+        right.len = static_cast<std::uint32_t>(s_end - hi);
+        grow_ram(1);
+        return segs_.emplace_hint(it, hi, right);
+      }
     }
-    if (s.start < lo) {
-      s.len = static_cast<std::uint32_t>(lo - s.start);
-      ++i;
-      continue;
-    }
-    if (s_end > hi) {
-      s.len = static_cast<std::uint32_t>(s_end - hi);
-      s.start = hi;
-      break;
-    }
-    segs_.erase(segs_.begin() + static_cast<std::ptrdiff_t>(i));
   }
-  return i;
+  while (it != segs_.end() && it->first < hi) {
+    if (it->first + it->second.len > hi) return move_start(it, hi);
+    it = segs_.erase(it);
+  }
+  return it;
 }
 
 void LearnedIndex::train(std::uint64_t tpn,
@@ -207,15 +226,15 @@ void LearnedIndex::train(std::uint64_t tpn,
     scratch_.resize(kMaxSegmentsPerTrain);
   }
 
-  const std::size_t ip = splice_range(lo, hi);
+  auto right_it = splice_range(lo, hi);
   std::size_t first = 0, last = scratch_.size();
 
   // Boundary merges: if the fresh first/last piece continues the line of
   // the neighbouring segment within the error bound (checked point by
   // point), extend that segment instead — this is what keeps segment
   // count tracking sequential runs rather than translation-page count.
-  if (first < last && ip > 0) {
-    Segment& left = segs_[ip - 1];
+  if (first < last && right_it != segs_.begin()) {
+    Segment& left = std::prev(right_it)->second;
     const ScratchSeg& f = scratch_[first];
     if (left.start + left.len == f.seg.start) {
       const std::uint32_t err = fit_error(left, f.pt_begin, f.pt_end);
@@ -226,47 +245,37 @@ void LearnedIndex::train(std::uint64_t tpn,
       }
     }
   }
-  if (first < last && ip < segs_.size()) {
-    Segment& right = segs_[ip];
+  if (first < last && right_it != segs_.end()) {
+    Segment& right = right_it->second;
     const ScratchSeg& l = scratch_[last - 1];
     if (l.seg.start + l.seg.len == right.start) {
       const std::uint32_t err = fit_error(right, l.pt_begin, l.pt_end);
       if (err != kNoFit) {
-        right.start = l.seg.start;
-        right.len += l.seg.len;
         if (err > right.radius) right.radius = static_cast<std::uint8_t>(err);
+        right_it = move_start(right_it, l.seg.start);
         --last;
       }
     }
   }
 
-  if (first < last) {
-    // Reuse order_'s trick is unnecessary here: insert the kept pieces in
-    // one shot (they are already sorted by start and disjoint).
-    segs_.insert(segs_.begin() + static_cast<std::ptrdiff_t>(ip),
-                 last - first, Segment{});
-    for (std::size_t i = first; i < last; ++i) {
-      segs_[ip + (i - first)] = scratch_[i].seg;
-    }
+  // The kept pieces are sorted by start and disjoint: each goes just
+  // before the right neighbour, after the one inserted before it.
+  if (first < last) grow_ram(last - first);
+  for (std::size_t i = first; i < last; ++i) {
+    segs_.emplace_hint(right_it, scratch_[i].seg.start, scratch_[i].seg);
   }
 }
 
 void LearnedIndex::invalidate(Lpn lpn) {
-  if (segs_.empty()) return;
-  auto it = std::upper_bound(
-      segs_.begin(), segs_.end(), lpn,
-      [](Lpn l, const Segment& s) { return l < s.start; });
-  if (it == segs_.begin()) return;
-  --it;
-  Segment& s = *it;
-  if (lpn >= s.start + s.len) return;
+  const auto it = cover_of(segs_, lpn);
+  if (it == segs_.end()) return;
+  Segment& s = it->second;
   if (s.len == 1) {
     segs_.erase(it);
     return;
   }
   if (lpn == s.start) {
-    s.start += 1;
-    s.len -= 1;
+    move_start(it, lpn + 1);
     return;
   }
   if (lpn == s.start + s.len - 1) {
@@ -279,18 +288,14 @@ void LearnedIndex::invalidate(Lpn lpn) {
   right.start = lpn + 1;
   right.len = static_cast<std::uint32_t>(s.start + s.len - lpn - 1);
   s.len = static_cast<std::uint32_t>(lpn - s.start);
-  segs_.insert(it + 1, right);
+  grow_ram(1);
+  segs_.emplace_hint(std::next(it), right.start, right);
 }
 
 bool LearnedIndex::corrupt_segment_for_test(Lpn lpn, std::int64_t delta) {
-  if (segs_.empty()) return false;
-  auto it = std::upper_bound(
-      segs_.begin(), segs_.end(), lpn,
-      [](Lpn l, const Segment& s) { return l < s.start; });
-  if (it == segs_.begin()) return false;
-  --it;
-  if (lpn >= it->start + it->len) return false;
-  it->base += delta;
+  const auto it = cover_of(segs_, lpn);
+  if (it == segs_.end()) return false;
+  it->second.base += delta;
   return true;
 }
 

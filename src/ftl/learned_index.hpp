@@ -17,12 +17,14 @@
 //     from the feasible interval the greedy fit maintains, predictions use
 //     floor division, and bound comparisons cross-multiply in 128-bit —
 //     no float rounding can ever widen a segment's true error;
-//   * training reuses member scratch buffers and predictions are a binary
-//     search plus one division — the steady state allocates only when the
-//     segment set itself grows past its high-water capacity.
+//   * training reuses member scratch buffers and predictions are a tree
+//     search plus one division; the segment map allocates one node per
+//     segment gained (a split or a kept piece) and frees one per segment
+//     lost, while an edge trim that moves a start re-keys its node in place.
 //
-// Segments live in one globally sorted, disjoint vector keyed by start LPN
-// rather than per translation page: a fit whose first/last run continues a
+// Segments live in one ordered map keyed by start LPN, with disjoint covers,
+// so a split, trim, erase or insert costs O(log n). The map is global rather
+// than per translation page: a fit whose first/last run continues a
 // neighbouring segment's line (verified point-by-point against the
 // error bound) extends that segment instead of starting a new one. Long
 // sequential regions therefore cost O(superblock runs) segments however
@@ -38,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "flash/geometry.hpp"
@@ -68,7 +71,8 @@ class LearnedIndex {
   /// (<= 250 so radius fits its byte); 0 demands exact-line segments.
   void reset(std::uint64_t logical_pages, std::uint64_t tp_entries,
              std::uint32_t error_bound);
-  /// Drop every segment (mount-time rebuild starts from nothing).
+  /// Drop every segment (mount-time rebuild starts from nothing). The RAM
+  /// high-water mark stays, as an array's capacity would.
   void clear() { segs_.clear(); }
 
   /// Retrain the LPN range of translation page `tpn` from its write-back
@@ -90,11 +94,11 @@ class LearnedIndex {
   void invalidate(Lpn lpn);
 
   std::uint64_t segment_count() const { return segs_.size(); }
-  /// Model RAM a controller would hold, at the vector's high-water
-  /// capacity (charged into mapping_ram_bytes(); docs/MAPPING.md).
-  std::uint64_t ram_bytes() const {
-    return segs_.capacity() * sizeof(Segment);
-  }
+  /// Model RAM a controller would hold: the segments as one sorted array,
+  /// charged at its high-water capacity (into mapping_ram_bytes();
+  /// docs/MAPPING.md). The array grows to size + max(size, n) whenever n
+  /// more segments do not fit, and never shrinks.
+  std::uint64_t ram_bytes() const { return ram_cap_ * sizeof(Segment); }
   std::uint32_t error_bound() const { return error_bound_; }
 
   /// Test hook: shift the base of the segment covering `lpn` by `delta`,
@@ -122,13 +126,21 @@ class LearnedIndex {
   /// Close the in-progress piece over pts_[pb, pe).
   void close_piece(std::uint32_t pb, std::uint32_t pe, std::int64_t hi_n,
                    std::int64_t hi_d, std::int64_t lo_n, std::int64_t lo_d);
+
+  using SegMap = std::map<Lpn, Segment>;
   /// Remove [lo, hi) from the cover of existing segments (trim / split /
-  /// erase). Returns the insertion index for new segments.
-  std::size_t splice_range(Lpn lo, Lpn hi);
+  /// erase). Returns the right neighbour: new segments go before it.
+  SegMap::iterator splice_range(Lpn lo, Lpn hi);
+  /// Move the start of `it`'s cover to `start`, keeping its end, by
+  /// re-keying the node (no allocation). Returns the node's iterator.
+  SegMap::iterator move_start(SegMap::iterator it, Lpn start);
+  /// Charge `n` segments about to be added to the modelled array.
+  void grow_ram(std::uint64_t n);
 
   static constexpr std::uint32_t kNoFit = ~0U;
 
-  std::vector<Segment> segs_;  ///< sorted by start, disjoint covers
+  SegMap segs_;  ///< keyed by start LPN, disjoint covers
+  std::uint64_t ram_cap_ = 0;  ///< modelled array capacity, in segments
   // Training scratch, reused across calls (allocation-free steady state).
   std::vector<std::pair<Lpn, std::uint64_t>> pts_;
   std::vector<ScratchSeg> scratch_;

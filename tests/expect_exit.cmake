@@ -1,8 +1,10 @@
 # Runs a command and passes only if it exits with exactly EXPECTED_EXIT and,
-# when EXPECTED_STDERR is set, its stderr matches that regex. ctest's own
-# WILL_FAIL accepts any failure, a crash included; this pins the status.
+# when EXPECTED_STDERR / EXPECTED_STDOUT are set, its stderr / stdout match
+# those regexes. ctest's own WILL_FAIL accepts any failure, a crash
+# included, and PASS_REGULAR_EXPRESSION ignores the status; this pins both.
 #
-#   cmake -DEXPECTED_EXIT=2 [-DEXPECTED_STDERR=<regex>] -P expect_exit.cmake
+#   cmake -DEXPECTED_EXIT=2 [-DEXPECTED_STDERR=<regex>]
+#         [-DEXPECTED_STDOUT=<regex>] -P expect_exit.cmake
 #         -- <program> [args...]
 set(cmd "")
 set(in_cmd OFF)
@@ -28,4 +30,7 @@ if(NOT "${status}" STREQUAL "${EXPECTED_EXIT}")
 endif()
 if(DEFINED EXPECTED_STDERR AND NOT err MATCHES "${EXPECTED_STDERR}")
   message(FATAL_ERROR "stderr does not match '${EXPECTED_STDERR}':\n${err}")
+endif()
+if(DEFINED EXPECTED_STDOUT AND NOT out MATCHES "${EXPECTED_STDOUT}")
+  message(FATAL_ERROR "stdout does not match '${EXPECTED_STDOUT}':\n${out}")
 endif()

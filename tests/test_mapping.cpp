@@ -1,10 +1,12 @@
 // Demand-paged flash-resident mapping tier (docs/MAPPING.md) and the
 // read-path correctness fixes that shipped with it: overflow-safe request
 // bounds and honest accounting of unmapped host reads.
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -373,6 +375,190 @@ TEST(LearnedIndexUnit, ScrambledPageIsCappedAndInBound) {
     EXPECT_LE(err < 0 ? -err : err, static_cast<std::int64_t>(radius))
         << "lpn " << lpn;
   }
+}
+
+// Seeded property test against a trivial per-LPN reference: the PPN each
+// LPN's translation page last trained, or a hole (unmapped at that train,
+// invalidated since, or cleared). After every op, a covered LPN must
+// predict within its radius (<= the bound) of the reference, a hole must
+// be uncovered, and the charged RAM must never shrink.
+TEST(LearnedIndexUnit, RandomOpsAgreeWithPerLpnReference) {
+  struct Shape {
+    std::uint64_t logical, tp_entries;  // logical % tp_entries != 0
+    std::uint32_t bound;
+  };
+  // 128- and 100-entry pages fit >= 33 pieces when scrambled, so the
+  // kMaxSegmentsPerTrain cap is exercised; 7-entry pages stress merges.
+  for (const Shape sh : {Shape{1500, 128, 0}, Shape{1030, 100, 3},
+                         Shape{778, 7, 1}}) {
+    SCOPED_TRACE("tp_entries " + std::to_string(sh.tp_entries));
+    LearnedIndex li;
+    li.reset(sh.logical, sh.tp_entries, sh.bound);
+    std::vector<std::uint64_t> ref(sh.logical, kInvalidPpn);
+    std::vector<std::uint64_t> blob(sh.tp_entries);
+    const std::uint64_t num_tps =
+        (sh.logical + sh.tp_entries - 1) / sh.tp_entries;
+    Xoshiro256 rng(0x5E6A + sh.tp_entries);
+    std::uint64_t ram = 0, max_segments = 0, covered_checks = 0;
+    for (int op = 0; op < 1500; ++op) {
+      const std::uint64_t dice = rng.next_below(1000);
+      if (dice < 3) {
+        li.clear();
+        std::fill(ref.begin(), ref.end(), kInvalidPpn);
+      } else if (dice < 350) {
+        const std::uint64_t tpn = rng.next_below(num_tps);
+        const Lpn lo = tpn * sh.tp_entries;
+        // A page is a series of chunks: a line shared across pages (so
+        // boundary merges happen), a fresh sequential run, a jittered
+        // slope-2 line, scrambled PPNs or an unmapped stretch, with
+        // scattered unmapped slots. One page in five is all scrambled.
+        const bool scrambled = rng.next_bool(0.2);
+        for (std::uint64_t i = 0; i < sh.tp_entries;) {
+          const std::uint64_t len =
+              scrambled ? sh.tp_entries : 1 + rng.next_below(sh.tp_entries);
+          const std::uint64_t kind = scrambled ? 3 : rng.next_below(5);
+          const std::uint64_t offset = rng.next_bool(0.5) ? 1000 : 50000;
+          const std::uint64_t base = rng.next_below(1 << 20);
+          for (std::uint64_t k = 0; k < len && i < sh.tp_entries; ++k, ++i) {
+            switch (kind) {
+              case 0: blob[i] = lo + i + offset; break;
+              case 1: blob[i] = base + k; break;
+              case 2: blob[i] = base + 2 * k + rng.next_below(sh.bound + 1);
+                      break;
+              case 3: blob[i] = rng.next_below(1 << 20); break;
+              default: blob[i] = kInvalidPpn;
+            }
+            if (rng.next_bool(0.03)) blob[i] = kInvalidPpn;
+          }
+        }
+        li.train(tpn, blob);
+        for (Lpn lpn = lo; lpn < std::min(lo + sh.tp_entries, sh.logical);
+             ++lpn)
+          ref[lpn] = blob[lpn - lo];
+      } else {
+        const Lpn lpn = rng.next_below(sh.logical);
+        li.invalidate(lpn);
+        ref[lpn] = kInvalidPpn;
+      }
+
+      for (Lpn lpn = 0; lpn < sh.logical; ++lpn) {
+        std::int64_t pred = 0;
+        std::uint32_t radius = 0;
+        const bool covered = li.predict(lpn, &pred, &radius);
+        if (ref[lpn] == kInvalidPpn) {
+          ASSERT_FALSE(covered) << "op " << op << ": hole at lpn " << lpn;
+          continue;
+        }
+        if (!covered) continue;
+        ++covered_checks;
+        ASSERT_LE(radius, sh.bound) << "op " << op << " lpn " << lpn;
+        const std::int64_t err = pred - static_cast<std::int64_t>(ref[lpn]);
+        ASSERT_LE(err < 0 ? -err : err, static_cast<std::int64_t>(radius))
+            << "op " << op << " lpn " << lpn;
+      }
+      ASSERT_GE(li.ram_bytes(), ram) << "op " << op << ": RAM shrank";
+      ram = li.ram_bytes();
+      ASSERT_GE(ram, li.segment_count() * sizeof(LearnedIndex::Segment));
+      max_segments = std::max<std::uint64_t>(max_segments,
+                                             li.segment_count());
+    }
+    EXPECT_GT(covered_checks, 100'000u);
+    EXPECT_GT(max_segments, LearnedIndex::kMaxSegmentsPerTrain);
+  }
+}
+
+// A scripted sequence whose segment counts and charged RAM were recorded
+// from the sorted-vector implementation this container replaced: splits
+// (by invalidate and by retraining a page inside one segment), edge trims,
+// erases, multi-piece inserts (one fitting the spare capacity, one growing
+// it by n, one by size), the piece cap, both boundary merges, clear() and a
+// partial last translation page. RAM is in segments of sizeof(Segment)
+// bytes and follows the array growth rule.
+TEST(LearnedIndexUnit, ScriptedSequenceKeepsRecordedCountsAndRam) {
+  LearnedIndex li;
+  li.reset(/*logical=*/2000, /*tp_entries=*/128, /*error_bound=*/0);
+  std::vector<std::uint64_t> blob(128);
+  auto line = [&](std::uint64_t first_ppn) {
+    for (std::uint64_t i = 0; i < 128; ++i) blob[i] = first_ppn + i;
+  };
+  auto scrambled = [&](std::uint64_t seed) {  // 64 two-point pieces
+    for (std::uint64_t i = 0; i < 128; ++i)
+      blob[i] = (i * i * 7919 + i * 104729 + seed) % 65536;
+  };
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;
+  std::vector<Counts> got;
+  auto record = [&] {
+    got.emplace_back(li.segment_count(),
+                     li.ram_bytes() / sizeof(LearnedIndex::Segment));
+  };
+
+  for (std::uint64_t tpn = 8; tpn <= 10; ++tpn) {
+    line(100 + tpn * 128);
+    li.train(tpn, blob);  // one segment over [1024,1408)
+    record();
+  }
+  std::fill(blob.begin(), blob.end(), kInvalidPpn);
+  li.train(9, blob);  // splits it, adds nothing
+  record();
+  line(7000);
+  li.train(9, blob);
+  record();
+  line(100);
+  li.train(0, blob);  // [0,128)
+  record();
+  li.invalidate(10);  // interior splits
+  record();
+  li.invalidate(20);
+  record();
+  for (Lpn lpn = 0; lpn < 10; ++lpn) li.invalidate(lpn);  // trims, erase
+  record();
+  for (std::uint64_t i = 0; i < 128; ++i) blob[i] = (i < 64 ? 2000 : 7000) + i;
+  li.train(1, blob);  // two pieces into spare capacity
+  record();
+  for (std::uint64_t i = 0; i < 128; ++i)
+    blob[i] = (i < 40 ? 9000 : i < 80 ? 12000 : 15000) + i;
+  li.train(3, blob);  // three pieces: grows by size
+  record();
+  scrambled(3);
+  li.train(5, blob);  // capped at 32 pieces: grows by n
+  record();
+  line(228);
+  li.train(1, blob);  // replaces two pieces, extends the left neighbour
+  record();
+  line(9000 - 128);
+  li.train(2, blob);  // extends TP 3's first piece leftwards (re-key)
+  record();
+  li.invalidate(300);  // split
+  record();
+  li.invalidate(301);  // start trim (re-key)
+  record();
+  line(100);
+  li.train(0, blob);  // erase, head trim, then a right merge
+  record();
+  li.clear();  // keeps the RAM high-water mark
+  record();
+  line(100);
+  li.train(0, blob);
+  record();
+  scrambled(11);
+  li.train(1, blob);
+  record();
+  scrambled(17);
+  li.train(2, blob);  // grows by size
+  record();
+  std::fill(blob.begin(), blob.end(), kInvalidPpn);
+  li.train(2, blob);  // an unmapped page drops its cover
+  record();
+  line(50000);
+  li.train(15, blob);  // [1920,2000): the last page is partial
+  record();
+
+  const std::vector<Counts> recorded = {
+      {1, 1},   {1, 1},   {1, 1},   {2, 2},   {3, 4},   {4, 4},
+      {5, 8},   {6, 8},   {5, 8},   {7, 8},   {10, 14}, {42, 42},
+      {40, 42}, {40, 42}, {41, 42}, {41, 42}, {40, 42}, {0, 42},
+      {1, 42},  {33, 42}, {65, 66}, {33, 66}, {34, 66}};
+  EXPECT_EQ(got, recorded);
 }
 
 // Learned-on 1M-op differential vs the flat oracle across all four
