@@ -26,6 +26,7 @@
 #include "core/phftl.hpp"
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
+#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace phftl::bench {
@@ -233,14 +234,23 @@ class ExperimentRunner {
   unsigned jobs_;
 };
 
+/// The one `--jobs` value parser every bench shares: the whole token must
+/// be an integer in [0, 256], where 0 keeps the binary's own default;
+/// anything else exits 2 with one line naming the flag and the value.
+inline unsigned parse_jobs(const util::FlagParser& flags, const char* text) {
+  return static_cast<unsigned>(flags.parse_uint("--jobs", text, 0, 256));
+}
+
 /// Shared CLI handling: every suite bench accepts `--jobs N` (overriding
-/// PHFTL_JOBS). Unknown arguments abort with a usage line.
+/// PHFTL_JOBS; 0 = one job per hardware thread). Unknown arguments exit 2
+/// with a usage line.
 inline unsigned jobs_from_cli(int argc, char** argv) {
+  const util::FlagParser flags(argv[0]);
   long cli = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli = std::strtol(argv[++i], nullptr, 10);
+      cli = parse_jobs(flags, argv[++i]);
     } else {
       std::fprintf(stderr, "usage: %s [--jobs N]  (or PHFTL_JOBS=N)\n",
                    argv[0]);

@@ -17,7 +17,9 @@
 //
 // Usage: bench_gc_latency [--jobs N] [--step-pages N] [--out <path>]
 // Writes BENCH_gc_latency.json (schema "phftl-bench-gc-latency/1" — see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). A numeric flag whose whole token is not an integer in
+// its range (--jobs [0, 256], 0 = 4; --step-pages >= 0, 0 = 8) exits with
+// status 2.
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -154,15 +156,16 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  long cli_jobs = 4;
+  const phftl::util::FlagParser flags("bench_gc_latency");
+  unsigned cli_jobs = 4;
   std::uint64_t step_pages = 8;
   std::string out_path = "BENCH_gc_latency.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = std::strtol(argv[++i], nullptr, 10);
+      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--step-pages" && i + 1 < argc) {
-      step_pages = std::strtoull(argv[++i], nullptr, 10);
+      step_pages = flags.parse_uint(arg, argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -173,7 +176,7 @@ int main(int argc, char** argv) {
     }
   }
   if (step_pages == 0) step_pages = 8;
-  const unsigned jobs = cli_jobs <= 0 ? 4 : static_cast<unsigned>(cli_jobs);
+  const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
   const double drive_writes = drive_writes_from_env(4.0);
 
   const std::vector<std::string> trace_ids = {"#144", "#52"};

@@ -19,6 +19,9 @@
 // Usage: bench_lifetime [--jobs N] [--budget N] [--smoke] [--out <path>]
 // Writes BENCH_lifetime.json (schema "phftl-bench-lifetime/1" — see
 // EXPERIMENTS.md). --smoke shrinks the budget for a seconds-scale CI run.
+// A numeric flag whose whole token is not an integer in its range
+// (--jobs [0, 256], 0 = 4; --budget [0, 1000000], 0 = 60) exits with
+// status 2.
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -133,7 +136,8 @@ CellResult run_cell(const std::string& scheme, bool wear_level,
 }  // namespace
 
 int main(int argc, char** argv) {
-  long cli_jobs = 4;
+  const phftl::util::FlagParser flags("bench_lifetime");
+  unsigned cli_jobs = 4;
   std::uint64_t budget = 60;
   bool budget_set = false;
   bool smoke = false;
@@ -141,9 +145,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = std::strtol(argv[++i], nullptr, 10);
+      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--budget" && i + 1 < argc) {
-      budget = std::strtoull(argv[++i], nullptr, 10);
+      budget = flags.parse_uint(arg, argv[++i], 0, 1000000);
       budget_set = true;
     } else if (arg == "--smoke") {
       smoke = true;
@@ -158,7 +162,7 @@ int main(int argc, char** argv) {
   }
   if (smoke && !budget_set) budget = 12;
   if (budget == 0) budget = 60;
-  const unsigned jobs = cli_jobs <= 0 ? 4 : static_cast<unsigned>(cli_jobs);
+  const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
 
   const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
   std::printf("Lifetime to ENOSPC: %zu schemes x {WL off, WL on}, "

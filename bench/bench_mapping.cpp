@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = flags.parse_uint(arg, argv[++i], 0, 256);
+      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--ops-per-page" && i + 1 < argc) {
       ops_flag = flags.parse_real(arg, argv[++i], 0.0, 1000.0);
     } else if (arg == "--warmup" && i + 1 < argc) {

@@ -6,10 +6,11 @@
 // "phftl-bench-replay/3" — see EXPERIMENTS.md).
 //
 // Usage: bench_replay [--jobs N] [--out <path>]
-//   --jobs  parallel job count for the comparison run (default 4; the
+//   --jobs  parallel job count for the comparison run, an integer in
+//           [0, 256] (default and 0: 4; anything else exits 2). The
 //           speedup ceiling is min(jobs, hardware_threads) — the artifact
 //           records hardware_threads so numbers from a 1-core CI box are
-//           interpretable).
+//           interpretable.
 //   --out   artifact path (default ./BENCH_replay.json).
 //
 // Wall-clock numbers are the one intentionally non-deterministic output of
@@ -71,12 +72,13 @@ std::string json_exact(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  long cli_jobs = 4;
+  const phftl::util::FlagParser flags("bench_replay");
+  unsigned cli_jobs = 4;
   std::string out_path = "BENCH_replay.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = std::strtol(argv[++i], nullptr, 10);
+      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const unsigned jobs = cli_jobs <= 0 ? 4 : static_cast<unsigned>(cli_jobs);
+  const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   const double drive_writes = drive_writes_from_env(2.0);
   const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};

@@ -29,9 +29,6 @@ class BaseFtl : public FtlBase {
   std::uint32_t classify_gc_write(Lpn, std::uint8_t, const OobData&) override {
     return 0;
   }
-  std::uint32_t classify_wl_write(Lpn, std::uint8_t, const OobData&) override {
-    return 0;  // one stream: wear-leveled cold data mixes like everything
-  }
   std::uint64_t pick_victim() override {
     // Greedy is an O(1) pop from the victim index; Cost-Benefit's age term
     // is unbounded, so it scans every candidate.

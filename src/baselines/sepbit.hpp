@@ -59,20 +59,14 @@ class SepBitFtl : public FtlBase {
 
   std::uint32_t classify_gc_write(Lpn, std::uint8_t,
                                   const OobData& oob) override {
+    // Wear-leveled pages ride the same age ladder: a leveling victim's
+    // long-closed cold data lands in the oldest classes (5/6).
     const double u =
         static_cast<double>(virtual_clock()) - static_cast<double>(oob.write_time);
     if (u <= lifetime_estimate_) return 2;          // class 3
     if (u <= 4.0 * lifetime_estimate_) return 3;    // class 4
     if (u <= 16.0 * lifetime_estimate_) return 4;   // class 5
     return 5;                                       // class 6
-  }
-
-  std::uint32_t classify_wl_write(Lpn lpn, std::uint8_t gc_count,
-                                  const OobData& oob) override {
-    // Wear-leveled pages go through the same age ladder: a WL victim's
-    // pages are long-closed cold data, so they naturally land in the
-    // oldest classes (5/6) — exactly where SepBIT wants them.
-    return classify_gc_write(lpn, gc_count, oob);
   }
 
   std::uint32_t classify_translation_write(std::uint64_t,

@@ -27,9 +27,6 @@ class TwoRFtl : public FtlBase {
   std::uint32_t classify_gc_write(Lpn, std::uint8_t, const OobData&) override {
     return 1;
   }
-  std::uint32_t classify_wl_write(Lpn, std::uint8_t, const OobData&) override {
-    return 1;  // leveled pages survived a collection: cold region by 2R logic
-  }
   std::uint32_t classify_translation_write(std::uint64_t,
                                            bool) override {
     // Translation pages churn at write-back cadence, not host cadence —

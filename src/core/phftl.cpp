@@ -53,10 +53,9 @@ PhftlFtl::PhftlFtl(const PhftlConfig& cfg)
       trainer_(fill_trainer_config(cfg, logical_pages())),
       pending_(logical_pages()) {
   obs::MetricsRegistry& m = observability().metrics();
-  predictions_ctr_ = &m.counter("ml.predictions", "predictions",
-                                "incremental Page Classifier invocations");
-  short_predictions_ctr_ =
-      &m.counter("ml.predictions_short", "predictions",
+  m.counter_view("ml.predictions", &predictions_, "predictions",
+                 "incremental Page Classifier invocations");
+  m.counter_view("ml.predictions_short", &short_predictions_, "predictions",
                  "predictions that classified the page short-living");
   predict_latency_hist_ = &m.histogram(
       "ml.predict_latency_ns",
@@ -66,8 +65,8 @@ PhftlFtl::PhftlFtl(const PhftlConfig& cfg)
   meta_cache_hits_ctr_ =
       &m.counter("meta.cache_hits", "lookups",
                  "meta-page retrievals served by the RAM cache");
-  meta_cache_misses_ctr_ =
-      &m.counter("meta.cache_misses", "lookups",
+  // Every miss is one meta-page read, already counted in FtlStats.
+  m.counter_view("meta.cache_misses", &stats().meta_reads, "lookups",
                  "meta-page retrievals that read flash (cache miss)");
   meta_buffer_hits_ctr_ =
       &m.counter("meta.buffer_hits", "lookups",
@@ -116,7 +115,6 @@ MetaEntry PhftlFtl::fetch_metadata(Lpn lpn) {
   const MetaEntry entry = meta_.get(ppn, open, &missed);
   if (missed) {
     note_meta_read();
-    meta_cache_misses_ctr_->inc();
     observability().trace().record(obs::TraceEventType::kMetaCacheMiss,
                                    virtual_clock(), meta_.mppn_of(ppn));
   } else if (open) {
@@ -185,11 +183,7 @@ std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
   }
   const bool short_living = cls == 1;
   ++predictions_;
-  predictions_ctr_->inc();
-  if (short_living) {
-    ++short_predictions_;
-    short_predictions_ctr_->inc();
-  }
+  if (short_living) ++short_predictions_;
 
   pend.predicted = short_living ? 1 : 0;
   pend.threshold = static_cast<std::uint32_t>(

@@ -88,15 +88,11 @@ class PhftlFtl : public FtlBase {
 
  protected:
   std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx) override;
+  /// Also places wear-leveled pages: their survival count already encodes
+  /// coldness, so leveling cannot perturb the learned separation of
+  /// streams 0/1.
   std::uint32_t classify_gc_write(Lpn lpn, std::uint8_t gc_count,
                                   const OobData& oob) override;
-  /// Wear-leveled pages ride the §III-A gc_count ladder unchanged: their
-  /// survival count already encodes coldness, and keeping one ladder means
-  /// leveling cannot perturb the learned hot/cold separation of streams 0/1.
-  std::uint32_t classify_wl_write(Lpn lpn, std::uint8_t gc_count,
-                                  const OobData& oob) override {
-    return classify_gc_write(lpn, gc_count, oob);
-  }
   /// Translation pages carry no GRU-predictable host access pattern: dirty
   /// write-backs rewrite at eviction cadence (short-lived → stream 0); a
   /// copy GC had to migrate stayed live through a whole collection
@@ -146,11 +142,8 @@ class PhftlFtl : public FtlBase {
   std::uint64_t short_predictions_ = 0;
 
   // --- observability handles (registered once in the constructor) ---
-  obs::Counter* predictions_ctr_ = nullptr;
-  obs::Counter* short_predictions_ctr_ = nullptr;
   obs::Histogram* predict_latency_hist_ = nullptr;
   obs::Counter* meta_cache_hits_ctr_ = nullptr;
-  obs::Counter* meta_cache_misses_ctr_ = nullptr;
   obs::Counter* meta_buffer_hits_ctr_ = nullptr;
   obs::Gauge* cache_hit_rate_gauge_ = nullptr;
   obs::Gauge* threshold_gauge_ = nullptr;

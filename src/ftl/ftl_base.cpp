@@ -118,88 +118,81 @@ void FtlBase::register_ftl_metrics() {
   gc_moved_ctr_ = &m.counter("ftl.gc.moved_valid_pages", "pages",
                              "valid pages migrated out of GC victims (the "
                              "numerator of write amplification)");
-  gc_steps_ctr_ =
-      &m.counter("ftl.gc.steps", "steps",
+  // Counters over an FtlStats field are views of it: FtlStats is the one
+  // event ledger, and the export reads it in this registration order.
+  m.counter_view("ftl.gc.steps", &stats_.gc_steps, "steps",
                  "bounded GC relocation slices (one per round under "
                  "stop-the-world; many under time-sliced GC)");
-  gc_preempt_ctr_ =
-      &m.counter("ftl.gc.preemptions", "yields",
+  m.counter_view("ftl.gc.preemptions", &stats_.gc_preemptions, "yields",
                  "time-sliced GC steps that hit their page budget and "
                  "yielded back to the host with the round unfinished");
-  erases_ctr_ = &m.counter("ftl.erases", "superblocks", "superblock erases");
-  meta_writes_ctr_ = &m.counter("ftl.meta_writes", "pages",
-                                "ML meta pages programmed (PHFTL only)");
-  stream_borrows_ctr_ =
-      &m.counter("ftl.stream_borrows", "pages",
+  m.counter_view("ftl.erases", &stats_.erases, "superblocks",
+                 "superblock erases");
+  m.counter_view("ftl.meta_writes", &stats_.meta_writes, "pages",
+                 "ML meta pages programmed (PHFTL only)");
+  m.counter_view("ftl.stream_borrows", &stats_.stream_borrows, "pages",
                  "GC appends redirected to another stream's open superblock "
                  "under free-pool pressure");
-  host_reads_ctr_ =
-      &m.counter("ftl.host_reads", "pages", "mapped host pages read");
-  trims_ctr_ = &m.counter("ftl.trims", "pages",
-                          "mapped logical pages discarded (effective trims; "
-                          "trims of unmapped pages are no-ops)");
-  journal_appends_ctr_ =
-      &m.counter("ftl.trim_journal.appends", "pages",
+  m.counter_view("ftl.host_reads", &stats_.host_reads, "pages",
+                 "mapped host pages read");
+  m.counter_view("ftl.trims", &stats_.trims, "pages",
+                 "mapped logical pages discarded (effective trims; trims "
+                 "of unmapped pages are no-ops)");
+  m.counter_view("ftl.trim_journal.appends", &stats_.journal_writes, "pages",
                  "trim-journal record pages programmed (host trims + "
                  "compaction rewrites)");
   journal_records_ctr_ = &m.counter("ftl.trim_journal.records", "records",
                                     "trim range records written to the "
                                     "journal");
-  journal_compactions_ctr_ =
-      &m.counter("ftl.trim_journal.compactions", "compactions",
+  m.counter_view("ftl.trim_journal.compactions",
+                 &stats_.trim_journal_compactions, "compactions",
                  "journal compactions (tombstones rewritten densely, old "
                  "record superblocks reclaimed)");
   journal_replayed_ctr_ =
       &m.counter("ftl.trim_journal.replayed_tombstones", "pages",
                  "resurrected mappings unmapped again by mount-time journal "
                  "replay");
-  enospc_ctr_ = &m.counter("ftl.enospc_rejections", "pages",
-                           "host writes rejected at the capacity watermark "
-                           "(ENOSPC)");
-  wl_rounds_ctr_ =
-      &m.counter("ftl.wl.rounds", "rounds",
+  m.counter_view("ftl.enospc_rejections", &stats_.enospc_rejections,
+                 "pages",
+                 "host writes rejected at the capacity watermark (ENOSPC)");
+  m.counter_view("ftl.wl.rounds", &stats_.wl_rounds, "rounds",
                  "completed static wear-leveling rounds (cold victim drained "
                  "into worn blocks; a subset of ftl.gc.rounds)");
-  wl_migrations_ctr_ =
-      &m.counter("ftl.wl.migrations", "pages",
+  m.counter_view("ftl.wl.migrations", &stats_.wl_migrations, "pages",
                  "pages migrated by wear-leveling rounds (a subset of GC "
                  "moved pages, so WA already charges them)");
-  wear_retired_ctr_ =
-      &m.counter("flash.wear_retired", "superblocks",
+  m.counter_view("flash.wear_retired", &stats_.wear_retired, "superblocks",
                  "superblocks retired at the P/E-cycle budget (end-of-life)");
-  program_fail_ctr_ =
-      &m.counter("flash.program_failures", "pages",
+  m.counter_view("flash.program_failures", &stats_.program_failures, "pages",
                  "program operations that aborted (page consumed, data "
                  "retried on a fresh page)");
-  erase_fail_ctr_ = &m.counter("flash.erase_failures", "superblocks",
-                               "erase operations that failed (block went "
-                               "bad in place)");
-  retired_ctr_ = &m.counter("flash.blocks_retired", "superblocks",
-                            "superblocks retired after a program failure "
-                            "(drained by GC, no erase)");
-  host_reads_unmapped_ctr_ =
-      &m.counter("ftl.host_reads_unmapped", "pages",
+  m.counter_view("flash.erase_failures", &stats_.erase_failures,
+                 "superblocks",
+                 "erase operations that failed (block went bad in place)");
+  m.counter_view("flash.blocks_retired", &stats_.blocks_retired,
+                 "superblocks",
+                 "superblocks retired after a program failure (drained by "
+                 "GC, no erase)");
+  m.counter_view("ftl.host_reads_unmapped", &stats_.host_reads_unmapped,
+                 "pages",
                  "host reads of unmapped LPNs (never written, or trimmed), "
                  "served as zero-fill without touching flash");
-  cmt_hits_ctr_ = &m.counter("ftl.map.cmt_hits", "lookups",
-                             "mapping-tier lookups served by a resident "
-                             "translation page");
-  cmt_misses_ctr_ =
-      &m.counter("ftl.map.cmt_misses", "lookups",
+  m.counter_view("ftl.map.cmt_hits", &stats_.cmt_hits, "lookups",
+                 "mapping-tier lookups served by a resident translation "
+                 "page");
+  m.counter_view("ftl.map.cmt_misses", &stats_.cmt_misses, "lookups",
                  "mapping-tier lookups that missed the CMT (segment fetched "
                  "from flash, adopted from the write-back buffer, or "
                  "materialized empty)");
-  trans_reads_ctr_ =
-      &m.counter("ftl.map.translation_reads", "pages",
+  m.counter_view("ftl.map.translation_reads", &stats_.trans_reads, "pages",
                  "translation pages fetched from flash (CMT demand misses + "
                  "GC reads of non-resident valid translation pages)");
-  trans_writes_ctr_ =
-      &m.counter("ftl.map.translation_writes", "pages",
+  m.counter_view("ftl.map.translation_writes", &stats_.trans_writes, "pages",
                  "translation pages programmed (dirty write-backs + GC "
                  "migrations + mount-time reconciliation); part of "
                  "flash_writes(), so WA charges the tier");
-  trans_gc_writes_ctr_ =
-      &m.counter("ftl.map.translation_gc_writes", "pages",
+  m.counter_view("ftl.map.translation_gc_writes", &stats_.trans_gc_writes,
+                 "pages",
                  "GC migrations of valid translation pages (a subset of "
                  "ftl.map.translation_writes)");
   wb_flushes_ctr_ =
@@ -211,16 +204,15 @@ void FtlBase::register_ftl_metrics() {
                  "translation pages rewritten at mount because their flash "
                  "copy trailed the OOB-rebuilt truth (dirty CMT state lost "
                  "to the cut, or trims replayed past them)");
-  learned_hits_ctr_ =
-      &m.counter("ftl.map.learned_hits", "lookups",
+  m.counter_view("ftl.map.learned_hits", &stats_.learned_hits, "lookups",
                  "CMT misses served by an OOB-verified learned-index "
                  "prediction instead of a translation-page fetch");
-  learned_mispredicts_ctr_ =
-      &m.counter("ftl.map.learned_mispredicts", "lookups",
+  m.counter_view("ftl.map.learned_mispredicts", &stats_.learned_mispredicts,
+                 "lookups",
                  "learned predictions whose probe window failed OOB "
                  "verification (fell back to the GTD/CMT path)");
-  learned_probe_reads_ctr_ =
-      &m.counter("ftl.map.learned_probe_reads", "pages",
+  m.counter_view("ftl.map.learned_probe_reads", &stats_.learned_probe_reads,
+                 "pages",
                  "wasted learned-probe page reads (failed OOB verifications; "
                  "a hit's successful probe is the data read itself)");
   recovery_mounts_ctr_ = &m.counter("recovery.mounts", "mounts",
@@ -332,7 +324,7 @@ void FtlBase::refresh_observability() {
   journal_sbs_gauge_->set(static_cast<double>(journal_sbs_.size()));
   watermark_gauge_->set(static_cast<double>(capacity_watermark_pages()));
   mapped_gauge_->set(static_cast<double>(mapped_count_));
-  gc_inflight_moved_gauge_->set(static_cast<double>(gc_round_moved_));
+  gc_inflight_moved_gauge_->set(static_cast<double>(round_.moved));
   wear_spread_gauge_->set(wear_spread());
   wear_max_gauge_->set(static_cast<double>(wear_max_));
   if (cfg_.mapping_tier) {
@@ -375,6 +367,7 @@ double FtlBase::wear_spread() const {
 }
 
 void FtlBase::note_erase(std::uint64_t sb) {
+  ++stats_.erases;
   ++wear_[sb];
   ++wear_sum_;
   wear_max_ = std::max(wear_max_, wear_[sb]);
@@ -402,7 +395,6 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
     --pending_retire_count_;
     flash_.retire_superblock(sb);
     ++stats_.blocks_retired;
-    retired_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kBlockRetired, virtual_clock_,
                         sb);
     note_block_lost(sb);
@@ -414,17 +406,13 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
       // cycle: end-of-life retirement. The erase is real and is counted;
       // the block just never re-enters the free pool.
       note_erase(sb);
-      ++stats_.erases;
-      erases_ctr_->inc();
       ++stats_.wear_retired;
-      wear_retired_ctr_->inc();
       obs_.trace().record(obs::TraceEventType::kWearRetired, virtual_clock_,
                           sb, wear_[sb]);
     } else {
       // Erase failure: the block went bad in place without erasing. The
       // caller's round still made progress (the drained pages moved).
       ++stats_.erase_failures;
-      erase_fail_ctr_->inc();
       obs_.trace().record(obs::TraceEventType::kEraseFail, virtual_clock_,
                           sb);
     }
@@ -432,9 +420,7 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
     return;
   }
   note_erase(sb);
-  ++stats_.erases;
   free_pool_.push_back(sb);
-  erases_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kFlashErase, virtual_clock_, sb);
 }
 
@@ -528,42 +514,29 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
   // don't grow the mapped set and stay allowed until the watermark itself
   // sinks below the mapped count (lost blocks) — then the drive is
   // effectively read-only until the host trims.
+  //
+  // End-of-life admission (docs/ENDURANCE.md, docs/RECOVERY.md): when wear
+  // retirement or program failures have drained the free pool and no open
+  // superblock can take another page, the write has physically nowhere to
+  // land — reject it rather than abort deep inside the append path. A
+  // healthy drive never gets past the empty() test (GC keeps the pool at
+  // its floor).
   const bool new_mapping = l2p_[lpn] == kInvalidPpn;
-  if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages()) {
+  const auto has_room = [&](const OpenStream& os) {
+    return os.sb != OpenStream::kNoSb &&
+           flash_.write_pointer(os.sb) < data_capacity(os.sb);
+  };
+  if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages() ||
+      (free_pool_.empty() &&
+       std::none_of(open_.begin(), open_.end(), has_room))) {
     PHFTL_CHECK_MSG(checked,
-                    "host write rejected at the capacity watermark (ENOSPC); "
-                    "use try_write_page()/submit_checked() to handle it");
+                    "host write rejected (ENOSPC: capacity watermark or end "
+                    "of life); use try_write_page()/submit_checked() to "
+                    "handle it");
     ++stats_.enospc_rejections;
-    enospc_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
                         mapped_count_);
     return WriteResult::kEnospc;
-  }
-
-  // End-of-life admission (docs/ENDURANCE.md): when wear retirement has
-  // drained the free pool and no open superblock can take another page,
-  // the write has physically nowhere to land — reject it rather than
-  // abort deep inside the append path. A healthy drive never trips this
-  // (GC keeps the pool at its floor); the empty() test keeps it free.
-  if (free_pool_.empty()) {
-    bool can_append = false;
-    for (const auto& os : open_) {
-      if (os.sb != OpenStream::kNoSb &&
-          flash_.write_pointer(os.sb) < data_capacity(os.sb)) {
-        can_append = true;
-        break;
-      }
-    }
-    if (!can_append) {
-      PHFTL_CHECK_MSG(checked,
-                      "device at end-of-life: no programmable space left; "
-                      "use try_write_page()/submit_checked() to handle it");
-      ++stats_.enospc_rejections;
-      enospc_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
-                          mapped_count_);
-      return WriteResult::kEnospc;
-    }
   }
 
   WriteContext ctx = ctx_in;
@@ -610,11 +583,9 @@ std::uint64_t FtlBase::read_page(Lpn lpn) {
     // mapping tier's read-amplification denominator needs an honest read
     // ledger (a demand fetch may already have been charged above).
     ++stats_.host_reads_unmapped;
-    host_reads_unmapped_ctr_->inc();
     return 0;
   }
   ++stats_.host_reads;
-  host_reads_ctr_->inc();
   return flash_.read(ppn);
 }
 
@@ -655,7 +626,6 @@ std::uint64_t FtlBase::trim_range(Lpn start, std::uint64_t n) {
       ++live_tombstones_;
     }
     ++stats_.trims;
-    trims_ctr_->inc();
     ++effective;
     if (run_len == 0) run_start = lpn;
     ++run_len;
@@ -699,8 +669,6 @@ void FtlBase::append_journal_page(std::vector<std::uint64_t> chunk) {
       journal_sb_ = allocate_superblock(/*stream=*/0);
       is_journal_sb_[journal_sb_] = 1;
       journal_sbs_.push_back(journal_sb_);
-      obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
-                          journal_sb_, 0, 0);
     }
     OobData oob;  // journal pages carry no logical mapping (lpn stays ~0)
     oob.kind = PageKind::kTrimJournal;
@@ -710,24 +678,13 @@ void FtlBase::append_journal_page(std::vector<std::uint64_t> chunk) {
     oob.trim_seq = flash_.program_seq();
     const Ppn ppn = flash_.program_blob(journal_sb_, oob, chunk);
     if (ppn == kInvalidPpn) {
-      ++stats_.program_failures;
-      program_fail_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_,
-                          journal_sb_, 0, 0);
-      flash_.close_superblock(journal_sb_);
-      sb_meta_[journal_sb_].close_time = virtual_clock_;
-      if (!pending_retire_[journal_sb_]) {
-        pending_retire_[journal_sb_] = 1;
-        ++pending_retire_count_;
-      }
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, journal_sb_, 0, 0);
+      note_program_failure(journal_sb_);
+      close_superblock(journal_sb_, /*indexed=*/false);
       journal_sb_ = OpenStream::kNoSb;
       continue;
     }
     ++stats_.journal_writes;
     ++journal_pages_used_;
-    journal_appends_ctr_->inc();
     journal_records_ctr_->add(records);
     obs_.trace().record(obs::TraceEventType::kTrimJournalAppend,
                         virtual_clock_, ppn, records);
@@ -736,10 +693,7 @@ void FtlBase::append_journal_page(std::vector<std::uint64_t> chunk) {
     if (flash_.write_pointer(journal_sb_) >= geom().pages_per_superblock()) {
       // Journal superblocks never enter the victim index: GC must not erase
       // records that are still the only durable copy of a trim.
-      flash_.close_superblock(journal_sb_);
-      sb_meta_[journal_sb_].close_time = virtual_clock_;
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, journal_sb_, 0, 0);
+      close_superblock(journal_sb_, /*indexed=*/false);
       journal_sb_ = OpenStream::kNoSb;
     }
     return;
@@ -756,10 +710,7 @@ void FtlBase::compact_trim_journal() {
   std::vector<std::uint64_t> old_sbs;
   old_sbs.swap(journal_sbs_);
   if (journal_sb_ != OpenStream::kNoSb) {
-    flash_.close_superblock(journal_sb_);
-    sb_meta_[journal_sb_].close_time = virtual_clock_;
-    obs_.trace().record(obs::TraceEventType::kSuperblockClose, virtual_clock_,
-                        journal_sb_, 0, 0);
+    close_superblock(journal_sb_, /*indexed=*/false);
     journal_sb_ = OpenStream::kNoSb;
   }
   journal_pages_used_ = 0;
@@ -785,15 +736,7 @@ void FtlBase::compact_trim_journal() {
       pairs.push_back(run_start);
       pairs.push_back(run_len);
     }
-    const std::uint64_t max_u64s =
-        std::max<std::uint64_t>(geom().page_size / 16, 1) * 2;
-    for (std::size_t i = 0; i < pairs.size(); i += max_u64s) {
-      const std::size_t end =
-          std::min<std::size_t>(pairs.size(), i + max_u64s);
-      append_journal_page(std::vector<std::uint64_t>(
-          pairs.begin() + static_cast<std::ptrdiff_t>(i),
-          pairs.begin() + static_cast<std::ptrdiff_t>(end)));
-    }
+    append_journal_records(pairs);  // in_compaction_ blocks recursion
   }
 
   // Reclaim the superseded journal superblocks.
@@ -803,7 +746,6 @@ void FtlBase::compact_trim_journal() {
   }
 
   ++stats_.trim_journal_compactions;
-  journal_compactions_ctr_->inc();
   // Re-derive the threshold from the surviving footprint so a large live
   // tombstone set doesn't trigger back-to-back compactions.
   journal_compact_threshold_ = std::max<std::uint64_t>(
@@ -813,17 +755,21 @@ void FtlBase::compact_trim_journal() {
   in_compaction_ = false;
 }
 
+void FtlBase::drop_page(Ppn ppn) {
+  PHFTL_CHECK_MSG(valid_bit_[ppn], "dropping a page that is not valid");
+  valid_bit_[ppn] = 0;
+  p2l_[ppn] = kInvalidLpn;
+  const std::uint64_t sb = geom().superblock_of(ppn);
+  PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
+  --sb_meta_[sb].valid_count;
+  if (victim_index_.contains(sb))  // closed blocks migrate buckets
+    victim_index_.update(sb, sb_meta_[sb].valid_count);
+}
+
 void FtlBase::raw_unmap(Lpn lpn) {
   const Ppn old = l2p_[lpn];
   if (old == kInvalidPpn) return;
-  PHFTL_CHECK_MSG(valid_bit_[old], "mapping points at invalid page");
-  valid_bit_[old] = 0;
-  p2l_[old] = kInvalidLpn;
-  const std::uint64_t sb = geom().superblock_of(old);
-  PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
-  --sb_meta_[sb].valid_count;
-  if (victim_index_.contains(sb))
-    victim_index_.update(sb, sb_meta_[sb].valid_count);
+  drop_page(old);
   l2p_[lpn] = kInvalidPpn;
   PHFTL_CHECK(mapped_count_ > 0);
   --mapped_count_;
@@ -832,14 +778,7 @@ void FtlBase::raw_unmap(Lpn lpn) {
 void FtlBase::invalidate(Lpn lpn) {
   const Ppn old = l2p_[lpn];
   if (old == kInvalidPpn) return;
-  PHFTL_CHECK_MSG(valid_bit_[old], "mapping points at invalid page");
-  valid_bit_[old] = 0;
-  p2l_[old] = kInvalidLpn;
-  const std::uint64_t sb = geom().superblock_of(old);
-  PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
-  --sb_meta_[sb].valid_count;
-  if (victim_index_.contains(sb))  // closed blocks migrate buckets
-    victim_index_.update(sb, sb_meta_[sb].valid_count);
+  drop_page(old);
   on_page_invalidated(lpn, old, virtual_clock_);
 }
 
@@ -847,7 +786,7 @@ std::uint64_t FtlBase::allocate_superblock(std::uint32_t stream) {
   PHFTL_CHECK_MSG(!free_pool_.empty(),
                   "free pool exhausted: GC cannot make progress");
   std::size_t pick = 0;
-  if (in_gc_ && wl_round_) {
+  if (in_gc_ && round_.wear_level) {
     // Wear-leveling appends steer into the most-worn free superblock: the
     // cold data parks there and stops that block's wear from advancing
     // (docs/ENDURANCE.md). Host and journal allocations keep FIFO order —
@@ -860,7 +799,27 @@ std::uint64_t FtlBase::allocate_superblock(std::uint32_t stream) {
   flash_.open_superblock(sb);
   sb_meta_[sb].stream = stream;
   sb_meta_[sb].close_time = 0;
+  obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
+                      sb, 0, stream);
   return sb;
+}
+
+void FtlBase::close_superblock(std::uint64_t sb, bool indexed) {
+  flash_.close_superblock(sb);
+  sb_meta_[sb].close_time = virtual_clock_;
+  if (indexed) victim_index_.insert(sb, sb_meta_[sb].valid_count);
+  obs_.trace().record(obs::TraceEventType::kSuperblockClose, virtual_clock_,
+                      sb, sb_meta_[sb].valid_count, sb_meta_[sb].stream);
+}
+
+void FtlBase::note_program_failure(std::uint64_t sb) {
+  ++stats_.program_failures;
+  obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_, sb,
+                      0, sb_meta_[sb].stream);
+  if (!pending_retire_[sb]) {
+    pending_retire_[sb] = 1;
+    ++pending_retire_count_;
+  }
 }
 
 Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
@@ -889,16 +848,17 @@ Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
           break;
         }
       }
-      PHFTL_CHECK_MSG(found, "capacity exhausted: no open superblock left");
+      if (!found) {
+        // Fault-driven end of life: a program failure closed the last open
+        // superblock and the pool is empty. GC ends its round (gc_step);
+        // the host then sees ENOSPC at admission (docs/RECOVERY.md).
+        PHFTL_CHECK_MSG(in_gc_, "capacity exhausted: no open superblock left");
+        return kInvalidPpn;
+      }
       ++stats_.stream_borrows;
-      stream_borrows_ctr_->inc();
     }
     OpenStream& os = open_[target];
-    if (os.sb == OpenStream::kNoSb) {
-      os.sb = allocate_superblock(target);
-      obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
-                          os.sb, 0, target);
-    }
+    if (os.sb == OpenStream::kNoSb) os.sb = allocate_superblock(target);
 
     const Ppn ppn = flash_.program(os.sb, payload, oob);
     if (ppn == kInvalidPpn) {
@@ -908,20 +868,8 @@ Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
       // block; their content is recoverable from the per-page OOB copies)
       // and mark it for retirement. Its valid pages stay readable; GC will
       // drain them and retire the block instead of erasing it.
-      ++stats_.program_failures;
-      program_fail_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_,
-                          os.sb, 0, target);
-      flash_.close_superblock(os.sb);
-      sb_meta_[os.sb].close_time = virtual_clock_;
-      if (!pending_retire_[os.sb]) {
-        pending_retire_[os.sb] = 1;
-        ++pending_retire_count_;
-      }
-      victim_index_.insert(os.sb, sb_meta_[os.sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, os.sb, sb_meta_[os.sb].valid_count,
-                          target);
+      note_program_failure(os.sb);
+      close_superblock(os.sb, /*indexed=*/true);
       os.sb = OpenStream::kNoSb;
       continue;
     }
@@ -938,12 +886,7 @@ Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
       finalize_superblock(os.sb);
       // Any tail pages finalize did not use are skipped (left unprogrammed);
       // real firmware pads them. They are simply not mapped.
-      flash_.close_superblock(os.sb);
-      sb_meta_[os.sb].close_time = virtual_clock_;
-      victim_index_.insert(os.sb, sb_meta_[os.sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, os.sb, sb_meta_[os.sb].valid_count,
-                          target);
+      close_superblock(os.sb, /*indexed=*/true);
       os.sb = OpenStream::kNoSb;
     }
     return ppn;
@@ -961,18 +904,10 @@ Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
     // authoritative for recovery (§III-C) — but the block is untrustworthy:
     // mark it for retirement. The caller keeps programming its remaining
     // meta pages; each tail slot is attempted exactly once either way.
-    ++stats_.program_failures;
-    program_fail_ctr_->inc();
-    if (!pending_retire_[sb]) {
-      pending_retire_[sb] = 1;
-      ++pending_retire_count_;
-    }
-    obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_, sb,
-                        0, sb_meta_[sb].stream);
+    note_program_failure(sb);
     return kInvalidPpn;
   }
   ++stats_.meta_writes;
-  meta_writes_ctr_->inc();
   stream_flash_writes_[sb_meta_[sb].stream]->inc();
   obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_, ppn,
                       0, sb_meta_[sb].stream);
@@ -1070,15 +1005,14 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
     ++mapped_count_;
   }
   // Pass 2b: live translation pages are valid flash pages too (p2l_ holds
-  // their tpn), but they map no LPN and stay out of mapped_count_.
-  if (cfg_.mapping_tier) {
-    for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn) {
-      const Ppn ppn = gtd_[tpn];
-      if (ppn == kInvalidPpn) continue;
-      p2l_[ppn] = tpn;
-      valid_bit_[ppn] = 1;
-      ++sb_meta_[geom().superblock_of(ppn)].valid_count;
-    }
+  // their tpn), but they map no LPN and stay out of mapped_count_. With
+  // the tier off there are no translation pages (num_tps_ == 0).
+  for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn) {
+    const Ppn ppn = gtd_[tpn];
+    if (ppn == kInvalidPpn) continue;
+    p2l_[ppn] = tpn;
+    valid_bit_[ppn] = 1;
+    ++sb_meta_[geom().superblock_of(ppn)].valid_count;
   }
 
   // Pass 3: rebuild the victim index from the recovered counts. Journal
@@ -1175,8 +1109,7 @@ RecoveryReport FtlBase::recover() {
   // Step 2: everything RAM-only is gone. (Journal extent, tombstone set,
   // and mapped count are re-derived from flash by the rebuild + replay.)
   for (auto& os : open_) os.sb = OpenStream::kNoSb;
-  if (cfg_.mapping_tier)
-    std::fill(trans_open_.begin(), trans_open_.end(), OpenStream::kNoSb);
+  std::fill(trans_open_.begin(), trans_open_.end(), OpenStream::kNoSb);
   in_wb_flush_ = false;
   std::fill(pending_retire_.begin(), pending_retire_.end(), 0);
   pending_retire_count_ = 0;
@@ -1190,10 +1123,7 @@ RecoveryReport FtlBase::recover() {
   // moved are still valid in the victim, and the victim is kClosed so the
   // rebuild's pass 3 re-inserts it into the victim index at its remaining
   // valid count — a future round simply collects it again (docs/QOS.md).
-  gc_victim_ = kNoVictim;
-  gc_cursor_ = 0;
-  gc_round_moved_ = 0;
-  wl_round_ = false;  // a forgotten round forgets its leveling flag too
+  round_ = GcRound{};
 
   // Step 3: base mapping / validity / victim-index rebuild from OOB. This
   // also detects the journal superblocks (pages with kind == kTrimJournal).
@@ -1254,12 +1184,10 @@ RecoveryReport FtlBase::recover() {
   // flash copies still carry). Rewrite exactly the diverged pages so the
   // tier's invariant holds from the first post-mount lookup. Runs after
   // on_recovery: the rewrites can trigger GC, whose classify hooks need
-  // the scheme state already re-derived.
-  if (cfg_.mapping_tier) {
-    for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn)
-      if (gtd_[tpn] != kInvalidPpn) ++rep.trans_gtd_rebuilt;
-    reconcile_translation_pages(rep);
-  }
+  // the scheme state already re-derived. A no-op with the tier off.
+  for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn)
+    if (gtd_[tpn] != kInvalidPpn) ++rep.trans_gtd_rebuilt;
+  reconcile_translation_pages(rep);
 
   // Step 7: compact the journal down to (at most) one fresh superblock.
   // Detected journal superblocks are all closed, so without this every
@@ -1310,13 +1238,8 @@ void FtlBase::maybe_gc() {
     maybe_wear_level();  // same per-request step budget applies
     return;
   }
-  if (gc_victim_ == kNoVictim && !gc_begin_round()) return;
-  if (!gc_step(std::max<std::uint64_t>(cfg_.gc_step_pages, 1))) {
-    ++stats_.gc_preemptions;
-    gc_preempt_ctr_->inc();
-    obs_.trace().record(obs::TraceEventType::kGcPreempt, virtual_clock_,
-                        gc_victim_, sb_meta_[gc_victim_].valid_count);
-  }
+  if (round_.victim == kNoVictim && !gc_begin_round()) return;
+  advance_round(std::max<std::uint64_t>(cfg_.gc_step_pages, 1));
 }
 
 void FtlBase::maybe_wear_level() {
@@ -1328,10 +1251,10 @@ void FtlBase::maybe_wear_level() {
       cfg_.gc_mode == GcMode::kTimeSliced
           ? std::max<std::uint64_t>(cfg_.gc_step_pages, 1)
           : ~0ULL;
-  if (gc_victim_ != kNoVictim) {
+  if (round_.victim != kNoVictim) {
     // A parked round is in flight. Advance it only if it is a leveling
     // round; a preempted *space* round is the reclaim path's business.
-    if (wl_round_) advance_round(budget);
+    if (round_.wear_level) advance_round(budget);
     return;
   }
   // Space reclaim always outranks leveling — never start a leveling round
@@ -1340,16 +1263,19 @@ void FtlBase::maybe_wear_level() {
   if (wear_spread() <= static_cast<double>(cfg_.wear_level_threshold)) return;
   const std::uint64_t victim = pick_wl_victim();
   if (victim == kNoVictim) return;  // nothing colder than the mean
-  wl_begin_round(victim);
+  // No fully-valid back-off here — a fully valid, long-closed block is
+  // precisely the cold data leveling must move — and the victim-quality
+  // histogram is not observed: WL victims are intentionally high-valid and
+  // would skew the separation diagnostic.
+  claim_victim(victim, /*wear_level=*/true);
   advance_round(budget);
 }
 
 void FtlBase::advance_round(std::uint64_t budget) {
-  if (!gc_step(budget)) {
+  if (!gc_step(budget) && round_.victim != kNoVictim) {
     ++stats_.gc_preemptions;
-    gc_preempt_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kGcPreempt, virtual_clock_,
-                        gc_victim_, sb_meta_[gc_victim_].valid_count);
+                        round_.victim, sb_meta_[round_.victim].valid_count);
   }
 }
 
@@ -1375,82 +1301,75 @@ std::uint64_t FtlBase::pick_wl_victim() const {
   return best;
 }
 
-void FtlBase::wl_begin_round(std::uint64_t victim) {
-  PHFTL_CHECK(gc_victim_ == kNoVictim);
-  PHFTL_CHECK(flash_.state(victim) == SuperblockState::kClosed);
-  // Unlike gc_begin_round there is no fully-valid back-off — a fully
-  // valid, long-closed block is precisely the cold data leveling must
-  // move — and the victim-quality histogram is not observed: WL victims
-  // are intentionally high-valid and would skew the separation diagnostic.
-  victim_index_.remove(victim);
-  ++stats_.gc_invocations;
-  wl_round_ = true;
-  gc_victim_ = victim;
-  gc_cursor_ = 0;
-  gc_round_moved_ = 0;
-  obs_.trace().record(obs::TraceEventType::kGcRoundBegin, virtual_clock_,
-                      victim, sb_meta_[victim].valid_count);
-}
-
 bool FtlBase::gc_once() {
-  if (gc_victim_ == kNoVictim && !gc_begin_round()) return false;
-  PHFTL_CHECK(gc_step(~0ULL));  // unbounded step always finishes the round
-  return true;
+  if (round_.victim == kNoVictim && !gc_begin_round()) return false;
+  // An unbounded step either drains the victim or ends the round at
+  // fault-driven end of life; only a drained victim reclaimed space.
+  return gc_step(~0ULL);
 }
 
 void FtlBase::drain() {
   // Leave the drive quiescent: a preempted round would otherwise hold its
   // victim out of the victim index while harnesses compare final state.
-  if (gc_victim_ != kNoVictim) PHFTL_CHECK(gc_step(~0ULL));
-  if (!cfg_.mapping_tier) return;
+  // An unbounded step always ends the round (drained or, at end of life,
+  // abandoned).
+  if (round_.victim != kNoVictim) gc_step(~0ULL);
   // Flush the write-back buffer so every buffered translation write is on
   // flash and charged to WA before harnesses read the counters. Flushing
   // can trigger GC (which may evict more dirty pages into a fresh buffer),
   // so iterate to quiescence. Dirty *resident* CMT entries intentionally
-  // stay put — like a real cache, only eviction writes them back.
+  // stay put — like a real cache, only eviction writes them back. With the
+  // tier off the buffer is always empty.
   std::uint64_t spins = 0;
-  while (!wb_buffer_.empty() || gc_victim_ != kNoVictim) {
+  while (!wb_buffer_.empty() || round_.victim != kNoVictim) {
     PHFTL_CHECK_MSG(spins++ < num_tps_ * 64 + 64, "drain not converging");
     flush_wb_buffer();
-    if (gc_victim_ != kNoVictim) PHFTL_CHECK(gc_step(~0ULL));
+    if (round_.victim != kNoVictim) gc_step(~0ULL);
   }
 }
 
 bool FtlBase::gc_begin_round() {
-  PHFTL_CHECK(gc_victim_ == kNoVictim);
+  PHFTL_CHECK(round_.victim == kNoVictim);
+  // Back off — claiming nothing — unless the victim can be collected
+  // usefully right now. It cannot when:
+  //   * pick_victim found none (faults retired blocks faster than writes
+  //     close new ones; allocate_superblock() reports genuine capacity
+  //     exhaustion),
+  //   * it is fully valid (collecting it would only churn pages;
+  //     transiently possible when the free target is momentarily
+  //     unreachable — future invalidations create headroom),
+  //   * its live pages have nowhere to go (end of life: wear retirement
+  //     shrank the free pool below what the migration needs, so the
+  //     admission path surfaces ENOSPC to the host instead of GC aborting
+  //     mid-append). Healthy drives always pass: the pool floor alone
+  //     covers a victim.
+  const auto room = [&] {
+    std::uint64_t pages = 0;
+    for (const std::uint64_t sb : free_pool_) pages += data_capacity(sb);
+    for (const auto& os : open_) {
+      if (os.sb == OpenStream::kNoSb) continue;
+      const std::uint64_t wp = flash_.write_pointer(os.sb);
+      const std::uint64_t cap = data_capacity(os.sb);
+      pages += cap > wp ? cap - wp : 0;
+    }
+    return pages;
+  };
   const std::uint64_t victim = pick_victim();
-  if (victim == kNoVictim) {
-    // No closed superblock to collect — possible when faults have retired
-    // blocks faster than writes close new ones. Back off rather than crash;
-    // allocate_superblock() reports genuine capacity exhaustion.
+  if (victim == kNoVictim ||
+      sb_meta_[victim].valid_count >= data_capacity(victim) ||
+      room() < sb_meta_[victim].valid_count) {
     gc_aborted_ctr_->inc();
     return false;
   }
+  victim_valid_hist_->observe(
+      static_cast<double>(sb_meta_[victim].valid_count));
+  claim_victim(victim, /*wear_level=*/false);
+  return true;
+}
+
+void FtlBase::claim_victim(std::uint64_t victim, bool wear_level) {
+  PHFTL_CHECK(round_.victim == kNoVictim);
   PHFTL_CHECK(flash_.state(victim) == SuperblockState::kClosed);
-  // A fully valid victim reclaims nothing: collecting it would only churn
-  // pages. Transiently possible when the free target is momentarily
-  // unreachable; back off and let future invalidations create headroom.
-  if (sb_meta_[victim].valid_count >= data_capacity(victim)) {
-    gc_aborted_ctr_->inc();
-    return false;
-  }
-  // End-of-life guard: the round must have somewhere to relocate the
-  // victim's live pages. When wear retirement has shrunk the free pool
-  // below what the migration needs, abort the round — the admission path
-  // then surfaces ENOSPC to the host instead of GC aborting mid-append.
-  // Healthy drives always pass (the pool floor alone covers a victim).
-  std::uint64_t room = 0;
-  for (const std::uint64_t sb : free_pool_) room += data_capacity(sb);
-  for (const auto& os : open_) {
-    if (os.sb == OpenStream::kNoSb) continue;
-    const std::uint64_t wp = flash_.write_pointer(os.sb);
-    const std::uint64_t cap = data_capacity(os.sb);
-    room += cap > wp ? cap - wp : 0;
-  }
-  if (room < sb_meta_[victim].valid_count) {
-    gc_aborted_ctr_->inc();
-    return false;
-  }
   // Drop the victim from the index for the round's whole lifetime (which
   // under time-slicing spans host writes): the migration steps decrement
   // its valid count without re-bucketing, host invalidations of its pages
@@ -1458,27 +1377,23 @@ bool FtlBase::gc_begin_round() {
   // erase anyway. Recovery re-inserts it if a cut strikes mid-round.
   victim_index_.remove(victim);
   ++stats_.gc_invocations;
-  gc_victim_ = victim;
-  gc_cursor_ = 0;
-  gc_round_moved_ = 0;
-  const std::uint64_t victim_valid = sb_meta_[victim].valid_count;
-  victim_valid_hist_->observe(static_cast<double>(victim_valid));
+  round_ = GcRound{victim, 0, 0, wear_level};
   obs_.trace().record(obs::TraceEventType::kGcRoundBegin, virtual_clock_,
-                      victim, victim_valid);
-  return true;
+                      victim, sb_meta_[victim].valid_count);
 }
 
 bool FtlBase::gc_step(std::uint64_t budget) {
-  PHFTL_CHECK(gc_victim_ != kNoVictim);
+  PHFTL_CHECK(round_.victim != kNoVictim);
   PHFTL_CHECK(!in_gc_);
   // in_gc_ is true only *during* a step: between steps, host invalidations
   // of victim pages must look like ordinary host activity to the scheme
   // hooks (SepBIT's lifetime tracking depends on the distinction).
   in_gc_ = true;
-  const std::uint64_t victim = gc_victim_;
+  const std::uint64_t victim = round_.victim;
   const std::uint64_t pages = geom().pages_per_superblock();
   std::uint64_t moved = 0;
-  std::uint64_t off = gc_cursor_;
+  std::uint64_t off = round_.cursor;
+  bool stranded = false;  // a migration found no destination (end of life)
   for (; off < pages && moved < budget; ++off) {
     const Ppn ppn = geom().make_ppn(victim, off);
     // Skips cover both never-valid pages and pages a host write or trim
@@ -1486,39 +1401,43 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // which is why time-sliced WA is bounded by stop-the-world's, not
     // identical to it (docs/QOS.md).
     if (!valid_bit_[ppn]) continue;
-    // Translation pages are first-class GC citizens (Dayan & Bonnet): the
-    // per-page kind check (not is_translation_sb_) keeps the round correct
-    // even when pool-pressure borrowing mixed page kinds into one block.
-    if (cfg_.mapping_tier &&
-        flash_.read_oob(ppn).kind == PageKind::kTranslation) {
+    // The OOB metadata copy travels with the page (§III-C: it spares GC
+    // from reading meta pages). Translation pages are first-class GC
+    // citizens (Dayan & Bonnet): the per-page kind check (not
+    // is_translation_sb_) keeps the round correct even when pool-pressure
+    // borrowing mixed page kinds into one block.
+    const OobData& src = flash_.read_oob(ppn);
+    if (src.kind == PageKind::kTranslation) {
       gc_migrate_translation_page(victim, ppn);
       ++moved;
       continue;
     }
+    OobData oob = src;
     const Lpn lpn = p2l_[ppn];
     PHFTL_CHECK(lpn != kInvalidLpn && l2p_[lpn] == ppn);
-
-    // Read the page (payload + OOB metadata copy; §III-C: the OOB copy
-    // spares GC from reading meta pages).
     const std::uint64_t payload = flash_.read(ppn);
     ++stats_.gc_reads;
-    OobData oob = flash_.read_oob(ppn);
 
     const std::uint8_t new_count = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(gc_count_[ppn] + 1, cfg_.max_gc_streams));
     oob.gc_count = new_count;  // keep the OOB copy recovery-accurate
-    const std::uint32_t stream = wl_round_
-                                     ? classify_wl_write(lpn, new_count, oob)
-                                     : classify_gc_write(lpn, new_count, oob);
+    const std::uint32_t stream = classify_gc_write(lpn, new_count, oob);
     PHFTL_CHECK(stream < num_streams_);
 
-    // Invalidate old location, then append to the GC stream.
+    // Append first, then clear the old copy: at fault-driven end of life
+    // the append can find no destination, and the page must stay valid in
+    // place.
+    const Ppn new_ppn = append(stream, lpn, payload, oob);
+    if (new_ppn == kInvalidPpn) {
+      stranded = true;
+      break;
+    }
+    // The victim is known and unindexed: decrement inline (drop_page's
+    // superblock lookup and index probe would cost every migrated page).
     valid_bit_[ppn] = 0;
     p2l_[ppn] = kInvalidLpn;
     PHFTL_CHECK(sb_meta_[victim].valid_count > 0);
     --sb_meta_[victim].valid_count;
-
-    const Ppn new_ppn = append(stream, lpn, payload, oob);
     l2p_[lpn] = new_ppn;
     gc_count_[new_ppn] = new_count;
     // Patch the owning translation page. CMT residency batches the patches
@@ -1527,22 +1446,31 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // writes back once.
     if (cfg_.mapping_tier) map_update(lpn, new_ppn);
     ++stats_.gc_writes;
-    if (wl_round_) {
-      ++stats_.wl_migrations;
-      wl_migrations_ctr_->inc();
-    }
+    if (round_.wear_level) ++stats_.wl_migrations;
     ++moved;
     on_gc_write_complete(lpn, new_ppn, oob);
   }
   // A budget-limited step that drained the last valid page should not cost
   // an extra no-op step next time: skim the invalid tail now.
-  while (off < pages && !valid_bit_[geom().make_ppn(victim, off)]) ++off;
-  gc_cursor_ = off;
-  gc_round_moved_ += moved;
+  while (!stranded && off < pages &&
+         !valid_bit_[geom().make_ppn(victim, off)])
+    ++off;
+  round_.cursor = off;
+  round_.moved += moved;
   ++stats_.gc_steps;
-  gc_steps_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kGcStep, virtual_clock_, victim,
                       moved);
+  if (stranded) {
+    // End the round where it stands: the victim rejoins the victim index
+    // at its remaining valid count, with those pages valid in place. The
+    // pages it did move are real migrations (WA charges them).
+    in_gc_ = false;
+    victim_index_.insert(victim, sb_meta_[victim].valid_count);
+    gc_aborted_ctr_->inc();
+    gc_moved_ctr_->add(round_.moved);
+    round_ = GcRound{};
+    return false;
+  }
   if (off < pages) {
     in_gc_ = false;
     return false;  // preempted: valid pages remain beyond the cursor
@@ -1555,19 +1483,15 @@ bool FtlBase::gc_step(std::uint64_t budget) {
   // gc_rounds includes wear-leveling rounds (they are real collections);
   // ftl.wl.rounds counts the leveling subset separately.
   gc_rounds_ctr_->inc();
-  gc_moved_ctr_->add(gc_round_moved_);
+  gc_moved_ctr_->add(round_.moved);
   obs_.trace().record(obs::TraceEventType::kGcRoundEnd, virtual_clock_,
-                      victim, gc_round_moved_);
-  if (wl_round_) {
+                      victim, round_.moved);
+  if (round_.wear_level) {
     ++stats_.wl_rounds;
-    wl_rounds_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kWearLevel, virtual_clock_,
-                        victim, gc_round_moved_);
-    wl_round_ = false;
+                        victim, round_.moved);
   }
-  gc_victim_ = kNoVictim;
-  gc_cursor_ = 0;
-  gc_round_moved_ = 0;
+  round_ = GcRound{};
   return true;
 }
 
@@ -1685,20 +1609,17 @@ Ppn FtlBase::learned_lookup(Lpn lpn, bool host_read) {
   }
   stats_.learned_probe_reads += wasted;
   if (host_read) stats_.learned_probe_reads_host += wasted;
-  if (wasted != 0) learned_probe_reads_ctr_->add(wasted);
   if (found != kInvalidPpn) {
     // valid_bit_ + OOB match imply p2l_[found] == lpn, so this check can
     // only fire if the validity state itself diverged from the shadow.
     PHFTL_CHECK_MSG(found == l2p_[lpn],
                     "verified learned probe diverged from the L2P shadow");
     ++stats_.learned_hits;
-    learned_hits_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kLearnedHit, virtual_clock_,
                         found, lpn);
     return found;
   }
   ++stats_.learned_mispredicts;
-  learned_mispredicts_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kLearnedMispredict, virtual_clock_,
                       static_cast<std::uint64_t>(pred < 0 ? 0 : pred), lpn);
   return kInvalidPpn;
@@ -1727,7 +1648,6 @@ std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
     const std::uint32_t node = cmt_.node_of(tpn);
     if (node != core::FlatMetaCache::kNoNode) {
       ++stats_.cmt_hits;
-      cmt_hits_ctr_->inc();
       const core::CacheAccess acc = cmt_.access(tpn);  // LRU touch
       PHFTL_CHECK(acc.hit && acc.node == node);
       obs_.trace().record(obs::TraceEventType::kTransCacheHit, virtual_clock_,
@@ -1736,7 +1656,6 @@ std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
     }
   }
   ++stats_.cmt_misses;
-  cmt_misses_ctr_->inc();
 
   // Content source, newest first: the write-back buffer still owns the
   // freshest copy of a page evicted dirty (adopting it re-dirties the
@@ -1755,7 +1674,6 @@ std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
   } else if (gtd_[tpn] != kInvalidPpn) {
     content = flash_.read_blob(gtd_[tpn]);
     ++stats_.trans_reads;
-    trans_reads_ctr_->inc();
     if (host_read) ++stats_.trans_reads_host;
     obs_.trace().record(obs::TraceEventType::kTransFetch, virtual_clock_,
                         gtd_[tpn], tpn);
@@ -1857,14 +1775,11 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
         PHFTL_CHECK_MSG(found,
                         "capacity exhausted: no open translation superblock");
         ++stats_.stream_borrows;
-        stream_borrows_ctr_->inc();
       }
     }
     if (trans_open_[target] == OpenStream::kNoSb) {
       trans_open_[target] = allocate_superblock(target);
       is_translation_sb_[trans_open_[target]] = 1;
-      obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
-                          trans_open_[target], 0, target);
     }
     const std::uint64_t sb = trans_open_[target];
     OobData oob;  // translation pages carry no LPN; keyed by tpn
@@ -1873,22 +1788,10 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
     oob.write_time = virtual_clock_;
     const Ppn ppn = flash_.program_blob(sb, oob, blob);
     if (ppn == kInvalidPpn) {
-      ++stats_.program_failures;
-      program_fail_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_,
-                          sb, 0, target);
-      flash_.close_superblock(sb);
-      sb_meta_[sb].close_time = virtual_clock_;
-      if (!pending_retire_[sb]) {
-        pending_retire_[sb] = 1;
-        ++pending_retire_count_;
-      }
       // Unlike journal blocks, translation blocks are ordinary GC
       // citizens: index the failing block so GC drains and retires it.
-      victim_index_.insert(sb, sb_meta_[sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, sb, sb_meta_[sb].valid_count,
-                          target);
+      note_program_failure(sb);
+      close_superblock(sb, /*indexed=*/true);
       trans_open_[target] = OpenStream::kNoSb;
       continue;
     }
@@ -1899,14 +1802,8 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
     ++sb_meta_[sb].valid_count;
     const Ppn old = gtd_[tpn];
     if (old != kInvalidPpn) {
-      PHFTL_CHECK(valid_bit_[old] && p2l_[old] == tpn);
-      valid_bit_[old] = 0;
-      p2l_[old] = kInvalidLpn;
-      const std::uint64_t old_sb = geom().superblock_of(old);
-      PHFTL_CHECK(sb_meta_[old_sb].valid_count > 0);
-      --sb_meta_[old_sb].valid_count;
-      if (victim_index_.contains(old_sb))
-        victim_index_.update(old_sb, sb_meta_[old_sb].valid_count);
+      PHFTL_CHECK(p2l_[old] == tpn);
+      drop_page(old);
     }
     gtd_[tpn] = ppn;
     // Every translation-page append funnels through here — write-back
@@ -1915,11 +1812,7 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
     // flash blob the GTD now points at.
     if (cfg_.learned_index) learned_.train(tpn, blob);
     ++stats_.trans_writes;
-    trans_writes_ctr_->inc();
-    if (gc_migration) {
-      ++stats_.trans_gc_writes;
-      trans_gc_writes_ctr_->inc();
-    }
+    if (gc_migration) ++stats_.trans_gc_writes;
     stream_flash_writes_[target]->inc();
     obs_.trace().record(obs::TraceEventType::kTransProgram, virtual_clock_,
                         ppn, tpn, target);
@@ -1928,12 +1821,7 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
     // Translation blocks have no meta-page tail: close at the raw
     // superblock boundary and enter the victim index like any data block.
     if (flash_.write_pointer(sb) >= geom().pages_per_superblock()) {
-      flash_.close_superblock(sb);
-      sb_meta_[sb].close_time = virtual_clock_;
-      victim_index_.insert(sb, sb_meta_[sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, sb, sb_meta_[sb].valid_count,
-                          target);
+      close_superblock(sb, /*indexed=*/true);
       trans_open_[target] = OpenStream::kNoSb;
     }
     return ppn;
@@ -1967,16 +1855,12 @@ void FtlBase::gc_migrate_translation_page(std::uint64_t victim, Ppn ppn) {
   } else {
     blob = flash_.read_blob(ppn);
     ++stats_.trans_reads;
-    trans_reads_ctr_->inc();
   }
   blob.resize(tp_entries_, kInvalidPpn);
   append_translation_page(tpn, std::move(blob), /*gc_migration=*/true);
   // The new flash copy now matches the resident content exactly.
   if (node != core::FlatMetaCache::kNoNode) cmt_dirty_[node] = 0;
-  if (wl_round_) {
-    ++stats_.wl_migrations;
-    wl_migrations_ctr_->inc();
-  }
+  if (round_.wear_level) ++stats_.wl_migrations;
 }
 
 void FtlBase::reconcile_translation_pages(RecoveryReport& rep) {
@@ -1996,14 +1880,8 @@ void FtlBase::reconcile_translation_pages(RecoveryReport& rep) {
       // Fully unmapped segment: drop the stale flash copy (restoring the
       // empty-GTD invariant) instead of writing an all-invalid page.
       if (cur != kInvalidPpn) {
-        PHFTL_CHECK(valid_bit_[cur] && p2l_[cur] == tpn);
-        valid_bit_[cur] = 0;
-        p2l_[cur] = kInvalidLpn;
-        const std::uint64_t sb = geom().superblock_of(cur);
-        PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
-        --sb_meta_[sb].valid_count;
-        if (victim_index_.contains(sb))
-          victim_index_.update(sb, sb_meta_[sb].valid_count);
+        PHFTL_CHECK(p2l_[cur] == tpn);
+        drop_page(cur);
         gtd_[tpn] = kInvalidPpn;
       }
       continue;

@@ -8,7 +8,9 @@
 //   * classify_user_write() — which stream a host-written page goes to
 //     (Base: single stream; 2R: user stream; SepBIT: class 1/2 by inferred
 //     lifetime; PHFTL: short-/long-living by the Page Classifier),
-//   * classify_gc_write()  — stream for a GC-migrated page,
+//   * classify_gc_write()  — stream for a page migrated by GC or by a
+//     wear-leveling round,
+//   * classify_translation_write() — stream label for a translation page,
 //   * pick_victim()        — victim-selection policy,
 //   * finalize_superblock()— hook run when a superblock fills, before it is
 //     closed (PHFTL programs its ML meta pages here, paper Fig. 4).
@@ -192,9 +194,9 @@ class FtlBase {
   /// victim is closed but deliberately absent from the victim index; it
   /// re-enters either when the round finishes (erase) or at mount-time
   /// recovery (docs/QOS.md, docs/RECOVERY.md).
-  std::uint64_t gc_inflight_victim() const { return gc_victim_; }
+  std::uint64_t gc_inflight_victim() const { return round_.victim; }
   /// Valid pages the in-flight round has relocated so far (0 when idle).
-  std::uint64_t gc_inflight_valid_moved() const { return gc_round_moved_; }
+  std::uint64_t gc_inflight_valid_moved() const { return round_.moved; }
   /// Host-visible capacity in pages under the current physical reserve:
   /// superblocks minus bad blocks, the GC free-pool target, and the
   /// trim-journal reserve, times the data capacity of a superblock. Writes
@@ -268,7 +270,7 @@ class FtlBase {
   /// FtlConfig::wear_level_threshold.
   double wear_spread() const;
   /// True while the in-flight GC round is a wear-leveling round.
-  bool wear_level_inflight() const { return wl_round_; }
+  bool wear_level_inflight() const { return round_.wear_level; }
 
   /// Test hook: jump the virtual clock forward (e.g. near 2^32 to exercise
   /// timestamp-width regressions). Must not move the clock backwards.
@@ -376,16 +378,11 @@ class FtlBase {
   // --- Policy hooks ---
   virtual std::uint32_t classify_user_write(Lpn lpn,
                                             const WriteContext& ctx) = 0;
+  /// Stream for a migrated page: GC survivors and wear-leveling
+  /// migrations alike (a leveled page is cold data that survived, which is
+  /// what every scheme's GC answer already encodes; docs/ENDURANCE.md).
   virtual std::uint32_t classify_gc_write(Lpn lpn, std::uint8_t gc_count,
                                           const OobData& oob) = 0;
-  /// Stream for a page migrated by a static wear-leveling round. The
-  /// victim was chosen *because* its data is cold, so schemes may route
-  /// these pages more aggressively than ordinary GC survivors; the default
-  /// treats them exactly like GC migrations. docs/ENDURANCE.md.
-  virtual std::uint32_t classify_wl_write(Lpn lpn, std::uint8_t gc_count,
-                                          const OobData& oob) {
-    return classify_gc_write(lpn, gc_count, oob);
-  }
   /// Stream label for a translation-page program (docs/MAPPING.md).
   /// Translation pages live in their own open superblocks — one per
   /// returned stream id, never mixed with user data — but the label drives
@@ -455,24 +452,48 @@ class FtlBase {
   };
 
   /// Append one page to `stream`, handling superblock open/finalize/close.
+  /// Returns kInvalidPpn only to a GC caller left with no destination at
+  /// fault-driven end of life (no open superblock, empty free pool); a
+  /// host write in that state aborts.
   Ppn append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
              const OobData& oob);
   void invalidate(Lpn lpn);
+  /// Clear the valid page at `ppn`: validity bit, reverse map, its
+  /// superblock's valid count and victim-index bucket.
+  void drop_page(Ppn ppn);
+
+  // --- superblock lifecycle, shared by data, translation and journal
+  // superblocks and by meta pages ---
+  /// Take a superblock from the free pool, open it for `stream`, and
+  /// record the open event.
   std::uint64_t allocate_superblock(std::uint32_t stream);
+  /// Close `sb`, stamp its close time, index it as a GC candidate when
+  /// `indexed` (journal superblocks never are), and record the close.
+  void close_superblock(std::uint64_t sb, bool indexed);
+  /// Count and record a program failure in `sb` and mark the block for
+  /// retirement. The caller decides whether the block closes.
+  void note_program_failure(std::uint64_t sb);
   void maybe_gc();
   /// One full GC round (finishing a preempted one first); returns false
   /// when no victim can reclaim anything right now.
   bool gc_once();
-  /// Claim a victim and set up the in-flight round state (cursor at offset
-  /// 0, nothing moved). Returns false — with nothing claimed — when
-  /// pick_victim backs off or the best victim is fully valid.
+  /// Pick a GC victim and claim it. Returns false — with nothing claimed —
+  /// when pick_victim backs off, the best victim is fully valid, or its
+  /// live pages have nowhere to go.
   bool gc_begin_round();
+  /// Start the in-flight round on `victim` (cursor at offset 0, nothing
+  /// moved): take it out of the victim index and record the round begin.
+  /// Shared by GC and wear-leveling rounds.
+  void claim_victim(std::uint64_t victim, bool wear_level);
   /// Advance the in-flight round: relocate up to `budget` valid pages from
   /// the victim, starting at the saved cursor. Pages host writes or trims
   /// invalidated since the last step are skipped for free. Returns true
   /// when the victim is fully drained — then also retires/erases it and
-  /// clears the in-flight state — and false on preemption (budget hit with
-  /// valid pages left).
+  /// clears the in-flight state. Returns false with the round still in
+  /// flight on preemption (budget hit with valid pages left), or with the
+  /// round ended when a migration found no destination at fault-driven end
+  /// of life (the victim goes back into the victim index, its remaining
+  /// pages valid in place; counted in ftl.gc.aborted_rounds).
   bool gc_step(std::uint64_t budget);
 
   // --- static wear leveling (docs/ENDURANCE.md) ---
@@ -485,14 +506,11 @@ class FtlBase {
   /// Cold WL victim: an indexed closed superblock with wear strictly below
   /// the mean, oldest close_time first. kNoVictim when none qualifies.
   std::uint64_t pick_wl_victim() const;
-  /// Claim `victim` for a wear-leveling round (bypasses pick_victim and
-  /// the fully-valid back-off: relocating a fully valid cold block is the
-  /// whole point of static leveling).
-  void wl_begin_round(std::uint64_t victim);
-  /// Advance the in-flight round by one slice, with the same preemption
-  /// accounting maybe_gc applies.
+  /// Advance the in-flight round by one bounded slice, counting a
+  /// preemption when the round stays in flight.
   void advance_round(std::uint64_t budget);
-  /// Wear bookkeeping after a successful (budget-surviving) erase of `sb`.
+  /// Count an erase of `sb` that worked (including the one that spends
+  /// its last budgeted P/E cycle) and update the wear table.
   void note_erase(std::uint64_t sb);
   /// Wear bookkeeping when `sb` leaves service (retired / erase failure /
   /// budget exhausted): its wear exits the in-service pool.
@@ -612,14 +630,20 @@ class FtlBase {
   std::uint64_t prev_req_end_ = kInvalidLpn;
   bool in_gc_ = false;
 
-  // --- in-flight GC round (first-class state under kTimeSliced) ---
-  /// Victim a started round is relocating; kNoVictim when idle. Closed,
-  /// and out of the victim index for the round's whole lifetime.
-  std::uint64_t gc_victim_ = kNoVictim;
-  /// Next page offset gc_step() will examine inside gc_victim_.
-  std::uint64_t gc_cursor_ = 0;
-  /// Valid pages moved by the in-flight round so far.
-  std::uint64_t gc_round_moved_ = 0;
+  /// In-flight GC round (first-class state under kTimeSliced).
+  struct GcRound {
+    /// Victim the round is relocating; kNoVictim when idle. Closed, and
+    /// out of the victim index for the round's whole lifetime.
+    std::uint64_t victim = kNoVictim;
+    /// Next page offset gc_step() will examine inside the victim.
+    std::uint64_t cursor = 0;
+    /// Valid pages moved by the round so far.
+    std::uint64_t moved = 0;
+    /// A wear-leveling round: migrations land in the most-worn free
+    /// superblock and count as wl_migrations.
+    bool wear_level = false;
+  };
+  GcRound round_;
   /// Time-sliced urgent floor: below this many free superblocks, maybe_gc
   /// completes whole rounds synchronously instead of yielding, so the free
   /// pool can never run dry between steps (always <= gc_trigger_count_).
@@ -636,10 +660,6 @@ class FtlBase {
   /// Max of wear_ over in-service superblocks. Recomputed (O(superblocks))
   /// only when the max-holding block leaves service — rare.
   std::uint64_t wear_max_ = 0;
-  /// True while the in-flight round (gc_victim_) is a wear-leveling round:
-  /// migrations classify through classify_wl_write, land in the most-worn
-  /// free superblock, and count as wl_migrations.
-  bool wl_round_ = false;
 
   // --- trim journal + capacity accounting ---
   /// Open journal superblock accepting record pages (kNoSb when none).
@@ -713,38 +733,13 @@ class FtlBase {
   obs::Counter* gc_rounds_ctr_ = nullptr;
   obs::Counter* gc_aborted_ctr_ = nullptr;
   obs::Counter* gc_moved_ctr_ = nullptr;
-  obs::Counter* gc_steps_ctr_ = nullptr;
-  obs::Counter* gc_preempt_ctr_ = nullptr;
-  obs::Counter* erases_ctr_ = nullptr;
-  obs::Counter* meta_writes_ctr_ = nullptr;
-  obs::Counter* stream_borrows_ctr_ = nullptr;
-  obs::Counter* host_reads_ctr_ = nullptr;
-  obs::Counter* trims_ctr_ = nullptr;
-  obs::Counter* program_fail_ctr_ = nullptr;
-  obs::Counter* erase_fail_ctr_ = nullptr;
-  obs::Counter* retired_ctr_ = nullptr;
   obs::Counter* recovery_mounts_ctr_ = nullptr;
   obs::Counter* recovery_oob_scans_ctr_ = nullptr;
   obs::Counter* recovery_rebuild_ns_ctr_ = nullptr;
-  obs::Counter* journal_appends_ctr_ = nullptr;
   obs::Counter* journal_records_ctr_ = nullptr;
-  obs::Counter* journal_compactions_ctr_ = nullptr;
   obs::Counter* journal_replayed_ctr_ = nullptr;
-  obs::Counter* enospc_ctr_ = nullptr;
-  obs::Counter* host_reads_unmapped_ctr_ = nullptr;
-  obs::Counter* cmt_hits_ctr_ = nullptr;
-  obs::Counter* cmt_misses_ctr_ = nullptr;
-  obs::Counter* trans_reads_ctr_ = nullptr;
-  obs::Counter* trans_writes_ctr_ = nullptr;
-  obs::Counter* trans_gc_writes_ctr_ = nullptr;
   obs::Counter* wb_flushes_ctr_ = nullptr;
   obs::Counter* trans_reconciled_ctr_ = nullptr;
-  obs::Counter* learned_hits_ctr_ = nullptr;
-  obs::Counter* learned_mispredicts_ctr_ = nullptr;
-  obs::Counter* learned_probe_reads_ctr_ = nullptr;
-  obs::Counter* wl_rounds_ctr_ = nullptr;
-  obs::Counter* wl_migrations_ctr_ = nullptr;
-  obs::Counter* wear_retired_ctr_ = nullptr;
   obs::Histogram* victim_valid_hist_ = nullptr;
   obs::Histogram* erase_count_hist_ = nullptr;
   obs::Gauge* bad_blocks_gauge_ = nullptr;

@@ -109,8 +109,6 @@ struct FtlStats {
                : static_cast<double>(flash_writes() - user_writes) /
                      static_cast<double>(user_writes);
   }
-
-  void reset() { *this = FtlStats{}; }
 };
 
 }  // namespace phftl

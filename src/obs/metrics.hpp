@@ -10,7 +10,10 @@
 //   * returned references are stable for the registry's lifetime (metrics
 //     live in deques; holders cache pointers at construction),
 //   * export order is registration order, so JSON/CSV output is
-//     deterministic and golden-testable.
+//     deterministic and golden-testable,
+//   * a count the caller already keeps is registered as a counter view
+//     (counter_view) rather than mirrored by a second counter: the export
+//     reads the caller's field, and the hot path pays nothing extra.
 //
 // The whole layer compiles out with -DPHFTL_OBS=OFF (PHFTL_OBS_ENABLED=0):
 // the same API surface remains, but every update is an empty inline
@@ -50,15 +53,21 @@ inline const char* metric_type_name(MetricType t) {
 
 #if PHFTL_OBS_ENABLED
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count. A view (see
+/// MetricsRegistry::counter_view) reads a field its owner already keeps
+/// instead of its own count.
 class Counter {
  public:
+  explicit Counter(const std::uint64_t* source = nullptr) : source_(source) {}
+
   void inc() { ++value_; }
   void add(std::uint64_t n) { value_ += n; }
-  std::uint64_t value() const { return value_; }
+  std::uint64_t value() const { return source_ ? *source_ : value_; }
+  const std::uint64_t* source() const { return source_; }
 
  private:
   std::uint64_t value_ = 0;
+  const std::uint64_t* source_;
 };
 
 /// Last-written point-in-time value (WA, hit rate, threshold, ...).
@@ -133,7 +142,23 @@ class MetricsRegistry {
     const std::size_t e = find_or_register(name, MetricType::kCounter, unit,
                                            help, counters_.size());
     if (e == counters_.size()) counters_.emplace_back();
-    return counters_[entries_[by_name_.at(std::string(name))].index];
+    PHFTL_CHECK_MSG(counters_[e].source() == nullptr,
+                    "counter() on a name registered as a counter view");
+    return counters_[e];
+  }
+
+  /// Registers a read-only counter over `*source`, a count the caller
+  /// already maintains (e.g. an FtlStats field): exports, snapshots and
+  /// find_counter() read it directly, so no paired inc() is needed.
+  /// `source` must outlive the registry. Re-registering a name must name
+  /// the same source.
+  void counter_view(std::string_view name, const std::uint64_t* source,
+                    std::string_view unit = "", std::string_view help = "") {
+    const std::size_t e = find_or_register(name, MetricType::kCounter, unit,
+                                           help, counters_.size());
+    if (e == counters_.size()) counters_.emplace_back(source);
+    PHFTL_CHECK_MSG(counters_[e].source() == source,
+                    "counter view re-registered over a different source");
   }
 
   Gauge& gauge(std::string_view name, std::string_view unit = "",
@@ -267,6 +292,8 @@ class MetricsRegistry {
                    std::string_view = "") {
     return counter_;
   }
+  void counter_view(std::string_view, const std::uint64_t*,
+                    std::string_view = "", std::string_view = "") {}
   Gauge& gauge(std::string_view, std::string_view = "", std::string_view = "") {
     return gauge_;
   }

@@ -1,8 +1,13 @@
 // Cross-module integration and property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "flash/fault_injector.hpp"
 #include "helpers.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -213,6 +218,214 @@ TEST(LifetimeConsistency, AnnotatorMatchesOnlineObservation) {
     }
   }
 }
+
+// --- Every knob at once, pinned ---
+//
+// One mixed scenario per scheme with every knob on, clear of end of life:
+// the mapping tier with the learned index, time-sliced GC, wear leveling
+// under a P/E budget, scheduled program and erase faults, trims, reads,
+// and a power cut plus recover() halfway through. Its FtlStats and flash
+// totals are recorded values: a refactor of the FTL must reproduce them
+// exactly, and a behaviour change must re-record them on purpose.
+
+/// Every FtlStats field, in declaration order, named.
+std::vector<std::pair<const char*, std::uint64_t>> stats_fields(
+    const FtlStats& s) {
+  static_assert(sizeof(FtlStats) == 32 * sizeof(std::uint64_t),
+                "a new FtlStats field needs a place in stats_fields()");
+  return {{"user_writes", s.user_writes},
+          {"gc_writes", s.gc_writes},
+          {"meta_writes", s.meta_writes},
+          {"host_reads", s.host_reads},
+          {"gc_reads", s.gc_reads},
+          {"meta_reads", s.meta_reads},
+          {"erases", s.erases},
+          {"gc_invocations", s.gc_invocations},
+          {"gc_steps", s.gc_steps},
+          {"gc_preemptions", s.gc_preemptions},
+          {"stream_borrows", s.stream_borrows},
+          {"program_failures", s.program_failures},
+          {"erase_failures", s.erase_failures},
+          {"blocks_retired", s.blocks_retired},
+          {"trims", s.trims},
+          {"journal_writes", s.journal_writes},
+          {"trim_journal_compactions", s.trim_journal_compactions},
+          {"enospc_rejections", s.enospc_rejections},
+          {"wl_rounds", s.wl_rounds},
+          {"wl_migrations", s.wl_migrations},
+          {"wear_retired", s.wear_retired},
+          {"host_reads_unmapped", s.host_reads_unmapped},
+          {"trans_writes", s.trans_writes},
+          {"trans_gc_writes", s.trans_gc_writes},
+          {"trans_reads", s.trans_reads},
+          {"trans_reads_host", s.trans_reads_host},
+          {"cmt_hits", s.cmt_hits},
+          {"cmt_misses", s.cmt_misses},
+          {"learned_hits", s.learned_hits},
+          {"learned_mispredicts", s.learned_mispredicts},
+          {"learned_probe_reads", s.learned_probe_reads},
+          {"learned_probe_reads_host", s.learned_probe_reads_host}};
+}
+
+/// Runs the scenario on `scheme`; returns the quiescent FTL.
+std::unique_ptr<FtlBase> run_knob_matrix(const std::string& scheme,
+                                         FaultInjector& injector) {
+  FtlConfig cfg = small_config();
+  cfg.op_ratio = 0.25;  // headroom for the retired blocks
+  cfg.mapping_tier = true;
+  cfg.cmt_pages = 4;
+  cfg.tp_entries = 32;
+  cfg.learned_index = true;
+  cfg.gc_mode = GcMode::kTimeSliced;
+  cfg.gc_step_pages = 3;
+  cfg.max_pe_cycles = 40;
+  cfg.wear_level_threshold = 2;
+  cfg.fault_injector = &injector;
+  std::unique_ptr<FtlBase> ftl;
+  if (scheme == "PHFTL") {
+    // A light trainer: the FTL's bookkeeping is under test, not accuracy.
+    core::PhftlConfig pc = core::default_phftl_config(cfg, /*seed=*/11);
+    pc.trainer.window_pages = 1024;
+    pc.trainer.max_window_samples = 512;
+    pc.trainer.train_per_class = 32;
+    ftl = std::make_unique<core::PhftlFtl>(pc);
+  } else {
+    ftl = make_ftl(scheme, cfg);
+  }
+
+  const std::uint64_t logical = ftl->logical_pages();
+  const std::uint64_t ops = logical * 4;
+  Xoshiro256 rng(2024);
+  WriteContext ctx;
+  for (std::uint64_t op = 0; op < ops; ++op) {
+    if (op == ops / 2) ftl->recover();  // power cut mid-run
+    // Skewed: 3/4 of the traffic hits the hottest eighth of the space.
+    const Lpn lpn = rng.next_below(4) != 0 ? rng.next_below(logical / 8)
+                                           : rng.next_below(logical);
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 10) {
+      const std::uint64_t v = ftl->read_page(lpn);
+      EXPECT_TRUE(v == 0 || v == (lpn ^ 0x5bd1e995ULL)) << "lpn " << lpn;
+    } else if (kind < 14) {
+      HostRequest req;
+      req.op = OpType::kTrim;
+      req.start_lpn = lpn;
+      req.num_pages = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(1 + rng.next_below(8), logical - lpn));
+      ftl->submit(req);
+    } else {
+      EXPECT_EQ(ftl->try_write_page(lpn, ctx), WriteResult::kOk);
+    }
+  }
+  ftl->drain();
+  ftl->refresh_observability();
+  return ftl;
+}
+
+class KnobMatrixPin : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(KnobMatrixPin, StatsAndViewsMatchRecordedValues) {
+  FaultInjector::Config fc;
+  FaultInjector injector(fc);
+  for (const std::uint64_t k : {700ULL, 2900ULL, 8100ULL})
+    injector.schedule_program_failure(k);
+  for (const std::uint64_t k : {40ULL, 150ULL})
+    injector.schedule_erase_failure(k);
+  const auto ftl = run_knob_matrix(GetParam(), injector);
+  const FtlStats& s = ftl->stats();
+
+  // Recorded before FtlStats became the only event ledger, one row per
+  // scheme: every FtlStats field in stats_fields() order, then the flash
+  // array's program, read and erase totals.
+  const std::map<std::string, std::vector<std::uint64_t>> recorded = {
+      {"Base",
+       {10553, 3707, 0,    875,  3707, 0,     353,   343,   1510,
+        1167,  0,    3,    2,    2,    1514,  447,   14,    0,
+        115,   2835, 0,    354,  10986, 329,  11113, 248,   3524,
+        12912, 546,  0,    457,  457,  25693, 4582, 353}},
+      {"2R",
+       {10553, 3429, 0,    875,  3429, 0,     343,   334,   1384,
+        1050,  0,    3,    2,    3,    1514,  447,   14,    0,
+        101,   2604, 0,    354,  10665, 299,  10793, 249,   3518,
+        12646, 540,  0,    454,  454,  25094, 4304, 343}},
+      {"SepBIT",
+       {10553, 4113, 0,    875,  4113, 0,     372,   363,   1729,
+        1366,  0,    3,    2,    3,    1514,  447,   14,    0,
+        157,   3702, 0,    354,  11455, 644,  11584, 249,   3687,
+        13167, 534,  0,    438,  438,  26568, 4988, 372}},
+      {"PHFTL",
+       {10553, 4231, 230,  875,  4231, 1497,  373,   363,   1618,
+        1255,  0,    3,    2,    2,    1514,  447,   14,    0,
+        78,    2577, 0,    354,  11227, 18,   11357, 251,   3505,
+        13453, 548,  0,    465,  465,  26688, 5106, 373}},
+  };
+  std::vector<std::uint64_t> actual;
+  std::string row;
+  for (const auto& [name, value] : stats_fields(s)) {
+    actual.push_back(value);
+    row += std::to_string(value) + ", ";
+  }
+  for (const std::uint64_t v :
+       {ftl->flash().total_programs(), ftl->flash().total_reads(),
+        ftl->flash().total_erases()}) {
+    actual.push_back(v);
+    row += std::to_string(v) + ", ";
+  }
+  EXPECT_EQ(actual, recorded.at(GetParam())) << "actual: {" << row << "}";
+  // Clear of end of life, and every knob actually exercised.
+  EXPECT_EQ(s.enospc_rejections, 0u);
+  EXPECT_GT(s.program_failures, 0u);
+  EXPECT_GT(s.erase_failures, 0u);
+  EXPECT_GT(s.trims, 0u);
+  EXPECT_GT(s.gc_preemptions, 0u);
+  EXPECT_GT(s.wl_rounds, 0u);
+  EXPECT_GT(s.trans_gc_writes, 0u);
+  EXPECT_GT(s.learned_hits, 0u);
+
+  if (!obs::kEnabled) return;  // no registry to check
+  // Exported name -> the field it must read. A swapped binding shows up
+  // as a mismatch here even where the two fields happen to move together.
+  std::vector<std::pair<const char*, std::uint64_t>> views = {
+      {"ftl.gc.steps", s.gc_steps},
+      {"ftl.gc.preemptions", s.gc_preemptions},
+      {"ftl.erases", s.erases},
+      {"ftl.meta_writes", s.meta_writes},
+      {"ftl.stream_borrows", s.stream_borrows},
+      {"ftl.host_reads", s.host_reads},
+      {"ftl.trims", s.trims},
+      {"ftl.trim_journal.appends", s.journal_writes},
+      {"ftl.trim_journal.compactions", s.trim_journal_compactions},
+      {"ftl.enospc_rejections", s.enospc_rejections},
+      {"ftl.wl.rounds", s.wl_rounds},
+      {"ftl.wl.migrations", s.wl_migrations},
+      {"flash.wear_retired", s.wear_retired},
+      {"flash.program_failures", s.program_failures},
+      {"flash.erase_failures", s.erase_failures},
+      {"flash.blocks_retired", s.blocks_retired},
+      {"ftl.host_reads_unmapped", s.host_reads_unmapped},
+      {"ftl.map.cmt_hits", s.cmt_hits},
+      {"ftl.map.cmt_misses", s.cmt_misses},
+      {"ftl.map.translation_reads", s.trans_reads},
+      {"ftl.map.translation_writes", s.trans_writes},
+      {"ftl.map.translation_gc_writes", s.trans_gc_writes},
+      {"ftl.map.learned_hits", s.learned_hits},
+      {"ftl.map.learned_mispredicts", s.learned_mispredicts},
+      {"ftl.map.learned_probe_reads", s.learned_probe_reads}};
+  if (const auto* phftl = dynamic_cast<const core::PhftlFtl*>(ftl.get())) {
+    views.push_back({"ml.predictions", phftl->predictions_made()});
+    views.push_back({"ml.predictions_short", phftl->short_predictions()});
+    views.push_back({"meta.cache_misses", s.meta_reads});
+  }
+  const obs::MetricsRegistry& reg = ftl->observability().metrics();
+  for (const auto& [name, field] : views) {
+    const obs::Counter* c = reg.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value(), field) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, KnobMatrixPin,
+                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
 
 }  // namespace
 }  // namespace phftl

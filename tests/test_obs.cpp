@@ -53,6 +53,31 @@ TEST(Metrics, RegistrationIsIdempotentWithStableReferences) {
 #endif
 }
 
+TEST(Metrics, CounterViewReadsItsSourceInRegistrationOrder) {
+  Observability obs;
+  std::uint64_t field = 3;
+  obs.metrics().counter("before").inc();
+  obs.metrics().counter_view("view", &field, "pages", "a field");
+  obs.metrics().counter("after");
+  obs.metrics().counter_view("view", &field);  // idempotent, same source
+  obs.set_snapshot_cadence(1);
+  field = 9;
+  obs.tick(1);
+#if PHFTL_OBS_ENABLED
+  ASSERT_EQ(obs.metrics().size(), 3u);
+  EXPECT_EQ(obs.metrics().entries()[1].name, "view");
+  EXPECT_EQ(obs.metrics().entries()[1].help, "a field");
+  ASSERT_NE(obs.metrics().find_counter("view"), nullptr);
+  EXPECT_EQ(obs.metrics().find_counter("view")->value(), 9u);
+  EXPECT_DOUBLE_EQ(obs.snapshots().at(0).values.at(1), 9.0);
+  field = 11;  // exports read the field at export time
+  EXPECT_NE(metrics_to_json(obs).find("\"view\": {\"value\": 11,"),
+            std::string::npos);
+#else
+  EXPECT_EQ(obs.metrics().size(), 0u);
+#endif
+}
+
 TEST(Metrics, HistogramBucketEdges) {
   MetricsRegistry m;
   Histogram& h = m.histogram("lat", {10, 20, 40}, "ns");

@@ -659,5 +659,47 @@ TEST_P(RecoveryTest, RecoveryAndFaultMetricsAreExported) {
 INSTANTIATE_TEST_SUITE_P(AllSchemes, RecoveryTest,
                          ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
 
+// --- fault-driven end of life (docs/RECOVERY.md) ---
+
+TEST(FaultEndOfLife, SingleStreamGcEndsItsRoundInsteadOfAborting) {
+  // One stream and a high program-failure rate: retired blocks drain the
+  // free pool, and sooner or later a GC migration's program failure closes
+  // the only open superblock with nowhere left to borrow. GC must end its
+  // round there so the drive goes read-only with ENOSPC, and every
+  // acknowledged page must stay readable, also after a remount.
+  for (const std::uint64_t seed : {1ULL, 3ULL, 5ULL}) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    FtlConfig cfg = small_config();
+    FaultInjector::Config fc;
+    fc.seed = seed;
+    fc.program_fail_prob = 0.005;
+    FaultInjector injector(fc);
+    cfg.fault_injector = &injector;
+    BaseFtl ftl(cfg, VictimPolicy::kGreedy);
+
+    const std::uint64_t logical = ftl.logical_pages();
+    std::vector<std::uint8_t> acked(logical, 0);
+    WriteContext ctx;
+    Xoshiro256 rng(5);
+    bool read_only = false;
+    for (std::uint64_t w = 0; w < logical * 20 && !read_only; ++w) {
+      const Lpn lpn = rng.next_below(logical);
+      if (ftl.try_write_page(lpn, ctx) == WriteResult::kOk)
+        acked[lpn] = 1;
+      else
+        read_only = true;
+    }
+    ASSERT_TRUE(read_only) << "the drive never reached end of life";
+    EXPECT_EQ(ftl.stats().enospc_rejections, 1u);
+    EXPECT_GT(ftl.stats().program_failures, 0u);
+    ASSERT_NO_FATAL_FAILURE(verify_acked(ftl, acked));
+    ASSERT_NO_FATAL_FAILURE(check_invariants(ftl));
+
+    ftl.recover();
+    ASSERT_NO_FATAL_FAILURE(verify_acked(ftl, acked));
+    ASSERT_NO_FATAL_FAILURE(check_invariants(ftl));
+  }
+}
+
 }  // namespace
 }  // namespace phftl
