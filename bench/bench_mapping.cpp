@@ -193,8 +193,9 @@ void run_workload(FtlBase& ftl, double ops_per_page, double warmup_fraction,
   r.flat_ram_bytes = logical * 8;
   r.ram_bytes = ftl.mapping_tier_enabled() ? ftl.mapping_ram_bytes()
                                            : r.flat_ram_bytes;
-  r.num_tps = ftl.num_translation_pages();
-  r.tp_entries = ftl.tp_entries();
+  const MappingTier* tier = ftl.mapping_tier();
+  r.num_tps = tier ? tier->num_translation_pages() : 0;
+  r.tp_entries = tier ? tier->tp_entries() : 0;
 }
 
 CellResult run_cell(const std::string& scheme, std::uint64_t cmt_pages,

@@ -41,6 +41,7 @@
 #include "baselines/two_r.hpp"
 #include "core/phftl.hpp"
 #include "flash/fault_injector.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -282,6 +283,7 @@ int main(int argc, char** argv) {
   FaultInjector::Config fc;
   bool with_faults = false;
 
+  const util::FlagParser flags("crash_lab");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -295,14 +297,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scheme") scheme = next();
-    else if (arg == "--cuts") cuts = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--jobs") cli_jobs = std::strtol(next(), nullptr, 10);
+    else if (arg == "--cuts") cuts = flags.parse_uint(arg, next(), 1);
+    else if (arg == "--seed") seed = flags.parse_uint(arg, next());
+    else if (arg == "--jobs")
+      cli_jobs = static_cast<long>(flags.parse_uint(arg, next(), 0, 256));
     else if (arg == "--program-fail-prob") {
-      fc.program_fail_prob = std::atof(next());
+      fc.program_fail_prob = flags.parse_real(arg, next(), 0.0, 1.0);
       with_faults = true;
     } else if (arg == "--erase-fail-prob") {
-      fc.erase_fail_prob = std::atof(next());
+      fc.erase_fail_prob = flags.parse_real(arg, next(), 0.0, 1.0);
       with_faults = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());

@@ -291,7 +291,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
     out << buf;
   }
 
-  if (ftl->mapping_tier_enabled()) {
+  if (const MappingTier* tier = ftl->mapping_tier()) {
     const std::uint64_t host_total = s.host_reads + s.host_reads_unmapped;
     const double read_amp =
         host_total == 0
@@ -317,13 +317,13 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
         "  read amplification    %.3f ((host + demand fetches + wasted "
         "probes) / host)\n"
         "  mapping RAM           %llu B vs %llu B flat (%.1fx smaller)\n",
-        static_cast<unsigned long long>(ftl->num_translation_pages()),
-        static_cast<unsigned long long>(ftl->tp_entries()),
+        static_cast<unsigned long long>(tier->num_translation_pages()),
+        static_cast<unsigned long long>(tier->tp_entries()),
         static_cast<unsigned long long>(s.trans_writes),
         static_cast<unsigned long long>(s.trans_gc_writes),
         static_cast<unsigned long long>(s.trans_reads),
         static_cast<unsigned long long>(s.trans_reads_host),
-        static_cast<unsigned long long>(ftl->cmt_resident()),
+        static_cast<unsigned long long>(tier->cmt_resident()),
         hit_rate * 100.0, read_amp,
         static_cast<unsigned long long>(tier_bytes),
         static_cast<unsigned long long>(flat_bytes),
@@ -341,8 +341,8 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
           "probe-verified)\n"
           "  learned mispredicts   %llu (%llu wasted probe reads, %llu on "
           "the host path)\n",
-          static_cast<unsigned long long>(ftl->learned_segments()),
-          static_cast<unsigned long long>(ftl->learned_index_bytes()),
+          static_cast<unsigned long long>(tier->learned_segments()),
+          static_cast<unsigned long long>(tier->learned_index_bytes()),
           ftl->config().learned_error_bound,
           static_cast<unsigned long long>(s.learned_hits),
           consulted == 0 ? 0.0

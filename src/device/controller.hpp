@@ -108,10 +108,6 @@ class ControllerModel {
   }
 
  private:
-  /// Sync mode serializes gate computation with request handling; the
-  /// dispatch overhead itself is small and deterministic.
-  std::uint64_t pred_setup_ns() const { return 500; }
-
   ControllerConfig cfg_;
   Xoshiro256 rng_;
   obs::Histogram* write_latency_hist_ = nullptr;

@@ -120,7 +120,7 @@ Ppn FlashArray::program(std::uint64_t sb, std::uint64_t payload,
 }
 
 Ppn FlashArray::program_blob(std::uint64_t sb, const OobData& oob,
-                             std::vector<std::uint64_t> blob) {
+                             std::span<const std::uint64_t> blob) {
   PHFTL_CHECK_MSG(blob.size() * 8 <= geom_.page_size,
                   "blob exceeds the page data area");
   const Ppn ppn = program(sb, /*payload=*/0, oob);
@@ -133,7 +133,7 @@ Ppn FlashArray::program_blob(std::uint64_t sb, const OobData& oob,
     slot = static_cast<std::uint32_t>(blob_store_.size());
     blob_store_.emplace_back();
   }
-  blob_store_[slot] = std::move(blob);
+  blob_store_[slot].assign(blob.begin(), blob.end());
   blob_slot_[ppn] = static_cast<std::int32_t>(slot);
   return ppn;
 }

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "flash/geometry.hpp"
@@ -155,7 +156,7 @@ class FlashArray {
   /// The blob models the page's data area: at 8 B per element it may hold
   /// at most page_size/8 elements. Same failure semantics as program().
   Ppn program_blob(std::uint64_t sb, const OobData& oob,
-                   std::vector<std::uint64_t> blob);
+                   std::span<const std::uint64_t> blob);
 
   /// Read a programmed page's payload.
   std::uint64_t read(Ppn ppn) const;

@@ -8,6 +8,19 @@
 
 namespace phftl {
 
+namespace {
+
+/// Add `lpn` to (start, len) trim-journal range records, extending the last
+/// run when `lpn` continues it.
+void add_to_runs(std::vector<std::uint64_t>& pairs, Lpn lpn) {
+  if (!pairs.empty() && pairs[pairs.size() - 2] + pairs.back() == lpn)
+    ++pairs.back();
+  else
+    pairs.insert(pairs.end(), {lpn, 1});
+}
+
+}  // namespace
+
 FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
     : cfg_(cfg),
       flash_(cfg.geom),
@@ -20,10 +33,9 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
       valid_bit_(cfg.geom.total_pages(), 0),
       gc_count_(cfg.geom.total_pages(), 0),
       sb_meta_(cfg.geom.num_superblocks()),
-      open_(num_streams),
+      open_(kNumSbKinds * num_streams, kNoSb),
       pending_retire_(cfg.geom.num_superblocks(), 0),
       wear_(cfg.geom.num_superblocks(), 0),
-      is_journal_sb_(cfg.geom.num_superblocks(), 0),
       tombstone_(logical_pages_, 0) {
   PHFTL_CHECK_MSG(num_streams_ >= 1, "at least one stream required");
   // Attach the injector before building the free pool: factory bad blocks
@@ -66,32 +78,9 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
                       cfg.geom.pages_per_superblock());
   journal_compact_threshold_ =
       std::max<std::uint64_t>(cfg.geom.pages_per_superblock() / 2, 2);
-  // Sized unconditionally so is_translation_sb() is always answerable;
-  // with the tier off no bit ever gets set.
-  is_translation_sb_.assign(cfg.geom.num_superblocks(), 0);
-  if (cfg_.mapping_tier) {
-    // One translation page maps tp_entries_ consecutive LPNs; the physical
-    // ceiling is what the page data area holds at 8 B per PPN. Smaller
-    // values emulate production segment counts on the simulator's small
-    // logical space (docs/MAPPING.md "RAM-budget methodology").
-    const std::uint64_t max_entries =
-        std::max<std::uint64_t>(cfg.geom.page_size / 8, 1);
-    tp_entries_ = cfg_.tp_entries == 0 ? max_entries : cfg_.tp_entries;
-    PHFTL_CHECK_MSG(tp_entries_ <= max_entries,
-                    "tp_entries exceeds the page data area (page_size/8)");
-    num_tps_ = (logical_pages_ + tp_entries_ - 1) / tp_entries_;
-    gtd_.assign(num_tps_, kInvalidPpn);
-    const std::uint64_t cmt_cap = std::max<std::uint64_t>(cfg_.cmt_pages, 1);
-    cmt_.reset(cmt_cap);
-    cmt_entries_.assign(cmt_cap * tp_entries_, kInvalidPpn);
-    cmt_dirty_.assign(cmt_cap, 0);
-    trans_open_.assign(num_streams_, OpenStream::kNoSb);
-    if (cfg_.learned_index) {
-      learned_.reset(logical_pages_, tp_entries_, cfg_.learned_error_bound);
-    }
-  }
   PHFTL_CHECK_MSG(!cfg_.learned_index || cfg_.mapping_tier,
                   "learned_index requires mapping_tier");
+  if (cfg_.mapping_tier) tier_ = std::make_unique<MappingTier>(*this, cfg_);
   register_ftl_metrics();
 }
 
@@ -177,44 +166,7 @@ void FtlBase::register_ftl_metrics() {
                  "pages",
                  "host reads of unmapped LPNs (never written, or trimmed), "
                  "served as zero-fill without touching flash");
-  m.counter_view("ftl.map.cmt_hits", &stats_.cmt_hits, "lookups",
-                 "mapping-tier lookups served by a resident translation "
-                 "page");
-  m.counter_view("ftl.map.cmt_misses", &stats_.cmt_misses, "lookups",
-                 "mapping-tier lookups that missed the CMT (segment fetched "
-                 "from flash, adopted from the write-back buffer, or "
-                 "materialized empty)");
-  m.counter_view("ftl.map.translation_reads", &stats_.trans_reads, "pages",
-                 "translation pages fetched from flash (CMT demand misses + "
-                 "GC reads of non-resident valid translation pages)");
-  m.counter_view("ftl.map.translation_writes", &stats_.trans_writes, "pages",
-                 "translation pages programmed (dirty write-backs + GC "
-                 "migrations + mount-time reconciliation); part of "
-                 "flash_writes(), so WA charges the tier");
-  m.counter_view("ftl.map.translation_gc_writes", &stats_.trans_gc_writes,
-                 "pages",
-                 "GC migrations of valid translation pages (a subset of "
-                 "ftl.map.translation_writes)");
-  wb_flushes_ctr_ =
-      &m.counter("ftl.map.wb_flushes", "flushes",
-                 "batched write-back flushes of evicted dirty translation "
-                 "pages");
-  trans_reconciled_ctr_ =
-      &m.counter("ftl.map.reconciled", "pages",
-                 "translation pages rewritten at mount because their flash "
-                 "copy trailed the OOB-rebuilt truth (dirty CMT state lost "
-                 "to the cut, or trims replayed past them)");
-  m.counter_view("ftl.map.learned_hits", &stats_.learned_hits, "lookups",
-                 "CMT misses served by an OOB-verified learned-index "
-                 "prediction instead of a translation-page fetch");
-  m.counter_view("ftl.map.learned_mispredicts", &stats_.learned_mispredicts,
-                 "lookups",
-                 "learned predictions whose probe window failed OOB "
-                 "verification (fell back to the GTD/CMT path)");
-  m.counter_view("ftl.map.learned_probe_reads", &stats_.learned_probe_reads,
-                 "pages",
-                 "wasted learned-probe page reads (failed OOB verifications; "
-                 "a hit's successful probe is the data read itself)");
+  MappingTier::register_counters(m, stats_, tier_.get());
   recovery_mounts_ctr_ = &m.counter("recovery.mounts", "mounts",
                                     "recover() calls (unclean-shutdown "
                                     "mounts serviced)");
@@ -288,29 +240,7 @@ void FtlBase::register_ftl_metrics() {
   wear_max_gauge_ = &m.gauge("flash.wear_max", "erases",
                              "highest erase count among in-service "
                              "superblocks");
-  cmt_hit_rate_gauge_ =
-      &m.gauge("ftl.map.cmt_hit_rate", "ratio",
-               "CMT hits / (hits + misses) over the run so far");
-  map_ram_gauge_ = &m.gauge("ftl.map.ram_bytes", "bytes",
-                            "mapping-tier RAM footprint (GTD + CMT slab + "
-                            "cache index + write-back buffer capacity; "
-                            "docs/MAPPING.md methodology)");
-  read_amp_gauge_ =
-      &m.gauge("ftl.map.read_amplification", "ratio",
-               "(host flash reads + host-path translation fetches + wasted "
-               "learned probes) / host reads including unmapped zero-fills "
-               "— the demand-paging double-read penalty");
-  trans_wa_gauge_ = &m.gauge("ftl.map.translation_wa", "ratio",
-                             "translation pages programmed per user page "
-                             "written (the tier's own WA contribution)");
-  learned_segments_gauge_ =
-      &m.gauge("ftl.map.learned_segments", "segments",
-               "piecewise-linear segments the learned index currently "
-               "holds (tracks sequential runs, not translation pages)");
-  learned_bytes_gauge_ =
-      &m.gauge("ftl.map.learned_index_bytes", "bytes",
-               "learned-index model RAM (charged into ftl.map.ram_bytes; "
-               "docs/MAPPING.md methodology)");
+  MappingTier::register_gauges(m, tier_.get());
 }
 
 void FtlBase::refresh_observability() {
@@ -327,30 +257,7 @@ void FtlBase::refresh_observability() {
   gc_inflight_moved_gauge_->set(static_cast<double>(round_.moved));
   wear_spread_gauge_->set(wear_spread());
   wear_max_gauge_->set(static_cast<double>(wear_max_));
-  if (cfg_.mapping_tier) {
-    const std::uint64_t lookups = stats_.cmt_hits + stats_.cmt_misses;
-    cmt_hit_rate_gauge_->set(
-        lookups == 0 ? 0.0
-                     : static_cast<double>(stats_.cmt_hits) /
-                           static_cast<double>(lookups));
-    map_ram_gauge_->set(static_cast<double>(mapping_ram_bytes()));
-    const std::uint64_t host_reads_total =
-        stats_.host_reads + stats_.host_reads_unmapped;
-    read_amp_gauge_->set(
-        host_reads_total == 0
-            ? 0.0
-            : static_cast<double>(stats_.host_reads +
-                                  stats_.trans_reads_host +
-                                  stats_.learned_probe_reads_host) /
-                  static_cast<double>(host_reads_total));
-    trans_wa_gauge_->set(
-        stats_.user_writes == 0
-            ? 0.0
-            : static_cast<double>(stats_.trans_writes) /
-                  static_cast<double>(stats_.user_writes));
-    learned_segments_gauge_->set(static_cast<double>(learned_segments()));
-    learned_bytes_gauge_->set(static_cast<double>(learned_index_bytes()));
-  }
+  if (tier_) tier_->refresh_observability();
 }
 
 double FtlBase::wear_mean() const {
@@ -431,13 +338,9 @@ std::uint64_t FtlBase::capacity_watermark_pages() const {
   // before the first trim).
   std::uint64_t reserve = gc_trigger_count_ + flash_.bad_block_count() +
                           std::max<std::uint64_t>(journal_sbs_.size(), 1);
-  if (cfg_.mapping_tier) {
-    // The translation-page working set needs room of its own: every live
-    // TP holds one flash page, plus one superblock of slack for the
-    // write-new-before-invalidate-old churn.
-    const std::uint64_t ppsb = geom().pages_per_superblock();
-    reserve += (num_tps_ + ppsb - 1) / ppsb + 1;
-  }
+  // The translation-page working set needs room of its own.
+  if (tier_)
+    reserve += tier_->reserve_superblocks(geom().pages_per_superblock());
   const std::uint64_t total = geom().num_superblocks();
   if (reserve >= total) return 0;
   return (total - reserve) * data_capacity(0);
@@ -522,13 +425,12 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
   // healthy drive never gets past the empty() test (GC keeps the pool at
   // its floor).
   const bool new_mapping = l2p_[lpn] == kInvalidPpn;
-  const auto has_room = [&](const OpenStream& os) {
-    return os.sb != OpenStream::kNoSb &&
-           flash_.write_pointer(os.sb) < data_capacity(os.sb);
+  const auto has_room = [&](std::uint64_t sb) {
+    return sb != kNoSb && flash_.write_pointer(sb) < data_capacity(sb);
   };
   if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages() ||
       (free_pool_.empty() &&
-       std::none_of(open_.begin(), open_.end(), has_room))) {
+       std::none_of(open_.begin(), open_.begin() + num_streams_, has_room))) {
     PHFTL_CHECK_MSG(checked,
                     "host write rejected (ENOSPC: capacity watermark or end "
                     "of life); use try_write_page()/submit_checked() to "
@@ -548,16 +450,15 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
   invalidate(lpn);
 
   const std::uint32_t stream = classify_user_write(lpn, ctx);
-  PHFTL_CHECK(stream < num_streams_);
 
   OobData oob;
   oob.lpn = lpn;
   oob.write_time = virtual_clock_;
   fill_user_oob(lpn, oob);
-  const Ppn ppn = append(stream, lpn, /*payload=*/lpn ^ 0x5bd1e995ULL, oob);
+  const Ppn ppn = append(stream, /*payload=*/lpn ^ 0x5bd1e995ULL, oob);
   l2p_[lpn] = ppn;
   gc_count_[ppn] = 0;
-  if (cfg_.mapping_tier) map_update(lpn, ppn);
+  if (tier_) tier_->update(lpn, ppn);
   if (new_mapping) ++mapped_count_;
   if (tombstone_[lpn]) {  // rewrite supersedes any journaled trim
     tombstone_[lpn] = 0;
@@ -576,8 +477,7 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
 
 std::uint64_t FtlBase::read_page(Lpn lpn) {
   PHFTL_CHECK(lpn < logical_pages_);
-  const Ppn ppn =
-      cfg_.mapping_tier ? map_lookup(lpn, /*host_read=*/true) : l2p_[lpn];
+  const Ppn ppn = tier_ ? tier_->lookup(lpn, /*host_read=*/true) : l2p_[lpn];
   if (ppn == kInvalidPpn) {
     // Zero-fill, no flash touched — but it is real host traffic, and the
     // mapping tier's read-amplification denominator needs an honest read
@@ -601,24 +501,14 @@ std::uint64_t FtlBase::trim_range(Lpn start, std::uint64_t n) {
                   "trim beyond logical capacity");
   // Unmap in RAM first, collecting the *effective* runs (pages that were
   // actually mapped); already-unmapped pages are no-ops and neither counted
-  // nor journaled. The loop is sequential, so each run is contiguous.
+  // nor journaled.
   std::vector<std::uint64_t> pairs;  // (start, len) range records
-  Lpn run_start = 0;
-  std::uint64_t run_len = 0;
   std::uint64_t effective = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Lpn lpn = start + i;
-    if (l2p_[lpn] == kInvalidPpn) {
-      if (run_len > 0) {
-        pairs.push_back(run_start);
-        pairs.push_back(run_len);
-        run_len = 0;
-      }
-      continue;
-    }
+  for (Lpn lpn = start; lpn < start + n; ++lpn) {
+    if (l2p_[lpn] == kInvalidPpn) continue;
     invalidate(lpn);
     l2p_[lpn] = kInvalidPpn;
-    if (cfg_.mapping_tier) map_update(lpn, kInvalidPpn);
+    if (tier_) tier_->update(lpn, kInvalidPpn);
     PHFTL_CHECK(mapped_count_ > 0);
     --mapped_count_;
     if (!tombstone_[lpn]) {
@@ -627,12 +517,7 @@ std::uint64_t FtlBase::trim_range(Lpn start, std::uint64_t n) {
     }
     ++stats_.trims;
     ++effective;
-    if (run_len == 0) run_start = lpn;
-    ++run_len;
-  }
-  if (run_len > 0) {
-    pairs.push_back(run_start);
-    pairs.push_back(run_len);
+    add_to_runs(pairs, lpn);
   }
   // Persist the trim before acknowledging it: recovery replays these
   // records after the OOB rebuild so stale copies cannot resurrect.
@@ -646,58 +531,27 @@ void FtlBase::append_journal_records(const std::vector<std::uint64_t>& pairs) {
   // 16 bytes per (start, len) record; chunk to what one page data area holds.
   const std::uint64_t max_u64s =
       std::max<std::uint64_t>(geom().page_size / 16, 1) * 2;
-  for (std::size_t i = 0; i < pairs.size(); i += max_u64s) {
-    const std::size_t end = std::min<std::size_t>(pairs.size(), i + max_u64s);
-    append_journal_page(std::vector<std::uint64_t>(
-        pairs.begin() + static_cast<std::ptrdiff_t>(i),
-        pairs.begin() + static_cast<std::ptrdiff_t>(end)));
-  }
+  for (std::size_t i = 0; i < pairs.size(); i += max_u64s)
+    append_journal_page(std::span(pairs).subspan(
+        i, std::min<std::size_t>(pairs.size() - i, max_u64s)));
   if (journal_pages_used_ >= journal_compact_threshold_ && !in_compaction_)
     compact_trim_journal();
 }
 
-void FtlBase::append_journal_page(std::vector<std::uint64_t> chunk) {
+void FtlBase::append_journal_page(std::span<const std::uint64_t> chunk) {
   PHFTL_CHECK(!chunk.empty());
   const std::uint64_t records = chunk.size() / 2;
-  // Program failures restart the loop like append(): the failing journal
-  // superblock is closed and marked pending-retire (compaction, not GC,
-  // reclaims journal blocks) and the record retries on a fresh superblock.
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    PHFTL_CHECK_MSG(attempt < 64, "journal program retry limit exceeded");
-    if (journal_sb_ == OpenStream::kNoSb) {
-      if (free_pool_.empty()) maybe_gc();
-      journal_sb_ = allocate_superblock(/*stream=*/0);
-      is_journal_sb_[journal_sb_] = 1;
-      journal_sbs_.push_back(journal_sb_);
-    }
-    OobData oob;  // journal pages carry no logical mapping (lpn stays ~0)
-    oob.kind = PageKind::kTrimJournal;
-    oob.write_time = virtual_clock_;
-    // Tombstone cutoff: every data copy of a trimmed LPN existing at this
-    // moment has program_seq <= this value; any rewrite lands above it.
-    oob.trim_seq = flash_.program_seq();
-    const Ppn ppn = flash_.program_blob(journal_sb_, oob, chunk);
-    if (ppn == kInvalidPpn) {
-      note_program_failure(journal_sb_);
-      close_superblock(journal_sb_, /*indexed=*/false);
-      journal_sb_ = OpenStream::kNoSb;
-      continue;
-    }
-    ++stats_.journal_writes;
-    ++journal_pages_used_;
-    journal_records_ctr_->add(records);
-    obs_.trace().record(obs::TraceEventType::kTrimJournalAppend,
-                        virtual_clock_, ppn, records);
-    obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
-                        ppn, 0, 0);
-    if (flash_.write_pointer(journal_sb_) >= geom().pages_per_superblock()) {
-      // Journal superblocks never enter the victim index: GC must not erase
-      // records that are still the only durable copy of a trim.
-      close_superblock(journal_sb_, /*indexed=*/false);
-      journal_sb_ = OpenStream::kNoSb;
-    }
-    return;
-  }
+  OobData oob;  // journal pages carry no logical mapping (lpn stays ~0)
+  oob.kind = PageKind::kTrimJournal;
+  oob.write_time = virtual_clock_;
+  program_page(SbKind::kJournal, /*stream=*/0, oob, /*payload=*/0, chunk,
+               [&](Ppn ppn, std::uint32_t) {
+                 ++stats_.journal_writes;
+                 ++journal_pages_used_;
+                 journal_records_ctr_->add(records);
+                 obs_.trace().record(obs::TraceEventType::kTrimJournalAppend,
+                                     virtual_clock_, ppn, records);
+               });
 }
 
 void FtlBase::compact_trim_journal() {
@@ -709,41 +563,22 @@ void FtlBase::compact_trim_journal() {
   // (replay is idempotent, duplicates are harmless).
   std::vector<std::uint64_t> old_sbs;
   old_sbs.swap(journal_sbs_);
-  if (journal_sb_ != OpenStream::kNoSb) {
-    close_superblock(journal_sb_, /*indexed=*/false);
-    journal_sb_ = OpenStream::kNoSb;
+  if (std::uint64_t& open = open_slot(SbKind::kJournal, 0); open != kNoSb) {
+    close_superblock(open);
+    open = kNoSb;
   }
   journal_pages_used_ = 0;
 
   // Rewrite the live tombstone set densely (coalesced runs, full pages).
   if (live_tombstones_ > 0) {
     std::vector<std::uint64_t> pairs;
-    Lpn run_start = 0;
-    std::uint64_t run_len = 0;
-    for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-      if (!tombstone_[lpn]) {
-        if (run_len > 0) {
-          pairs.push_back(run_start);
-          pairs.push_back(run_len);
-          run_len = 0;
-        }
-        continue;
-      }
-      if (run_len == 0) run_start = lpn;
-      ++run_len;
-    }
-    if (run_len > 0) {
-      pairs.push_back(run_start);
-      pairs.push_back(run_len);
-    }
+    for (Lpn lpn = 0; lpn < logical_pages_; ++lpn)
+      if (tombstone_[lpn]) add_to_runs(pairs, lpn);
     append_journal_records(pairs);  // in_compaction_ blocks recursion
   }
 
   // Reclaim the superseded journal superblocks.
-  for (const std::uint64_t sb : old_sbs) {
-    is_journal_sb_[sb] = 0;
-    dispose_drained_superblock(sb);
-  }
+  for (const std::uint64_t sb : old_sbs) dispose_drained_superblock(sb);
 
   ++stats_.trim_journal_compactions;
   // Re-derive the threshold from the surviving footprint so a large live
@@ -753,6 +588,41 @@ void FtlBase::compact_trim_journal() {
   obs_.trace().record(obs::TraceEventType::kTrimJournalCompact,
                       virtual_clock_, journal_pages_used_, live_tombstones_);
   in_compaction_ = false;
+}
+
+// --- Superblock kinds ---
+//
+// Data, translation and journal pages share one program path
+// (program_page); the rules that differ by kind are these.
+
+/// GC collects data and translation superblocks alike (translation pages
+/// are first-class GC citizens, after Dayan & Bonnet): their pages are
+/// valid pages charged to a stream, and a closed block is a victim
+/// candidate. Journal records belong to no stream and no GC round: they
+/// are the only durable copy of a trim until compaction, not GC, rewrites
+/// them, so a journal block never enters the victim index.
+bool FtlBase::gc_collects(SbKind kind) { return kind != SbKind::kJournal; }
+
+/// Translation and journal appends may run GC for a fresh superblock
+/// before they borrow (maybe_gc() is a no-op inside a GC step). Data
+/// appends borrow at once: they come from GC itself, or from a host write
+/// that maybe_gc() follows.
+bool FtlBase::reclaims_before_borrowing(SbKind kind) {
+  return kind != SbKind::kData;
+}
+
+/// A data superblock closes at the scheme's data capacity, after
+/// finalize_superblock() fills its meta-page tail; translation and journal
+/// superblocks have no tail and close at the raw superblock boundary.
+std::uint64_t FtlBase::fill_limit(SbKind kind, std::uint64_t sb) const {
+  return kind == SbKind::kData ? data_capacity(sb)
+                               : geom().pages_per_superblock();
+}
+
+void FtlBase::mark_valid(Ppn ppn, std::uint64_t sb, std::uint64_t owner) {
+  p2l_[ppn] = owner;
+  valid_bit_[ppn] = 1;
+  ++sb_meta_[sb].valid_count;
 }
 
 void FtlBase::drop_page(Ppn ppn) {
@@ -782,7 +652,8 @@ void FtlBase::invalidate(Lpn lpn) {
   on_page_invalidated(lpn, old, virtual_clock_);
 }
 
-std::uint64_t FtlBase::allocate_superblock(std::uint32_t stream) {
+std::uint64_t FtlBase::allocate_superblock(SbKind kind,
+                                           std::uint32_t stream) {
   PHFTL_CHECK_MSG(!free_pool_.empty(),
                   "free pool exhausted: GC cannot make progress");
   std::size_t pick = 0;
@@ -799,15 +670,18 @@ std::uint64_t FtlBase::allocate_superblock(std::uint32_t stream) {
   flash_.open_superblock(sb);
   sb_meta_[sb].stream = stream;
   sb_meta_[sb].close_time = 0;
+  sb_meta_[sb].kind = kind;
+  if (kind == SbKind::kJournal) journal_sbs_.push_back(sb);
   obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
                       sb, 0, stream);
   return sb;
 }
 
-void FtlBase::close_superblock(std::uint64_t sb, bool indexed) {
+void FtlBase::close_superblock(std::uint64_t sb) {
   flash_.close_superblock(sb);
   sb_meta_[sb].close_time = virtual_clock_;
-  if (indexed) victim_index_.insert(sb, sb_meta_[sb].valid_count);
+  if (gc_collects(sb_meta_[sb].kind))
+    victim_index_.insert(sb, sb_meta_[sb].valid_count);
   obs_.trace().record(obs::TraceEventType::kSuperblockClose, virtual_clock_,
                       sb, sb_meta_[sb].valid_count, sb_meta_[sb].stream);
 }
@@ -822,45 +696,51 @@ void FtlBase::note_program_failure(std::uint64_t sb) {
   }
 }
 
-Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
-                    const OobData& oob) {
+template <typename OnProgrammed>
+Ppn FtlBase::program_page(SbKind kind, std::uint32_t stream, OobData& oob,
+                          std::uint64_t payload,
+                          std::span<const std::uint64_t> blob,
+                          OnProgrammed&& on_programmed) {
   // Program failures restart the loop: the failing superblock is closed and
   // marked for retirement, and the page retries on a fresh superblock. The
   // attempt bound only trips under absurd fault rates (each attempt consumes
   // a whole superblock).
+  PHFTL_CHECK(stream < num_streams_);
   for (std::uint32_t attempt = 0;; ++attempt) {
     PHFTL_CHECK_MSG(attempt < 64, "program retry limit exceeded");
     std::uint32_t target = stream;
-    if (open_[stream].sb == OpenStream::kNoSb && free_pool_.empty()) {
-      // Memory-pressure fallback: GC migration may transiently need a fresh
-      // superblock when none is free. Borrow space from any stream that
-      // still has an open superblock (real firmware mixes streams under
-      // pressure) rather than deadlocking; separation quality degrades for
-      // those few pages only. Host writes reach here only at device
-      // end-of-life (wear retirement drained the pool): the admission
-      // check guarantees an open superblock with room exists, so the
-      // drive's last pages mix streams instead of crashing.
-      bool found = false;
-      for (std::uint32_t s = 0; s < num_streams_; ++s) {
-        if (open_[s].sb != OpenStream::kNoSb) {
-          target = s;
-          found = true;
-          break;
+    if (open_slot(kind, stream) == kNoSb && free_pool_.empty()) {
+      if (reclaims_before_borrowing(kind)) maybe_gc();
+      if (free_pool_.empty()) {
+        // Memory-pressure fallback: borrow any open superblock of the same
+        // kind (real firmware mixes streams under pressure) rather than
+        // deadlock; separation quality degrades for those few pages only.
+        // Host writes reach here only at device end of life (wear
+        // retirement drained the pool): the admission check guarantees an
+        // open superblock with room exists, so the drive's last pages mix
+        // streams instead of crashing.
+        target = 0;
+        while (target < num_streams_ && open_slot(kind, target) == kNoSb)
+          ++target;
+        if (target == num_streams_) {
+          // Fault-driven end of life: a program failure closed the last
+          // open superblock and the pool is empty. A GC data migration ends
+          // its round (gc_step); the host then sees ENOSPC at admission
+          // (docs/RECOVERY.md).
+          PHFTL_CHECK_MSG(in_gc_ && kind == SbKind::kData,
+                          "capacity exhausted: no open superblock left");
+          return kInvalidPpn;
         }
+        ++stats_.stream_borrows;
       }
-      if (!found) {
-        // Fault-driven end of life: a program failure closed the last open
-        // superblock and the pool is empty. GC ends its round (gc_step);
-        // the host then sees ENOSPC at admission (docs/RECOVERY.md).
-        PHFTL_CHECK_MSG(in_gc_, "capacity exhausted: no open superblock left");
-        return kInvalidPpn;
-      }
-      ++stats_.stream_borrows;
     }
-    OpenStream& os = open_[target];
-    if (os.sb == OpenStream::kNoSb) os.sb = allocate_superblock(target);
-
-    const Ppn ppn = flash_.program(os.sb, payload, oob);
+    std::uint64_t& sb = open_slot(kind, target);
+    if (sb == kNoSb) sb = allocate_superblock(kind, target);
+    // Tombstone cutoff: every data copy of a trimmed LPN existing at this
+    // moment has program_seq <= this value; any rewrite lands above it.
+    if (kind == SbKind::kJournal) oob.trim_seq = flash_.program_seq();
+    const Ppn ppn = blob.empty() ? flash_.program(sb, payload, oob)
+                                 : flash_.program_blob(sb, oob, blob);
     if (ppn == kInvalidPpn) {
       // Program abort: the targeted page is consumed and empty. A block
       // that failed a program is untrustworthy — close it immediately
@@ -868,29 +748,34 @@ Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
       // block; their content is recoverable from the per-page OOB copies)
       // and mark it for retirement. Its valid pages stay readable; GC will
       // drain them and retire the block instead of erasing it.
-      note_program_failure(os.sb);
-      close_superblock(os.sb, /*indexed=*/true);
-      os.sb = OpenStream::kNoSb;
+      note_program_failure(sb);
+      close_superblock(sb);
+      sb = kNoSb;
       continue;
     }
-    p2l_[ppn] = lpn;
-    valid_bit_[ppn] = 1;
-    ++sb_meta_[os.sb].valid_count;
-    stream_flash_writes_[target]->inc();
+    if (gc_collects(kind)) {
+      mark_valid(ppn, sb, kind == SbKind::kTranslation ? oob.tpn : oob.lpn);
+      stream_flash_writes_[target]->inc();
+    }
+    on_programmed(ppn, target);
     obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
                         ppn, 0, target);
-
-    // Close the superblock when its data region fills. finalize_superblock()
-    // may program meta pages into the tail first (PHFTL, Fig. 4).
-    if (flash_.write_pointer(os.sb) >= data_capacity(os.sb)) {
-      finalize_superblock(os.sb);
-      // Any tail pages finalize did not use are skipped (left unprogrammed);
-      // real firmware pads them. They are simply not mapped.
-      close_superblock(os.sb, /*indexed=*/true);
-      os.sb = OpenStream::kNoSb;
+    if (flash_.write_pointer(sb) >= fill_limit(kind, sb)) {
+      // finalize_superblock() may program meta pages into a data block's
+      // tail first (PHFTL, Fig. 4). Any tail pages it did not use are
+      // skipped (left unprogrammed); real firmware pads them.
+      if (kind == SbKind::kData) finalize_superblock(sb);
+      close_superblock(sb);
+      sb = kNoSb;
     }
     return ppn;
   }
+}
+
+Ppn FtlBase::append(std::uint32_t stream, std::uint64_t payload,
+                    OobData& oob) {
+  return program_page(SbKind::kData, stream, oob, payload, {},
+                      [](Ppn, std::uint32_t) {});
 }
 
 Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
@@ -920,30 +805,19 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
   std::fill(p2l_.begin(), p2l_.end(), kInvalidLpn);
   std::fill(valid_bit_.begin(), valid_bit_.end(), 0);
   std::fill(gc_count_.begin(), gc_count_.end(), 0);
-  for (auto& meta : sb_meta_) meta.valid_count = 0;
-  std::fill(is_journal_sb_.begin(), is_journal_sb_.end(), 0);
+  for (auto& meta : sb_meta_) {
+    meta.valid_count = 0;
+    meta.kind = SbKind::kData;
+  }
   std::fill(tombstone_.begin(), tombstone_.end(), 0);
   journal_sbs_.clear();
-  journal_sb_ = OpenStream::kNoSb;
+  open_slot(SbKind::kJournal, 0) = kNoSb;
   journal_pages_used_ = 0;
   live_tombstones_ = 0;
   mapped_count_ = 0;
-  std::fill(is_translation_sb_.begin(), is_translation_sb_.end(), 0);
-  std::vector<std::uint64_t> trans_best_seq;
-  if (cfg_.mapping_tier) {
-    // Resident and buffered translation state is volatile; flash copies
-    // are re-discovered below and reconciled by recover().
-    std::fill(gtd_.begin(), gtd_.end(), kInvalidPpn);
-    cmt_.clear();
-    std::fill(cmt_dirty_.begin(), cmt_dirty_.end(), 0);
-    wb_buffer_.clear();
-    wb_inflight_tpn_ = kInvalidLpn;
-    wb_inflight_blob_.clear();
-    // The learned model died with RAM too; reconciliation retrains every
-    // still-mapped translation page from the rebuilt truth.
-    if (cfg_.learned_index) learned_.clear();
-    trans_best_seq.assign(num_tps_, 0);
-  }
+  // Resident and buffered translation state is volatile; flash copies are
+  // re-discovered below and reconciled by recover().
+  if (tier_) tier_->forget();
 
   // Pass 1: the newest copy (highest program sequence) of each LPN wins.
   // Free blocks hold nothing; bad blocks are excluded because their
@@ -964,8 +838,8 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
       ++oob_scans;
       const OobData& oob = flash_.read_oob(ppn);
       if (oob.kind == PageKind::kTrimJournal) {
-        if (!is_journal_sb_[sb]) {
-          is_journal_sb_[sb] = 1;
+        if (sb_meta_[sb].kind != SbKind::kJournal) {
+          sb_meta_[sb].kind = SbKind::kJournal;
           journal_sbs_.push_back(sb);
         }
         ++journal_pages_used_;
@@ -975,14 +849,10 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
         // Keyed by tpn, not lpn: the newest flash copy of each translation
         // page rebuilds the GTD. A tier-off mount over tier-on flash state
         // is a config error, caught here rather than silently dropped.
-        PHFTL_CHECK_MSG(cfg_.mapping_tier,
+        PHFTL_CHECK_MSG(tier_ != nullptr,
                         "translation pages on flash but mapping_tier off");
-        is_translation_sb_[sb] = 1;
-        PHFTL_CHECK(oob.tpn < num_tps_);
-        if (oob.program_seq > trans_best_seq[oob.tpn]) {
-          trans_best_seq[oob.tpn] = oob.program_seq;
-          gtd_[oob.tpn] = ppn;
-        }
+        sb_meta_[sb].kind = SbKind::kTranslation;
+        tier_->note_flash_copy(ppn, oob);
         continue;
       }
       if (oob.lpn == kInvalidLpn) continue;  // meta page, not user data
@@ -998,28 +868,23 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
   for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
     const Ppn ppn = l2p_[lpn];
     if (ppn == kInvalidPpn) continue;
-    p2l_[ppn] = lpn;
-    valid_bit_[ppn] = 1;
+    mark_valid(ppn, geom().superblock_of(ppn), lpn);
     gc_count_[ppn] = flash_.read_oob(ppn).gc_count;
-    ++sb_meta_[geom().superblock_of(ppn)].valid_count;
     ++mapped_count_;
   }
   // Pass 2b: live translation pages are valid flash pages too (p2l_ holds
-  // their tpn), but they map no LPN and stay out of mapped_count_. With
-  // the tier off there are no translation pages (num_tps_ == 0).
-  for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn) {
-    const Ppn ppn = gtd_[tpn];
-    if (ppn == kInvalidPpn) continue;
-    p2l_[ppn] = tpn;
-    valid_bit_[ppn] = 1;
-    ++sb_meta_[geom().superblock_of(ppn)].valid_count;
-  }
+  // their tpn), but they map no LPN and stay out of mapped_count_.
+  if (tier_)
+    tier_->for_each_live_copy([&](std::uint64_t tpn, Ppn ppn) {
+      mark_valid(ppn, geom().superblock_of(ppn), tpn);
+    });
 
   // Pass 3: rebuild the victim index from the recovered counts. Journal
   // superblocks stay out — only compaction may reclaim them.
   victim_index_.reset(geom().num_superblocks(), geom().pages_per_superblock());
   for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb)
-    if (flash_.state(sb) == SuperblockState::kClosed && !is_journal_sb_[sb])
+    if (flash_.state(sb) == SuperblockState::kClosed &&
+        gc_collects(sb_meta_[sb].kind))
       victim_index_.insert(sb, sb_meta_[sb].valid_count);
   return oob_scans;
 }
@@ -1108,9 +973,7 @@ RecoveryReport FtlBase::recover() {
 
   // Step 2: everything RAM-only is gone. (Journal extent, tombstone set,
   // and mapped count are re-derived from flash by the rebuild + replay.)
-  for (auto& os : open_) os.sb = OpenStream::kNoSb;
-  std::fill(trans_open_.begin(), trans_open_.end(), OpenStream::kNoSb);
-  in_wb_flush_ = false;
+  std::fill(open_.begin(), open_.end(), kNoSb);
   std::fill(pending_retire_.begin(), pending_retire_.end(), 0);
   pending_retire_count_ = 0;
   prev_req_end_ = kInvalidLpn;
@@ -1184,10 +1047,8 @@ RecoveryReport FtlBase::recover() {
   // flash copies still carry). Rewrite exactly the diverged pages so the
   // tier's invariant holds from the first post-mount lookup. Runs after
   // on_recovery: the rewrites can trigger GC, whose classify hooks need
-  // the scheme state already re-derived. A no-op with the tier off.
-  for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn)
-    if (gtd_[tpn] != kInvalidPpn) ++rep.trans_gtd_rebuilt;
-  reconcile_translation_pages(rep);
+  // the scheme state already re-derived.
+  if (tier_) tier_->reconcile(rep);
 
   // Step 7: compact the journal down to (at most) one fresh superblock.
   // Detected journal superblocks are all closed, so without this every
@@ -1313,18 +1174,19 @@ void FtlBase::drain() {
   // victim out of the victim index while harnesses compare final state.
   // An unbounded step always ends the round (drained or, at end of life,
   // abandoned).
-  if (round_.victim != kNoVictim) gc_step(~0ULL);
-  // Flush the write-back buffer so every buffered translation write is on
-  // flash and charged to WA before harnesses read the counters. Flushing
-  // can trigger GC (which may evict more dirty pages into a fresh buffer),
-  // so iterate to quiescence. Dirty *resident* CMT entries intentionally
-  // stay put — like a real cache, only eviction writes them back. With the
-  // tier off the buffer is always empty.
-  std::uint64_t spins = 0;
-  while (!wb_buffer_.empty() || round_.victim != kNoVictim) {
-    PHFTL_CHECK_MSG(spins++ < num_tps_ * 64 + 64, "drain not converging");
-    flush_wb_buffer();
+  //
+  // Then flush the tier's write-back buffer so every buffered translation
+  // write is on flash and charged to WA before harnesses read the
+  // counters. Flushing can trigger GC (which may evict more dirty pages
+  // into a fresh buffer), so iterate to quiescence. Dirty *resident* CMT
+  // entries intentionally stay put — like a real cache, only eviction
+  // writes them back.
+  for (std::uint64_t spins = 0;; ++spins) {
     if (round_.victim != kNoVictim) gc_step(~0ULL);
+    if (!tier_ || tier_->wb_pending() == 0) return;
+    PHFTL_CHECK_MSG(spins < tier_->num_translation_pages() * 64 + 64,
+                    "drain not converging");
+    tier_->flush();
   }
 }
 
@@ -1346,10 +1208,11 @@ bool FtlBase::gc_begin_round() {
   const auto room = [&] {
     std::uint64_t pages = 0;
     for (const std::uint64_t sb : free_pool_) pages += data_capacity(sb);
-    for (const auto& os : open_) {
-      if (os.sb == OpenStream::kNoSb) continue;
-      const std::uint64_t wp = flash_.write_pointer(os.sb);
-      const std::uint64_t cap = data_capacity(os.sb);
+    for (std::uint32_t s = 0; s < num_streams_; ++s) {
+      const std::uint64_t sb = open_slot(SbKind::kData, s);
+      if (sb == kNoSb) continue;
+      const std::uint64_t wp = flash_.write_pointer(sb);
+      const std::uint64_t cap = data_capacity(sb);
       pages += cap > wp ? cap - wp : 0;
     }
     return pages;
@@ -1403,12 +1266,12 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     if (!valid_bit_[ppn]) continue;
     // The OOB metadata copy travels with the page (§III-C: it spares GC
     // from reading meta pages). Translation pages are first-class GC
-    // citizens (Dayan & Bonnet): the per-page kind check (not
-    // is_translation_sb_) keeps the round correct even when pool-pressure
-    // borrowing mixed page kinds into one block.
+    // citizens (Dayan & Bonnet); the tier picks their freshest content and
+    // programs it through append_translation_page, which drops this copy.
     const OobData& src = flash_.read_oob(ppn);
     if (src.kind == PageKind::kTranslation) {
-      gc_migrate_translation_page(victim, ppn);
+      tier_->migrate(ppn);
+      if (round_.wear_level) ++stats_.wl_migrations;
       ++moved;
       continue;
     }
@@ -1422,12 +1285,11 @@ bool FtlBase::gc_step(std::uint64_t budget) {
         std::min<std::uint32_t>(gc_count_[ppn] + 1, cfg_.max_gc_streams));
     oob.gc_count = new_count;  // keep the OOB copy recovery-accurate
     const std::uint32_t stream = classify_gc_write(lpn, new_count, oob);
-    PHFTL_CHECK(stream < num_streams_);
 
     // Append first, then clear the old copy: at fault-driven end of life
     // the append can find no destination, and the page must stay valid in
     // place.
-    const Ppn new_ppn = append(stream, lpn, payload, oob);
+    const Ppn new_ppn = append(stream, payload, oob);
     if (new_ppn == kInvalidPpn) {
       stranded = true;
       break;
@@ -1444,7 +1306,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // per victim (Dayan & Bonnet): the victim's LPNs are segment-clustered,
     // so one demand fetch serves a run of migrations and the dirty page
     // writes back once.
-    if (cfg_.mapping_tier) map_update(lpn, new_ppn);
+    if (tier_) tier_->update(lpn, new_ppn);
     ++stats_.gc_writes;
     if (round_.wear_level) ++stats_.wl_migrations;
     ++moved;
@@ -1495,409 +1357,28 @@ bool FtlBase::gc_step(std::uint64_t budget) {
   return true;
 }
 
-// --- Demand-paged mapping tier (docs/MAPPING.md) ---
-//
-// The in-RAM l2p_ stays fully maintained as the ground-truth oracle; with
-// the tier on, every lookup is served from GTD/CMT/flash translation pages
-// and PHFTL_CHECKed against it. The tier's core invariant: for any
-// translation page neither CMT-resident nor in the write-back buffer, the
-// flash blob at gtd_[tpn] equals the l2p_ segment exactly (or the GTD slot
-// is empty and the segment is fully unmapped).
-
-std::uint64_t FtlBase::mapping_ram_bytes() const {
-  if (!cfg_.mapping_tier) return 0;
-  const std::uint64_t cap = cmt_.capacity();
-  // Honest footprint (docs/MAPPING.md methodology): GTD + CMT entry slab +
-  // cache index (slab nodes: 8 B key + 2x4 B links; slot table: 4 B per
-  // slot at <=50% load, power-of-two) + dirty flags + write-back buffer at
-  // its batch capacity.
-  std::uint64_t slots = 16;
-  while (slots < cap * 2) slots <<= 1;
-  return num_tps_ * sizeof(Ppn)                       // GTD
-         + cap * tp_entries_ * sizeof(Ppn)            // CMT entries
-         + cap * 16 + slots * 4                       // FlatMetaCache index
-         + cap                                        // dirty flags
-         + std::max<std::uint64_t>(cfg_.cmt_wb_batch, 1) *
-               (tp_entries_ * sizeof(Ppn) + 8)        // write-back buffer
-         + learned_index_bytes();                     // learned segments
-}
-
-Ppn FtlBase::tier_lookup(Lpn lpn) {
-  PHFTL_CHECK_MSG(cfg_.mapping_tier, "tier_lookup requires mapping_tier");
-  PHFTL_CHECK(lpn < logical_pages_);
-  return map_lookup(lpn, /*host_read=*/false);
-}
-
-bool FtlBase::wb_contains(std::uint64_t tpn) const {
-  for (const auto& entry : wb_buffer_)
-    if (entry.first == tpn) return true;
-  return false;
-}
-
-bool FtlBase::wb_take(std::uint64_t tpn, std::vector<std::uint64_t>& out) {
-  for (std::size_t i = 0; i < wb_buffer_.size(); ++i) {
-    if (wb_buffer_[i].first == tpn) {
-      out = std::move(wb_buffer_[i].second);
-      wb_buffer_.erase(wb_buffer_.begin() + static_cast<std::ptrdiff_t>(i));
-      return true;
-    }
-  }
-  return false;
-}
-
-Ppn FtlBase::map_lookup(Lpn lpn, bool host_read) {
-  const std::uint64_t tpn = lpn / tp_entries_;
-  const std::uint64_t idx = lpn % tp_entries_;
-  // Empty-GTD short circuit: a segment with no flash copy, no residency,
-  // and no buffered write-back has never mapped anything — answer from the
-  // GTD alone, without polluting the CMT or charging a fetch.
-  if (gtd_[tpn] == kInvalidPpn &&
-      cmt_.node_of(tpn) == core::FlatMetaCache::kNoNode &&
-      tpn != wb_inflight_tpn_ && !wb_contains(tpn)) {
-    PHFTL_CHECK(l2p_[lpn] == kInvalidPpn);
-    return kInvalidPpn;
-  }
-  // Learned fast path: only when the owning TP's flash blob is the truth —
-  // non-resident, unbuffered, not mid-flush, GTD-valid (the tier invariant
-  // in docs/MAPPING.md). A verified prediction serves the lookup with zero
-  // CMT traffic; kInvalidPpn means uncovered or mispredicted — fall back.
-  if (cfg_.learned_index && gtd_[tpn] != kInvalidPpn &&
-      cmt_.node_of(tpn) == core::FlatMetaCache::kNoNode &&
-      tpn != wb_inflight_tpn_ && !wb_contains(tpn)) {
-    const Ppn predicted = learned_lookup(lpn, host_read);
-    if (predicted != kInvalidPpn) return predicted;
-  }
-  const std::uint32_t node = cmt_fetch(tpn, /*exempt_idx=*/~0ULL, host_read);
-  const Ppn ppn = cmt_entries_[node * tp_entries_ + idx];
-  PHFTL_CHECK_MSG(ppn == l2p_[lpn],
-                  "mapping tier diverged from the L2P shadow");
-  maybe_flush_wb();
-  return ppn;
-}
-
-Ppn FtlBase::learned_lookup(Lpn lpn, bool host_read) {
-  std::int64_t pred = 0;
-  std::uint32_t radius = 0;
-  if (!learned_.predict(lpn, &pred, &radius)) return kInvalidPpn;
-  const std::int64_t total =
-      static_cast<std::int64_t>(geom().total_pages());
-  std::uint64_t wasted = 0;
-  Ppn found = kInvalidPpn;
-  // Probe outward from the prediction: 0, +1, -1, ... ±radius. Each probe
-  // is one flash page read (data + OOB); it verifies iff the page is a
-  // valid user copy of exactly this LPN — translation/meta/journal pages
-  // carry lpn = kInvalidLpn in their OOB and can never false-match, and a
-  // stale user copy fails the validity bitmap. The probe that verifies IS
-  // the data read; every earlier probe is wasted and charged below.
-  const auto probe = [&](std::int64_t cand) {
-    if (cand < 0 || cand >= total) return false;
-    const Ppn p = static_cast<Ppn>(cand);
-    // Unprogrammed pages need no read: an append-only controller knows
-    // each block's write frontier.
-    if (!flash_.is_programmed(p)) return false;
-    if (valid_bit_[p] && flash_.read_oob(p).lpn == lpn) {
-      found = p;
-      return true;
-    }
-    ++wasted;
-    return false;
-  };
-  if (!probe(pred)) {
-    for (std::int64_t d = 1; d <= static_cast<std::int64_t>(radius); ++d) {
-      if (probe(pred + d) || probe(pred - d)) break;
-    }
-  }
-  stats_.learned_probe_reads += wasted;
-  if (host_read) stats_.learned_probe_reads_host += wasted;
-  if (found != kInvalidPpn) {
-    // valid_bit_ + OOB match imply p2l_[found] == lpn, so this check can
-    // only fire if the validity state itself diverged from the shadow.
-    PHFTL_CHECK_MSG(found == l2p_[lpn],
-                    "verified learned probe diverged from the L2P shadow");
-    ++stats_.learned_hits;
-    obs_.trace().record(obs::TraceEventType::kLearnedHit, virtual_clock_,
-                        found, lpn);
-    return found;
-  }
-  ++stats_.learned_mispredicts;
-  obs_.trace().record(obs::TraceEventType::kLearnedMispredict, virtual_clock_,
-                      static_cast<std::uint64_t>(pred < 0 ? 0 : pred), lpn);
-  return kInvalidPpn;
-}
-
-void FtlBase::map_update(Lpn lpn, Ppn new_ppn) {
-  const std::uint64_t tpn = lpn / tp_entries_;
-  const std::uint64_t idx = lpn % tp_entries_;
-  // Any mapping change — host write, trim, or a data-GC patch riding this
-  // same batched CMT path — makes the trained prediction for this LPN
-  // stale. Punch it out of the model now; the slot is re-covered when the
-  // dirty TP's write-back retrains the range from its new content.
-  if (cfg_.learned_index) learned_.invalidate(lpn);
-  // l2p_[lpn] already holds new_ppn; the fetch's integrity check must skip
-  // exactly this slot (its flash copy legitimately predates the update).
-  const std::uint32_t node = cmt_fetch(tpn, idx, /*host_read=*/false);
-  cmt_entries_[node * tp_entries_ + idx] = new_ppn;
-  cmt_dirty_[node] = 1;
-  maybe_flush_wb();
-}
-
-std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
-                                 bool host_read) {
-  PHFTL_CHECK(tpn < num_tps_);
-  {
-    const std::uint32_t node = cmt_.node_of(tpn);
-    if (node != core::FlatMetaCache::kNoNode) {
-      ++stats_.cmt_hits;
-      const core::CacheAccess acc = cmt_.access(tpn);  // LRU touch
-      PHFTL_CHECK(acc.hit && acc.node == node);
-      obs_.trace().record(obs::TraceEventType::kTransCacheHit, virtual_clock_,
-                          tpn);
-      return node;
-    }
-  }
-  ++stats_.cmt_misses;
-
-  // Content source, newest first: the write-back buffer still owns the
-  // freshest copy of a page evicted dirty (adopting it re-dirties the
-  // entry — its flash copy is stale); otherwise the flash copy; otherwise
-  // the segment has never been written back and materializes empty.
-  std::vector<std::uint64_t> content;
-  bool dirty = false;
-  if (wb_take(tpn, content)) {
-    dirty = true;
-  } else if (tpn == wb_inflight_tpn_) {
-    // The segment's write-back is being programmed right now (this fetch
-    // came from GC triggered by that very program). Adopt the in-flight
-    // content; dirty is conservative — the landing flash copy will match.
-    content = wb_inflight_blob_;
-    dirty = true;
-  } else if (gtd_[tpn] != kInvalidPpn) {
-    content = flash_.read_blob(gtd_[tpn]);
-    ++stats_.trans_reads;
-    if (host_read) ++stats_.trans_reads_host;
-    obs_.trace().record(obs::TraceEventType::kTransFetch, virtual_clock_,
-                        gtd_[tpn], tpn);
-  }
-  content.resize(tp_entries_, kInvalidPpn);
-
-  // A dirty victim must be buffered BEFORE access() recycles its slab slot
-  // for the incoming key (the slot's payload is the victim's content).
-  if (cmt_.size() == cmt_.capacity()) {
-    const std::uint64_t vkey = cmt_.lru_key();
-    const std::uint32_t vnode = cmt_.node_of(vkey);
-    PHFTL_CHECK(vnode != core::FlatMetaCache::kNoNode);
-    if (cmt_dirty_[vnode]) {
-      wb_buffer_.emplace_back(
-          vkey, std::vector<std::uint64_t>(
-                    cmt_entries_.begin() +
-                        static_cast<std::ptrdiff_t>(vnode * tp_entries_),
-                    cmt_entries_.begin() +
-                        static_cast<std::ptrdiff_t>((vnode + 1) *
-                                                    tp_entries_)));
-      cmt_dirty_[vnode] = 0;
-    }
-  }
-  const core::CacheAccess acc = cmt_.access(tpn);
-  PHFTL_CHECK(!acc.hit);
-  std::copy(content.begin(), content.end(),
-            cmt_entries_.begin() +
-                static_cast<std::ptrdiff_t>(acc.node * tp_entries_));
-  cmt_dirty_[acc.node] = dirty ? 1 : 0;
-
-  // Integrity net: whatever the source, the fetched segment must equal the
-  // l2p_ shadow — except the one slot an in-flight update is about to
-  // patch (map_update names it via exempt_idx).
-  const std::uint64_t base = tpn * tp_entries_;
-  for (std::uint64_t i = 0; i < tp_entries_; ++i) {
-    if (i == exempt_idx) continue;
-    const Lpn lpn = base + i;
-    if (lpn >= logical_pages_) break;
-    PHFTL_CHECK_MSG(
-        cmt_entries_[acc.node * tp_entries_ + i] == l2p_[lpn],
-        "fetched translation page diverged from the L2P shadow");
-  }
-  return acc.node;
-}
-
-void FtlBase::maybe_flush_wb() {
-  // Never flush mid-GC-step (the round's budget is the QoS contract) or
-  // reentrantly; drain() and the next host-path trigger pick it up.
-  if (in_wb_flush_ || in_gc_) return;
-  if (wb_buffer_.size() < std::max<std::uint64_t>(cfg_.cmt_wb_batch, 1))
-    return;
-  flush_wb_buffer();
-}
-
-void FtlBase::flush_wb_buffer() {
-  if (wb_buffer_.empty() || in_wb_flush_ || in_gc_) return;
-  in_wb_flush_ = true;
-  std::uint64_t spins = 0;
-  while (!wb_buffer_.empty()) {
-    PHFTL_CHECK_MSG(spins++ < num_tps_ * 64 + 64,
-                    "write-back flush not converging");
-    // Park the entry in the in-flight holder while its program runs: the
-    // program can trigger GC, whose fetches of this very segment must see
-    // this (newest) content, not the stale flash copy.
-    wb_inflight_tpn_ = wb_buffer_.front().first;
-    wb_inflight_blob_ = std::move(wb_buffer_.front().second);
-    wb_buffer_.erase(wb_buffer_.begin());
-    append_translation_page(wb_inflight_tpn_, wb_inflight_blob_,
-                            /*gc_migration=*/false);
-    wb_inflight_tpn_ = kInvalidLpn;
-    wb_inflight_blob_.clear();
-  }
-  wb_flushes_ctr_->inc();
-  in_wb_flush_ = false;
-}
-
 Ppn FtlBase::append_translation_page(std::uint64_t tpn,
-                                     std::vector<std::uint64_t> blob,
+                                     std::span<const std::uint64_t> blob,
                                      bool gc_migration) {
-  const std::uint32_t stream = classify_translation_write(tpn, gc_migration);
-  PHFTL_CHECK(stream < num_streams_);
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    PHFTL_CHECK_MSG(attempt < 64, "translation program retry limit exceeded");
-    std::uint32_t target = stream;
-    if (trans_open_[target] == OpenStream::kNoSb && free_pool_.empty()) {
-      if (!in_gc_ && !in_compaction_) maybe_gc();
-      if (free_pool_.empty()) {
-        // Mid-GC (or still empty after reclaim): borrow any open
-        // translation superblock rather than deadlock; separation quality
-        // degrades for those pages only, mirroring append()'s fallback.
-        bool found = false;
-        for (std::uint32_t s = 0; s < num_streams_; ++s) {
-          if (trans_open_[s] != OpenStream::kNoSb) {
-            target = s;
-            found = true;
-            break;
-          }
+  OobData oob;  // translation pages carry no LPN; keyed by tpn
+  oob.kind = PageKind::kTranslation;
+  oob.tpn = tpn;
+  oob.write_time = virtual_clock_;
+  return program_page(
+      SbKind::kTranslation, classify_translation_write(tpn, gc_migration),
+      oob, /*payload=*/0, blob, [&](Ppn ppn, std::uint32_t stream) {
+        // New copy durable first, then supersede the old one (write-new-
+        // before-invalidate-old; recovery orders the two by program_seq).
+        const Ppn old = tier_->note_programmed(tpn, ppn, blob);
+        if (old != kInvalidPpn) {
+          PHFTL_CHECK(p2l_[old] == tpn);
+          drop_page(old);
         }
-        PHFTL_CHECK_MSG(found,
-                        "capacity exhausted: no open translation superblock");
-        ++stats_.stream_borrows;
-      }
-    }
-    if (trans_open_[target] == OpenStream::kNoSb) {
-      trans_open_[target] = allocate_superblock(target);
-      is_translation_sb_[trans_open_[target]] = 1;
-    }
-    const std::uint64_t sb = trans_open_[target];
-    OobData oob;  // translation pages carry no LPN; keyed by tpn
-    oob.kind = PageKind::kTranslation;
-    oob.tpn = tpn;
-    oob.write_time = virtual_clock_;
-    const Ppn ppn = flash_.program_blob(sb, oob, blob);
-    if (ppn == kInvalidPpn) {
-      // Unlike journal blocks, translation blocks are ordinary GC
-      // citizens: index the failing block so GC drains and retires it.
-      note_program_failure(sb);
-      close_superblock(sb, /*indexed=*/true);
-      trans_open_[target] = OpenStream::kNoSb;
-      continue;
-    }
-    // New copy durable first, then supersede the old one (write-new-
-    // before-invalidate-old; recovery orders the two by program_seq).
-    p2l_[ppn] = tpn;
-    valid_bit_[ppn] = 1;
-    ++sb_meta_[sb].valid_count;
-    const Ppn old = gtd_[tpn];
-    if (old != kInvalidPpn) {
-      PHFTL_CHECK(p2l_[old] == tpn);
-      drop_page(old);
-    }
-    gtd_[tpn] = ppn;
-    // Every translation-page append funnels through here — write-back
-    // flush, GC migration, mount-time reconciliation — so retraining at
-    // this single point keeps the learned model exactly in sync with the
-    // flash blob the GTD now points at.
-    if (cfg_.learned_index) learned_.train(tpn, blob);
-    ++stats_.trans_writes;
-    if (gc_migration) ++stats_.trans_gc_writes;
-    stream_flash_writes_[target]->inc();
-    obs_.trace().record(obs::TraceEventType::kTransProgram, virtual_clock_,
-                        ppn, tpn, target);
-    obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
-                        ppn, 0, target);
-    // Translation blocks have no meta-page tail: close at the raw
-    // superblock boundary and enter the victim index like any data block.
-    if (flash_.write_pointer(sb) >= geom().pages_per_superblock()) {
-      close_superblock(sb, /*indexed=*/true);
-      trans_open_[target] = OpenStream::kNoSb;
-    }
-    return ppn;
-  }
-}
-
-void FtlBase::gc_migrate_translation_page(std::uint64_t victim, Ppn ppn) {
-  const OobData& oob = flash_.read_oob(ppn);
-  const std::uint64_t tpn = oob.tpn;
-  PHFTL_CHECK(tpn < num_tps_);
-  PHFTL_CHECK(cfg_.geom.superblock_of(ppn) == victim);
-  PHFTL_CHECK(gtd_[tpn] == ppn && p2l_[ppn] == tpn);
-  // Freshest content wins, and residency/buffering make the migration
-  // absorb pending updates for free (the dirty state rides the new flash
-  // copy): CMT-resident first, then the write-back buffer — the victim may
-  // hold the stale flash copy of a page evicted dirty — then the flash
-  // copy itself (charged as a translation read).
-  std::vector<std::uint64_t> blob;
-  const std::uint32_t node = cmt_.node_of(tpn);
-  if (node != core::FlatMetaCache::kNoNode) {
-    blob.assign(cmt_entries_.begin() +
-                    static_cast<std::ptrdiff_t>(node * tp_entries_),
-                cmt_entries_.begin() +
-                    static_cast<std::ptrdiff_t>((node + 1) * tp_entries_));
-  } else if (wb_take(tpn, blob)) {
-    // The buffered write-back rides the migration instead of a later flush.
-  } else if (tpn == wb_inflight_tpn_) {
-    // The victim holds the stale flash copy of the write-back being
-    // programmed right now; migrate the in-flight (newest) content.
-    blob = wb_inflight_blob_;
-  } else {
-    blob = flash_.read_blob(ppn);
-    ++stats_.trans_reads;
-  }
-  blob.resize(tp_entries_, kInvalidPpn);
-  append_translation_page(tpn, std::move(blob), /*gc_migration=*/true);
-  // The new flash copy now matches the resident content exactly.
-  if (node != core::FlatMetaCache::kNoNode) cmt_dirty_[node] = 0;
-  if (round_.wear_level) ++stats_.wl_migrations;
-}
-
-void FtlBase::reconcile_translation_pages(RecoveryReport& rep) {
-  std::vector<std::uint64_t> truth(tp_entries_, kInvalidPpn);
-  for (std::uint64_t tpn = 0; tpn < num_tps_; ++tpn) {
-    const std::uint64_t base = tpn * tp_entries_;
-    std::fill(truth.begin(), truth.end(), kInvalidPpn);
-    bool any_mapped = false;
-    for (std::uint64_t i = 0; i < tp_entries_; ++i) {
-      const Lpn lpn = base + i;
-      if (lpn >= logical_pages_) break;
-      truth[i] = l2p_[lpn];
-      any_mapped = any_mapped || truth[i] != kInvalidPpn;
-    }
-    const Ppn cur = gtd_[tpn];
-    if (!any_mapped) {
-      // Fully unmapped segment: drop the stale flash copy (restoring the
-      // empty-GTD invariant) instead of writing an all-invalid page.
-      if (cur != kInvalidPpn) {
-        PHFTL_CHECK(p2l_[cur] == tpn);
-        drop_page(cur);
-        gtd_[tpn] = kInvalidPpn;
-      }
-      continue;
-    }
-    if (cur != kInvalidPpn && flash_.read_blob(cur) == truth) {
-      // Flash copy already agrees with the rebuilt truth — no rewrite, but
-      // the learned model (wiped with the rest of the RAM state) still
-      // needs its segments back. Training from `truth` costs zero extra
-      // flash reads: the blob equality check above already paid the read.
-      if (cfg_.learned_index) learned_.train(tpn, truth);
-      continue;
-    }
-    append_translation_page(tpn, truth, /*gc_migration=*/false);
-    ++rep.trans_reconciled;
-    trans_reconciled_ctr_->inc();
-  }
+        ++stats_.trans_writes;
+        if (gc_migration) ++stats_.trans_gc_writes;
+        obs_.trace().record(obs::TraceEventType::kTransProgram,
+                            virtual_clock_, ppn, tpn, stream);
+      });
 }
 
 }  // namespace phftl

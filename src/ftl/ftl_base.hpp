@@ -15,20 +15,24 @@
 //   * finalize_superblock()— hook run when a superblock fills, before it is
 //     closed (PHFTL programs its ML meta pages here, paper Fig. 4).
 //
+// The flash-resident mapping tier is its own class (ftl/mapping_tier.hpp),
+// held only when FtlConfig::mapping_tier is on.
+//
 // The virtual clock counts host-written logical pages; the paper defines
 // page lifetime in this clock (§III-B) and Eq. 1's "elapsed time" C in it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/meta_cache.hpp"
 #include "flash/flash_array.hpp"
 #include "flash/geometry.hpp"
-#include "ftl/learned_index.hpp"
+#include "ftl/mapping_tier.hpp"
 #include "ftl/request.hpp"
 #include "ftl/stats.hpp"
 #include "ftl/victim_index.hpp"
@@ -203,13 +207,12 @@ class FtlBase {
   /// that would map more pages than this are rejected with kEnospc. Shrinks
   /// as blocks go bad or are retired; 0 means the drive is read-only.
   std::uint64_t capacity_watermark_pages() const;
-  /// True if `sb` currently holds trim-journal record pages (excluded from
-  /// the victim index and from the data capacity).
+  /// True if open or closed `sb` holds trim-journal record pages (excluded
+  /// from the victim index and from the data capacity).
   bool is_journal_sb(std::uint64_t sb) const {
-    return is_journal_sb_[sb] != 0;
+    return sb_meta_[sb].kind == SbKind::kJournal;
   }
-  /// Trim-journal footprint (record pages live in the journal stream).
-  std::uint64_t trim_journal_pages() const { return journal_pages_used_; }
+  /// Superblocks holding trim-journal record pages.
   std::uint64_t trim_journal_superblocks() const {
     return journal_sbs_.size();
   }
@@ -217,44 +220,24 @@ class FtlBase {
   /// unmapped across an unclean shutdown.
   std::uint64_t live_tombstones() const { return live_tombstones_; }
 
-  // --- demand-paged mapping tier introspection (docs/MAPPING.md) ---
-  bool mapping_tier_enabled() const { return cfg_.mapping_tier; }
-  /// Translation pages covering the logical space (GTD size).
-  std::uint64_t num_translation_pages() const { return num_tps_; }
-  /// L2P entries per translation page (resolved from FtlConfig::tp_entries).
-  std::uint64_t tp_entries() const { return tp_entries_; }
-  /// Translation pages currently resident in the CMT.
-  std::uint64_t cmt_resident() const { return cmt_.size(); }
-  /// Evicted-dirty translation pages buffered for write-back.
-  std::uint64_t wb_pending() const { return wb_buffer_.size(); }
-  /// True if `sb` currently holds translation pages. Unlike journal
-  /// superblocks these ARE in the victim index: GC treats them as
-  /// first-class citizens, migrating valid translation pages with GTD
-  /// updates (docs/MAPPING.md "Translation GC").
-  bool is_translation_sb(std::uint64_t sb) const {
-    return is_translation_sb_[sb] != 0;
+  // --- demand-paged mapping tier (docs/MAPPING.md) ---
+  /// The tier, or null when FtlConfig::mapping_tier is off and the flat
+  /// l2p_ table serves every lookup.
+  MappingTier* mapping_tier() { return tier_.get(); }
+  const MappingTier* mapping_tier() const { return tier_.get(); }
+  bool mapping_tier_enabled() const { return tier_ != nullptr; }
+  /// MappingTier::ram_bytes(), the figure BENCH_mapping.json compares
+  /// against the logical_pages() * 8 flat table; 0 when the tier is off.
+  std::uint64_t mapping_ram_bytes() const {
+    return tier_ ? tier_->ram_bytes() : 0;
   }
-  /// Mapping-tier RAM footprint in bytes: GTD + CMT entry slab + dirty
-  /// flags + write-back buffer capacity. The quantity BENCH_mapping.json
-  /// compares against the baseline logical_pages() * 8 in-RAM table
-  /// (docs/MAPPING.md "RAM-budget methodology"). 0 when the tier is off.
-  std::uint64_t mapping_ram_bytes() const;
-  /// Ground-truth mapping check: the tier serves `lpn` from translation-
-  /// page content and must agree with the always-maintained l2p_ shadow.
-  /// Mutates CMT state (demand fetch) like a host read, without the read
-  /// itself. Test hook for the differential suite.
-  Ppn tier_lookup(Lpn lpn);
-  /// Learned-index segments currently held (0 when the knob is off).
+  /// Learned-index segments and model RAM (0 when the index is off).
   std::uint64_t learned_segments() const {
-    return cfg_.learned_index ? learned_.segment_count() : 0;
+    return tier_ ? tier_->learned_segments() : 0;
   }
-  /// Learned-index model RAM, as charged into mapping_ram_bytes().
   std::uint64_t learned_index_bytes() const {
-    return cfg_.learned_index ? learned_.ram_bytes() : 0;
+    return tier_ ? tier_->learned_index_bytes() : 0;
   }
-  /// Direct model access for tests (fault injection via
-  /// corrupt_segment_for_test, segment inspection). Not a data path.
-  LearnedIndex& learned_index_for_test() { return learned_; }
 
   // --- endurance introspection (docs/ENDURANCE.md) ---
   /// The FTL's RAM wear table: erase count of `sb` as this FTL knows it.
@@ -269,8 +252,6 @@ class FtlBase {
   /// wear-leveling trigger quantity. Leveling fires when this exceeds
   /// FtlConfig::wear_level_threshold.
   double wear_spread() const;
-  /// True while the in-flight GC round is a wear-leveling round.
-  bool wear_level_inflight() const { return round_.wear_level; }
 
   /// Test hook: jump the virtual clock forward (e.g. near 2^32 to exercise
   /// timestamp-width regressions). Must not move the clock backwards.
@@ -322,12 +303,6 @@ class FtlBase {
   ///   7. the journal is compacted so it occupies at most one superblock.
   /// Cumulative FtlStats are process-lifetime diagnostics and survive.
   RecoveryReport recover();
-
-  /// True if `sb` suffered a program failure and awaits retirement (the
-  /// block is closed; GC will drain and retire it instead of erasing).
-  bool pending_retire(std::uint64_t sb) const {
-    return pending_retire_[sb] != 0;
-  }
 
   // --- Introspection used by victim policies and tests ---
   std::uint64_t valid_count(std::uint64_t sb) const {
@@ -427,8 +402,6 @@ class FtlBase {
 
   // --- Services for subclasses ---
   const Geometry& geom() const { return cfg_.geom; }
-  FlashArray& flash_mut() { return flash_; }
-  FtlStats& stats_mut() { return stats_; }
 
   /// Program one meta page into the open superblock tail (counts as a meta
   /// write). Only legal inside finalize_superblock().
@@ -441,35 +414,58 @@ class FtlBase {
   bool in_gc() const { return in_gc_; }
 
  private:
+  friend class MappingTier;
+
+  static constexpr std::uint64_t kNoSb = ~0ULL;
+  /// What a superblock holds, set when it opens. Data, translation pages
+  /// and journal records never share a superblock; each kind has its own
+  /// open superblock per stream (the journal uses stream 0 only).
+  enum class SbKind : std::uint8_t { kData, kTranslation, kJournal };
+  static constexpr std::size_t kNumSbKinds = 3;
   struct SbMeta {
     std::uint64_t valid_count = 0;
     std::uint64_t close_time = 0;  ///< virtual clock when closed
     std::uint32_t stream = 0;
-  };
-  struct OpenStream {
-    std::uint64_t sb = kNoSb;
-    static constexpr std::uint64_t kNoSb = ~0ULL;
+    SbKind kind = SbKind::kData;
   };
 
-  /// Append one page to `stream`, handling superblock open/finalize/close.
-  /// Returns kInvalidPpn only to a GC caller left with no destination at
-  /// fault-driven end of life (no open superblock, empty free pool); a
-  /// host write in that state aborts.
-  Ppn append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
-             const OobData& oob);
+  /// The one program path for data, translation and journal pages: pick
+  /// (or open, or borrow) the open superblock of `kind` for `stream`,
+  /// program `payload` (or `blob`, when non-empty) with `oob`, retry on a
+  /// fresh superblock across program failures, run `on_programmed(ppn,
+  /// stream)` for the kind's own bookkeeping, and close the superblock
+  /// once full. A journal page's `oob` gets its tombstone cutoff stamped
+  /// here. The rules that differ by kind are in ftl_base.cpp's
+  /// "Superblock kinds" block. Returns kInvalidPpn only to a GC data
+  /// migration left with no destination at fault-driven end of life (no
+  /// open superblock, empty free pool); any other caller aborts there.
+  template <typename OnProgrammed>
+  Ppn program_page(SbKind kind, std::uint32_t stream, OobData& oob,
+                   std::uint64_t payload, std::span<const std::uint64_t> blob,
+                   OnProgrammed&& on_programmed);
+  static bool gc_collects(SbKind kind);
+  static bool reclaims_before_borrowing(SbKind kind);
+  std::uint64_t fill_limit(SbKind kind, std::uint64_t sb) const;
+  /// Program one data page (host write or GC survivor) into `stream`.
+  Ppn append(std::uint32_t stream, std::uint64_t payload, OobData& oob);
+  std::uint64_t& open_slot(SbKind kind, std::uint32_t stream) {
+    return open_[static_cast<std::size_t>(kind) * num_streams_ + stream];
+  }
   void invalidate(Lpn lpn);
+  /// Count `ppn` as a valid page of superblock `sb`, owned by `owner` (an
+  /// LPN, or a TPN for a translation page).
+  void mark_valid(Ppn ppn, std::uint64_t sb, std::uint64_t owner);
   /// Clear the valid page at `ppn`: validity bit, reverse map, its
   /// superblock's valid count and victim-index bucket.
   void drop_page(Ppn ppn);
 
-  // --- superblock lifecycle, shared by data, translation and journal
-  // superblocks and by meta pages ---
-  /// Take a superblock from the free pool, open it for `stream`, and
-  /// record the open event.
-  std::uint64_t allocate_superblock(std::uint32_t stream);
-  /// Close `sb`, stamp its close time, index it as a GC candidate when
-  /// `indexed` (journal superblocks never are), and record the close.
-  void close_superblock(std::uint64_t sb, bool indexed);
+  // --- superblock lifecycle, shared by every kind and by meta pages ---
+  /// Take a superblock from the free pool, open it as `kind` for `stream`,
+  /// and record the open event.
+  std::uint64_t allocate_superblock(SbKind kind, std::uint32_t stream);
+  /// Close `sb`, stamp its close time, index it as a GC candidate unless
+  /// it is a journal superblock, and record the close.
+  void close_superblock(std::uint64_t sb);
   /// Count and record a program failure in `sb` and mark the block for
   /// retirement. The caller decides whether the block closes.
   void note_program_failure(std::uint64_t sb);
@@ -533,8 +529,8 @@ class FtlBase {
   /// Flush (start,len) range pairs to the journal, chunked to page-sized
   /// records; may trigger compaction afterwards.
   void append_journal_records(const std::vector<std::uint64_t>& pairs);
-  /// Program one journal record page (retrying across program failures).
-  void append_journal_page(std::vector<std::uint64_t> chunk);
+  /// Program one journal record page.
+  void append_journal_page(std::span<const std::uint64_t> chunk);
   /// Rewrite the live tombstone set densely into a fresh journal
   /// superblock, then reclaim the old journal superblocks.
   void compact_trim_journal();
@@ -545,58 +541,11 @@ class FtlBase {
   /// P2L, L2P, and fixes the victim index if the superblock is closed.
   void raw_unmap(Lpn lpn);
 
-  // --- demand-paged mapping tier (docs/MAPPING.md) ---
-  /// Tier read path: serve `lpn` from translation-page content (demand-
-  /// fetching the owning page into the CMT) and cross-check against the
-  /// l2p_ shadow. `host_read` charges the fetch to the read-amplification
-  /// ledger.
-  Ppn map_lookup(Lpn lpn, bool host_read);
-  /// Tier write path: patch `lpn`'s slot in the owning translation page
-  /// (demand-fetched, marked dirty). `new_ppn == kInvalidPpn` records a
-  /// trim. Tolerates being called just before or after the l2p_ update.
-  void map_update(Lpn lpn, Ppn new_ppn);
-  /// Ensure `tpn` is CMT-resident and return its slab node: hit, adopt
-  /// from the write-back buffer, fetch the flash copy, or materialize a
-  /// never-written segment empty. `exempt_idx` names the one in-segment
-  /// slot allowed to disagree with l2p_ (the slot an in-flight update is
-  /// about to patch); every other fetched slot is integrity-checked.
-  std::uint32_t cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
-                          bool host_read);
-  /// Program one translation page (GTD update + old-copy invalidation),
-  /// retrying across program failures like append_journal_page. Returns
-  /// the new flash copy's PPN.
+  /// Program one translation page for the tier and drop the copy it
+  /// supersedes. Returns the new copy's PPN.
   Ppn append_translation_page(std::uint64_t tpn,
-                              std::vector<std::uint64_t> blob,
+                              std::span<const std::uint64_t> blob,
                               bool gc_migration);
-  /// Flush every buffered evicted-dirty translation page to flash.
-  void flush_wb_buffer();
-  /// Batched flush trigger: flush when the buffer reaches cmt_wb_batch,
-  /// never re-entrantly and never inside a GC step (the step defers to the
-  /// next host-path safe point so the QoS budget excludes write-backs).
-  void maybe_flush_wb();
-  /// Remove `tpn` from the write-back buffer, moving its content into
-  /// `out`. Returns false (out untouched) if not buffered.
-  bool wb_take(std::uint64_t tpn, std::vector<std::uint64_t>& out);
-  /// True if the write-back buffer holds `tpn`.
-  bool wb_contains(std::uint64_t tpn) const;
-  /// Mount-time reconciliation (docs/MAPPING.md "Crash semantics"): after
-  /// the OOB rebuild + trim replay, rewrite any translation page whose
-  /// flash content diverged from the rebuilt truth, and drop GTD entries
-  /// of segments that became fully unmapped.
-  void reconcile_translation_pages(RecoveryReport& rep);
-  /// GC migration of one valid translation page out of `victim` at `ppn`
-  /// (resident CMT content wins; otherwise the flash copy is read).
-  void gc_migrate_translation_page(std::uint64_t victim, Ppn ppn);
-  /// Learned-index fast path (docs/MAPPING.md "Learned index"): predict
-  /// `lpn`'s PPN and probe outward from it (±radius), verifying each
-  /// candidate's OOB LPN against the validity bitmap. A verified probe IS
-  /// the data read — returns its PPN with no CMT traffic; any mismatch
-  /// returns kInvalidPpn (counted as a mispredict) and the caller falls
-  /// back to the GTD/CMT path. Only called when the owning translation
-  /// page is non-resident, unbuffered, not mid-flush, and GTD-valid — the
-  /// window where the flash blob (what the model was trained on) is the
-  /// mapping truth.
-  Ppn learned_lookup(Lpn lpn, bool host_read);
 
   /// Register the FTL-layer metrics and cache their handles (cold path;
   /// run once from the constructor).
@@ -613,7 +562,8 @@ class FtlBase {
   std::vector<std::uint8_t> valid_bit_;
   std::vector<std::uint8_t> gc_count_;
   std::vector<SbMeta> sb_meta_;
-  std::vector<OpenStream> open_;
+  /// Open superblock per (kind, stream), kNoSb when none (open_slot()).
+  std::vector<std::uint64_t> open_;
   /// RAM-only flag per superblock: a program failure happened there and the
   /// block must be retired (not erased) once GC drains it. Wiped by
   /// recover() — a real FTL would journal its bad-block table; here the
@@ -662,12 +612,8 @@ class FtlBase {
   std::uint64_t wear_max_ = 0;
 
   // --- trim journal + capacity accounting ---
-  /// Open journal superblock accepting record pages (kNoSb when none).
-  std::uint64_t journal_sb_ = OpenStream::kNoSb;
   /// All superblocks holding journal records (open + closed), oldest first.
   std::vector<std::uint64_t> journal_sbs_;
-  /// Per-superblock flag mirroring journal_sbs_ membership (O(1) queries).
-  std::vector<std::uint8_t> is_journal_sb_;
   /// Record pages programmed since the last compaction.
   std::uint64_t journal_pages_used_ = 0;
   /// Compact when journal_pages_used_ exceeds this (re-derived after each
@@ -684,47 +630,8 @@ class FtlBase {
   /// Superblocks flagged pending-retire (gauge source).
   std::uint64_t pending_retire_count_ = 0;
 
-  // --- demand-paged mapping tier state (docs/MAPPING.md) ---
-  /// Resolved entries per translation page (FtlConfig::tp_entries, or the
-  /// physical page_size / 8 maximum when 0). 0 while the tier is off.
-  std::uint64_t tp_entries_ = 0;
-  /// Translation pages covering the logical space: ceil(logical / entries).
-  std::uint64_t num_tps_ = 0;
-  /// Global Translation Directory: TPN -> newest flash copy, kInvalidPpn
-  /// when the segment has never been written back (then every LPN in it is
-  /// unmapped — an invariant trims and reconciliation preserve).
-  std::vector<Ppn> gtd_;
-  /// Cached Mapping Table residency: exact-LRU set of resident TPNs. The
-  /// slab node index keys the per-node entry arrays below.
-  core::FlatMetaCache cmt_;
-  /// cmt_pages x tp_entries_ PPN slots (node-major), the resident
-  /// translation-page contents.
-  std::vector<Ppn> cmt_entries_;
-  /// Per-node dirty flag: the resident content has updates the flash copy
-  /// lacks; eviction must buffer it for write-back.
-  std::vector<std::uint8_t> cmt_dirty_;
-  /// Evicted-dirty translation pages awaiting their batched write-back
-  /// (tpn, content). Lookups consult this before fetching from flash; the
-  /// GTD keeps pointing at the superseded flash copy until the flush.
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>
-      wb_buffer_;
-  /// Open translation superblock per stream label (parallel to open_, but
-  /// translation pages never share a superblock with user data).
-  std::vector<std::uint64_t> trans_open_;
-  /// Per-superblock flag: holds translation pages (victim-indexed, unlike
-  /// journal superblocks).
-  std::vector<std::uint8_t> is_translation_sb_;
-  /// Reentrancy guard: a flush in progress must not trigger another.
-  bool in_wb_flush_ = false;
-  /// The one write-back currently being programmed by flush_wb_buffer().
-  /// Its program can trigger GC, and any fetch of this segment during that
-  /// window must see this (newest) content, not the stale flash copy.
-  std::uint64_t wb_inflight_tpn_ = kInvalidLpn;
-  std::vector<std::uint64_t> wb_inflight_blob_;
-  /// Learned index over the tier (cfg_.learned_index): trained at every
-  /// translation-page append, hole-punched on every map_update, cleared
-  /// and retrained from truth at mount (docs/MAPPING.md "Learned index").
-  LearnedIndex learned_;
+  /// The mapping tier (FtlConfig::mapping_tier), null when off.
+  std::unique_ptr<MappingTier> tier_;
 
   // --- observability (handles are stable; no allocation after setup) ---
   obs::Observability obs_;
@@ -738,8 +645,6 @@ class FtlBase {
   obs::Counter* recovery_rebuild_ns_ctr_ = nullptr;
   obs::Counter* journal_records_ctr_ = nullptr;
   obs::Counter* journal_replayed_ctr_ = nullptr;
-  obs::Counter* wb_flushes_ctr_ = nullptr;
-  obs::Counter* trans_reconciled_ctr_ = nullptr;
   obs::Histogram* victim_valid_hist_ = nullptr;
   obs::Histogram* erase_count_hist_ = nullptr;
   obs::Gauge* bad_blocks_gauge_ = nullptr;
@@ -755,12 +660,6 @@ class FtlBase {
   obs::Gauge* gc_inflight_moved_gauge_ = nullptr;
   obs::Gauge* wear_spread_gauge_ = nullptr;
   obs::Gauge* wear_max_gauge_ = nullptr;
-  obs::Gauge* cmt_hit_rate_gauge_ = nullptr;
-  obs::Gauge* map_ram_gauge_ = nullptr;
-  obs::Gauge* read_amp_gauge_ = nullptr;
-  obs::Gauge* trans_wa_gauge_ = nullptr;
-  obs::Gauge* learned_segments_gauge_ = nullptr;
-  obs::Gauge* learned_bytes_gauge_ = nullptr;
 };
 
 }  // namespace phftl

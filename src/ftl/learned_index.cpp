@@ -197,7 +197,7 @@ LearnedIndex::SegMap::iterator LearnedIndex::splice_range(Lpn lo, Lpn hi) {
 }
 
 void LearnedIndex::train(std::uint64_t tpn,
-                         const std::vector<std::uint64_t>& blob) {
+                         std::span<const std::uint64_t> blob) {
   const Lpn lo = tpn * tp_entries_;
   const Lpn hi = std::min<Lpn>(lo + tp_entries_, logical_);
   if (lo >= hi) return;

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "flash/geometry.hpp"
@@ -79,7 +80,7 @@ class LearnedIndex {
   /// blob (`blob[i]` = PPN of LPN tpn*tp_entries+i, kInvalidPpn if
   /// unmapped). Replaces whatever previously covered the range, then tries
   /// to extend the neighbouring segments across the range boundaries.
-  void train(std::uint64_t tpn, const std::vector<std::uint64_t>& blob);
+  void train(std::uint64_t tpn, std::span<const std::uint64_t> blob);
 
   /// Predict the PPN for `lpn`. Returns false when no segment covers it.
   /// On success *pred is the model's PPN (may be out of device range —

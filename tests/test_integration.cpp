@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -422,6 +423,130 @@ TEST_P(KnobMatrixPin, StatsAndViewsMatchRecordedValues) {
     ASSERT_NE(c, nullptr) << name;
     EXPECT_EQ(c->value(), field) << name;
   }
+
+  // The registry as "type name unit" lines in registration order, and every
+  // gauge after refresh_observability(), recorded before the mapping tier
+  // moved out of FtlBase (it is now the source of every ftl.map.* gauge).
+  // Each scheme registers one host/flash counter pair per stream, then
+  // FtlBase's block, then its own metrics.
+  struct RecordedRegistry {
+    std::uint32_t streams;
+    std::string own;  // the scheme's metrics after FtlBase's block
+    std::vector<double> gauges;
+  };
+  const std::string ftl_base_block = R"(counter ftl.gc.rounds rounds
+counter ftl.gc.aborted_rounds rounds
+counter ftl.gc.moved_valid_pages pages
+counter ftl.gc.steps steps
+counter ftl.gc.preemptions yields
+counter ftl.erases superblocks
+counter ftl.meta_writes pages
+counter ftl.stream_borrows pages
+counter ftl.host_reads pages
+counter ftl.trims pages
+counter ftl.trim_journal.appends pages
+counter ftl.trim_journal.records records
+counter ftl.trim_journal.compactions compactions
+counter ftl.trim_journal.replayed_tombstones pages
+counter ftl.enospc_rejections pages
+counter ftl.wl.rounds rounds
+counter ftl.wl.migrations pages
+counter flash.wear_retired superblocks
+counter flash.program_failures pages
+counter flash.erase_failures superblocks
+counter flash.blocks_retired superblocks
+counter ftl.host_reads_unmapped pages
+counter ftl.map.cmt_hits lookups
+counter ftl.map.cmt_misses lookups
+counter ftl.map.translation_reads pages
+counter ftl.map.translation_writes pages
+counter ftl.map.translation_gc_writes pages
+counter ftl.map.wb_flushes flushes
+counter ftl.map.reconciled pages
+counter ftl.map.learned_hits lookups
+counter ftl.map.learned_mispredicts lookups
+counter ftl.map.learned_probe_reads pages
+counter recovery.mounts mounts
+counter recovery.oob_scans pages
+counter recovery.rebuild_ns ns
+histogram ftl.gc.victim_valid_pages pages
+histogram flash.erase_count erases
+gauge flash.bad_blocks superblocks
+gauge ftl.write_amplification ratio
+gauge ftl.free_superblocks superblocks
+gauge ftl.closed_superblocks superblocks
+gauge ftl.pending_retire_superblocks superblocks
+gauge ftl.virtual_clock pages
+gauge ftl.trim_journal.pages pages
+gauge ftl.trim_journal.superblocks superblocks
+gauge ftl.capacity_watermark_pages pages
+gauge ftl.mapped_pages pages
+gauge ftl.gc.inflight_valid_moved pages
+gauge flash.wear_spread erases
+gauge flash.wear_max erases
+gauge ftl.map.cmt_hit_rate ratio
+gauge ftl.map.ram_bytes bytes
+gauge ftl.map.read_amplification ratio
+gauge ftl.map.translation_wa ratio
+gauge ftl.map.learned_segments segments
+gauge ftl.map.learned_index_bytes bytes
+)";
+  const std::map<std::string, RecordedRegistry> recorded_registry = {
+      {"Base",
+       {1, "",
+        {4, 1.434663128968066, 4, 53, 0, 10553, 14, 1, 3328, 1791, 0,
+         2.3666666666666663, 8, 0.21440739839376977, 98500,
+         1.2855980471928397, 1.041030986449351, 1135, 94464}}},
+      {"2R",
+       {2, "",
+        {5, 1.3779020183833981, 4, 51, 0, 10553, 14, 1, 3264, 1791, 0,
+         1.4406779661016946, 7, 0.21764414748824548, 98500,
+         1.2839707078925957, 1.0106130958021415, 1135, 94464}}},
+      {"SepBIT",
+       {6, "gauge sepbit.lifetime_estimate_pages pages\n",
+        {5, 1.5175779399222971, 4, 46, 0, 10553, 14, 1, 3264, 1791, 0,
+         1.9152542372881358, 8, 0.21876112495550018, 98500,
+         1.2709519934906428, 1.0854733251208186, 1134, 94464,
+         307.20000000000005}}},
+      {"PHFTL",
+       {7,
+        "counter ml.predictions predictions\n"
+        "counter ml.predictions_short predictions\n"
+        "histogram ml.predict_latency_ns ns\n"
+        "counter meta.cache_hits lookups\n"
+        "counter meta.cache_misses lookups\n"
+        "counter meta.buffer_hits lookups\n"
+        "gauge meta.cache_hit_rate ratio\n"
+        "gauge trainer.threshold_pages pages\n"
+        "gauge trainer.windows_completed windows\n"
+        "gauge trainer.trainings_run trainings\n"
+        "gauge classifier.accuracy ratio\n"
+        "gauge classifier.precision ratio\n"
+        "gauge classifier.recall ratio\n"
+        "gauge classifier.f1 ratio\n",
+        {4, 1.5289491139960201, 4, 47, 0, 10553, 14, 1, 3276, 1791, 0,
+         1.9833333333333334, 8, 0.20668710932893031, 97156,
+         1.2945484133441822, 1.0638680943807448, 1135, 93120,
+         0.76707639645246617, 373, 5, 5, 0.5106105125693764,
+         0.50325732899022801, 0.10293137908061292, 0.1709070796460177}}},
+  };
+  const RecordedRegistry& want = recorded_registry.at(GetParam());
+  std::string want_registry;
+  for (std::uint32_t i = 0; i < want.streams; ++i) {
+    const std::string id = std::to_string(i);
+    want_registry += "counter ftl.stream" + id + ".host_writes pages\n" +
+                     "counter ftl.stream" + id + ".flash_writes pages\n";
+  }
+  want_registry += ftl_base_block + want.own;
+  std::string registry;
+  std::vector<double> gauges;
+  for (const obs::MetricsRegistry::Entry& e : reg.entries()) {
+    registry += std::string(obs::metric_type_name(e.type)) + " " + e.name +
+                " " + e.unit + "\n";
+    if (e.type == obs::MetricType::kGauge) gauges.push_back(reg.value_of(e));
+  }
+  EXPECT_EQ(registry, want_registry);
+  EXPECT_EQ(gauges, want.gauges);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KnobMatrixPin,

@@ -125,16 +125,19 @@ TEST(MappingTier, TranslationPagesAreGcCitizens) {
                                   s.journal_writes + s.trans_writes);
 
   // The demand-paged path agrees with the in-RAM shadow for every LPN
-  // (each tier_lookup also cross-checks internally and aborts on drift).
+  // (each tier lookup also cross-checks internally and aborts on drift).
   for (Lpn lpn = 0; lpn < logical; ++lpn)
-    ASSERT_EQ(ftl->tier_lookup(lpn), ftl->lookup(lpn)) << "lpn " << lpn;
+    ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
+              ftl->lookup(lpn))
+        << "lpn " << lpn;
 
   // The tier's RAM footprint (GTD + CMT + write-back buffer) undercuts
   // the flat 8-byte-per-LPN table it replaces.
   EXPECT_LT(ftl->mapping_ram_bytes(), logical * 8);
-  EXPECT_EQ(ftl->cmt_resident(), std::min<std::uint64_t>(
-                                     ftl->config().cmt_pages,
-                                     ftl->num_translation_pages()));
+  EXPECT_EQ(ftl->mapping_tier()->cmt_resident(),
+            std::min<std::uint64_t>(
+                ftl->config().cmt_pages,
+                ftl->mapping_tier()->num_translation_pages()));
 }
 
 // --- satellite: differential test, demand-paged vs flat L2P ---
@@ -265,11 +268,13 @@ TEST(MappingTier, MountRebuildsGtdAndReconcilesDirtyState) {
   EXPECT_GT(rep.trans_gtd_rebuilt, 0u);
   EXPECT_GT(rep.trans_reconciled, 0u);
   EXPECT_TRUE(ftl->mapping_tier_enabled());
-  EXPECT_EQ(ftl->wb_pending(), 0u);
+  EXPECT_EQ(ftl->mapping_tier()->wb_pending(), 0u);
 
   for (Lpn lpn = 0; lpn < logical; ++lpn) {
     ASSERT_EQ(ftl->read_page(lpn), expected[lpn]) << "lpn " << lpn;
-    ASSERT_EQ(ftl->tier_lookup(lpn), ftl->lookup(lpn)) << "lpn " << lpn;
+    ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
+              ftl->lookup(lpn))
+        << "lpn " << lpn;
   }
 
   // The remounted drive keeps serving the demand-paged path.
@@ -296,7 +301,9 @@ TEST(MappingTier, DrainedRemountServesIdenticalMappings) {
   const RecoveryReport rep = ftl->recover();
   EXPECT_GT(rep.trans_gtd_rebuilt, 0u);
   for (Lpn lpn = 0; lpn < logical; ++lpn)
-    ASSERT_EQ(ftl->tier_lookup(lpn), ftl->lookup(lpn)) << "lpn " << lpn;
+    ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
+              ftl->lookup(lpn))
+        << "lpn " << lpn;
 }
 
 // --- learned index over the tier (docs/MAPPING.md "Learned index") ---
@@ -621,11 +628,11 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, LearnedSchemeTest,
 // Regression (satellite): a stale segment must never serve a wrong PPN —
 // the OOB verify probe has to reject it, fall back to the CMT path, and
 // count a mispredict. Staleness is injected directly (the data path keeps
-// models fresh by construction: map_update invalidates, write-back
+// models fresh by construction: MappingTier::update invalidates, write-back
 // retrains — including when data-GC patches owning TPs).
 TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
   auto ftl = make_ftl("Base", learned_config());
-  const std::uint64_t tp = ftl->tp_entries();
+  const std::uint64_t tp = ftl->mapping_tier()->tp_entries();
   WriteContext ctx;
   // A sequential region over translation pages 0..15, flushed and trained.
   for (Lpn lpn = 0; lpn < tp * 16; ++lpn) ftl->write_page(lpn, ctx);
@@ -639,8 +646,9 @@ TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
   ftl->drain();
 
   const Lpn victim_lpn = 5;
-  ASSERT_TRUE(ftl->learned_index_for_test().corrupt_segment_for_test(
-      victim_lpn, /*delta=*/3));
+  ASSERT_TRUE(
+      ftl->mapping_tier()->learned_index_for_test().corrupt_segment_for_test(
+          victim_lpn, /*delta=*/3));
   const FtlStats& s = ftl->stats();
   const std::uint64_t mis_before = s.learned_mispredicts;
   const std::uint64_t probes_before = s.learned_probe_reads;
@@ -682,7 +690,9 @@ TEST(LearnedIndexTest, GcPatchedSegmentsNeverGoStale) {
   ASSERT_GT(ftl->stats().gc_invocations, 0u);
   ASSERT_GT(ftl->stats().gc_writes, 0u);
   for (Lpn lpn = 0; lpn < logical; ++lpn)
-    ASSERT_EQ(ftl->tier_lookup(lpn), ftl->lookup(lpn)) << "lpn " << lpn;
+    ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
+              ftl->lookup(lpn))
+        << "lpn " << lpn;
   EXPECT_GT(ftl->stats().learned_hits, 0u);
   EXPECT_EQ(ftl->stats().learned_mispredicts, 0u)
       << "a GC patch left a consulted segment stale";

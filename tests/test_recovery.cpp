@@ -390,7 +390,7 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveDataWithMappingTier) {
 
     const RecoveryReport rep = ftl->recover();
     ASSERT_EQ(ftl->gc_inflight_victim(), FtlBase::kNoVictim);
-    ASSERT_EQ(ftl->wb_pending(), 0u);
+    ASSERT_EQ(ftl->mapping_tier()->wb_pending(), 0u);
     // verify_acked reads through the demand-paged path, which cross-checks
     // every lookup against the rebuilt shadow and aborts on divergence.
     ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked))
@@ -398,7 +398,8 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveDataWithMappingTier) {
     for (Lpn lpn = 0; lpn < logical; ++lpn) {
       ASSERT_FALSE(trimmed[lpn] && ftl->is_mapped(lpn))
           << "trimmed lpn " << lpn << " resurrected, cut " << cut;
-      ASSERT_EQ(ftl->tier_lookup(lpn), ftl->lookup(lpn))
+      ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
+                ftl->lookup(lpn))
           << GetParam() << " cut " << cut << " lpn " << lpn;
     }
     ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl))
@@ -409,7 +410,7 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveDataWithMappingTier) {
       EXPECT_GT(rep.trans_gtd_rebuilt, 0u) << GetParam() << " cut " << cut;
       // Learned-on: reconciliation retrained the model from the rebuilt
       // truth, so the mount comes back with live segments (and the
-      // tier_lookup sweep above already verified them against the shadow).
+      // tier lookup sweep above already verified them against the shadow).
       if (cfg.learned_index) {
         EXPECT_GT(ftl->learned_segments(), 0u) << GetParam() << " cut " << cut;
       }
