@@ -5,6 +5,9 @@
 //  * predict_incremental — one call per host write. Fused packed-gate
 //    kernels + reusable scratch vs the retained reference implementation
 //    (six naive GEMVs + six heap allocations per call).
+//  * activations — one gate's 32 sigmoids or tanhs, through libm, through
+//    the scalar definitions in ml/activations.hpp, and through their
+//    dispatched array path (AVX2 where the CPU has it).
 //  * window training — one GRU epoch (lane-batched BPTT), one
 //    logistic-regression fit and one threshold adjustment (Algorithm 1),
 //    run once per window.
@@ -18,14 +21,19 @@
 //                               --benchmark_out_format=json  (one line)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/base_ftl.hpp"
 #include "core/features.hpp"
 #include "core/threshold.hpp"
 #include "ftl/victim_policy.hpp"
+#include "ml/activations.hpp"
 #include "ml/gru.hpp"
 #include "ml/kernels.hpp"
 #include "ml/logreg.hpp"
@@ -123,6 +131,37 @@ void BM_ReferenceGemv3(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReferenceGemv3)->Arg(32)->Arg(64)->Arg(128);
+
+// --- Activations: libm vs scalar definition vs dispatched array path ---
+
+float libm_sigmoid(float v) { return 1.0f / (1.0f + std::exp(-v)); }
+float libm_tanh(float v) { return std::tanh(v); }
+
+/// Activates one gate's 32 pre-activations, restored before each pass:
+/// element by element through `scalar`, or in one `inplace` call.
+void BM_Activation32(benchmark::State& state, float (*scalar)(float),
+                     void (*inplace)(float*, std::size_t)) {
+  Xoshiro256 rng(9);
+  std::vector<float> in(32), x(32);
+  for (auto& v : in) v = static_cast<float>(rng.next_gaussian() * 2.0);
+  for (auto _ : state) {
+    std::copy(in.begin(), in.end(), x.begin());
+    if (inplace)
+      inplace(x.data(), x.size());
+    else
+      for (auto& v : x) v = scalar(v);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_Activation32, sigmoid_libm, libm_sigmoid, nullptr);
+BENCHMARK_CAPTURE(BM_Activation32, sigmoid_scalar, ml::act::sigmoid, nullptr);
+BENCHMARK_CAPTURE(BM_Activation32, sigmoid_dispatched, nullptr,
+                  ml::act::sigmoid_inplace);
+BENCHMARK_CAPTURE(BM_Activation32, tanh_libm, libm_tanh, nullptr);
+BENCHMARK_CAPTURE(BM_Activation32, tanh_scalar, ml::act::tanh, nullptr);
+BENCHMARK_CAPTURE(BM_Activation32, tanh_dispatched, nullptr,
+                  ml::act::tanh_inplace);
 
 // --- Window training: GRU epoch, light-model fit, threshold search ---
 
@@ -288,4 +327,14 @@ BENCHMARK(BM_VictimAdjustedGreedyFullScan)->Arg(1000)->Arg(10000);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Timings are only comparable on the same box; record its thread count
+  // in the JSON context, as the other BENCH_*.json artifacts do.
+  benchmark::AddCustomContext(
+      "hardware_threads", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

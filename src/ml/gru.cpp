@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "ml/activations.hpp"
 #include "ml/kernels.hpp"
 
 namespace phftl::ml {
@@ -56,18 +57,18 @@ void GruClassifier::step(std::span<const float> x,
   matvec(store_.param_matrix(wz_), x, z);
   matvec_acc(store_.param_matrix(uz_), h_prev, z);
   axpy(1.0f, store_.param_vector(bz_), z);
-  for (auto& v : z) v = sigmoidf(v);
+  for (auto& v : z) v = act::sigmoid(v);
 
   matvec(store_.param_matrix(wr_), x, r);
   matvec_acc(store_.param_matrix(ur_), h_prev, r);
   axpy(1.0f, store_.param_vector(br_), r);
-  for (auto& v : r) v = sigmoidf(v);
+  for (auto& v : r) v = act::sigmoid(v);
 
   matvec(store_.param_matrix(un_), h_prev, s);
   axpy(1.0f, store_.param_vector(bun_), s);
   matvec(store_.param_matrix(wn_), x, n);
   axpy(1.0f, store_.param_vector(bn_), n);
-  for (std::size_t i = 0; i < h; ++i) n[i] = std::tanh(n[i] + r[i] * s[i]);
+  for (std::size_t i = 0; i < h; ++i) n[i] = act::tanh(n[i] + r[i] * s[i]);
 
   for (std::size_t i = 0; i < h; ++i)
     h_next[i] = (1.0f - z[i]) * n[i] + z[i] * h_prev[i];
@@ -111,8 +112,10 @@ int GruClassifier::predict_incremental(std::span<const float> x,
 //    held at +0.0 before first[l], which is the scalar zero initial state,
 //    so every lane reaches the head at step T - 1.
 //  * Matrix products use the lane kernels in ml/kernels.hpp, which keep the
-//    scalar loops' summation order and zero-gradient skips. expf/tanhf stay
-//    scalar libm calls per element, and multiply and add stay separate.
+//    scalar loops' summation order and zero-gradient skips. Gates activate
+//    whole tiles through ml/activations.hpp, whose array path is
+//    bit-identical to the scalar sigmoid/tanh, and multiply and add stay
+//    separate.
 //  * Weight gradients are accumulated only after the chunk's backward pass,
 //    in the scalar order — sequence by sequence, steps descending — because
 //    float addition into a shared gradient is order-sensitive.
@@ -193,6 +196,15 @@ void GruClassifier::backward_lanes(const std::vector<Sequence>& data,
   const float* bun = store_.param_vector(bun_).data();
   const float* bo = store_.param_vector(bo_).data();
 
+  // Lanes not yet active at step st hold zeros in every activation tile.
+  // With z = n = 0 and a zero h_prev, the hidden-state update below leaves
+  // them at +0.0, the scalar zero initial state.
+  auto zero_inactive = [&](float* tile, std::size_t st) {
+    for (std::size_t l = 0; l < lanes; ++l)
+      if (st < t.first[l])
+        for (std::size_t i = 0; i < hd; ++i) tile[i * lanes + l] = 0.0f;
+  };
+
   // sigmoid((W x + U h_prev) + b), the z and r gates of step().
   auto gate = [&](const float* w, const float* u, const float* b,
                   const float* x, const float* hp, std::size_t st,
@@ -204,14 +216,13 @@ void GruClassifier::backward_lanes(const std::vector<Sequence>& data,
     for (std::size_t i = 0; i < hd; ++i)
       for (std::size_t l = 0; l < lanes; ++l) {
         float& v = out[i * lanes + l];
-        v = st >= t.first[l] ? sigmoidf((v + t.u[i * lanes + l]) + b[i])
-                             : 0.0f;
+        v = (v + t.u[i * lanes + l]) + b[i];
       }
+    act::sigmoid_inplace(out, ht);
+    zero_inactive(out, st);
   };
 
   // ---- Forward pass, all lanes in lockstep. ----
-  // The libm calls dominate this pass; inactive lanes skip them and hold
-  // zeros, since no gradient reads those lanes' values.
   for (std::size_t st = 0; st < steps; ++st) {
     const float* x = &t.x[st * in * lanes];
     const float* hp = st ? &t.h[(st - 1) * ht] : t.zero.data();
@@ -230,13 +241,12 @@ void GruClassifier::backward_lanes(const std::vector<Sequence>& data,
       for (std::size_t l = 0; l < lanes; ++l) {
         const std::size_t e = i * lanes + l;
         s[e] += bun[i];
-        if (st >= t.first[l]) {
-          n[e] = std::tanh((n[e] + bn[i]) + r[e] * s[e]);
-          h[e] = (1.0f - z[e]) * n[e] + z[e] * hp[e];
-        } else {
-          n[e] = h[e] = 0.0f;
-        }
+        n[e] = (n[e] + bn[i]) + r[e] * s[e];
       }
+    act::tanh_inplace(n, ht);
+    zero_inactive(n, st);
+    for (std::size_t e = 0; e < ht; ++e)
+      h[e] = (1.0f - z[e]) * n[e] + z[e] * hp[e];
     for (std::size_t l = 0; l < nb; ++l)
       for (std::size_t i = 0; i < hd; ++i)
         t.h_rows[(l * steps + st) * hd + i] = h[i * lanes + l];

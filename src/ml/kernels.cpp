@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PHFTL_KERNELS_X86 1
-#include <immintrin.h>
-// AVX2 code paths compile for AVX2 even when the build targets baseline
-// x86-64; the dispatchers below only call them on CPUs that support it.
-#ifdef __AVX2__
-#define PHFTL_TARGET_AVX2
-#else
-#define PHFTL_TARGET_AVX2 __attribute__((target("avx2")))
-#endif
-#endif
+#include "ml/avx2_target.hpp"
 
 namespace phftl::ml::kernels {
 
@@ -63,7 +53,7 @@ void fused_gemv3_scalar(const PackedGates3& m, const std::int8_t* x,
   }
 }
 
-#if PHFTL_KERNELS_X86
+#if PHFTL_ML_X86
 
 PHFTL_TARGET_AVX2 inline std::int32_t hsum_epi32(__m256i v) {
   const __m128i lo = _mm256_castsi256_si128(v);
@@ -109,13 +99,13 @@ PHFTL_TARGET_AVX2 void fused_gemv3_avx2(const PackedGates3& m,
   }
 }
 
-#endif  // PHFTL_KERNELS_X86
+#endif  // PHFTL_ML_X86
 
 using KernelFn = void (*)(const PackedGates3&, const std::int8_t*,
                           std::int32_t*, std::int32_t*, std::int32_t*);
 
 KernelFn resolve_kernel() {
-#if PHFTL_KERNELS_X86
+#if PHFTL_ML_X86
   if (__builtin_cpu_supports("avx2")) return fused_gemv3_avx2;
 #endif
   return fused_gemv3_scalar;
@@ -132,7 +122,7 @@ void fused_gemv3_i8(const PackedGates3& m, const std::int8_t* x,
 }
 
 bool fused_gemv3_uses_avx2() {
-#if PHFTL_KERNELS_X86
+#if PHFTL_ML_X86
   return g_fused_gemv3 == fused_gemv3_avx2;
 #else
   return false;
@@ -194,7 +184,7 @@ void outer_acc_batch_ref(const float* g, const std::size_t* g_off,
 
 namespace {
 
-#if PHFTL_KERNELS_X86
+#if PHFTL_ML_X86
 
 /// lane_gemv over one block of NV·8 lanes (x and y point at the block's
 /// first lane; `lanes` is the full tile stride). Two rows share each x load,
@@ -406,7 +396,7 @@ PHFTL_TARGET_AVX2 void outer_acc_batch_avx2(
   }
 }
 
-#endif  // PHFTL_KERNELS_X86
+#endif  // PHFTL_ML_X86
 
 using LaneGemvFn = void (*)(const float*, std::size_t, std::size_t,
                             const float*, std::size_t, float*);
@@ -421,7 +411,7 @@ struct LaneKernels {
 };
 
 LaneKernels resolve_lane_kernels() {
-#if PHFTL_KERNELS_X86
+#if PHFTL_ML_X86
   if (__builtin_cpu_supports("avx2"))
     return {lane_gemv_avx2, lane_gemv_t_masked_avx2, outer_acc_batch_avx2};
 #endif

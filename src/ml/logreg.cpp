@@ -1,11 +1,10 @@
 #include "ml/logreg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
+#include "ml/activations.hpp"
 #include "ml/kernels.hpp"
-#include "ml/tensor.hpp"
 #include "util/assert.hpp"
 
 namespace phftl::ml {
@@ -17,7 +16,7 @@ float LogisticRegression::predict_proba(std::span<const float> x) const {
   PHFTL_CHECK(x.size() == w_.size());
   float acc = b_;
   for (std::size_t i = 0; i < x.size(); ++i) acc += w_[i] * x[i];
-  return sigmoidf(acc);
+  return act::sigmoid(acc);
 }
 
 void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
@@ -31,8 +30,9 @@ void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
 
   // A minibatch's samples are all scored against the same weights, so they
   // run as SIMD lanes: lane l holds b + w·x_l summed left to right from b,
-  // the predict_proba chain. The gradient is then accumulated sample by
-  // sample, so the result is bit-identical to per-sample scoring.
+  // the predict_proba chain, and the scores are activated in one call. The
+  // gradient is then accumulated sample by sample, so the result is
+  // bit-identical to per-sample scoring.
   const std::size_t dim = w_.size();
   const std::size_t max_lanes =
       kernels::padded_lanes(std::min(cfg_.batch_size, features.size()));
@@ -52,13 +52,13 @@ void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
       }
       std::fill_n(acc.begin(), lanes, b_);
       kernels::lane_gemv(w_.data(), 1, dim, xt.data(), lanes, acc.data());
+      act::sigmoid_inplace(acc.data(), nb);
 
       std::fill(gw.begin(), gw.end(), 0.0f);
       float gb = 0.0f;
       for (std::size_t l = 0; l < nb; ++l) {
         const auto& x = features[order[pos + l]];
-        const float err =
-            sigmoidf(acc[l]) - static_cast<float>(labels[order[pos + l]]);
+        const float err = acc[l] - static_cast<float>(labels[order[pos + l]]);
         for (std::size_t j = 0; j < dim; ++j) gw[j] += err * x[j];
         gb += err;
       }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/activations.hpp"
 #include "util/assert.hpp"
 
 namespace phftl::ml {
@@ -113,19 +114,25 @@ int QuantizedGru::predict_incremental(std::span<const float> x,
   kernels::fused_gemv3_i8(u_packed_, s.hq.data(), uz, ur, un);
 
   // Combine with exactly the reference path's float expressions (term
-  // order preserved) so the result is bit-exact against it.
+  // order preserved), activating each gate's array in one call, so the
+  // result is bit-exact against it.
   for (std::size_t i = 0; i < h; ++i) {
-    s.z[i] = sigmoidf(static_cast<float>(az[i]) * wz_.scale * x_scale +
-                      static_cast<float>(uz[i]) * uz_.scale * kHiddenScale +
-                      bz_[i]);
-    s.r[i] = sigmoidf(static_cast<float>(ar[i]) * wr_.scale * x_scale +
-                      static_cast<float>(ur[i]) * ur_.scale * kHiddenScale +
-                      br_[i]);
-    // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
+    s.z[i] = static_cast<float>(az[i]) * wz_.scale * x_scale +
+             static_cast<float>(uz[i]) * uz_.scale * kHiddenScale + bz_[i];
+    s.r[i] = static_cast<float>(ar[i]) * wr_.scale * x_scale +
+             static_cast<float>(ur[i]) * ur_.scale * kHiddenScale + br_[i];
+  }
+  act::sigmoid_inplace(s.z.data(), h);
+  act::sigmoid_inplace(s.r.data(), h);
+  // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
+  for (std::size_t i = 0; i < h; ++i) {
     const float sn =
         static_cast<float>(un[i]) * un_.scale * kHiddenScale + bun_[i];
-    s.n[i] = std::tanh(static_cast<float>(an[i]) * wn_.scale * x_scale +
-                       bn_[i] + s.r[i] * sn);
+    s.n[i] = static_cast<float>(an[i]) * wn_.scale * x_scale + bn_[i] +
+             s.r[i] * sn;
+  }
+  act::tanh_inplace(s.n.data(), h);
+  for (std::size_t i = 0; i < h; ++i) {
     const float h_prev = static_cast<float>(h_inout[i]) * kHiddenScale;
     s.h_new[i] = (1.0f - s.z[i]) * s.n[i] + s.z[i] * h_prev;
   }
@@ -158,9 +165,9 @@ int QuantizedGru::predict_incremental_reference(
   std::vector<float> z(hidden_dim_), r(hidden_dim_), n(hidden_dim_),
       s(hidden_dim_);
   gate_preact(wz_, uz_, xq, h_inout, bz_, z);
-  for (auto& v : z) v = sigmoidf(v);
+  for (auto& v : z) v = act::sigmoid(v);
   gate_preact(wr_, ur_, xq, h_inout, br_, r);
-  for (auto& v : r) v = sigmoidf(v);
+  for (auto& v : r) v = act::sigmoid(v);
 
   // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
   const float x_scale = 1.0f / 127.0f;
@@ -174,7 +181,7 @@ int QuantizedGru::predict_incremental_reference(
     for (std::size_t c = 0; c < un_.cols; ++c)
       acc_h += static_cast<std::int32_t>(ur[c]) * h_inout[c];
     s[row] = static_cast<float>(acc_h) * un_.scale * kHiddenScale + bun_[row];
-    n[row] = std::tanh(static_cast<float>(acc_x) * wn_.scale * x_scale +
+    n[row] = act::tanh(static_cast<float>(acc_x) * wn_.scale * x_scale +
                        bn_[row] + r[row] * s[row]);
   }
 

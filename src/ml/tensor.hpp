@@ -117,8 +117,6 @@ inline void softmax(std::span<float> x) {
   for (auto& v : x) v /= sum;
 }
 
-inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
 /// Owned matrix with contiguous storage.
 class Mat {
  public:

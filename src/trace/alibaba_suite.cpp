@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/assert.hpp"
+#include "util/cli.hpp"
 
 namespace phftl {
 
@@ -171,9 +172,10 @@ Trace make_suite_trace(const SuiteTraceSpec& spec, double drive_writes) {
 
 double drive_writes_from_env(double fallback) {
   const char* env = std::getenv("PHFTL_DRIVE_WRITES");
-  if (!env) return fallback;
-  const double v = std::atof(env);
-  return v > 0.0 ? v : fallback;
+  if (!env || !*env) return fallback;
+  // The range of trace_replay's --drive-writes.
+  return util::FlagParser("environment")
+      .parse_real("PHFTL_DRIVE_WRITES", env, 0.01, 1000.0);
 }
 
 }  // namespace phftl

@@ -51,7 +51,9 @@ FtlConfig suite_ftl_config(const SuiteTraceSpec& spec);
 /// multiple for runtime and honour PHFTL_DRIVE_WRITES.
 Trace make_suite_trace(const SuiteTraceSpec& spec, double drive_writes);
 
-/// Reads PHFTL_DRIVE_WRITES from the environment (default `fallback`).
+/// Reads PHFTL_DRIVE_WRITES from the environment; unset or empty gives
+/// `fallback`. Anything but a number in [0.01, 1000] exits 2 with one
+/// stderr line naming the variable and the value.
 double drive_writes_from_env(double fallback);
 
 }  // namespace phftl

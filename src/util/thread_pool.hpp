@@ -26,6 +26,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/cli.hpp"
+
 namespace phftl::util {
 
 class ThreadPool {
@@ -93,12 +95,15 @@ class ThreadPool {
 
 /// Job-count resolution shared by every harness that takes `--jobs N`:
 /// explicit CLI value > PHFTL_JOBS environment variable > 1 (serial).
-/// 0 from either source means "one per hardware thread".
+/// 0 from either source means "one per hardware thread". PHFTL_JOBS is
+/// held to the --jobs contract: anything but an integer in [0, 256] exits 2
+/// with one stderr line naming the variable and the value.
 inline unsigned resolve_jobs(long cli_jobs = -1) {
   long jobs = cli_jobs;
   if (jobs < 0) {
     if (const char* env = std::getenv("PHFTL_JOBS"); env && *env)
-      jobs = std::strtol(env, nullptr, 10);
+      jobs = static_cast<long>(
+          FlagParser("environment").parse_uint("PHFTL_JOBS", env, 0, 256));
     else
       jobs = 1;
   }

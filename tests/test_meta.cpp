@@ -171,8 +171,9 @@ TEST(MetaCacheDifferential, MillionRandomizedOpsMatchReference) {
       const CacheAccess b = ref.access(key);
       ASSERT_EQ(a.hit, b.hit) << "op " << op << " key " << key;
       ASSERT_EQ(a.evicted, b.evicted) << "op " << op << " key " << key;
-      if (a.evicted)
+      if (a.evicted) {
         ASSERT_EQ(a.victim, b.victim) << "op " << op << " key " << key;
+      }
     } else if (dice < 99) {  // superblock erase: drop a small key range
       const std::uint64_t first = rnd() % kKeySpace;
       for (std::uint64_t k = first; k < first + 4; ++k)
@@ -199,7 +200,9 @@ TEST(MetaCacheDifferential, CapacityOneDegenerateCase) {
     const CacheAccess b = ref.access(k);
     ASSERT_EQ(a.hit, b.hit);
     ASSERT_EQ(a.evicted, b.evicted);
-    if (a.evicted) ASSERT_EQ(a.victim, b.victim);
+    if (a.evicted) {
+      ASSERT_EQ(a.victim, b.victim);
+    }
   }
 }
 

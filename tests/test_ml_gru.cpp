@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "ml/activations.hpp"
 #include "ml/gru.hpp"
 #include "util/rng.hpp"
 
@@ -51,19 +52,19 @@ float oracle_backward_sequence(GruClassifier& model, const Sequence& seq) {
     matvec(model.wz(), x, a.z);
     matvec_acc(model.uz(), h_prev, a.z);
     axpy(1.0f, model.bz(), a.z);
-    for (auto& v : a.z) v = sigmoidf(v);
+    for (auto& v : a.z) v = act::sigmoid(v);
 
     matvec(model.wr(), x, a.r);
     matvec_acc(model.ur(), h_prev, a.r);
     axpy(1.0f, model.br(), a.r);
-    for (auto& v : a.r) v = sigmoidf(v);
+    for (auto& v : a.r) v = act::sigmoid(v);
 
     matvec(model.un(), h_prev, a.s);
     axpy(1.0f, model.bun(), a.s);
     matvec(model.wn(), x, a.n);
     axpy(1.0f, model.bn(), a.n);
     for (std::size_t i = 0; i < hd; ++i)
-      a.n[i] = std::tanh(a.n[i] + a.r[i] * a.s[i]);
+      a.n[i] = act::tanh(a.n[i] + a.r[i] * a.s[i]);
 
     for (std::size_t i = 0; i < hd; ++i)
       a.h[i] = (1.0f - a.z[i]) * a.n[i] + a.z[i] * h_prev[i];

@@ -4,16 +4,21 @@
 // identical* to the naive loops regardless of which dispatch target (scalar
 // or AVX2) runs — these tests assert that, both at the GEMV level and
 // end-to-end through QuantizedGru::predict_incremental. The float lane
-// kernels keep the scalar operation order per output, so they too must
-// match their scalar definitions bit for bit.
+// kernels and the array activations keep the scalar operation order per
+// output, so they too must match their scalar definitions bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "ml/activations.hpp"
 #include "ml/gru.hpp"
 #include "ml/kernels.hpp"
 #include "ml/qgru.hpp"
@@ -169,6 +174,195 @@ TEST(FloatLaneKernels, MaskedTransposeSkipsZeroGradientsPerLane) {
                               y.data());
   EXPECT_TRUE(std::signbit(y[0]));
   EXPECT_EQ(y[1], 1.0f);
+}
+
+// ---------------------------------------------------------------------------
+// Activations
+// ---------------------------------------------------------------------------
+
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+/// Calls fn(chunk) over every finite float whose bit pattern is a multiple
+/// of 389: 1.1e7 values, both signs, every exponent, subnormals included.
+/// Returns how many values it visited.
+template <class Fn>
+std::size_t for_each_sweep_chunk(Fn fn) {
+  constexpr std::uint64_t kStride = 389;
+  std::vector<float> chunk;
+  std::size_t visited = 0;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += kStride) {
+    const float x = std::bit_cast<float>(static_cast<std::uint32_t>(b));
+    if (!std::isfinite(x)) continue;
+    chunk.push_back(x);
+    if (chunk.size() == 4096) {
+      fn(chunk);
+      visited += chunk.size();
+      chunk.clear();
+    }
+  }
+  fn(chunk);
+  return visited + chunk.size();
+}
+
+/// ±0, subnormals, ±FLT_MIN, ±FLT_MAX, ±inf, and the ends of the
+/// implementation's ranges (tanh's polynomial cut at 0.625, exp's clamp).
+std::vector<float> activation_specials() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pos[] = {0.0f,
+                       std::numeric_limits<float>::denorm_min(),
+                       std::bit_cast<float>(std::uint32_t{0x00400000}),
+                       std::bit_cast<float>(std::uint32_t{0x007FFFFF}),
+                       FLT_MIN,
+                       1e-20f,
+                       1e-4f,
+                       0.625f,
+                       std::nextafter(0.625f, 0.0f),
+                       1.0f,
+                       44.0f,
+                       87.0f,
+                       88.0f,
+                       89.0f,
+                       FLT_MAX,
+                       inf};
+  std::vector<float> v;
+  for (float x : pos) {
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  return v;
+}
+
+struct Activation {
+  const char* name;
+  void (*inplace)(float*, std::size_t);
+  float (*scalar)(float);
+};
+const Activation kActivations[] = {
+    {"sigmoid", act::sigmoid_inplace, act::sigmoid},
+    {"tanh", act::tanh_inplace, act::tanh}};
+
+TEST(Activations, DispatchedMatchScalarOverFiniteSweep) {
+  std::size_t mismatches = 0;
+  const std::size_t visited =
+      for_each_sweep_chunk([&](const std::vector<float>& x) {
+        for (const auto& f : kActivations) {
+          auto y = x;
+          f.inplace(y.data(), y.size());
+          for (std::size_t i = 0; i < x.size(); ++i)
+            if (bits_of(y[i]) != bits_of(f.scalar(x[i])) && mismatches++ == 0)
+              ADD_FAILURE() << f.name << "(" << x[i] << "): dispatched "
+                            << y[i] << " vs scalar " << f.scalar(x[i]);
+        }
+      });
+  EXPECT_GE(visited, 10'000'000u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Activations, DispatchedMatchScalarAtSpecialValuesAndEveryTail) {
+  // Lengths 0-40 put every remainder mod 8 behind zero to five full
+  // vectors; the guard element past the end must stay untouched.
+  const auto specials = activation_specials();
+  Xoshiro256 rng(404);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    SCOPED_TRACE("length " + std::to_string(n));
+    std::vector<float> x(n + 1);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i] = i % 2 ? specials[(i / 2 + n) % specials.size()]
+                   : static_cast<float>(rng.next_gaussian() * 4.0);
+    x[n] = 12345.0f;
+    for (const auto& f : kActivations) {
+      auto y = x;
+      f.inplace(y.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(bits_of(y[i]), bits_of(f.scalar(x[i]))) << "x = " << x[i];
+      EXPECT_EQ(bits_of(y[n]), bits_of(12345.0f));
+    }
+  }
+  // Every special value in every lane position of a full vector.
+  for (std::size_t shift = 0; shift < kernels::kFloatLanes; ++shift) {
+    std::vector<float> x(specials.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = specials[(i + shift) % specials.size()];
+    for (const auto& f : kActivations) {
+      auto y = x;
+      f.inplace(y.data(), y.size());
+      for (std::size_t i = 0; i < x.size(); ++i)
+        EXPECT_EQ(bits_of(y[i]), bits_of(f.scalar(x[i]))) << "x = " << x[i];
+    }
+  }
+}
+
+TEST(Activations, ScalarDefinitionsArePinned) {
+  // PHFTL's floats depend on these bits alone, so no target or compiler
+  // may change them: this catches a multiply-add fused into an FMA, which
+  // the parity test above misses when both paths fuse alike. The hash is
+  // FNV-1a over every sweep value's sigmoid and tanh bits; change it only
+  // with the definitions, and record the model drift that follows.
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](float y) {
+    const std::uint32_t b = bits_of(y);
+    for (int k = 0; k < 4; ++k) {
+      h ^= (b >> (8 * k)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  for_each_sweep_chunk([&](const std::vector<float>& x) {
+    for (float v : x) {
+      mix(act::sigmoid(v));
+      mix(act::tanh(v));
+    }
+  });
+  EXPECT_EQ(h, 3604304238054817182ull);
+}
+
+double sigmoid_exact(float x) { return 1.0 / (1.0 + std::exp(-double{x})); }
+
+double tanh_exact(float x) {
+  const double a = std::fabs(double{x});
+  const double t = a < 20.0 ? std::expm1(2.0 * a) / (std::expm1(2.0 * a) + 2.0)
+                            : 1.0;
+  return std::copysign(t, double{x});
+}
+
+TEST(Activations, AbsoluteErrorAtMostTwoToMinus21) {
+  double sigmoid_err = 0.0, tanh_err = 0.0;
+  float sigmoid_at = 0.0f, tanh_at = 0.0f;
+  auto check = [&](const std::vector<float>& x) {
+    for (float v : x) {
+      const double es = std::fabs(act::sigmoid(v) - sigmoid_exact(v));
+      const double et = std::fabs(act::tanh(v) - tanh_exact(v));
+      if (es > sigmoid_err) sigmoid_err = es, sigmoid_at = v;
+      if (et > tanh_err) tanh_err = et, tanh_at = v;
+    }
+  };
+  for_each_sweep_chunk(check);
+  check(activation_specials());
+  const double bound = std::ldexp(1.0, -21);
+  EXPECT_LE(sigmoid_err, bound) << "at x = " << sigmoid_at;
+  EXPECT_LE(tanh_err, bound) << "at x = " << tanh_at;
+}
+
+TEST(Activations, TanhIsOddAndBothStayInRange) {
+  std::size_t bad = 0;
+  auto check = [&](const std::vector<float>& x) {
+    for (float v : x) {
+      const float s = act::sigmoid(v), t = act::tanh(v);
+      const bool ok = bits_of(act::tanh(-v)) == bits_of(-t) && s >= 0.0f &&
+                      s <= 1.0f && t >= -1.0f && t <= 1.0f;
+      if (!ok && bad++ == 0)
+        ADD_FAILURE() << "x = " << v << ": sigmoid " << s << ", tanh " << t
+                      << ", tanh(-x) " << act::tanh(-v);
+    }
+  };
+  for_each_sweep_chunk(check);
+  check(activation_specials());
+  EXPECT_EQ(bad, 0u);
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(act::tanh(inf), 1.0f);
+  EXPECT_EQ(act::tanh(-inf), -1.0f);
+  EXPECT_EQ(act::sigmoid(inf), 1.0f);
+  EXPECT_LE(act::sigmoid(-inf), FLT_MIN);
+  EXPECT_TRUE(std::signbit(act::tanh(-0.0f)));
 }
 
 /// End-to-end parity: the fused predict_incremental must return the same

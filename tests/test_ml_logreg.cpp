@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "ml/activations.hpp"
 #include "ml/logreg.hpp"
-#include "ml/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace phftl::ml {
@@ -37,7 +37,7 @@ void per_sample_fit(const LogisticRegression::Config& cfg,
         float acc = b;
         for (std::size_t j = 0; j < x.size(); ++j) acc += w[j] * x[j];
         const float err =
-            sigmoidf(acc) - static_cast<float>(labels[order[i]]);
+            act::sigmoid(acc) - static_cast<float>(labels[order[i]]);
         for (std::size_t j = 0; j < w.size(); ++j) gw[j] += err * x[j];
         gb += err;
       }

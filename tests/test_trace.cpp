@@ -236,10 +236,13 @@ TEST(AlibabaSuite, TraceSizedToDriveWrites) {
 TEST(AlibabaSuite, DriveWritesEnvOverride) {
   unsetenv("PHFTL_DRIVE_WRITES");
   EXPECT_DOUBLE_EQ(drive_writes_from_env(8.0), 8.0);
+  setenv("PHFTL_DRIVE_WRITES", "", 1);
+  EXPECT_DOUBLE_EQ(drive_writes_from_env(8.0), 8.0);
   setenv("PHFTL_DRIVE_WRITES", "2.5", 1);
   EXPECT_DOUBLE_EQ(drive_writes_from_env(8.0), 2.5);
   setenv("PHFTL_DRIVE_WRITES", "garbage", 1);
-  EXPECT_DOUBLE_EQ(drive_writes_from_env(8.0), 8.0);
+  EXPECT_EXIT(drive_writes_from_env(8.0), ::testing::ExitedWithCode(2),
+              "'garbage' for PHFTL_DRIVE_WRITES");
   unsetenv("PHFTL_DRIVE_WRITES");
 }
 

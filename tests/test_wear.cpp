@@ -84,8 +84,9 @@ TEST_P(WearTest, WearSpreadBoundedUnderLeveling) {
   // The drive still serves every acknowledged page after leveling.
   for (Lpn lpn = 0; lpn < on->logical_pages(); ++lpn) {
     ASSERT_EQ(on->is_mapped(lpn), off->is_mapped(lpn)) << "lpn " << lpn;
-    if (on->is_mapped(lpn))
+    if (on->is_mapped(lpn)) {
       ASSERT_EQ(on->read_page(lpn), lpn ^ 0x5bd1e995ULL) << "lpn " << lpn;
+    }
   }
 }
 
@@ -163,8 +164,9 @@ TEST_P(WearTest, BudgetExhaustionRetiresCleanly) {
   const Geometry& g = cfg.geom;
   for (std::uint64_t sb = 0; sb < g.num_superblocks(); ++sb) {
     ASSERT_LE(ftl->flash().erase_count(sb), cfg.max_pe_cycles) << "sb " << sb;
-    if (ftl->flash().erase_count(sb) >= cfg.max_pe_cycles)
+    if (ftl->flash().erase_count(sb) >= cfg.max_pe_cycles) {
       ASSERT_TRUE(ftl->flash().is_bad(sb)) << "sb " << sb;
+    }
   }
 
   ftl->drain();
@@ -213,7 +215,9 @@ TEST_P(WearTest, RecoveryRederivesEraseCountLowerBounds) {
   // schemes whose separation builds spread in the first place).
   const std::uint64_t before = ftl->stats().wl_rounds;
   run_workload(*ftl, 6.0, 239);
-  if (before > 0) EXPECT_GT(ftl->stats().wl_rounds, before) << GetParam();
+  if (before > 0) {
+    EXPECT_GT(ftl->stats().wl_rounds, before) << GetParam();
+  }
   EXPECT_LE(ftl->wear_spread(),
             static_cast<double>(cfg.wear_level_threshold) + 4.0);
   ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
@@ -239,7 +243,9 @@ TEST_P(WearTest, WearMetricsAndTraceAreExported) {
   EXPECT_EQ(wl_migrations->value(), ftl->stats().wl_migrations);
   // Base self-levels (no separation, no pinned cold blocks), so only the
   // separating schemes are guaranteed to have fired rounds here.
-  if (GetParam() != "Base") EXPECT_GT(wl_rounds->value(), 0u) << GetParam();
+  if (GetParam() != "Base") {
+    EXPECT_GT(wl_rounds->value(), 0u) << GetParam();
+  }
 
   const auto* spread = reg.find_gauge("flash.wear_spread");
   const auto* wear_max = reg.find_gauge("flash.wear_max");
@@ -256,8 +262,9 @@ TEST_P(WearTest, WearMetricsAndTraceAreExported) {
   ftl->observability().trace().for_each([&](const obs::TraceEvent& e) {
     wl_events += e.type == obs::TraceEventType::kWearLevel;
   });
-  if (ftl->observability().trace().dropped() == 0)
+  if (ftl->observability().trace().dropped() == 0) {
     EXPECT_EQ(wl_events, ftl->stats().wl_rounds) << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, WearTest,
