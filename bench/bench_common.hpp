@@ -171,7 +171,6 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
   // (schema "phftl-bench-metrics/1" — EXPERIMENTS.md).
   auto& artifact = detail::MetricsArtifact::instance();
   if (artifact.enabled() || opts.capture_metrics) {
-    ftl->refresh_observability();
     res.metrics_json = obs::metrics_to_json(ftl->observability());
     if (artifact.enabled() && opts.record_artifact)
       artifact.add(spec.id, scheme, drive_writes, res.metrics_json);

@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
               kModeNames[m] + " prediction");
       for (const double us : p.samples[m]) hist.observe(us);
     }
-    obs.metrics()
-        .gauge("fig6.sync_inflation." + label, "ratio",
-               "sync-prediction latency inflation vs stock, " + label)
-        .set(p.inflation);
+    obs.metrics().gauge("fig6.sync_inflation." + label,
+                        [inflation = p.inflation] { return inflation; },
+                        "ratio",
+                        "sync-prediction latency inflation vs stock, " + label);
     table.row({label, TextTable::num(p.mean[0], 1),
                TextTable::num(p.sd[0], 2), TextTable::num(p.mean[1], 1),
                TextTable::num(p.sd[1], 2), TextTable::num(p.mean[2], 1),

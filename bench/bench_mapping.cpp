@@ -162,22 +162,17 @@ void run_workload(FtlBase& ftl, double ops_per_page, double warmup_fraction,
   const FtlStats& s = ftl.stats();
   r.host_reads = s.host_reads;
   r.wa = s.write_amplification();
-  const std::uint64_t host_total = (s.host_reads - warm.host_reads) +
-                                   (s.host_reads_unmapped -
-                                    warm.host_reads_unmapped);
-  const std::uint64_t extra_reads =
-      (s.trans_reads_host - warm.trans_reads_host) +
-      (s.learned_probe_reads_host - warm.learned_probe_reads_host);
-  r.read_amp = host_total == 0
-                   ? 1.0
-                   : static_cast<double>(host_total + extra_reads) /
-                         static_cast<double>(host_total);
-  const std::uint64_t lookups = (s.cmt_hits - warm.cmt_hits) +
-                                (s.cmt_misses - warm.cmt_misses);
-  r.cmt_hit_rate = lookups == 0
-                       ? 0.0
-                       : static_cast<double>(s.cmt_hits - warm.cmt_hits) /
-                             static_cast<double>(lookups);
+  // The read-path fields both post-warmup ratios read.
+  FtlStats delta;
+  delta.host_reads = s.host_reads - warm.host_reads;
+  delta.host_reads_unmapped = s.host_reads_unmapped - warm.host_reads_unmapped;
+  delta.trans_reads_host = s.trans_reads_host - warm.trans_reads_host;
+  delta.learned_probe_reads_host =
+      s.learned_probe_reads_host - warm.learned_probe_reads_host;
+  delta.cmt_hits = s.cmt_hits - warm.cmt_hits;
+  delta.cmt_misses = s.cmt_misses - warm.cmt_misses;
+  r.read_amp = delta.host_read_amplification();
+  r.cmt_hit_rate = delta.cmt_hit_rate();
   r.trans_writes = s.trans_writes;
   r.trans_gc_writes = s.trans_gc_writes;
   r.trans_reads = s.trans_reads;

@@ -292,18 +292,6 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   }
 
   if (const MappingTier* tier = ftl->mapping_tier()) {
-    const std::uint64_t host_total = s.host_reads + s.host_reads_unmapped;
-    const double read_amp =
-        host_total == 0
-            ? 1.0
-            : static_cast<double>(host_total + s.trans_reads_host +
-                                  s.learned_probe_reads_host) /
-                  static_cast<double>(host_total);
-    const std::uint64_t cmt_lookups = s.cmt_hits + s.cmt_misses;
-    const double hit_rate =
-        cmt_lookups == 0 ? 0.0
-                         : static_cast<double>(s.cmt_hits) /
-                               static_cast<double>(cmt_lookups);
     const std::uint64_t flat_bytes = ftl->logical_pages() * 8;
     const std::uint64_t tier_bytes = ftl->mapping_ram_bytes();
     std::snprintf(
@@ -324,7 +312,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
         static_cast<unsigned long long>(s.trans_reads),
         static_cast<unsigned long long>(s.trans_reads_host),
         static_cast<unsigned long long>(tier->cmt_resident()),
-        hit_rate * 100.0, read_amp,
+        s.cmt_hit_rate() * 100.0, s.host_read_amplification(),
         static_cast<unsigned long long>(tier_bytes),
         static_cast<unsigned long long>(flat_bytes),
         tier_bytes == 0 ? 0.0
@@ -377,7 +365,6 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   ReplayOutcome outcome;
   if (!opt.metrics_json_path.empty() || !opt.metrics_csv_path.empty() ||
       !opt.trace_out_path.empty()) {
-    ftl->refresh_observability();  // push gauges before the snapshot
     if (!opt.metrics_json_path.empty())
       outcome.ok &= write_or_complain(out, opt.metrics_json_path,
                                       obs::metrics_to_json(ftl->observability()),

@@ -31,19 +31,14 @@ class SepBitFtl : public FtlBase {
     // Bootstrap ℓ at 10% of logical capacity; replaced after the first
     // observation window.
     lifetime_estimate_ = static_cast<double>(logical_pages()) * 0.1;
-    lifetime_gauge_ = &observability().metrics().gauge(
-        "sepbit.lifetime_estimate_pages", "pages",
-        "windowed mean lifetime of class-1 user pages (SepBIT's l)");
+    observability().metrics().gauge(
+        "sepbit.lifetime_estimate_pages", [this] { return lifetime_estimate_; },
+        "pages", "windowed mean lifetime of class-1 user pages (SepBIT's l)");
   }
 
   std::string name() const override { return "SepBIT"; }
 
   double lifetime_estimate() const { return lifetime_estimate_; }
-
-  void refresh_observability() override {
-    FtlBase::refresh_observability();
-    lifetime_gauge_->set(lifetime_estimate_);
-  }
 
  protected:
   std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx) override {
@@ -124,7 +119,6 @@ class SepBitFtl : public FtlBase {
   double lifetime_estimate_;
   double window_sum_ = 0.0;
   std::uint64_t window_count_ = 0;
-  obs::Gauge* lifetime_gauge_ = nullptr;
 };
 
 }  // namespace phftl

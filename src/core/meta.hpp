@@ -93,9 +93,10 @@ class MetaStore {
   void reset_cold();
 
   // --- statistics (paper §V-B cache-hit analysis) ---
-  std::uint64_t cache_hits() const { return hits_; }
+  /// By reference: PHFTL exports the two hit counts as counter views.
+  const std::uint64_t& cache_hits() const { return hits_; }
   std::uint64_t cache_misses() const { return misses_; }
-  std::uint64_t buffer_hits() const { return buffer_hits_; }
+  const std::uint64_t& buffer_hits() const { return buffer_hits_; }
   double cache_hit_rate() const {
     const std::uint64_t total = hits_ + misses_;
     return total ? static_cast<double>(hits_) / static_cast<double>(total)

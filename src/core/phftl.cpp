@@ -62,48 +62,36 @@ PhftlFtl::PhftlFtl(const PhftlConfig& cfg)
       {50, 100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600}, "ns",
       "wall-clock latency of one incremental GRU prediction (paper: ~9 us "
       "on the Cortex-A9; here the fused int8 host kernels)");
-  meta_cache_hits_ctr_ =
-      &m.counter("meta.cache_hits", "lookups",
+  // MetaStore counts every retrieval fetch_metadata makes; every miss is
+  // also one meta-page read in FtlStats.
+  m.counter_view("meta.cache_hits", &meta_.cache_hits(), "lookups",
                  "meta-page retrievals served by the RAM cache");
-  // Every miss is one meta-page read, already counted in FtlStats.
   m.counter_view("meta.cache_misses", &stats().meta_reads, "lookups",
                  "meta-page retrievals that read flash (cache miss)");
-  meta_buffer_hits_ctr_ =
-      &m.counter("meta.buffer_hits", "lookups",
+  m.counter_view("meta.buffer_hits", &meta_.buffer_hits(), "lookups",
                  "retrievals served by an open superblock's RAM write "
                  "buffer (no meta page exists yet)");
-  cache_hit_rate_gauge_ = &m.gauge(
-      "meta.cache_hit_rate", "ratio",
-      "cache hits / (hits + misses), the paper's 98-99.9% figure (SV-B)");
-  threshold_gauge_ = &m.gauge("trainer.threshold_pages", "pages",
-                              "current adaptive labeling threshold (Alg. 1)");
-  windows_gauge_ = &m.gauge("trainer.windows_completed", "windows",
-                            "training windows completed");
-  trainings_gauge_ = &m.gauge("trainer.trainings_run", "trainings",
-                              "GRU training epochs run (one per window)");
-  cls_accuracy_gauge_ = &m.gauge("classifier.accuracy", "ratio",
-                                 "online confusion-matrix accuracy (Table I)");
-  cls_precision_gauge_ = &m.gauge("classifier.precision", "ratio",
-                                  "online precision (Table I)");
-  cls_recall_gauge_ =
-      &m.gauge("classifier.recall", "ratio", "online recall (Table I)");
-  cls_f1_gauge_ = &m.gauge("classifier.f1", "ratio", "online F1 (Table I)");
+  m.gauge("meta.cache_hit_rate", [this] { return meta_.cache_hit_rate(); },
+          "ratio",
+          "cache hits / (hits + misses), the paper's 98-99.9% figure (SV-B)");
+  m.gauge("trainer.threshold_pages", [this] { return trainer_.threshold(); },
+          "pages", "current adaptive labeling threshold (Alg. 1)");
+  m.gauge("trainer.windows_completed",
+          [this] { return trainer_.windows_completed(); }, "windows",
+          "training windows completed");
+  m.gauge("trainer.trainings_run", [this] { return trainer_.trainings_run(); },
+          "trainings", "GRU training epochs run (one per window)");
+  m.gauge("classifier.accuracy", [this] { return cm_.accuracy(); }, "ratio",
+          "online confusion-matrix accuracy (Table I)");
+  m.gauge("classifier.precision", [this] { return cm_.precision(); }, "ratio",
+          "online precision (Table I)");
+  m.gauge("classifier.recall", [this] { return cm_.recall(); }, "ratio",
+          "online recall (Table I)");
+  m.gauge("classifier.f1", [this] { return cm_.f1(); }, "ratio",
+          "online F1 (Table I)");
 
   PHFTL_CHECK_MSG(cfg.trainer.gru_hidden <= 32,
                   "hidden state exceeds the 32-byte metadata slot");
-}
-
-void PhftlFtl::refresh_observability() {
-  drain();  // finish a parked GC round and flush the CMT write-back buffer
-  FtlBase::refresh_observability();
-  cache_hit_rate_gauge_->set(meta_.cache_hit_rate());
-  threshold_gauge_->set(static_cast<double>(trainer_.threshold()));
-  windows_gauge_->set(static_cast<double>(trainer_.windows_completed()));
-  trainings_gauge_->set(static_cast<double>(trainer_.trainings_run()));
-  cls_accuracy_gauge_->set(cm_.accuracy());
-  cls_precision_gauge_->set(cm_.precision());
-  cls_recall_gauge_->set(cm_.recall());
-  cls_f1_gauge_->set(cm_.f1());
 }
 
 MetaEntry PhftlFtl::fetch_metadata(Lpn lpn) {
@@ -117,10 +105,7 @@ MetaEntry PhftlFtl::fetch_metadata(Lpn lpn) {
     note_meta_read();
     observability().trace().record(obs::TraceEventType::kMetaCacheMiss,
                                    virtual_clock(), meta_.mppn_of(ppn));
-  } else if (open) {
-    meta_buffer_hits_ctr_->inc();
-  } else {
-    meta_cache_hits_ctr_->inc();
+  } else if (!open) {
     observability().trace().record(obs::TraceEventType::kMetaCacheHit,
                                    virtual_clock(), meta_.mppn_of(ppn));
   }

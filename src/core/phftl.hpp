@@ -82,10 +82,6 @@ class PhftlFtl : public FtlBase {
   std::uint64_t predictions_made() const { return predictions_; }
   std::uint64_t short_predictions() const { return short_predictions_; }
 
-  /// Extends the FTL gauges with the learning-side ones: classifier
-  /// quality, meta-cache hit rate, trainer threshold/windows.
-  void refresh_observability() override;
-
  protected:
   std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx) override;
   /// Also places wear-leveled pages: their survival count already encodes
@@ -143,16 +139,6 @@ class PhftlFtl : public FtlBase {
 
   // --- observability handles (registered once in the constructor) ---
   obs::Histogram* predict_latency_hist_ = nullptr;
-  obs::Counter* meta_cache_hits_ctr_ = nullptr;
-  obs::Counter* meta_buffer_hits_ctr_ = nullptr;
-  obs::Gauge* cache_hit_rate_gauge_ = nullptr;
-  obs::Gauge* threshold_gauge_ = nullptr;
-  obs::Gauge* windows_gauge_ = nullptr;
-  obs::Gauge* trainings_gauge_ = nullptr;
-  obs::Gauge* cls_accuracy_gauge_ = nullptr;
-  obs::Gauge* cls_precision_gauge_ = nullptr;
-  obs::Gauge* cls_recall_gauge_ = nullptr;
-  obs::Gauge* cls_f1_gauge_ = nullptr;
 };
 
 /// Convenience: a PHFTL with paper-default parameters for a geometry

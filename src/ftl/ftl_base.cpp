@@ -203,61 +203,49 @@ void FtlBase::register_ftl_metrics() {
   erase_count_hist_ =
       &m.histogram("flash.erase_count", std::move(wear_edges), "erases",
                    "per-superblock erase count, observed at each erase");
-  bad_blocks_gauge_ = &m.gauge("flash.bad_blocks", "superblocks",
-                               "superblocks out of service (factory bad + "
-                               "retired + erase failures)");
-  wa_gauge_ = &m.gauge("ftl.write_amplification", "ratio",
-                       "(flash writes - user writes) / user writes");
-  free_sb_gauge_ =
-      &m.gauge("ftl.free_superblocks", "superblocks", "free-pool size");
-  closed_sb_gauge_ = &m.gauge("ftl.closed_superblocks", "superblocks",
-                              "closed superblocks (GC candidates)");
-  pending_retire_gauge_ =
-      &m.gauge("ftl.pending_retire_superblocks", "superblocks",
-               "closed superblocks awaiting retirement after a program "
-               "failure (drained by GC, then taken out of service)");
-  vclock_gauge_ = &m.gauge("ftl.virtual_clock", "pages",
-                           "host pages written (the paper's lifetime clock)");
-  journal_pages_gauge_ = &m.gauge("ftl.trim_journal.pages", "pages",
-                                  "record pages live in the trim journal");
-  journal_sbs_gauge_ =
-      &m.gauge("ftl.trim_journal.superblocks", "superblocks",
-               "superblocks currently held by the trim journal");
-  watermark_gauge_ =
-      &m.gauge("ftl.capacity_watermark_pages", "pages",
-               "host-visible capacity under the current physical reserve "
-               "(writes past it are rejected with ENOSPC)");
-  mapped_gauge_ =
-      &m.gauge("ftl.mapped_pages", "pages", "logical pages currently mapped");
-  gc_inflight_moved_gauge_ =
-      &m.gauge("ftl.gc.inflight_valid_moved", "pages",
-               "valid pages the preempted in-flight GC round has relocated "
-               "so far (0 when no round is in flight)");
-  wear_spread_gauge_ =
-      &m.gauge("flash.wear_spread", "erases",
-               "max - mean erase count over in-service superblocks (the "
-               "static wear-leveling trigger quantity)");
-  wear_max_gauge_ = &m.gauge("flash.wear_max", "erases",
-                             "highest erase count among in-service "
-                             "superblocks");
+  // Gauges are views: each reads the state it reports when it is read.
+  m.gauge("flash.bad_blocks", [this] { return flash_.bad_block_count(); },
+          "superblocks",
+          "superblocks out of service (factory bad + retired + erase "
+          "failures)");
+  m.gauge("ftl.write_amplification",
+          [this] { return stats_.write_amplification(); }, "ratio",
+          "(flash writes - user writes) / user writes");
+  m.gauge("ftl.free_superblocks", [this] { return free_pool_.size(); },
+          "superblocks", "free-pool size");
+  m.gauge("ftl.closed_superblocks", [this] { return victim_index_.size(); },
+          "superblocks", "closed superblocks (GC candidates)");
+  m.gauge("ftl.pending_retire_superblocks",
+          [this] {
+            return std::count(pending_retire_.begin(), pending_retire_.end(),
+                              std::uint8_t{1});
+          },
+          "superblocks",
+          "closed superblocks awaiting retirement after a program failure "
+          "(drained by GC, then taken out of service)");
+  m.gauge("ftl.virtual_clock", [this] { return virtual_clock_; }, "pages",
+          "host pages written (the paper's lifetime clock)");
+  m.gauge("ftl.trim_journal.pages", [this] { return journal_pages_used_; },
+          "pages", "record pages live in the trim journal");
+  m.gauge("ftl.trim_journal.superblocks",
+          [this] { return journal_sbs_.size(); }, "superblocks",
+          "superblocks currently held by the trim journal");
+  m.gauge("ftl.capacity_watermark_pages",
+          [this] { return capacity_watermark_pages(); }, "pages",
+          "host-visible capacity under the current physical reserve "
+          "(writes past it are rejected with ENOSPC)");
+  m.gauge("ftl.mapped_pages", [this] { return mapped_count_; }, "pages",
+          "logical pages currently mapped");
+  m.gauge("ftl.gc.inflight_valid_moved", [this] { return round_.moved; },
+          "pages",
+          "valid pages the preempted in-flight GC round has relocated so "
+          "far (0 when no round is in flight)");
+  m.gauge("flash.wear_spread", [this] { return wear_spread(); }, "erases",
+          "max - mean erase count over in-service superblocks (the static "
+          "wear-leveling trigger quantity)");
+  m.gauge("flash.wear_max", [this] { return wear_max_; }, "erases",
+          "highest erase count among in-service superblocks");
   MappingTier::register_gauges(m, tier_.get());
-}
-
-void FtlBase::refresh_observability() {
-  bad_blocks_gauge_->set(static_cast<double>(flash_.bad_block_count()));
-  wa_gauge_->set(stats_.write_amplification());
-  free_sb_gauge_->set(static_cast<double>(free_pool_.size()));
-  closed_sb_gauge_->set(static_cast<double>(victim_index_.size()));
-  pending_retire_gauge_->set(static_cast<double>(pending_retire_count_));
-  vclock_gauge_->set(static_cast<double>(virtual_clock_));
-  journal_pages_gauge_->set(static_cast<double>(journal_pages_used_));
-  journal_sbs_gauge_->set(static_cast<double>(journal_sbs_.size()));
-  watermark_gauge_->set(static_cast<double>(capacity_watermark_pages()));
-  mapped_gauge_->set(static_cast<double>(mapped_count_));
-  gc_inflight_moved_gauge_->set(static_cast<double>(round_.moved));
-  wear_spread_gauge_->set(wear_spread());
-  wear_max_gauge_->set(static_cast<double>(wear_max_));
-  if (tier_) tier_->refresh_observability();
 }
 
 double FtlBase::wear_mean() const {
@@ -298,8 +286,6 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
     // The block failed a program earlier; now that it is drained, take it
     // out of service for good. It never returns to the free pool.
     pending_retire_[sb] = 0;
-    PHFTL_CHECK(pending_retire_count_ > 0);
-    --pending_retire_count_;
     flash_.retire_superblock(sb);
     ++stats_.blocks_retired;
     obs_.trace().record(obs::TraceEventType::kBlockRetired, virtual_clock_,
@@ -690,10 +676,7 @@ void FtlBase::note_program_failure(std::uint64_t sb) {
   ++stats_.program_failures;
   obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_, sb,
                       0, sb_meta_[sb].stream);
-  if (!pending_retire_[sb]) {
-    pending_retire_[sb] = 1;
-    ++pending_retire_count_;
-  }
+  pending_retire_[sb] = 1;
 }
 
 template <typename OnProgrammed>
@@ -975,7 +958,6 @@ RecoveryReport FtlBase::recover() {
   // and mapped count are re-derived from flash by the rebuild + replay.)
   std::fill(open_.begin(), open_.end(), kNoSb);
   std::fill(pending_retire_.begin(), pending_retire_.end(), 0);
-  pending_retire_count_ = 0;
   prev_req_end_ = kInvalidLpn;
   in_gc_ = false;
   in_compaction_ = false;
@@ -1281,8 +1263,10 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     const std::uint64_t payload = flash_.read(ppn);
     ++stats_.gc_reads;
 
+    // The GC count saturates at five collections (the paper's "5+").
+    constexpr std::uint32_t kMaxGcCount = 5;
     const std::uint8_t new_count = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(gc_count_[ppn] + 1, cfg_.max_gc_streams));
+        std::min<std::uint32_t>(gc_count_[ppn] + 1, kMaxGcCount));
     oob.gc_count = new_count;  // keep the OOB copy recovery-accurate
     const std::uint32_t stream = classify_gc_write(lpn, new_count, oob);
 

@@ -59,7 +59,6 @@ struct FtlConfig {
   Geometry geom;
   double op_ratio = 0.07;               ///< over-provisioning (paper: 7 %)
   double gc_free_threshold = 0.05;      ///< GC when free-superblock ratio < 5 %
-  std::uint32_t max_gc_streams = 5;     ///< GC-count separation cap (paper: 5+)
   GcMode gc_mode = GcMode::kStopTheWorld;
   /// Valid-page relocation budget of one time-sliced GC step (the per-write
   /// tail-latency bound; ignored under kStopTheWorld). docs/QOS.md.
@@ -263,15 +262,9 @@ class FtlBase {
   /// This instance's observability surface (metrics registry + trace
   /// recorder + snapshot series; docs/METRICS.md documents every metric).
   /// Counters and trace events update as the FTL runs; gauges (WA, hit
-  /// rates, threshold, ...) are point-in-time values — call
-  /// refresh_observability() before exporting.
+  /// rates, threshold, ...) read the FTL's state whenever they are read.
   obs::Observability& observability() { return obs_; }
   const obs::Observability& observability() const { return obs_; }
-
-  /// Recompute all gauges from the current FTL state. Subclasses extend
-  /// this with their policy-side gauges (classifier quality, cache hit
-  /// rate, lifetime estimates, ...).
-  virtual void refresh_observability();
 
   /// Mount-time recovery: rebuild the L2P table, validity bitmaps, and
   /// per-superblock accounting purely from the flash array's OOB areas
@@ -627,8 +620,6 @@ class FtlBase {
   /// Logical pages currently mapped (admission-checked against the
   /// capacity watermark).
   std::uint64_t mapped_count_ = 0;
-  /// Superblocks flagged pending-retire (gauge source).
-  std::uint64_t pending_retire_count_ = 0;
 
   /// The mapping tier (FtlConfig::mapping_tier), null when off.
   std::unique_ptr<MappingTier> tier_;
@@ -647,19 +638,6 @@ class FtlBase {
   obs::Counter* journal_replayed_ctr_ = nullptr;
   obs::Histogram* victim_valid_hist_ = nullptr;
   obs::Histogram* erase_count_hist_ = nullptr;
-  obs::Gauge* bad_blocks_gauge_ = nullptr;
-  obs::Gauge* wa_gauge_ = nullptr;
-  obs::Gauge* free_sb_gauge_ = nullptr;
-  obs::Gauge* closed_sb_gauge_ = nullptr;
-  obs::Gauge* pending_retire_gauge_ = nullptr;
-  obs::Gauge* vclock_gauge_ = nullptr;
-  obs::Gauge* journal_pages_gauge_ = nullptr;
-  obs::Gauge* journal_sbs_gauge_ = nullptr;
-  obs::Gauge* watermark_gauge_ = nullptr;
-  obs::Gauge* mapped_gauge_ = nullptr;
-  obs::Gauge* gc_inflight_moved_gauge_ = nullptr;
-  obs::Gauge* wear_spread_gauge_ = nullptr;
-  obs::Gauge* wear_max_gauge_ = nullptr;
 };
 
 }  // namespace phftl

@@ -73,54 +73,52 @@ void MappingTier::register_counters(obs::MetricsRegistry& m,
   tier->reconciled_ = reconciled;
 }
 
-void MappingTier::register_gauges(obs::MetricsRegistry& m, MappingTier* tier) {
-  obs::Gauge* hit_rate =
-      &m.gauge("ftl.map.cmt_hit_rate", "ratio",
-               "CMT hits / (hits + misses) over the run so far");
-  obs::Gauge* ram = &m.gauge("ftl.map.ram_bytes", "bytes",
-                             "mapping-tier RAM footprint (GTD + CMT slab + "
-                             "cache index + write-back buffer capacity; "
-                             "docs/MAPPING.md methodology)");
-  obs::Gauge* read_amp =
-      &m.gauge("ftl.map.read_amplification", "ratio",
-               "(host flash reads + host-path translation fetches + wasted "
-               "learned probes) / host reads including unmapped zero-fills "
-               "— the demand-paging double-read penalty");
-  obs::Gauge* trans_wa = &m.gauge("ftl.map.translation_wa", "ratio",
-                                  "translation pages programmed per user "
-                                  "page written (the tier's own WA "
-                                  "contribution)");
-  obs::Gauge* segments =
-      &m.gauge("ftl.map.learned_segments", "segments",
-               "piecewise-linear segments the learned index currently "
-               "holds (tracks sequential runs, not translation pages)");
-  obs::Gauge* learned_bytes =
-      &m.gauge("ftl.map.learned_index_bytes", "bytes",
-               "learned-index model RAM (charged into ftl.map.ram_bytes; "
-               "docs/MAPPING.md methodology)");
-  if (tier == nullptr) return;
-  tier->cmt_hit_rate_ = hit_rate;
-  tier->ram_bytes_ = ram;
-  tier->read_amp_ = read_amp;
-  tier->trans_wa_ = trans_wa;
-  tier->learned_segments_ = segments;
-  tier->learned_bytes_ = learned_bytes;
-}
-
-void MappingTier::refresh_observability() {
-  const FtlStats& s = ftl_.stats_;
-  const auto ratio = [](std::uint64_t num, std::uint64_t den) {
-    return den == 0 ? 0.0
-                    : static_cast<double>(num) / static_cast<double>(den);
+void MappingTier::register_gauges(obs::MetricsRegistry& m,
+                                  const MappingTier* tier) {
+  // Each gauge reads the live tier; a tier-off FTL exports them as 0.
+  const auto view = [tier](auto read) {
+    return [tier, read] {
+      return tier ? static_cast<double>(read(*tier)) : 0.0;
+    };
   };
-  cmt_hit_rate_->set(ratio(s.cmt_hits, s.cmt_hits + s.cmt_misses));
-  ram_bytes_->set(static_cast<double>(ram_bytes()));
-  read_amp_->set(ratio(
-      s.host_reads + s.trans_reads_host + s.learned_probe_reads_host,
-      s.host_reads + s.host_reads_unmapped));
-  trans_wa_->set(ratio(s.trans_writes, s.user_writes));
-  learned_segments_->set(static_cast<double>(learned_segments()));
-  learned_bytes_->set(static_cast<double>(learned_index_bytes()));
+  m.gauge("ftl.map.cmt_hit_rate",
+          view([](const MappingTier& t) {
+            return t.ftl_.stats_.cmt_hit_rate();
+          }),
+          "ratio", "CMT hits / (hits + misses) over the run so far");
+  m.gauge("ftl.map.ram_bytes",
+          view([](const MappingTier& t) { return t.ram_bytes(); }), "bytes",
+          "mapping-tier RAM footprint (GTD + CMT slab + cache index + "
+          "write-back buffer capacity; docs/MAPPING.md methodology)");
+  m.gauge("ftl.map.read_amplification",
+          view([](const MappingTier& t) {
+            return t.ftl_.stats_.host_read_amplification();
+          }),
+          "ratio",
+          "(host flash reads + host-path translation fetches + wasted "
+          "learned probes) / host reads including unmapped zero-fills — "
+          "the demand-paging double-read penalty");
+  m.gauge("ftl.map.translation_wa",
+          view([](const MappingTier& t) {
+            const FtlStats& s = t.ftl_.stats_;
+            return s.user_writes == 0
+                       ? 0.0
+                       : static_cast<double>(s.trans_writes) /
+                             static_cast<double>(s.user_writes);
+          }),
+          "ratio",
+          "translation pages programmed per user page written (the tier's "
+          "own WA contribution)");
+  m.gauge("ftl.map.learned_segments",
+          view([](const MappingTier& t) { return t.learned_segments(); }),
+          "segments",
+          "piecewise-linear segments the learned index currently holds "
+          "(tracks sequential runs, not translation pages)");
+  m.gauge("ftl.map.learned_index_bytes",
+          view([](const MappingTier& t) { return t.learned_index_bytes(); }),
+          "bytes",
+          "learned-index model RAM (charged into ftl.map.ram_bytes; "
+          "docs/MAPPING.md methodology)");
 }
 
 std::uint64_t MappingTier::ram_bytes() const {

@@ -86,11 +86,12 @@ class MappingTier {
 
   /// Register the tier's counters and gauges at FtlBase's two fixed points
   /// of the export order. Tier-off FTLs register them too, so they export
-  /// as zero; `tier` is then null, and a live tier keeps the handles.
+  /// as zero; `tier` is then null. A live tier keeps its two counter
+  /// handles, and the gauges read it.
   static void register_counters(obs::MetricsRegistry& m, const FtlStats& s,
                                 MappingTier* tier);
-  static void register_gauges(obs::MetricsRegistry& m, MappingTier* tier);
-  void refresh_observability();
+  static void register_gauges(obs::MetricsRegistry& m,
+                              const MappingTier* tier);
 
   // --- introspection ---
   /// Translation pages covering the logical space (GTD size).
@@ -166,12 +167,6 @@ class MappingTier {
 
   obs::Counter* wb_flushes_ = nullptr;
   obs::Counter* reconciled_ = nullptr;
-  obs::Gauge* cmt_hit_rate_ = nullptr;
-  obs::Gauge* ram_bytes_ = nullptr;
-  obs::Gauge* read_amp_ = nullptr;
-  obs::Gauge* trans_wa_ = nullptr;
-  obs::Gauge* learned_segments_ = nullptr;
-  obs::Gauge* learned_bytes_ = nullptr;
 };
 
 }  // namespace phftl

@@ -62,9 +62,9 @@ struct FtlStats {
   /// attribution only, never double-counted in flash_writes()).
   std::uint64_t trans_gc_writes = 0;
   /// Translation pages fetched from flash (CMT misses on a mapped segment
-  /// + GC reads of non-resident valid translation pages). The double-read
-  /// penalty: host read amplification = (host_reads + demand fetches on the
-  /// host path) / host_reads.
+  /// + GC reads of non-resident valid translation pages). The host-path
+  /// share, trans_reads_host, is the double-read penalty in
+  /// host_read_amplification().
   std::uint64_t trans_reads = 0;
   /// Translation-page fetches charged to host reads (a subset of
   /// trans_reads): an extra term in host read amplification,
@@ -108,6 +108,26 @@ struct FtlStats {
                ? 0.0
                : static_cast<double>(flash_writes() - user_writes) /
                      static_cast<double>(user_writes);
+  }
+
+  /// Flash reads per host page read (docs/MAPPING.md "Accounting"):
+  /// (host_reads + trans_reads_host + learned_probe_reads_host) /
+  /// (host_reads + host_reads_unmapped), 0 with no reads. An unmapped read
+  /// is a zero-fill and costs no flash read.
+  double host_read_amplification() const {
+    const std::uint64_t reads = host_reads + host_reads_unmapped;
+    return reads == 0 ? 0.0
+                      : static_cast<double>(host_reads + trans_reads_host +
+                                            learned_probe_reads_host) /
+                            static_cast<double>(reads);
+  }
+
+  /// CMT hits / (hits + misses), 0 with no lookups.
+  double cmt_hit_rate() const {
+    const std::uint64_t lookups = cmt_hits + cmt_misses;
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(cmt_hits) /
+                              static_cast<double>(lookups);
   }
 };
 

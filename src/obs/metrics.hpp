@@ -3,17 +3,21 @@
 // Hot-path contract (paper-evaluation instrumentation must not distort the
 // numbers it measures):
 //   * registration (cold) may allocate; every subsequent update — Counter::
-//     inc/add, Gauge::set, Histogram::observe — is allocation-free,
-//   * registration is idempotent: re-registering a name of the same type
-//     returns the existing instance (a registry can be shared by the FTL,
-//     the device model, and benchmark harnesses),
+//     inc/add, Histogram::observe — is allocation-free,
+//   * counter and histogram registration is idempotent: re-registering a
+//     name of the same type returns the existing instance (a registry can
+//     be shared by the FTL, the device model, and benchmark harnesses),
 //   * returned references are stable for the registry's lifetime (metrics
 //     live in deques; holders cache pointers at construction),
 //   * export order is registration order, so JSON/CSV output is
 //     deterministic and golden-testable,
 //   * a count the caller already keeps is registered as a counter view
 //     (counter_view) rather than mirrored by a second counter: the export
-//     reads the caller's field, and the hot path pays nothing extra.
+//     reads the caller's field, and the hot path pays nothing extra,
+//   * every gauge is a view: it is registered once, over a callable that
+//     computes its value from the owner's state, and the registry calls it
+//     at each read (export, snapshot, find_gauge). Nothing pushes a gauge,
+//     so no export or snapshot can see a stale one.
 //
 // The whole layer compiles out with -DPHFTL_OBS=OFF (PHFTL_OBS_ENABLED=0):
 // the same API surface remains, but every update is an empty inline
@@ -25,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -70,14 +75,17 @@ class Counter {
   const std::uint64_t* source_;
 };
 
-/// Last-written point-in-time value (WA, hit rate, threshold, ...).
+/// Point-in-time value (WA, hit rate, threshold, ...), computed by its
+/// source from the owner's state at each read.
 class Gauge {
  public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
+  explicit Gauge(std::function<double()> source)
+      : source_(std::move(source)) {}
+
+  double value() const { return source_(); }
 
  private:
-  double value_ = 0.0;
+  std::function<double()> source_;
 };
 
 /// Fixed-bucket histogram. Bucket i counts observations x <= edge[i]
@@ -161,12 +169,15 @@ class MetricsRegistry {
                     "counter view re-registered over a different source");
   }
 
-  Gauge& gauge(std::string_view name, std::string_view unit = "",
-               std::string_view help = "") {
+  /// Registers a gauge over `source`, which exports, snapshots and
+  /// find_gauge() call for its value. What `source` reads must outlive the
+  /// registry. A gauge name is registered once.
+  void gauge(std::string_view name, std::function<double()> source,
+             std::string_view unit = "", std::string_view help = "") {
     const std::size_t e = find_or_register(name, MetricType::kGauge, unit,
                                            help, gauges_.size());
-    if (e == gauges_.size()) gauges_.emplace_back();
-    return gauges_[entries_[by_name_.at(std::string(name))].index];
+    PHFTL_CHECK_MSG(e == gauges_.size(), "gauge name registered twice");
+    gauges_.emplace_back(std::move(source));
   }
 
   Histogram& histogram(std::string_view name, std::vector<double> upper_edges,
@@ -258,7 +269,6 @@ class Counter {
 
 class Gauge {
  public:
-  void set(double) {}
   double value() const { return 0.0; }
 };
 
@@ -294,9 +304,9 @@ class MetricsRegistry {
   }
   void counter_view(std::string_view, const std::uint64_t*,
                     std::string_view = "", std::string_view = "") {}
-  Gauge& gauge(std::string_view, std::string_view = "", std::string_view = "") {
-    return gauge_;
-  }
+  template <typename Source>
+  void gauge(std::string_view, Source&&, std::string_view = "",
+             std::string_view = "") {}
   Histogram& histogram(std::string_view, std::vector<double>,
                        std::string_view = "", std::string_view = "") {
     return histogram_;
@@ -313,7 +323,6 @@ class MetricsRegistry {
 
  private:
   static inline Counter counter_{};
-  static inline Gauge gauge_{};
   static inline Histogram histogram_{};
   static inline const std::vector<Entry> kNoEntries{};
 };

@@ -190,7 +190,6 @@ TEST_P(GcPreemptTest, PreemptionMetricsAndTraceAreExported) {
   for (std::uint64_t w = 0; w < logical * 2; ++w)
     ftl->write_page(rng.next_below(logical), ctx);
   ftl->drain();
-  ftl->refresh_observability();
 
   const auto& reg = ftl->observability().metrics();
   const auto* steps = reg.find_counter("ftl.gc.steps");

@@ -75,6 +75,40 @@ TEST_P(ConservationTest, MappedPagesNeverExceedLogicalSpace) {
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConservationTest,
                          ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
 
+// --- Snapshots: every row's gauges read the FTL at that instant ---
+
+class SnapshotGaugeTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SnapshotGaugeTest, EveryRowReadsLiveFtlState) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const FtlConfig cfg = small_config();
+  auto ftl = make_ftl(GetParam(), cfg);
+  ftl->observability().set_snapshot_cadence(1000);
+  const Trace trace = small_workload(cfg, 2.0, 29);
+  for (const auto& req : trace.ops) ftl->submit(req);
+
+  const obs::Observability& o = ftl->observability();
+  const auto& entries = o.metrics().entries();
+  const auto column = [&entries](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find_if(entries.begin(), entries.end(),
+                     [&name](const auto& e) { return e.name == name; }) -
+        entries.begin());
+  };
+  const std::size_t vclock = column("ftl.virtual_clock");
+  const std::size_t mapped = column("ftl.mapped_pages");
+  ASSERT_LT(vclock, entries.size());
+  ASSERT_LT(mapped, entries.size());
+  ASSERT_GE(o.snapshots().size(), 2u);
+  for (const obs::MetricsSnapshot& row : o.snapshots()) {
+    EXPECT_EQ(row.values.at(vclock), static_cast<double>(row.now));
+    EXPECT_GT(row.values.at(mapped), 0.0) << "now " << row.now;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotGaugeTest,
+                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+
 // --- Trim interaction ---
 
 TEST(TrimIntegration, TrimmedPagesFreeSpaceAndStayUnmapped) {
@@ -319,7 +353,6 @@ std::unique_ptr<FtlBase> run_knob_matrix(const std::string& scheme,
     }
   }
   ftl->drain();
-  ftl->refresh_observability();
   return ftl;
 }
 
@@ -425,8 +458,8 @@ TEST_P(KnobMatrixPin, StatsAndViewsMatchRecordedValues) {
   }
 
   // The registry as "type name unit" lines in registration order, and every
-  // gauge after refresh_observability(), recorded before the mapping tier
-  // moved out of FtlBase (it is now the source of every ftl.map.* gauge).
+  // gauge's value, recorded before the mapping tier moved out of FtlBase
+  // (it is now the source of every ftl.map.* gauge).
   // Each scheme registers one host/flash counter pair per stream, then
   // FtlBase's block, then its own metrics.
   struct RecordedRegistry {

@@ -19,14 +19,16 @@ TEST(Metrics, CounterAndGauge) {
   Counter& c = m.counter("a.count", "pages", "help a");
   c.inc();
   c.add(4);
-  Gauge& g = m.gauge("a.gauge", "ratio");
-  g.set(0.5);
+  // The stub accepts a gauge registration too, and drops it.
+  m.gauge("a.gauge", [] { return 0.5; }, "ratio");
 #if PHFTL_OBS_ENABLED
   EXPECT_EQ(c.value(), 5u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.5);
+  ASSERT_NE(m.find_gauge("a.gauge"), nullptr);
+  EXPECT_DOUBLE_EQ(m.find_gauge("a.gauge")->value(), 0.5);
   EXPECT_EQ(m.size(), 2u);
 #else
   EXPECT_EQ(c.value(), 0u);
+  EXPECT_EQ(m.find_gauge("a.gauge"), nullptr);
   EXPECT_EQ(m.size(), 0u);
 #endif
 }
@@ -77,6 +79,43 @@ TEST(Metrics, CounterViewReadsItsSourceInRegistrationOrder) {
   EXPECT_EQ(obs.metrics().size(), 0u);
 #endif
 }
+
+TEST(Metrics, GaugeReadsItsSourceAtEveryRead) {
+  Observability obs;
+  double level = 0.25;
+  obs.metrics().counter("before").inc();
+  obs.metrics().gauge("level", [&level] { return level; }, "ratio", "a level");
+  obs.set_snapshot_cadence(1);
+  obs.tick(1);
+  level = 0.5;
+  obs.tick(2);
+#if PHFTL_OBS_ENABLED
+  ASSERT_EQ(obs.snapshots().size(), 2u);
+  EXPECT_DOUBLE_EQ(obs.snapshots()[0].values.at(1), 0.25);
+  EXPECT_DOUBLE_EQ(obs.snapshots()[1].values.at(1), 0.5);
+  level = 0.75;  // a lookup reads the source now
+  const Gauge* g = obs.metrics().find_gauge("level");
+  ASSERT_NE(g, nullptr);
+  EXPECT_DOUBLE_EQ(g->value(), 0.75);
+  level = 2.0;  // and so does each export
+  EXPECT_NE(metrics_to_json(obs).find("\"level\": {\"value\": 2,"),
+            std::string::npos);
+  level = 3.0;
+  EXPECT_NE(metrics_to_csv(obs).find("level,gauge,ratio,value,3\n"),
+            std::string::npos);
+#else
+  EXPECT_TRUE(obs.snapshots().empty());
+#endif
+}
+
+#if PHFTL_OBS_ENABLED
+TEST(MetricsDeath, GaugeNameRegisteredTwiceDies) {
+  MetricsRegistry m;
+  m.gauge("g", [] { return 1.0; });
+  EXPECT_DEATH(m.gauge("g", [] { return 2.0; }),
+               "gauge name registered twice");
+}
+#endif
 
 TEST(Metrics, HistogramBucketEdges) {
   MetricsRegistry m;
@@ -167,7 +206,7 @@ TEST(Snapshots, CadenceSampling) {
 TEST(Export, JsonGolden) {
   Observability obs;
   obs.metrics().counter("c1", "pages", "a counter").add(7);
-  obs.metrics().gauge("g1", "ratio").set(0.25);
+  obs.metrics().gauge("g1", [] { return 0.25; }, "ratio");
   Histogram& h = obs.metrics().histogram("h1", {1, 2}, "ns", "a hist");
   h.observe(1);
   h.observe(5);

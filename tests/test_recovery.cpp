@@ -619,7 +619,6 @@ TEST_P(RecoveryTest, RecoveryAndFaultMetricsAreExported) {
   for (std::uint64_t w = 0; w < ftl->logical_pages(); ++w)
     ftl->write_page(rng.next_below(ftl->logical_pages()), ctx);
   const RecoveryReport rep = ftl->recover();
-  ftl->refresh_observability();
 
   const auto& reg = ftl->observability().metrics();
   const auto* mounts = reg.find_counter("recovery.mounts");

@@ -230,7 +230,6 @@ TEST_P(WearTest, WearMetricsAndTraceAreExported) {
   auto ftl = make_ftl(GetParam(), cfg);
   ftl->observability().trace().enable(1 << 20);
   run_workload(*ftl, 8.0, 241);
-  ftl->refresh_observability();
 
   const auto& reg = ftl->observability().metrics();
   const auto* wl_rounds = reg.find_counter("ftl.wl.rounds");
