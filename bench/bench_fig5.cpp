@@ -12,6 +12,7 @@
 // output and artifacts are identical under any job count).
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -33,6 +34,12 @@ int main(int argc, char** argv) {
     for (const auto& scheme : schemes)
       cells.push_back({&spec, scheme, drive_writes, {}});
   const auto results = bench::ExperimentRunner(jobs).run(cells);
+  // WA reduction of `wa` against `ref`, in percent. A zero reference (no
+  // GC yet, as for Base, 2R and SepBIT at PHFTL_DRIVE_WRITES=1) has none.
+  const auto reduction = [](double wa, double ref) {
+    return ref > 0.0 ? TextTable::num((1.0 - wa / ref) * 100.0, 1) + "%"
+                     : std::string("n/a");
+  };
 
   TextTable table;
   table.header({"trace", "size", "Base", "2R", "SepBIT", "PHFTL",
@@ -46,11 +53,9 @@ int main(int argc, char** argv) {
       wa[s] = results[i].wa;
       sums[s] += results[i].wa;
     }
-    const double reduction =
-        wa[0] > 0.0 ? (1.0 - wa[3] / wa[0]) * 100.0 : 0.0;
     table.row({spec.id, spec.size_label, TextTable::pct(wa[0]),
                TextTable::pct(wa[1]), TextTable::pct(wa[2]),
-               TextTable::pct(wa[3]), TextTable::num(reduction, 1) + "%"});
+               TextTable::pct(wa[3]), reduction(wa[3], wa[0])});
   }
 
   // Normalized average (Fig. 5 rightmost group): mean WA over traces,
@@ -60,17 +65,18 @@ int main(int argc, char** argv) {
   for (std::size_t s = 0; s < schemes.size(); ++s) avg[s] = sums[s] / n;
   table.row({"Average", "-", TextTable::pct(avg[0]), TextTable::pct(avg[1]),
              TextTable::pct(avg[2]), TextTable::pct(avg[3]),
-             TextTable::num((1.0 - avg[3] / avg[0]) * 100.0, 1) + "%"});
+             reduction(avg[3], avg[0])});
   table.render(std::cout);
 
   std::printf("\nNormalized average (Base = 1.00):\n");
   for (std::size_t s = 0; s < schemes.size(); ++s)
-    std::printf("  %-7s %.3f\n", schemes[s].c_str(), avg[s] / avg[0]);
+    std::printf("  %-7s %s\n", schemes[s].c_str(),
+                avg[0] > 0.0 ? TextTable::num(avg[s] / avg[0]).c_str()
+                             : "n/a");
   std::printf(
       "\nPaper: PHFTL cuts average WA 65.1%% vs Base, 22.8-54.6%% vs "
-      "rule-based schemes.\nMeasured: %.1f%% vs Base, %.1f%% vs 2R, %.1f%% "
-      "vs SepBIT.\n",
-      (1.0 - avg[3] / avg[0]) * 100.0, (1.0 - avg[3] / avg[1]) * 100.0,
-      (1.0 - avg[3] / avg[2]) * 100.0);
+      "rule-based schemes.\nMeasured: %s vs Base, %s vs 2R, %s vs SepBIT.\n",
+      reduction(avg[3], avg[0]).c_str(), reduction(avg[3], avg[1]).c_str(),
+      reduction(avg[3], avg[2]).c_str());
   return 0;
 }

@@ -15,8 +15,9 @@
 //   * finalize_superblock()— hook run when a superblock fills, before it is
 //     closed (PHFTL programs its ML meta pages here, paper Fig. 4).
 //
-// The flash-resident mapping tier is its own class (ftl/mapping_tier.hpp),
-// held only when FtlConfig::mapping_tier is on.
+// The flash-resident mapping tier (ftl/mapping_tier.hpp, held only when
+// FtlConfig::mapping_tier is on), the trim journal (ftl/trim_journal.hpp)
+// and the wear table (ftl/wear_table.hpp) are classes of their own.
 //
 // The virtual clock counts host-written logical pages; the paper defines
 // page lifetime in this clock (§III-B) and Eq. 1's "elapsed time" C in it.
@@ -35,7 +36,9 @@
 #include "ftl/mapping_tier.hpp"
 #include "ftl/request.hpp"
 #include "ftl/stats.hpp"
+#include "ftl/trim_journal.hpp"
 #include "ftl/victim_index.hpp"
+#include "ftl/wear_table.hpp"
 #include "obs/observability.hpp"
 
 namespace phftl {
@@ -213,11 +216,11 @@ class FtlBase {
   }
   /// Superblocks holding trim-journal record pages.
   std::uint64_t trim_journal_superblocks() const {
-    return journal_sbs_.size();
+    return journal_.superblocks();
   }
   /// Trimmed-and-not-rewritten LPNs the journal currently guarantees stay
   /// unmapped across an unclean shutdown.
-  std::uint64_t live_tombstones() const { return live_tombstones_; }
+  std::uint64_t live_tombstones() const { return journal_.live_tombstones(); }
 
   // --- demand-paged mapping tier (docs/MAPPING.md) ---
   /// The tier, or null when FtlConfig::mapping_tier is off and the flat
@@ -244,13 +247,11 @@ class FtlBase {
   /// an unclean-shutdown mount it is re-derived from the per-page OOB
   /// erase-count stamps — exact for open/closed superblocks, a lower bound
   /// (0) for free ones, mirroring the close_time contract in RECOVERY.md.
-  std::uint64_t wear_count(std::uint64_t sb) const { return wear_[sb]; }
-  /// Mean wear over in-service (non-bad) superblocks, per the FTL's table.
-  double wear_mean() const;
+  std::uint64_t wear_count(std::uint64_t sb) const { return wear_.count(sb); }
   /// max(wear) - mean(wear) over in-service superblocks — the static
   /// wear-leveling trigger quantity. Leveling fires when this exceeds
   /// FtlConfig::wear_level_threshold.
-  double wear_spread() const;
+  double wear_spread() const { return wear_.spread(flash_); }
 
   /// Test hook: jump the virtual clock forward (e.g. near 2^32 to exercise
   /// timestamp-width regressions). Must not move the clock backwards.
@@ -266,15 +267,17 @@ class FtlBase {
   obs::Observability& observability() { return obs_; }
   const obs::Observability& observability() const { return obs_; }
 
-  /// Mount-time recovery: rebuild the L2P table, validity bitmaps, and
-  /// per-superblock accounting purely from the flash array's OOB areas
-  /// (the in-RAM mapping is lost on power failure). For each LPN the copy
-  /// with the highest program sequence number wins; bad superblocks are
-  /// excluded from the scan (retirement only happens after GC drained
-  /// them, so the newest copy of an LPN never lives in a bad block).
-  /// Returns the number of OOB areas inspected. Policy-side state
-  /// (classifier, heuristic tables) is *not* reconstructed — schemes
-  /// relearn it, as real devices do after an unclean shutdown.
+  /// The mount's one walk over programmed pages, rebuilding the RAM state
+  /// their OOB areas record (it is lost on power failure): the newest copy
+  /// (highest program sequence) of each LPN gives the L2P table, validity
+  /// and per-superblock counts, and the victim index; translation pages
+  /// give the GTD, journal pages the trim journal's extent, erase-count
+  /// stamps the wear table, and the newest user write times the close
+  /// times and the virtual clock. Bad superblocks are skipped (retired only
+  /// after GC drained them). Returns the number of OOB areas inspected.
+  /// Policy-side state (classifier, heuristic tables) is *not*
+  /// reconstructed — schemes relearn it, as real devices do after an
+  /// unclean shutdown.
   std::uint64_t rebuild_mapping_from_flash();
 
   /// Full unclean-shutdown mount (docs/RECOVERY.md). Simulates losing all
@@ -282,18 +285,16 @@ class FtlBase {
   /// and reconstructs everything re-derivable from flash:
   ///   1. superblocks left open by the cut are closed (their unwritten tail
   ///      pages stay unused; no meta pages are programmed),
-  ///   2. L2P / validity / per-superblock accounting / victim index are
-  ///      rebuilt from OOB (rebuild_mapping_from_flash),
-  ///   3. the virtual clock restarts at max(write_time of any user page)+1,
+  ///   2. one walk over flash rebuilds the rest (rebuild_mapping_from_flash);
+  ///      the virtual clock restarts at max(write_time of any user page)+1,
   ///      a lower bound on the pre-crash clock (documented in RECOVERY.md),
-  ///   4. the trim journal is replayed *after* the OOB rebuild: any LPN
+  ///   3. the trim journal is replayed *after* the OOB rebuild: any LPN
   ///      whose newest flash copy predates its journaled trim is unmapped
   ///      again (trimmed pages stay trimmed — docs/RECOVERY.md),
-  ///   5. close_time is re-derived per closed superblock (newest page in
-  ///      it), and the free pool is rebuilt from free superblocks,
-  ///   6. the scheme's on_recovery() hook re-derives or resets policy state
+  ///   4. the free pool is rebuilt from free superblocks,
+  ///   5. the scheme's on_recovery() hook re-derives or resets policy state
   ///      (PHFTL: meta cache cold start, trainer/threshold safe defaults),
-  ///   7. the journal is compacted so it occupies at most one superblock.
+  ///   6. the journal is compacted so it occupies at most one superblock.
   /// Cumulative FtlStats are process-lifetime diagnostics and survive.
   RecoveryReport recover();
 
@@ -309,7 +310,10 @@ class FtlBase {
   }
   bool page_valid(Ppn ppn) const { return valid_bit_[ppn] != 0; }
   Lpn page_lpn(Ppn ppn) const { return p2l_[ppn]; }
-  std::uint8_t page_gc_count(Ppn ppn) const { return gc_count_[ppn]; }
+  /// GC count of a valid user page, from its OOB copy (the only copy).
+  std::uint8_t page_gc_count(Ppn ppn) const {
+    return flash_.read_oob(ppn).gc_count;
+  }
 
   /// Iterate closed superblocks (victim candidates). Backed by the
   /// incremental victim index, so this visits exactly the closed set
@@ -408,6 +412,7 @@ class FtlBase {
 
  private:
   friend class MappingTier;
+  friend class TrimJournal;
 
   static constexpr std::uint64_t kNoSb = ~0ULL;
   /// What a superblock holds, set when it opens. Data, translation pages
@@ -498,40 +503,18 @@ class FtlBase {
   /// Advance the in-flight round by one bounded slice, counting a
   /// preemption when the round stays in flight.
   void advance_round(std::uint64_t budget);
-  /// Count an erase of `sb` that worked (including the one that spends
-  /// its last budgeted P/E cycle) and update the wear table.
-  void note_erase(std::uint64_t sb);
-  /// Wear bookkeeping when `sb` leaves service (retired / erase failure /
-  /// budget exhausted): its wear exits the in-service pool.
-  void note_block_lost(std::uint64_t sb);
   /// Shared end-of-round disposal of a drained victim: retire it if it is
   /// pending-retire, otherwise erase it — handling erase failures and
   /// P/E-budget exhaustion.
   void dispose_drained_superblock(std::uint64_t sb);
-  /// Mount-time wear re-derivation from the per-page OOB erase-count
-  /// stamps (lower-bound contract — docs/ENDURANCE.md, docs/RECOVERY.md).
-  void rederive_wear_from_flash();
 
-  /// Shared body of submit_checked / write_page / try_write_page.
-  /// `checked` selects whether the capacity watermark rejects (kEnospc) or
-  /// aborts.
-  WriteResult write_page_impl(Lpn lpn, const WriteContext& ctx, bool checked);
-  /// Trim [start, start+n): raw-unmap every mapped page, set tombstones,
-  /// and journal the effective runs. Returns the number of effective trims.
+  /// Trim [start, start+n): unmap every mapped page and journal the
+  /// effective runs. Returns the number of effective trims.
   std::uint64_t trim_range(Lpn start, std::uint64_t n);
-  /// Flush (start,len) range pairs to the journal, chunked to page-sized
-  /// records; may trigger compaction afterwards.
-  void append_journal_records(const std::vector<std::uint64_t>& pairs);
-  /// Program one journal record page.
+  /// Program one trim-journal record page holding `chunk`'s range records.
   void append_journal_page(std::span<const std::uint64_t> chunk);
-  /// Rewrite the live tombstone set densely into a fresh journal
-  /// superblock, then reclaim the old journal superblocks.
-  void compact_trim_journal();
-  /// Recovery step: replay journal records against the rebuilt mapping,
-  /// unmapping any LPN whose newest flash copy predates its trim.
-  void replay_trim_journal(RecoveryReport& rep);
-  /// Unmap without policy hooks (recovery replay / trim): clears validity,
-  /// P2L, L2P, and fixes the victim index if the superblock is closed.
+  /// Unmap without policy hooks (journal replay): clears validity, P2L,
+  /// L2P, and fixes the victim index if the superblock is closed.
   void raw_unmap(Lpn lpn);
 
   /// Program one translation page for the tier and drop the copy it
@@ -553,7 +536,6 @@ class FtlBase {
   std::vector<Ppn> l2p_;
   std::vector<Lpn> p2l_;
   std::vector<std::uint8_t> valid_bit_;
-  std::vector<std::uint8_t> gc_count_;
   std::vector<SbMeta> sb_meta_;
   /// Open superblock per (kind, stream), kNoSb when none (open_slot()).
   std::vector<std::uint64_t> open_;
@@ -592,31 +574,9 @@ class FtlBase {
   /// pool can never run dry between steps (always <= gc_trigger_count_).
   std::uint64_t gc_urgent_count_ = 2;
 
-  // --- endurance state (docs/ENDURANCE.md) ---
-  /// The FTL's RAM wear table (erase count per superblock). Kept in
-  /// lockstep with the flash array during normal operation; wiped and
-  /// re-derived from OOB erase-count stamps at mount (lower bounds).
-  std::vector<std::uint64_t> wear_;
-  /// Sum of wear_ over in-service (non-bad) superblocks, maintained
-  /// incrementally so the spread trigger is O(1) per write.
-  std::uint64_t wear_sum_ = 0;
-  /// Max of wear_ over in-service superblocks. Recomputed (O(superblocks))
-  /// only when the max-holding block leaves service — rare.
-  std::uint64_t wear_max_ = 0;
-
-  // --- trim journal + capacity accounting ---
-  /// All superblocks holding journal records (open + closed), oldest first.
-  std::vector<std::uint64_t> journal_sbs_;
-  /// Record pages programmed since the last compaction.
-  std::uint64_t journal_pages_used_ = 0;
-  /// Compact when journal_pages_used_ exceeds this (re-derived after each
-  /// compaction so a large live tombstone set doesn't thrash).
-  std::uint64_t journal_compact_threshold_ = 0;
-  bool in_compaction_ = false;
-  /// tombstone_[lpn] = trimmed and not rewritten since; the set the journal
-  /// must preserve across power cuts. live_tombstones_ counts the 1-bits.
-  std::vector<std::uint8_t> tombstone_;
-  std::uint64_t live_tombstones_ = 0;
+  /// Erase count per superblock (docs/ENDURANCE.md).
+  WearTable wear_;
+  TrimJournal journal_;
   /// Logical pages currently mapped (admission-checked against the
   /// capacity watermark).
   std::uint64_t mapped_count_ = 0;
@@ -634,10 +594,7 @@ class FtlBase {
   obs::Counter* recovery_mounts_ctr_ = nullptr;
   obs::Counter* recovery_oob_scans_ctr_ = nullptr;
   obs::Counter* recovery_rebuild_ns_ctr_ = nullptr;
-  obs::Counter* journal_records_ctr_ = nullptr;
-  obs::Counter* journal_replayed_ctr_ = nullptr;
   obs::Histogram* victim_valid_hist_ = nullptr;
-  obs::Histogram* erase_count_hist_ = nullptr;
 };
 
 }  // namespace phftl

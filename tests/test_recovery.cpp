@@ -215,6 +215,45 @@ TEST_P(RecoveryTest, JournalCompactionPreservesTombstones) {
   ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
 }
 
+TEST_P(RecoveryTest, MultiPageTrimJournalSurvivesRecovery) {
+  // One trim request whose records overflow a journal page: every other
+  // LPN of the span is mapped, so the trim journals 513 one-LPN runs, three
+  // record pages at 256 records per 4 KiB page. The mount must replay all
+  // three, and its compaction rewrites the 513 tombstones as three pages.
+  const FtlConfig cfg = small_config();
+  auto ftl = make_crash_ftl(GetParam(), cfg);
+  constexpr Lpn kSpan = 1026;
+  constexpr Lpn kNeighbours = 300;  // [kSpan, kSpan + 300), never trimmed
+  constexpr std::uint64_t kRuns = kSpan / 2;
+  WriteContext ctx;
+  for (Lpn lpn = 0; lpn < kSpan; lpn += 2) ftl->write_page(lpn, ctx);
+  for (Lpn lpn = kSpan; lpn < kSpan + kNeighbours; ++lpn)
+    ftl->write_page(lpn, ctx);
+
+  HostRequest trim;
+  trim.op = OpType::kTrim;
+  trim.start_lpn = 0;
+  trim.num_pages = kSpan;
+  ftl->submit(trim);
+  ASSERT_EQ(ftl->stats().trims, kRuns);
+  ASSERT_EQ(ftl->stats().journal_writes, 3u);  // one flush, three pages
+
+  const RecoveryReport rep = ftl->recover();
+  for (Lpn lpn = 0; lpn < kSpan; ++lpn)
+    ASSERT_FALSE(ftl->is_mapped(lpn))
+        << GetParam() << " trimmed lpn " << lpn << " resurrected";
+  for (Lpn lpn = kSpan; lpn < kSpan + kNeighbours; ++lpn)
+    ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL)
+        << GetParam() << " lpn " << lpn;
+  EXPECT_EQ(rep.trim_records_replayed, kRuns);
+  EXPECT_EQ(rep.trim_tombstones, kRuns);
+  EXPECT_EQ(ftl->live_tombstones(), kRuns);
+  EXPECT_EQ(ftl->stats().trim_journal_compactions, 1u);
+  EXPECT_EQ(ftl->stats().journal_writes, 6u);
+  EXPECT_EQ(ftl->trim_journal_superblocks(), 1u);
+  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+}
+
 TEST_P(RecoveryTest, VirtualClockSurvivesCrossing32Bits) {
   // Regression: OOB write_time used to be truncated to 32 bits, so a mount
   // after the clock crossed 2^32 would warp lifetimes back to zero.
