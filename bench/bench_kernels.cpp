@@ -4,7 +4,10 @@
 //
 //  * predict_incremental — one call per host write. Fused packed-gate
 //    kernels + reusable scratch vs the retained reference implementation
-//    (six naive GEMVs + six heap allocations per call).
+//    (six naive GEMVs + six heap allocations per call). Beside it, the
+//    §III-C design points: recomputing the whole feature sequence (O(N))
+//    instead of one step from the cached hidden state (O(1)), the float
+//    model's step, and one int8 quantization of the trained model.
 //  * activations — one gate's 32 sigmoids or tanhs, through libm, through
 //    the scalar definitions in ml/activations.hpp, and through their
 //    dispatched array path (AVX2 where the CPU has it).
@@ -15,6 +18,8 @@
 //    pop) and Adjusted Greedy via the bounded ascending-bucket scan, vs
 //    the historical full superblock scan. Run at 1k and 10k superblocks:
 //    the indexed variants must stay flat while the scans grow ~10x.
+//  * meta-page cache — random vs sequential metadata lookups, the
+//    locality the §III-C meta layout is designed for.
 //
 // Emit the perf-trajectory artifact with:
 //   ./build/bench/bench_kernels --benchmark_out=BENCH_kernels.json
@@ -31,6 +36,7 @@
 
 #include "baselines/base_ftl.hpp"
 #include "core/features.hpp"
+#include "core/meta.hpp"
 #include "core/threshold.hpp"
 #include "ftl/victim_policy.hpp"
 #include "ml/activations.hpp"
@@ -46,11 +52,15 @@ using namespace phftl;
 
 // --- predict_incremental: fused vs reference ---
 
-ml::QuantizedGru make_deployed_model() {
+ml::GruClassifier make_float_model() {
   ml::GruClassifier::Config cfg;
   cfg.input_dim = core::kInputDim;
   cfg.hidden_dim = 32;  // paper configuration: 32 B hidden state per page
-  return ml::QuantizedGru(ml::GruClassifier(cfg));
+  return ml::GruClassifier(cfg);
+}
+
+ml::QuantizedGru make_deployed_model() {
+  return ml::QuantizedGru(make_float_model());
 }
 
 std::vector<float> random_input(Xoshiro256& rng) {
@@ -84,6 +94,37 @@ void BM_PredictIncrementalReference(benchmark::State& state) {
     benchmark::DoNotOptimize(q.predict_incremental_reference(x, h));
 }
 BENCHMARK(BM_PredictIncrementalReference);
+
+// --- The O(N) alternative, the float step, and quantization ---
+
+void BM_Int8FullSequencePredict(benchmark::State& state) {
+  const auto q = make_deployed_model();
+  Xoshiro256 rng(1);
+  std::vector<std::vector<float>> seq;
+  for (std::int64_t i = 0; i < state.range(0); ++i)
+    seq.push_back(random_input(rng));
+  for (auto _ : state) benchmark::DoNotOptimize(q.predict_sequence(seq));
+}
+BENCHMARK(BM_Int8FullSequencePredict)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+void BM_FloatIncrementalPredict(benchmark::State& state) {
+  const auto model = make_float_model();
+  Xoshiro256 rng(1);
+  const auto x = random_input(rng);
+  std::vector<float> h(32, 0.0f);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(model.predict_incremental(x, h));
+}
+BENCHMARK(BM_FloatIncrementalPredict);
+
+void BM_Quantization(benchmark::State& state) {
+  const auto model = make_float_model();
+  for (auto _ : state) {
+    ml::QuantizedGru q(model);
+    benchmark::DoNotOptimize(q.deployed());
+  }
+}
+BENCHMARK(BM_Quantization);
 
 // --- Raw GEMV: fused triple-pass vs three naive passes ---
 
@@ -324,6 +365,50 @@ void BM_VictimAdjustedGreedyFullScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VictimAdjustedGreedyFullScan)->Arg(1000)->Arg(10000);
+
+// --- Meta-page cache: random vs sequential metadata lookups ---
+
+/// The metadata store of an 8-die drive with 96 superblocks of 128 pages.
+core::MetaStore::Config meta_config() {
+  core::MetaStore::Config cfg;
+  cfg.geom.num_dies = 8;
+  cfg.geom.blocks_per_die = 96;
+  cfg.geom.pages_per_block = 16;
+  cfg.geom.page_size = 16 * 1024;
+  return cfg;
+}
+
+void BM_MetaCacheLookup(benchmark::State& state) {
+  const auto cfg = meta_config();
+  core::MetaStore store(cfg);
+  Xoshiro256 rng(3);
+  const std::uint64_t data_pages = store.data_pages_per_superblock();
+  bool missed;
+  for (auto _ : state) {
+    const std::uint64_t sb = rng.next_below(cfg.geom.num_superblocks());
+    const std::uint64_t off = rng.next_below(data_pages);
+    benchmark::DoNotOptimize(
+        store.get(cfg.geom.make_ppn(sb, off), false, &missed));
+  }
+  state.counters["hit_rate"] = store.cache_hit_rate();
+}
+BENCHMARK(BM_MetaCacheLookup);
+
+void BM_MetaCacheSequentialLookup(benchmark::State& state) {
+  const auto cfg = meta_config();
+  core::MetaStore store(cfg);
+  const std::uint64_t data_pages = store.data_pages_per_superblock();
+  bool missed;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t sb = (i / data_pages) % cfg.geom.num_superblocks();
+    benchmark::DoNotOptimize(
+        store.get(cfg.geom.make_ppn(sb, i % data_pages), false, &missed));
+    ++i;
+  }
+  state.counters["hit_rate"] = store.cache_hit_rate();
+}
+BENCHMARK(BM_MetaCacheSequentialLookup);
 
 }  // namespace
 

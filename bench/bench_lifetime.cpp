@@ -46,7 +46,6 @@ FtlConfig lifetime_config(std::uint64_t budget, bool wear_level) {
   cfg.geom.page_size = 4 * 1024;
   cfg.geom.oob_size = 128;
   cfg.op_ratio = 0.10;
-  cfg.gc_free_threshold = 0.05;
   cfg.max_pe_cycles = budget;
   cfg.wear_level_threshold = wear_level ? 4 : 0;
   return cfg;

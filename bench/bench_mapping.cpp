@@ -64,7 +64,6 @@ FtlConfig mapping_config(bool smoke, std::uint64_t cmt_pages, bool learned) {
   cfg.geom.page_size = 4 * 1024;
   cfg.geom.oob_size = 128;
   cfg.op_ratio = 0.10;
-  cfg.gc_free_threshold = 0.05;
   if (cmt_pages > 0) {
     cfg.mapping_tier = true;
     cfg.cmt_pages = cmt_pages;
@@ -87,7 +86,6 @@ FtlConfig tb_config(bool smoke, std::uint64_t tp_entries, bool learned) {
   cfg.geom.page_size = 16 * 1024;
   cfg.geom.oob_size = 128;
   cfg.op_ratio = 0.40;
-  cfg.gc_free_threshold = 0.05;
   cfg.mapping_tier = true;
   cfg.cmt_pages = 64;
   cfg.cmt_wb_batch = 8;

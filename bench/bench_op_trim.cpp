@@ -40,7 +40,6 @@ FtlConfig sweep_config(double op_ratio) {
   cfg.geom.pages_per_block = 64;
   cfg.geom.page_size = 16 * 1024;
   cfg.op_ratio = op_ratio;
-  cfg.gc_free_threshold = 0.05;
   return cfg;
 }
 

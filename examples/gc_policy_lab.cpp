@@ -4,9 +4,12 @@
 // and the rule-based baselines on one workload, reporting WA, GC efficiency
 // (average valid pages migrated per collected superblock), and wear
 // statistics (erase-count spread across superblocks).
+//
+// Usage: gc_policy_lab [<suite trace id>]   (default #141)
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "baselines/base_ftl.hpp"
@@ -14,6 +17,7 @@
 #include "baselines/two_r.hpp"
 #include "core/phftl.hpp"
 #include "trace/alibaba_suite.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -41,8 +45,20 @@ RunRow run(std::unique_ptr<FtlBase> ftl, const Trace& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const util::FlagParser flags("gc_policy_lab");
+  if (argc > 2)
+    flags.bad_value("a second argument", argv[2],
+                    "expected one suite trace id at most");
   const char* trace_id = argc > 1 ? argv[1] : "#141";
-  const auto& spec = suite_spec(trace_id);
+  SuiteTraceSpec spec;
+  try {
+    spec = suite_spec(trace_id);
+  } catch (const std::runtime_error&) {
+    std::string ids;
+    for (const SuiteTraceSpec& s : alibaba_suite())
+      ids += (ids.empty() ? "" : " ") + s.id;
+    flags.bad_value("the trace id", trace_id, "expected a suite id: " + ids);
+  }
   const FtlConfig cfg = suite_ftl_config(spec);
   const Trace trace = make_suite_trace(spec, 4.0);
 

@@ -14,17 +14,12 @@
 //     ≤ 50 % load) mapping MPPN → slab index, with backward-shift deletion
 //     so lookups never scan tombstones.
 // No allocation ever happens after the constructor; a get/put is a probe
-// plus a handful of index writes.
-//
-// ReferenceMetaCache is the retained map+list implementation. It exists so
-// the differential test (tests/test_meta.cpp) and the bench_micro_ftl
-// microbench can prove, op for op, that the flat cache hits, misses, and
-// evicts identically — and by how much it is faster.
+// plus a handful of index writes. tests/test_meta.cpp keeps the map+list
+// implementation and proves, op for op, that the flat cache hits, misses
+// and evicts identically.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -37,16 +32,16 @@ struct CacheAccess {
   bool hit = false;           ///< key was already cached (moved to MRU)
   bool evicted = false;       ///< a miss at capacity evicted the LRU key
   std::uint64_t victim = 0;   ///< the evicted key (valid iff `evicted`)
-  /// Slab slot now holding `key` (FlatMetaCache only; ReferenceMetaCache
-  /// has no slab and leaves it 0). Stable for as long as the key stays
-  /// cached, so callers can attach per-entry payload arrays indexed by
-  /// slot — the mapping tier's CMT stores its translation-page entries
+  /// Slab slot now holding `key` (FlatMetaCache only; the map+list
+  /// reference has no slab and leaves it 0). Stable for as long as the key
+  /// stays cached, so callers can attach per-entry payload arrays indexed
+  /// by slot — the mapping tier's CMT stores its translation-page entries
   /// this way (docs/MAPPING.md).
   std::uint32_t node = 0;
 };
 
 /// Flat open-addressed hash + intrusive array-backed LRU. Exact LRU with
-/// the same eviction order as ReferenceMetaCache.
+/// the same eviction order as the paper's map+list cache.
 class FlatMetaCache {
  public:
   /// Default-constructed caches hold nothing until reset(); MetaStore
@@ -248,67 +243,6 @@ class FlatMetaCache {
   std::uint32_t tail_ = kNil;        ///< LRU (eviction end)
   std::uint32_t free_head_ = kNil;
   std::size_t size_ = 0;
-};
-
-/// The retained reference implementation: std::map (red-black tree) keyed
-/// by MPPN → std::list iterator, exactly the structure the paper names and
-/// exactly what MetaStore shipped before the flat rework. Kept for the
-/// differential test and the microbench baseline — not used on any hot
-/// path.
-class ReferenceMetaCache {
- public:
-  explicit ReferenceMetaCache(std::size_t capacity) : capacity_(capacity) {
-    PHFTL_CHECK_MSG(capacity_ > 0, "cache capacity must be positive");
-  }
-
-  std::size_t size() const { return index_.size(); }
-  std::size_t capacity() const { return capacity_; }
-
-  bool contains(std::uint64_t key) const {
-    return index_.find(key) != index_.end();
-  }
-
-  CacheAccess access(std::uint64_t key) {
-    CacheAccess out;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      out.hit = true;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return out;
-    }
-    if (index_.size() >= capacity_) {
-      out.evicted = true;
-      out.victim = lru_.back();
-      lru_.pop_back();
-      index_.erase(out.victim);
-    }
-    lru_.push_front(key);
-    index_[key] = lru_.begin();
-    return out;
-  }
-
-  bool erase(std::uint64_t key) {
-    auto it = index_.find(key);
-    if (it == index_.end()) return false;
-    lru_.erase(it->second);
-    index_.erase(it);
-    return true;
-  }
-
-  void clear() {
-    index_.clear();
-    lru_.clear();
-  }
-
-  template <typename Fn>
-  void for_each_mru(Fn&& fn) const {
-    for (const std::uint64_t key : lru_) fn(key);
-  }
-
- private:
-  std::size_t capacity_;
-  std::map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
-  std::list<std::uint64_t> lru_;  // front = most recently used
 };
 
 }  // namespace phftl::core

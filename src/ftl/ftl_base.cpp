@@ -31,13 +31,12 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
   // RAM loss); the FTL only mirrors the counts for leveling decisions.
   flash_.set_max_pe_cycles(cfg.max_pe_cycles);
   // GC trigger (paper §III-D): collect when the free-superblock proportion
-  // drops below the threshold. The trigger must be *satisfiable*: the
+  // drops below kGcFreeThreshold. The trigger must be *satisfiable*: the
   // over-provisioned space, expressed in superblocks, has to exceed it —
   // even after factory bad blocks are deducted — or GC could never push
   // the free count back above the line.
   const auto ratio_count = static_cast<std::uint64_t>(
-      static_cast<double>(cfg.geom.num_superblocks()) *
-          cfg.gc_free_threshold +
+      static_cast<double>(cfg.geom.num_superblocks()) * kGcFreeThreshold +
       0.999);
   gc_trigger_count_ = std::max<std::uint64_t>(ratio_count, 2);
   // Time-sliced urgent floor: half the trigger, never below the two

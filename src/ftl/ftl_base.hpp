@@ -61,7 +61,6 @@ enum class GcMode : std::uint8_t {
 struct FtlConfig {
   Geometry geom;
   double op_ratio = 0.07;               ///< over-provisioning (paper: 7 %)
-  double gc_free_threshold = 0.05;      ///< GC when free-superblock ratio < 5 %
   GcMode gc_mode = GcMode::kStopTheWorld;
   /// Valid-page relocation budget of one time-sliced GC step (the per-write
   /// tail-latency bound; ignored under kStopTheWorld). docs/QOS.md.
@@ -146,6 +145,8 @@ class FtlBase {
  public:
   /// "No superblock" sentinel (pick_victim abort, idle gc_inflight_victim).
   static constexpr std::uint64_t kNoVictim = ~0ULL;
+  /// GC trigger (paper §III-D): collect when under 5 % of superblocks are free.
+  static constexpr double kGcFreeThreshold = 0.05;
 
   FtlBase(const FtlConfig& cfg, std::uint32_t num_streams);
   virtual ~FtlBase() = default;

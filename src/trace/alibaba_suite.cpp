@@ -140,7 +140,6 @@ FtlConfig suite_ftl_config(const SuiteTraceSpec& spec) {
   FtlConfig cfg;
   cfg.geom = suite_geometry(spec);
   cfg.op_ratio = 0.07;          // paper §V-A
-  cfg.gc_free_threshold = 0.05; // paper §III-D
   return cfg;
 }
 

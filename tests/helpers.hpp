@@ -24,7 +24,6 @@ inline FtlConfig small_config() {
   cfg.geom.page_size = 4 * 1024;
   cfg.geom.oob_size = 128;
   cfg.op_ratio = 0.10;  // roomy OP so the 5% trigger is satisfiable
-  cfg.gc_free_threshold = 0.05;
   return cfg;
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+
 #include "core/meta.hpp"
 
 namespace phftl::core {
@@ -137,12 +140,66 @@ TEST(MetaStore, CacheCapacityFollowsOnePercentRule) {
             static_cast<std::size_t>(store.total_meta_pages() / 100));
 }
 
-// --- FlatMetaCache vs the retained reference implementation ---
+// --- FlatMetaCache vs the reference implementation ---
 //
 // The flat open-addressed hash + array LRU must reproduce the paper's
 // tree+list cache *exactly*: same hit/miss outcome, same eviction victim,
 // same size, op for op. A divergence anywhere in a long randomized stream
 // would shift every §V-B hit rate after it.
+
+/// The reference implementation: std::map (red-black tree) keyed by MPPN →
+/// std::list iterator, exactly the structure the paper names and exactly
+/// what MetaStore shipped before the flat rework.
+class ReferenceMetaCache {
+ public:
+  explicit ReferenceMetaCache(std::size_t capacity) : capacity_(capacity) {
+    PHFTL_CHECK_MSG(capacity_ > 0, "cache capacity must be positive");
+  }
+
+  std::size_t size() const { return index_.size(); }
+
+  CacheAccess access(std::uint64_t key) {
+    CacheAccess out;
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      out.hit = true;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return out;
+    }
+    if (index_.size() >= capacity_) {
+      out.evicted = true;
+      out.victim = lru_.back();
+      lru_.pop_back();
+      index_.erase(out.victim);
+    }
+    lru_.push_front(key);
+    index_[key] = lru_.begin();
+    return out;
+  }
+
+  bool erase(std::uint64_t key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    lru_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+
+  void clear() {
+    index_.clear();
+    lru_.clear();
+  }
+
+  template <typename Fn>
+  void for_each_mru(Fn&& fn) const {
+    for (const std::uint64_t key : lru_) fn(key);
+  }
+
+ private:
+  std::size_t capacity_;
+  std::map<std::uint64_t, std::list<std::uint64_t>::iterator> index_;
+  std::list<std::uint64_t> lru_;  // front = most recently used
+};
 
 TEST(MetaCacheDifferential, MillionRandomizedOpsMatchReference) {
   constexpr std::size_t kCapacity = 97;  // prime, forces probe collisions

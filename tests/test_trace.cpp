@@ -217,7 +217,7 @@ TEST(AlibabaSuite, GcTriggerSatisfiableOnAllSizeClasses) {
         static_cast<double>(cfg.geom.num_superblocks()) * cfg.op_ratio;
     const double trigger =
         static_cast<double>(cfg.geom.num_superblocks()) *
-        cfg.gc_free_threshold;
+        FtlBase::kGcFreeThreshold;
     EXPECT_GT(op_sbs, trigger) << s.id;
   }
 }
