@@ -6,8 +6,8 @@
 // FTL, FlashArray, RNG, and obs::MetricsRegistry/TraceRecorder, so workers
 // share nothing — and returns results in *grid order* regardless of which
 // run finishes first. The merged ${PHFTL_METRICS_DIR}/BENCH_metrics.json is
-// likewise appended in grid order, and runner-executed PHFTL runs disable
-// wall-clock prediction timing (the one non-simulated metric), so the
+// likewise appended in grid order, and make_scheme() turns PHFTL's
+// wall-clock prediction timing (the one non-simulated metric) off, so the
 // artifact is byte-identical between serial and parallel execution
 // (tests/test_runner.cpp holds this property under TSan in CI).
 #pragma once
@@ -98,45 +98,25 @@ struct SuiteRunResult {
   std::string metrics_json;
 };
 
-/// Per-run knobs threaded through run_suite_trace.
+/// What a grid cell varies per run; everything else is FtlConfig's.
 struct RunOptions {
   std::uint32_t history_len = 8;  ///< PHFTL feature-sequence length
-  /// Record wall-clock prediction latency (PHFTL). The runner disables it
-  /// so merged artifacts are reproducible — see PhftlConfig.
-  bool time_predictions = true;
-  /// Append this run to the process-global MetricsArtifact from inside
-  /// run_suite_trace. The runner sets false and appends after the join, in
-  /// grid order.
-  bool record_artifact = true;
   /// Capture metrics_to_json into SuiteRunResult::metrics_json even when
   /// the artifact is disabled (the determinism test compares these).
   bool capture_metrics = false;
-  /// GC scheduling policy (docs/QOS.md): stop-the-world reclaims whole
-  /// victims inside the triggering write; time-sliced bounds each write to
-  /// gc_step_pages relocations once above the urgent floor.
-  GcMode gc_mode = GcMode::kStopTheWorld;
-  /// Per-step relocation budget for kTimeSliced; 0 keeps FtlConfig's default.
-  std::uint64_t gc_step_pages = 0;
-  /// Endurance knobs (docs/ENDURANCE.md): P/E-cycle budget per superblock
-  /// (0 = unlimited) and static wear-leveling spread trigger (0 = off).
-  std::uint64_t max_pe_cycles = 0;
-  std::uint64_t wear_level_threshold = 0;
 };
 
 inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
-                                            const FtlConfig& base_cfg,
-                                            const RunOptions& opts) {
-  FtlConfig cfg = base_cfg;
-  cfg.gc_mode = opts.gc_mode;
-  if (opts.gc_step_pages > 0) cfg.gc_step_pages = opts.gc_step_pages;
-  cfg.max_pe_cycles = opts.max_pe_cycles;
-  cfg.wear_level_threshold = opts.wear_level_threshold;
+                                            const FtlConfig& cfg,
+                                            const RunOptions& opts = {}) {
   if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
   if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
   if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
   core::PhftlConfig pcfg = core::default_phftl_config(cfg);
   pcfg.trainer.history_len = opts.history_len;
-  pcfg.time_predictions = opts.time_predictions;
+  // Wall-clock predict latency is not reproducible; keep it out of every
+  // bench export (PhftlConfig::time_predictions).
+  pcfg.time_predictions = false;
   return std::make_unique<core::PhftlFtl>(pcfg);
 }
 
@@ -166,15 +146,11 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
     res.windows = phftl->trainer().windows_completed();
   }
 
-  // With PHFTL_METRICS_DIR set, every run's full metric dump is embedded in
-  // a single <dir>/BENCH_metrics.json artifact flushed at process exit
-  // (schema "phftl-bench-metrics/1" — EXPERIMENTS.md).
-  auto& artifact = detail::MetricsArtifact::instance();
-  if (artifact.enabled() || opts.capture_metrics) {
+  // With PHFTL_METRICS_DIR set, ExperimentRunner embeds every run's full
+  // metric dump in a single <dir>/BENCH_metrics.json artifact flushed at
+  // process exit (schema "phftl-bench-metrics/1" — EXPERIMENTS.md).
+  if (detail::MetricsArtifact::instance().enabled() || opts.capture_metrics)
     res.metrics_json = obs::metrics_to_json(ftl->observability());
-    if (artifact.enabled() && opts.record_artifact)
-      artifact.add(spec.id, scheme, drive_writes, res.metrics_json);
-  }
   return res;
 }
 
@@ -209,13 +185,8 @@ class ExperimentRunner {
     futures.reserve(cells.size());
     for (const GridCell& cell : cells) {
       futures.push_back(pool.submit([&cell] {
-        RunOptions opts = cell.opts;
-        // Per-run registries are merged after the join; wall-clock predict
-        // timing is the one non-reproducible metric, so it is off here.
-        opts.record_artifact = false;
-        opts.time_predictions = false;
         return run_suite_trace(*cell.spec, cell.scheme, cell.drive_writes,
-                               opts);
+                               cell.opts);
       }));
     }
     for (auto& fut : futures) results.push_back(fut.get());

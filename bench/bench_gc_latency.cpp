@@ -61,7 +61,8 @@ std::string json_num(double v) {
 /// then time-sliced under the identical arrival process.
 CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
                     double drive_writes, std::uint64_t step_pages) {
-  const FtlConfig cfg = suite_ftl_config(spec);
+  FtlConfig cfg = suite_ftl_config(spec);
+  cfg.gc_step_pages = step_pages;
   const Trace trace = make_suite_trace(spec, drive_writes);
   const auto segment = static_cast<std::uint64_t>(
       static_cast<double>(trace.total_write_pages()) / drive_writes);
@@ -86,12 +87,8 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
 
   double time_scale = 1.0;  // set by the STW run, reused for time-sliced
   for (const GcMode mode : {GcMode::kStopTheWorld, GcMode::kTimeSliced}) {
-    bench::RunOptions opts;
-    opts.time_predictions = false;
-    opts.record_artifact = false;
-    opts.gc_mode = mode;
-    opts.gc_step_pages = step_pages;
-    auto ftl = bench::make_scheme(scheme, cfg, opts);
+    cfg.gc_mode = mode;
+    auto ftl = bench::make_scheme(scheme, cfg);
     TimedReplayer replayer(*ftl, DeviceTimingConfig{});
 
     const Phase1Result aged = replayer.stress_load(head, segment);

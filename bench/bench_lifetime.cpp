@@ -68,12 +68,7 @@ struct CellResult {
 CellResult run_cell(const std::string& scheme, bool wear_level,
                     std::uint64_t budget) {
   const FtlConfig cfg = lifetime_config(budget, wear_level);
-  bench::RunOptions opts;
-  opts.time_predictions = false;
-  opts.record_artifact = false;
-  opts.max_pe_cycles = cfg.max_pe_cycles;
-  opts.wear_level_threshold = cfg.wear_level_threshold;
-  auto ftl = bench::make_scheme(scheme, cfg, opts);
+  auto ftl = bench::make_scheme(scheme, cfg);
 
   CellResult r;
   r.scheme = scheme;

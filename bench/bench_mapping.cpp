@@ -195,10 +195,7 @@ CellResult run_cell(const std::string& scheme, std::uint64_t cmt_pages,
                     bool learned, bool smoke, double ops_per_page,
                     double warmup_fraction) {
   const FtlConfig cfg = mapping_config(smoke, cmt_pages, learned);
-  bench::RunOptions opts;
-  opts.time_predictions = false;
-  opts.record_artifact = false;
-  auto ftl = bench::make_scheme(scheme, cfg, opts);
+  auto ftl = bench::make_scheme(scheme, cfg);
 
   CellResult r;
   r.scheme = scheme;
@@ -211,10 +208,7 @@ CellResult run_cell(const std::string& scheme, std::uint64_t cmt_pages,
 CellResult run_tb_cell(std::uint64_t tp_entries, bool learned, bool smoke,
                        double ops_per_page, double warmup_fraction) {
   const FtlConfig cfg = tb_config(smoke, tp_entries, learned);
-  bench::RunOptions opts;
-  opts.time_predictions = false;
-  opts.record_artifact = false;
-  auto ftl = bench::make_scheme("Base", cfg, opts);
+  auto ftl = bench::make_scheme("Base", cfg);
 
   CellResult r;
   r.scheme = "Base";

@@ -63,10 +63,7 @@ Trace sweep_workload(std::uint64_t footprint_pages, double drive_writes,
 
 double replay_wa(const std::string& scheme, const FtlConfig& cfg,
                  const Trace& trace) {
-  bench::RunOptions opts;
-  opts.time_predictions = false;
-  opts.record_artifact = false;
-  auto ftl = bench::make_scheme(scheme, cfg, opts);
+  auto ftl = bench::make_scheme(scheme, cfg);
   for (const auto& req : trace.ops) ftl->submit(req);
   ftl->drain();
   return ftl->stats().write_amplification();

@@ -2,22 +2,23 @@
 //
 // For each scheme, the lab runs a seeded hot/cold workload against a small
 // drive, cuts power at a random acknowledged-write index, remounts via
-// FtlBase::recover(), and verifies the recovery contract:
-//   * every page acknowledged (written and not trimmed) before the cut reads
-//     back its exact pre-crash payload,
-//   * every trimmed-and-not-rewritten page stays unmapped after the remount
-//     (the trim journal's durability guarantee — RECOVERY.md "Trim
+// FtlBase::recover(), and checks the recovery contract with HostOracle
+// (docs/RECOVERY.md "The contract") right after the remount and again after
+// the rest of the workload ran on the remounted drive:
+//   * every page acknowledged (written and not trimmed) reads back its exact
+//     payload,
+//   * every other page, trimmed and not rewritten or never written, is
+//     unmapped (the trim journal's durability guarantee — RECOVERY.md "Trim
 //     semantics"),
-//   * per-superblock valid counts match the validity bitmaps,
-//   * the drive keeps serving writes after the remount (and a second
-//     verification passes at end of run).
+//   * FtlBase's structural invariants hold (check_invariants: per-superblock
+//     valid counts, the victim index, mapping ownership, wear lower bounds).
 //
 // Optional NAND fault injection stresses the degradation paths at the same
 // time: program failures force block retirements, erase failures shrink the
 // drive, and recovery must still hold. Under heavy fault rates the capacity
-// watermark may sink below the mapped count; the lab issues writes through
-// try_write_page() and treats kEnospc as a clean skip (the page is simply
-// not acknowledged), never as a failure.
+// watermark may sink below the mapped count; the lab's writes are admission-
+// checked (HostOracle::write) and a kEnospc is a clean skip (the page is
+// simply not acknowledged), never a failure.
 //
 // Every (scheme, cut) cell is an independent drive + workload, so `--jobs N`
 // runs them concurrently: all cut indices are pre-drawn from the seed RNG in
@@ -41,6 +42,7 @@
 #include "baselines/two_r.hpp"
 #include "core/phftl.hpp"
 #include "flash/fault_injector.hpp"
+#include "ftl/host_oracle.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -74,8 +76,6 @@ std::unique_ptr<FtlBase> make_ftl(const std::string& scheme,
   }
   return nullptr;
 }
-
-constexpr std::uint64_t kPayloadMagic = 0x5bd1e995ULL;  // FtlBase's payload
 
 struct WorkloadOp {
   enum Kind : std::uint8_t { kWrite, kRead, kTrim } kind;
@@ -111,36 +111,6 @@ std::vector<WorkloadOp> make_workload(std::uint64_t logical_pages,
   return ops;
 }
 
-/// Verify every trimmed-and-not-rewritten page is still unmapped. Returns
-/// the number of resurrected pages (0 = the trim journal held).
-std::uint64_t verify_trimmed(FtlBase& ftl,
-                             const std::vector<std::uint8_t>& trimmed,
-                             std::ostringstream& out) {
-  std::uint64_t bad = 0;
-  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
-    if (!trimmed[lpn] || !ftl.is_mapped(lpn)) continue;
-    if (++bad <= 5)
-      out << "  RESURRECTED trimmed lpn " << lpn << "\n";
-  }
-  return bad;
-}
-
-/// Verify every acknowledged page reads back its payload. Returns the
-/// number of violations (0 = contract holds).
-std::uint64_t verify(FtlBase& ftl, const std::vector<std::uint8_t>& acked,
-                     std::ostringstream& out) {
-  std::uint64_t bad = 0;
-  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
-    if (!acked[lpn]) continue;
-    if (!ftl.is_mapped(lpn) || ftl.read_page(lpn) != (lpn ^ kPayloadMagic)) {
-      if (++bad <= 5)
-        out << "  LOST lpn " << lpn
-            << " (mapped=" << static_cast<int>(ftl.is_mapped(lpn)) << ")\n";
-    }
-  }
-  return bad;
-}
-
 struct CutOutcome {
   bool ok = false;
   std::string report;
@@ -160,103 +130,41 @@ CutOutcome run_one_cut(const std::string& scheme, std::uint64_t cut,
   const std::vector<WorkloadOp> ops =
       make_workload(ftl->logical_pages(), total_writes, workload_seed);
 
-  // acked[lpn]: the host got a completion for a write and no later trim.
-  // trimmed[lpn]: the host trimmed a mapped page and never rewrote it.
-  std::vector<std::uint8_t> acked(ftl->logical_pages(), 0);
-  std::vector<std::uint8_t> trimmed(ftl->logical_pages(), 0);
+  HostOracle oracle(ftl->logical_pages());
+  const auto contract_holds = [&](const char* when) {
+    const std::string report = oracle.check(*ftl);
+    if (report.empty()) return true;
+    std::snprintf(buf, sizeof(buf),
+                  "%s: cut at %llu: recovery contract violated after %s\n",
+                  scheme.c_str(), static_cast<unsigned long long>(cut), when);
+    out << report << buf;
+    return false;
+  };
   WriteContext ctx;
   std::uint64_t writes_done = 0;
   std::uint64_t enospc = 0;
-  std::size_t resume_at = ops.size();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const WorkloadOp& op = ops[i];
+  RecoveryReport rep;
+  // The cut lands mid-workload; the rest runs on the remounted drive, which
+  // must keep working, and the contract is checked again at the end.
+  for (const WorkloadOp& op : ops) {
     switch (op.kind) {
       case WorkloadOp::kWrite:
-        if (ftl->try_write_page(op.lpn, ctx) == WriteResult::kOk) {
-          acked[op.lpn] = 1;
-          trimmed[op.lpn] = 0;
-        } else {
-          ++enospc;  // clean rejection at the watermark: page stays unacked
-        }
-        ++writes_done;
-        break;
-      case WorkloadOp::kRead:
-        ftl->read_page(op.lpn);
-        break;
-      case WorkloadOp::kTrim:
-        if (ftl->trim_page(op.lpn)) trimmed[op.lpn] = 1;
-        acked[op.lpn] = 0;
-        break;
-    }
-    if (writes_done >= cut) {  // power cut: RAM state vanishes here
-      resume_at = i + 1;
-      break;
-    }
-  }
-
-  const RecoveryReport rep = ftl->recover();
-  std::uint64_t lost = verify(*ftl, acked, out);
-  if (lost > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: cut at %llu: %llu acknowledged pages lost after "
-                  "recovery\n",
-                  scheme.c_str(), static_cast<unsigned long long>(cut),
-                  static_cast<unsigned long long>(lost));
-    out << buf;
-    return {false, out.str()};
-  }
-  std::uint64_t resurrected = verify_trimmed(*ftl, trimmed, out);
-  if (resurrected > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: cut at %llu: %llu trimmed pages resurrected after "
-                  "recovery\n",
-                  scheme.c_str(), static_cast<unsigned long long>(cut),
-                  static_cast<unsigned long long>(resurrected));
-    out << buf;
-    return {false, out.str()};
-  }
-
-  // The drive must keep working: replay the rest of the workload, verify
-  // again at the end.
-  for (std::size_t i = resume_at; i < ops.size(); ++i) {
-    const WorkloadOp& op = ops[i];
-    switch (op.kind) {
-      case WorkloadOp::kWrite:
-        if (ftl->try_write_page(op.lpn, ctx) == WriteResult::kOk) {
-          acked[op.lpn] = 1;
-          trimmed[op.lpn] = 0;
-        } else {
-          ++enospc;
+        // A rejection at the watermark leaves the page unacknowledged.
+        if (oracle.write(*ftl, op.lpn, ctx) != WriteResult::kOk) ++enospc;
+        if (++writes_done == cut) {  // power cut: RAM state vanishes here
+          rep = ftl->recover();
+          if (!contract_holds("recovery")) return {false, out.str()};
         }
         break;
       case WorkloadOp::kRead:
         ftl->read_page(op.lpn);
         break;
       case WorkloadOp::kTrim:
-        if (ftl->trim_page(op.lpn)) trimmed[op.lpn] = 1;
-        acked[op.lpn] = 0;
+        oracle.trim(*ftl, op.lpn);
         break;
     }
   }
-  lost = verify(*ftl, acked, out);
-  if (lost > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: cut at %llu: %llu pages lost after resume\n",
-                  scheme.c_str(), static_cast<unsigned long long>(cut),
-                  static_cast<unsigned long long>(lost));
-    out << buf;
-    return {false, out.str()};
-  }
-  resurrected = verify_trimmed(*ftl, trimmed, out);
-  if (resurrected > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: cut at %llu: %llu trimmed pages resurrected after "
-                  "resume\n",
-                  scheme.c_str(), static_cast<unsigned long long>(cut),
-                  static_cast<unsigned long long>(resurrected));
-    out << buf;
-    return {false, out.str()};
-  }
+  if (!contract_holds("resume")) return {false, out.str()};
 
   std::snprintf(
       buf, sizeof(buf),

@@ -17,7 +17,6 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
       num_streams_(num_streams),
       l2p_(logical_pages_, kInvalidPpn),
       p2l_(cfg.geom.total_pages(), kInvalidLpn),
-      valid_bit_(cfg.geom.total_pages(), 0),
       sb_meta_(cfg.geom.num_superblocks()),
       open_(kNumSbKinds * num_streams, kNoSb),
       pending_retire_(cfg.geom.num_superblocks(), 0),
@@ -351,7 +350,7 @@ WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   oob.lpn = lpn;
   oob.write_time = virtual_clock_;
   fill_user_oob(lpn, oob);
-  const Ppn ppn = append(stream, /*payload=*/lpn ^ 0x5bd1e995ULL, oob);
+  const Ppn ppn = append(stream, payload_of(lpn), oob);
   l2p_[lpn] = ppn;
   if (tier_) tier_->update(lpn, ppn);
   if (new_mapping) ++mapped_count_;
@@ -445,13 +444,11 @@ std::uint64_t FtlBase::fill_limit(SbKind kind, std::uint64_t sb) const {
 
 void FtlBase::mark_valid(Ppn ppn, std::uint64_t sb, std::uint64_t owner) {
   p2l_[ppn] = owner;
-  valid_bit_[ppn] = 1;
   ++sb_meta_[sb].valid_count;
 }
 
 void FtlBase::drop_page(Ppn ppn) {
-  PHFTL_CHECK_MSG(valid_bit_[ppn], "dropping a page that is not valid");
-  valid_bit_[ppn] = 0;
+  PHFTL_CHECK_MSG(page_valid(ppn), "dropping a page that is not valid");
   p2l_[ppn] = kInvalidLpn;
   const std::uint64_t sb = geom().superblock_of(ppn);
   PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
@@ -636,7 +633,6 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
   // Wipe the volatile structures.
   std::fill(l2p_.begin(), l2p_.end(), kInvalidPpn);
   std::fill(p2l_.begin(), p2l_.end(), kInvalidLpn);
-  std::fill(valid_bit_.begin(), valid_bit_.end(), 0);
   for (auto& meta : sb_meta_) {
     meta.valid_count = 0;
     meta.kind = SbKind::kData;
@@ -1010,7 +1006,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // invalidated since the round began — those relocations are saved,
     // which is why time-sliced WA is bounded by stop-the-world's, not
     // identical to it (docs/QOS.md).
-    if (!valid_bit_[ppn]) continue;
+    if (!page_valid(ppn)) continue;
     // The OOB metadata copy travels with the page (§III-C: it spares GC
     // from reading meta pages). Translation pages are first-class GC
     // citizens (Dayan & Bonnet); the tier picks their freshest content and
@@ -1024,7 +1020,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     }
     OobData oob = src;
     const Lpn lpn = p2l_[ppn];
-    PHFTL_CHECK(lpn != kInvalidLpn && l2p_[lpn] == ppn);
+    PHFTL_CHECK(l2p_[lpn] == ppn);
     const std::uint64_t payload = flash_.read(ppn);
     ++stats_.gc_reads;
 
@@ -1045,7 +1041,6 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     }
     // The victim is known and unindexed: decrement inline (drop_page's
     // superblock lookup and index probe would cost every migrated page).
-    valid_bit_[ppn] = 0;
     p2l_[ppn] = kInvalidLpn;
     PHFTL_CHECK(sb_meta_[victim].valid_count > 0);
     --sb_meta_[victim].valid_count;
@@ -1063,7 +1058,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
   // A budget-limited step that drained the last valid page should not cost
   // an extra no-op step next time: skim the invalid tail now.
   while (!stranded && off < pages &&
-         !valid_bit_[geom().make_ppn(victim, off)])
+         !page_valid(geom().make_ppn(victim, off)))
     ++off;
   round_.cursor = off;
   round_.moved += moved;

@@ -157,6 +157,12 @@ class FtlBase {
   /// Number of logical pages exported to the host.
   std::uint64_t logical_pages() const { return logical_pages_; }
 
+  /// The payload a host write of `lpn` stores, and so what read_page(lpn)
+  /// returns while `lpn` is mapped (the simulator's stand-in for data).
+  static constexpr std::uint64_t payload_of(Lpn lpn) {
+    return lpn ^ 0x5bd1e995ULL;
+  }
+
   /// Submit a block-layer request; pages are processed in order. Aborts
   /// (PHFTL_CHECK) if a write is rejected at the capacity watermark — use
   /// submit_checked() to observe ENOSPC instead.
@@ -309,7 +315,8 @@ class FtlBase {
   std::uint32_t stream_of(std::uint64_t sb) const {
     return sb_meta_[sb].stream;
   }
-  bool page_valid(Ppn ppn) const { return valid_bit_[ppn] != 0; }
+  /// A page is valid exactly while the reverse map names its owner.
+  bool page_valid(Ppn ppn) const { return p2l_[ppn] != kInvalidLpn; }
   Lpn page_lpn(Ppn ppn) const { return p2l_[ppn]; }
   /// GC count of a valid user page, from its OOB copy (the only copy).
   std::uint8_t page_gc_count(Ppn ppn) const {
@@ -454,8 +461,8 @@ class FtlBase {
   /// Count `ppn` as a valid page of superblock `sb`, owned by `owner` (an
   /// LPN, or a TPN for a translation page).
   void mark_valid(Ppn ppn, std::uint64_t sb, std::uint64_t owner);
-  /// Clear the valid page at `ppn`: validity bit, reverse map, its
-  /// superblock's valid count and victim-index bucket.
+  /// Clear the valid page at `ppn`: reverse map, its superblock's valid
+  /// count and victim-index bucket.
   void drop_page(Ppn ppn);
 
   // --- superblock lifecycle, shared by every kind and by meta pages ---
@@ -535,8 +542,9 @@ class FtlBase {
   std::uint64_t gc_trigger_count_;
 
   std::vector<Ppn> l2p_;
+  /// Owner (LPN, or TPN for a translation page) of each valid physical
+  /// page; kInvalidLpn marks an invalid one.
   std::vector<Lpn> p2l_;
-  std::vector<std::uint8_t> valid_bit_;
   std::vector<SbMeta> sb_meta_;
   /// Open superblock per (kind, stream), kNoSb when none (open_slot()).
   std::vector<std::uint64_t> open_;

@@ -34,8 +34,8 @@
 // remainder uncovered for the ordinary GTD/CMT path.
 //
 // Correctness never rests on the model: the FTL treats a prediction as a
-// hint, verifies it against the probed page's OOB LPN + the validity
-// bitmap, and falls back to the translation-page path on any mismatch
+// hint, verifies it against the probed page's OOB LPN and validity, and
+// falls back to the translation-page path on any mismatch
 // (ftl.map.learned_mispredicts). See FtlBase::learned_lookup.
 #pragma once
 

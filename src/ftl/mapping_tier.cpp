@@ -185,7 +185,7 @@ Ppn MappingTier::learned_lookup(Lpn lpn, bool host_read) {
   // is one flash page read (data + OOB); it verifies iff the page is a
   // valid user copy of exactly this LPN — translation/meta/journal pages
   // carry lpn = kInvalidLpn in their OOB and can never false-match, and a
-  // stale user copy fails the validity bitmap. The probe that verifies IS
+  // stale user copy is no longer valid. The probe that verifies IS
   // the data read; every earlier probe is wasted and charged below.
   const auto probe = [&](std::int64_t cand) {
     if (cand < 0 || cand >= total) return false;
@@ -193,7 +193,7 @@ Ppn MappingTier::learned_lookup(Lpn lpn, bool host_read) {
     // Unprogrammed pages need no read: an append-only controller knows
     // each block's write frontier.
     if (!flash.is_programmed(p)) return false;
-    if (ftl_.valid_bit_[p] && flash.read_oob(p).lpn == lpn) {
+    if (ftl_.page_valid(p) && flash.read_oob(p).lpn == lpn) {
       found = p;
       return true;
     }
@@ -209,8 +209,9 @@ Ppn MappingTier::learned_lookup(Lpn lpn, bool host_read) {
   s.learned_probe_reads += wasted;
   if (host_read) s.learned_probe_reads_host += wasted;
   if (found != kInvalidPpn) {
-    // valid_bit_ + OOB match imply p2l_[found] == lpn, so this check can
-    // only fire if the validity state itself diverged from the shadow.
+    // A valid page whose OOB names lpn is owned by lpn (p2l_[found] ==
+    // lpn), so this check can only fire if the reverse map itself diverged
+    // from the shadow.
     PHFTL_CHECK_MSG(found == ftl_.l2p_[lpn],
                     "verified learned probe diverged from the L2P shadow");
     ++s.learned_hits;

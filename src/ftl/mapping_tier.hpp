@@ -10,7 +10,7 @@
 // FtlBase keeps the l2p_ truth and does every flash program: the tier asks
 // FtlBase::append_translation_page for each translation-page write and
 // hears where it landed through note_programmed(). As FtlBase's friend the
-// tier reads l2p_, the validity bitmap and the flash array, and charges
+// tier reads l2p_, the reverse map p2l_ and the flash array, and charges
 // the FtlStats ledger.
 //
 // Core invariant: for any translation page neither CMT-resident nor in the
@@ -126,7 +126,7 @@ class MappingTier {
   /// Flush once the buffer holds a full batch.
   void maybe_flush();
   /// Learned fast path: predict `lpn`'s PPN and probe outward (±radius),
-  /// verifying each candidate's OOB LPN against the validity bitmap. A
+  /// verifying each candidate's OOB LPN and its validity. A
   /// verified probe IS the data read; otherwise kInvalidPpn (counted as a
   /// mispredict) and the caller falls back to the GTD/CMT path. Only
   /// called while the flash blob the model was trained on is the truth.

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string>
 
+#include "ftl/host_oracle.hpp"
 #include "ftl/victim_policy.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
@@ -216,19 +216,14 @@ TEST_P(FtlIntegrityTest, RandomTrafficPreservesAllMappings) {
   ASSERT_NE(ftl, nullptr);
 
   Xoshiro256 rng(2024);
-  std::map<Lpn, std::uint64_t> shadow;  // lpn -> expected payload tag
+  HostOracle oracle(ftl->logical_pages());
   WriteContext ctx;
   // Enough traffic to force many GC cycles on the tiny drive.
-  for (int i = 0; i < 30000; ++i) {
-    const Lpn lpn = rng.next_below(ftl->logical_pages());
-    ftl->write_page(lpn, ctx);
-    shadow[lpn] = lpn ^ 0x5bd1e995ULL;  // payload convention of FtlBase
-  }
+  for (int i = 0; i < 30000; ++i)
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(ftl->logical_pages()), ctx),
+              WriteResult::kOk);
   EXPECT_GT(ftl->stats().gc_invocations, 0u);
-  for (const auto& [lpn, expect] : shadow) {
-    ASSERT_TRUE(ftl->is_mapped(lpn));
-    EXPECT_EQ(ftl->read_page(lpn), expect) << GetParam() << " lpn " << lpn;
-  }
+  EXPECT_EQ(oracle.check(*ftl), "") << GetParam();
 }
 
 TEST_P(FtlIntegrityTest, MappingAndValidityAreConsistentAfterGc) {
@@ -237,20 +232,9 @@ TEST_P(FtlIntegrityTest, MappingAndValidityAreConsistentAfterGc) {
   const Trace trace = test::small_workload(cfg, 4.0, /*seed=*/99);
   for (const auto& req : trace.ops) ftl->submit(req);
 
-  // Every mapped LPN points at a valid page that points back, and the sum
-  // of valid counts equals the mapped-page count.
-  std::uint64_t mapped = 0;
-  for (Lpn lpn = 0; lpn < ftl->logical_pages(); ++lpn) {
-    if (!ftl->is_mapped(lpn)) continue;
-    ++mapped;
-    const Ppn ppn = ftl->lookup(lpn);
-    ASSERT_TRUE(ftl->page_valid(ppn));
-    ASSERT_EQ(ftl->page_lpn(ppn), lpn);
-  }
-  std::uint64_t valid_total = 0;
-  for (std::uint64_t sb = 0; sb < cfg.geom.num_superblocks(); ++sb)
-    valid_total += ftl->valid_count(sb);
-  EXPECT_EQ(valid_total, mapped);
+  // Every mapped LPN points at a valid page that points back, and the
+  // valid pages are exactly the mapped ones.
+  EXPECT_EQ(check_invariants(*ftl), "") << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, FtlIntegrityTest,

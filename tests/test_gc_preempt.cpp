@@ -3,10 +3,9 @@
 // surface. docs/QOS.md documents the contract these tests enforce.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
-#include <vector>
 
+#include "ftl/host_oracle.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
 
@@ -26,38 +25,6 @@ FtlConfig sliced_config(std::uint64_t step_pages = 4) {
   return cfg;
 }
 
-/// Structural invariants at a quiescent point, aware that a time-sliced
-/// round may be parked between steps: the in-flight victim is closed but
-/// deliberately absent from the victim index until the round finishes.
-void check_invariants(const FtlBase& ftl) {
-  const Geometry& g = ftl.config().geom;
-  for (std::uint64_t sb = 0; sb < g.num_superblocks(); ++sb) {
-    std::uint64_t bitmap_count = 0;
-    for (std::uint64_t off = 0; off < g.pages_per_superblock(); ++off)
-      bitmap_count += ftl.page_valid(g.make_ppn(sb, off)) ? 1 : 0;
-    ASSERT_EQ(bitmap_count, ftl.valid_count(sb)) << "sb " << sb;
-  }
-  std::set<std::uint64_t> indexed;
-  ftl.visit_closed_by_valid(
-      [&](std::uint64_t bucket_valid, const std::vector<std::uint64_t>& sbs) {
-        for (const std::uint64_t sb : sbs) {
-          indexed.insert(sb);
-          EXPECT_EQ(ftl.valid_count(sb), bucket_valid) << "sb " << sb;
-        }
-        return true;
-      });
-  for (std::uint64_t sb = 0; sb < g.num_superblocks(); ++sb) {
-    if (ftl.flash().state(sb) != SuperblockState::kClosed) continue;
-    if (ftl.is_journal_sb(sb)) continue;
-    if (sb == ftl.gc_inflight_victim()) {
-      EXPECT_FALSE(indexed.count(sb)) << "in-flight victim " << sb
-                                      << " still indexed";
-      continue;
-    }
-    EXPECT_TRUE(indexed.count(sb)) << "closed sb " << sb << " not indexed";
-  }
-}
-
 // The QoS contract's WA-neutrality clause: time-sliced GC relocates the
 // same victims' live pages the stop-the-world engine would, minus any the
 // host invalidates between steps, so the final per-LPN state is identical
@@ -68,20 +35,19 @@ TEST_P(GcPreemptTest, TimeSlicedMatchesStopTheWorldFinalState) {
   auto stw = make_ftl(GetParam(), stw_cfg);
   auto sliced = make_ftl(GetParam(), ts_cfg);
   const Trace trace = small_workload(stw_cfg, 3.0, 137);
+  // Both drives acknowledge every request, so one record serves both.
+  HostOracle oracle(stw->logical_pages());
   for (const auto& req : trace.ops) {
-    stw->submit(req);
+    ASSERT_EQ(oracle.submit(*stw, req).status, WriteResult::kOk);
     sliced->submit(req);
   }
   stw->drain();
   sliced->drain();
 
   // Identical per-LPN final state: the same LPNs mapped, every mapped page
-  // serving its acknowledged payload.
-  for (Lpn lpn = 0; lpn < stw->logical_pages(); ++lpn) {
-    ASSERT_EQ(stw->is_mapped(lpn), sliced->is_mapped(lpn)) << "lpn " << lpn;
-    if (!stw->is_mapped(lpn)) continue;
-    ASSERT_EQ(sliced->read_page(lpn), lpn ^ 0x5bd1e995ULL) << "lpn " << lpn;
-  }
+  // serving its acknowledged payload, and both drives consistent.
+  ASSERT_EQ(oracle.check(*stw), "");
+  ASSERT_EQ(oracle.check(*sliced), "");
 
   const double stw_wa = stw->stats().write_amplification();
   const double ts_wa = sliced->stats().write_amplification();
@@ -94,8 +60,6 @@ TEST_P(GcPreemptTest, TimeSlicedMatchesStopTheWorldFinalState) {
   EXPECT_EQ(stw->stats().gc_preemptions, 0u);
   EXPECT_GT(sliced->stats().gc_steps, 0u) << GetParam();
   EXPECT_GE(sliced->stats().gc_steps, sliced->stats().gc_invocations);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*stw));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*sliced));
 }
 
 // The latency bound itself: while the free pool sits above the urgent
@@ -137,9 +101,11 @@ TEST_P(GcPreemptTest, DrainCompletesInflightRound) {
   WriteContext ctx;
   Xoshiro256 rng(29);
   const std::uint64_t logical = ftl->logical_pages();
+  HostOracle oracle(logical);
   bool saw_inflight = false;
   for (std::uint64_t w = 0; w < logical * 3; ++w) {
-    ftl->write_page(rng.next_below(logical), ctx);
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(logical), ctx),
+              WriteResult::kOk);
     if (ftl->gc_inflight_victim() != FtlBase::kNoVictim) {
       saw_inflight = true;
       // A parked victim is closed and carries a consistent cursor state.
@@ -149,17 +115,17 @@ TEST_P(GcPreemptTest, DrainCompletesInflightRound) {
     }
   }
   ASSERT_TRUE(saw_inflight) << GetParam() << ": GC never parked a victim";
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 
   ftl->drain();
   EXPECT_EQ(ftl->gc_inflight_victim(), FtlBase::kNoVictim) << GetParam();
   EXPECT_EQ(ftl->gc_inflight_valid_moved(), 0u);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
   // Still a working drive after the forced completion.
   for (int i = 0; i < 500; ++i) {
     const Lpn lpn = rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
-    ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
+    ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
+    ASSERT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
   }
 }
 

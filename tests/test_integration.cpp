@@ -340,7 +340,7 @@ std::unique_ptr<FtlBase> run_knob_matrix(const std::string& scheme,
     const std::uint64_t kind = rng.next_below(100);
     if (kind < 10) {
       const std::uint64_t v = ftl->read_page(lpn);
-      EXPECT_TRUE(v == 0 || v == (lpn ^ 0x5bd1e995ULL)) << "lpn " << lpn;
+      EXPECT_TRUE(v == 0 || v == FtlBase::payload_of(lpn)) << "lpn " << lpn;
     } else if (kind < 14) {
       HostRequest req;
       req.op = OpType::kTrim;

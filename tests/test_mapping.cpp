@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "ftl/ftl_base.hpp"
+#include "ftl/host_oracle.hpp"
 #include "helpers.hpp"
 #include "obs/observability.hpp"
 #include "util/rng.hpp"
@@ -82,7 +83,7 @@ TEST(MappingTier, UnmappedReadsAreCountedOnBothPaths) {
 
     WriteContext ctx;
     ftl->write_page(7, ctx);
-    EXPECT_EQ(ftl->read_page(7), 7ULL ^ 0x5bd1e995ULL);
+    EXPECT_EQ(ftl->read_page(7), FtlBase::payload_of(7));
     EXPECT_EQ(ftl->stats().host_reads, 1u);
 
     // Trimmed-and-not-rewritten LPN counts as unmapped again.
@@ -252,17 +253,15 @@ TEST(MappingTier, MountRebuildsGtdAndReconcilesDirtyState) {
   cfg.cmt_wb_batch = 16;
   auto ftl = make_ftl("Base", cfg);
   const std::uint64_t logical = ftl->logical_pages();
+  HostOracle oracle(logical);
   Xoshiro256 rng(99);
   WriteContext ctx;
   for (std::uint64_t w = 0; w < logical * 3; ++w)
-    ftl->write_page(rng.next_below(logical), ctx);
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(logical), ctx),
+              WriteResult::kOk);
   // A few trims right before the cut: the journal replay retroactively
   // unmaps them, so their translation pages also need reconciliation.
-  for (int t = 0; t < 32; ++t) ftl->trim_page(rng.next_below(logical));
-
-  std::vector<std::uint64_t> expected(logical);
-  for (Lpn lpn = 0; lpn < logical; ++lpn)
-    expected[lpn] = ftl->is_mapped(lpn) ? (lpn ^ 0x5bd1e995ULL) : 0;
+  for (int t = 0; t < 32; ++t) oracle.trim(*ftl, rng.next_below(logical));
 
   const RecoveryReport rep = ftl->recover();
   EXPECT_GT(rep.trans_gtd_rebuilt, 0u);
@@ -270,8 +269,8 @@ TEST(MappingTier, MountRebuildsGtdAndReconcilesDirtyState) {
   EXPECT_TRUE(ftl->mapping_tier_enabled());
   EXPECT_EQ(ftl->mapping_tier()->wb_pending(), 0u);
 
+  ASSERT_EQ(oracle.check(*ftl), "");
   for (Lpn lpn = 0; lpn < logical; ++lpn) {
-    ASSERT_EQ(ftl->read_page(lpn), expected[lpn]) << "lpn " << lpn;
     ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
               ftl->lookup(lpn))
         << "lpn " << lpn;
@@ -280,8 +279,8 @@ TEST(MappingTier, MountRebuildsGtdAndReconcilesDirtyState) {
   // The remounted drive keeps serving the demand-paged path.
   for (int w = 0; w < 500; ++w) {
     const Lpn lpn = rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
-    ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
+    ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
+    ASSERT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
   }
 }
 
@@ -656,7 +655,7 @@ TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
   // the probe must reject it on the OOB check and the fallback must still
   // serve the right data (the internal PHFTL_CHECK against the shadow
   // oracle would abort on any wrong answer).
-  EXPECT_EQ(ftl->read_page(victim_lpn), victim_lpn ^ 0x5bd1e995ULL);
+  EXPECT_EQ(ftl->read_page(victim_lpn), FtlBase::payload_of(victim_lpn));
   EXPECT_EQ(s.learned_mispredicts, mis_before + 1)
       << "the stale segment was not consulted or not caught";
   EXPECT_GT(s.learned_probe_reads, probes_before);
@@ -668,7 +667,7 @@ TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
     ftl->write_page((16 + k) * tp, ctx);
   ftl->drain();
   const std::uint64_t hits_before = s.learned_hits;
-  EXPECT_EQ(ftl->read_page(victim_lpn), victim_lpn ^ 0x5bd1e995ULL);
+  EXPECT_EQ(ftl->read_page(victim_lpn), FtlBase::payload_of(victim_lpn));
   EXPECT_EQ(s.learned_hits, hits_before + 1);
   EXPECT_EQ(s.learned_mispredicts, mis_before + 1) << "no new mispredicts";
 }

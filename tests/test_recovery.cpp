@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 
 #include "flash/fault_injector.hpp"
+#include "ftl/host_oracle.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
 
@@ -40,61 +40,6 @@ std::unique_ptr<FtlBase> make_crash_ftl(
   return make_ftl(scheme, cfg);
 }
 
-/// Structural invariants that must hold whenever the FTL is quiescent:
-/// validity bitmaps agree with per-superblock counts, and the victim index
-/// holds exactly the closed superblocks at their current valid counts.
-void check_invariants(const FtlBase& ftl) {
-  const Geometry& g = ftl.config().geom;
-  for (std::uint64_t sb = 0; sb < g.num_superblocks(); ++sb) {
-    std::uint64_t bitmap_count = 0;
-    for (std::uint64_t off = 0; off < g.pages_per_superblock(); ++off)
-      bitmap_count += ftl.page_valid(g.make_ppn(sb, off)) ? 1 : 0;
-    ASSERT_EQ(bitmap_count, ftl.valid_count(sb)) << "sb " << sb;
-  }
-  std::set<std::uint64_t> indexed;
-  ftl.visit_closed_by_valid(
-      [&](std::uint64_t bucket_valid, const std::vector<std::uint64_t>& sbs) {
-        for (const std::uint64_t sb : sbs) {
-          indexed.insert(sb);
-          EXPECT_EQ(ftl.valid_count(sb), bucket_valid) << "sb " << sb;
-          EXPECT_EQ(ftl.flash().state(sb), SuperblockState::kClosed)
-              << "sb " << sb;
-        }
-        return true;
-      });
-  std::uint64_t closed = 0;
-  for (std::uint64_t sb = 0; sb < g.num_superblocks(); ++sb) {
-    if (ftl.flash().state(sb) != SuperblockState::kClosed) continue;
-    if (ftl.is_journal_sb(sb)) {
-      // Trim-journal superblocks are closed but must never be GC victims.
-      EXPECT_FALSE(indexed.count(sb)) << "journal sb " << sb << " indexed";
-      continue;
-    }
-    if (sb == ftl.gc_inflight_victim()) {
-      // A parked time-sliced victim is closed but deliberately held out of
-      // the victim index until its round completes (docs/QOS.md).
-      EXPECT_FALSE(indexed.count(sb)) << "in-flight victim " << sb
-                                      << " indexed";
-      continue;
-    }
-    ++closed;
-    EXPECT_TRUE(indexed.count(sb)) << "closed sb " << sb << " not indexed";
-  }
-  EXPECT_EQ(indexed.size(), closed);
-  // WA accounting sanity: flash programs never undercount host writes.
-  EXPECT_GE(ftl.stats().flash_writes(), ftl.stats().user_writes);
-}
-
-/// Every acknowledged page (written, not since trimmed) must read back its
-/// exact payload.
-void verify_acked(FtlBase& ftl, const std::vector<std::uint8_t>& acked) {
-  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
-    if (!acked[lpn]) continue;
-    ASSERT_TRUE(ftl.is_mapped(lpn)) << "acked lpn " << lpn << " lost";
-    ASSERT_EQ(ftl.read_page(lpn), lpn ^ 0x5bd1e995ULL) << "lpn " << lpn;
-  }
-}
-
 TEST_P(RecoveryTest, RebuiltMappingServesIdenticalReads) {
   const FtlConfig cfg = small_config();
   auto ftl = make_ftl(GetParam(), cfg);
@@ -113,7 +58,7 @@ TEST_P(RecoveryTest, RebuiltMappingServesIdenticalReads) {
   for (const auto& [lpn, ppn] : mapping) {
     ASSERT_TRUE(ftl->is_mapped(lpn)) << GetParam() << " lpn " << lpn;
     EXPECT_EQ(ftl->lookup(lpn), ppn);
-    EXPECT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
+    EXPECT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
   }
 }
 
@@ -146,7 +91,7 @@ TEST_P(RecoveryTest, DeviceRemainsUsableAfterRecovery) {
   for (int i = 0; i < 20000; ++i) {
     const Lpn lpn = rng.next_below(ftl->logical_pages());
     ftl->write_page(lpn, ctx);
-    ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
+    ASSERT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
   }
 }
 
@@ -176,7 +121,7 @@ TEST_P(RecoveryTest, TrimmedPagesStayUnmappedAcrossRecovery) {
   ftl->write_page(7, ctx);
   ftl->recover();
   EXPECT_TRUE(ftl->is_mapped(7));
-  EXPECT_EQ(ftl->read_page(7), 7 ^ 0x5bd1e995ULL);
+  EXPECT_EQ(ftl->read_page(7), FtlBase::payload_of(7));
 }
 
 TEST_P(RecoveryTest, JournalCompactionPreservesTombstones) {
@@ -186,33 +131,27 @@ TEST_P(RecoveryTest, JournalCompactionPreservesTombstones) {
   const FtlConfig cfg = small_config();
   auto ftl = make_crash_ftl(GetParam(), cfg);
   const std::uint64_t logical = ftl->logical_pages();
+  HostOracle oracle(logical);
   WriteContext ctx;
   Xoshiro256 rng(2024);
-  std::vector<std::uint8_t> trimmed(logical, 0);
   // Each round writes two pages and trims one of them immediately, so every
   // trim is effective and appends one record page — comfortably exceeding
   // the compaction threshold (half a superblock of record pages).
   const std::uint64_t rounds = 2 * cfg.geom.pages_per_superblock() + 64;
   for (std::uint64_t i = 0; i < rounds; ++i) {
-    const Lpn keep = rng.next_below(logical);
-    ftl->write_page(keep, ctx);
-    trimmed[keep] = 0;
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(logical), ctx),
+              WriteResult::kOk);
     const Lpn t = rng.next_below(logical);
-    ftl->write_page(t, ctx);
-    trimmed[t] = 0;
-    ASSERT_TRUE(ftl->trim_page(t));
-    trimmed[t] = 1;
+    ASSERT_EQ(oracle.write(*ftl, t, ctx), WriteResult::kOk);
+    ASSERT_TRUE(oracle.trim(*ftl, t));
   }
   EXPECT_GE(ftl->stats().trim_journal_compactions, 1u);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 
   ftl->recover();
-  for (Lpn lpn = 0; lpn < logical; ++lpn)
-    ASSERT_FALSE(trimmed[lpn] && ftl->is_mapped(lpn))
-        << "trimmed lpn " << lpn << " resurrected";
+  ASSERT_EQ(oracle.check(*ftl), "");
   // Post-mount the journal occupies at most one superblock.
   EXPECT_LE(ftl->trim_journal_superblocks(), 1u);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
 }
 
 TEST_P(RecoveryTest, MultiPageTrimJournalSurvivesRecovery) {
@@ -225,33 +164,29 @@ TEST_P(RecoveryTest, MultiPageTrimJournalSurvivesRecovery) {
   constexpr Lpn kSpan = 1026;
   constexpr Lpn kNeighbours = 300;  // [kSpan, kSpan + 300), never trimmed
   constexpr std::uint64_t kRuns = kSpan / 2;
+  HostOracle oracle(ftl->logical_pages());
   WriteContext ctx;
-  for (Lpn lpn = 0; lpn < kSpan; lpn += 2) ftl->write_page(lpn, ctx);
+  for (Lpn lpn = 0; lpn < kSpan; lpn += 2)
+    ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
   for (Lpn lpn = kSpan; lpn < kSpan + kNeighbours; ++lpn)
-    ftl->write_page(lpn, ctx);
+    ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
 
   HostRequest trim;
   trim.op = OpType::kTrim;
   trim.start_lpn = 0;
   trim.num_pages = kSpan;
-  ftl->submit(trim);
+  oracle.submit(*ftl, trim);
   ASSERT_EQ(ftl->stats().trims, kRuns);
   ASSERT_EQ(ftl->stats().journal_writes, 3u);  // one flush, three pages
 
   const RecoveryReport rep = ftl->recover();
-  for (Lpn lpn = 0; lpn < kSpan; ++lpn)
-    ASSERT_FALSE(ftl->is_mapped(lpn))
-        << GetParam() << " trimmed lpn " << lpn << " resurrected";
-  for (Lpn lpn = kSpan; lpn < kSpan + kNeighbours; ++lpn)
-    ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL)
-        << GetParam() << " lpn " << lpn;
+  ASSERT_EQ(oracle.check(*ftl), "") << GetParam();
   EXPECT_EQ(rep.trim_records_replayed, kRuns);
   EXPECT_EQ(rep.trim_tombstones, kRuns);
   EXPECT_EQ(ftl->live_tombstones(), kRuns);
   EXPECT_EQ(ftl->stats().trim_journal_compactions, 1u);
   EXPECT_EQ(ftl->stats().journal_writes, 6u);
   EXPECT_EQ(ftl->trim_journal_superblocks(), 1u);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
 }
 
 TEST_P(RecoveryTest, VirtualClockSurvivesCrossing32Bits) {
@@ -272,7 +207,7 @@ TEST_P(RecoveryTest, VirtualClockSurvivesCrossing32Bits) {
   EXPECT_GT(rep.recovered_vclock, 1ULL << 32)
       << "recovered clock wrapped below 2^32";
   EXPECT_LE(rep.recovered_vclock, seed_clock + writes + 1);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(check_invariants(*ftl), "");
 }
 
 // --- randomized power-cut property test (docs/RECOVERY.md contract) ---
@@ -298,28 +233,14 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveAcknowledgedData) {
     const std::uint64_t cut = 1 + cut_rng.next_below(logical * 2);
 
     Xoshiro256 rng(1000 + c);
-    std::vector<std::uint8_t> acked(logical, 0);
-    // trimmed[lpn] = acknowledged trim not superseded by a rewrite; such
-    // pages must stay unmapped across every remount (the journal contract).
-    std::vector<std::uint8_t> trimmed(logical, 0);
-    const auto verify_trimmed = [&] {
-      for (Lpn lpn = 0; lpn < logical; ++lpn)
-        ASSERT_FALSE(trimmed[lpn] && ftl->is_mapped(lpn))
-            << "trimmed lpn " << lpn << " resurrected";
-    };
+    HostOracle oracle(logical);
     WriteContext ctx;
     std::uint64_t pre_vclock = 0;
     for (std::uint64_t w = 0; w < cut; ++w) {
-      if (rng.next_bool(0.05)) {
-        const Lpn t = rng.next_below(logical);
-        if (ftl->trim_page(t)) trimmed[t] = 1;
-        acked[t] = 0;
-      }
+      if (rng.next_bool(0.05)) oracle.trim(*ftl, rng.next_below(logical));
       const Lpn lpn =
           rng.next_bool(0.5) ? rng.next_below(hot) : rng.next_below(logical);
-      ftl->write_page(lpn, ctx);
-      acked[lpn] = 1;
-      trimmed[lpn] = 0;
+      ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
       ++pre_vclock;
     }
 
@@ -328,11 +249,7 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveAcknowledgedData) {
     // in-flight state and the victim re-enters the victim index at its
     // remaining valid count (rebuild pass 3).
     ASSERT_EQ(ftl->gc_inflight_victim(), FtlBase::kNoVictim);
-    ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked))
-        << GetParam() << " cut " << cut;
-    ASSERT_NO_FATAL_FAILURE(verify_trimmed()) << GetParam() << " cut " << cut;
-    ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl))
-        << GetParam() << " cut " << cut;
+    ASSERT_EQ(oracle.check(*ftl), "") << GetParam() << " cut " << cut;
     EXPECT_GT(rep.oob_scans, 0u);
     EXPECT_GT(rep.mapped_lpns, 0u);
     // The journal never spans more than one superblock after a mount.
@@ -343,13 +260,11 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveAcknowledgedData) {
     EXPECT_LE(rep.recovered_vclock, pre_vclock + 1);
     // Same contract shape for the wear table (docs/ENDURANCE.md): the
     // re-derived per-superblock erase counts are lower bounds on the
-    // physical counts, exact for data blocks that still hold a programmed
-    // page. Excluded from exactness: pageless blocks (cut right after the
-    // opening erase) and journal blocks — the mount's own step-7
-    // compaction cycles those after the wear table was re-derived.
+    // physical counts (check_invariants), exact for data blocks that still
+    // hold a programmed page. Excluded from exactness: pageless blocks (cut
+    // right after the opening erase) and journal blocks — the mount's own
+    // step-7 compaction cycles those after the wear table was re-derived.
     for (std::uint64_t sb = 0; sb < cfg.geom.num_superblocks(); ++sb) {
-      ASSERT_LE(ftl->wear_count(sb), ftl->flash().erase_count(sb))
-          << GetParam() << " cut " << cut << " sb " << sb;
       bool holds_page = false;
       for (std::uint64_t off = 0; off < ftl->flash().write_pointer(sb); ++off)
         holds_page |= ftl->flash().is_programmed(cfg.geom.make_ppn(sb, off));
@@ -363,20 +278,12 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveAcknowledgedData) {
     // The drive must keep serving traffic after the remount, including
     // further trims of recovered data.
     for (int w = 0; w < 400; ++w) {
-      if (rng.next_bool(0.05)) {
-        const Lpn t = rng.next_below(logical);
-        if (ftl->trim_page(t)) trimmed[t] = 1;
-        acked[t] = 0;
-      }
+      if (rng.next_bool(0.05)) oracle.trim(*ftl, rng.next_below(logical));
       const Lpn lpn = rng.next_below(logical);
-      ftl->write_page(lpn, ctx);
-      acked[lpn] = 1;
-      trimmed[lpn] = 0;
-      ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
+      ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
+      ASSERT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
     }
-    ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-    ASSERT_NO_FATAL_FAILURE(verify_trimmed());
-    ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+    ASSERT_EQ(oracle.check(*ftl), "") << GetParam() << " cut " << cut;
   }
 }
 
@@ -411,38 +318,26 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveDataWithMappingTier) {
     const std::uint64_t cut = 1 + cut_rng.next_below(logical * 2);
 
     Xoshiro256 rng(4000 + c);
-    std::vector<std::uint8_t> acked(logical, 0);
-    std::vector<std::uint8_t> trimmed(logical, 0);
+    HostOracle oracle(logical);
     WriteContext ctx;
     for (std::uint64_t w = 0; w < cut; ++w) {
-      if (rng.next_bool(0.05)) {
-        const Lpn t = rng.next_below(logical);
-        if (ftl->trim_page(t)) trimmed[t] = 1;
-        acked[t] = 0;
-      }
+      if (rng.next_bool(0.05)) oracle.trim(*ftl, rng.next_below(logical));
       const Lpn lpn =
           rng.next_bool(0.5) ? rng.next_below(hot) : rng.next_below(logical);
-      ftl->write_page(lpn, ctx);
-      acked[lpn] = 1;
-      trimmed[lpn] = 0;
+      ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
     }
 
     const RecoveryReport rep = ftl->recover();
     ASSERT_EQ(ftl->gc_inflight_victim(), FtlBase::kNoVictim);
     ASSERT_EQ(ftl->mapping_tier()->wb_pending(), 0u);
-    // verify_acked reads through the demand-paged path, which cross-checks
+    // The oracle reads through the demand-paged path, which cross-checks
     // every lookup against the rebuilt shadow and aborts on divergence.
-    ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked))
-        << GetParam() << " cut " << cut;
+    ASSERT_EQ(oracle.check(*ftl), "") << GetParam() << " cut " << cut;
     for (Lpn lpn = 0; lpn < logical; ++lpn) {
-      ASSERT_FALSE(trimmed[lpn] && ftl->is_mapped(lpn))
-          << "trimmed lpn " << lpn << " resurrected, cut " << cut;
       ASSERT_EQ(ftl->mapping_tier()->lookup(lpn, /*host_read=*/false),
                 ftl->lookup(lpn))
           << GetParam() << " cut " << cut << " lpn " << lpn;
     }
-    ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl))
-        << GetParam() << " cut " << cut;
     // Any cut deep enough to have flushed a translation page must rebuild
     // GTD entries from OOB stamps (early cuts may legitimately find none).
     if (ftl->stats().trans_writes > 0 || cut > logical) {
@@ -458,19 +353,12 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveDataWithMappingTier) {
 
     // The remounted drive keeps serving demand-paged traffic.
     for (int w = 0; w < 400; ++w) {
-      if (rng.next_bool(0.05)) {
-        const Lpn t = rng.next_below(logical);
-        if (ftl->trim_page(t)) trimmed[t] = 1;
-        acked[t] = 0;
-      }
+      if (rng.next_bool(0.05)) oracle.trim(*ftl, rng.next_below(logical));
       const Lpn lpn = rng.next_below(logical);
-      ftl->write_page(lpn, ctx);
-      acked[lpn] = 1;
-      trimmed[lpn] = 0;
-      ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
+      ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
+      ASSERT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
     }
-    ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-    ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+    ASSERT_EQ(oracle.check(*ftl), "") << GetParam() << " cut " << cut;
   }
 }
 
@@ -497,28 +385,24 @@ TEST_P(RecoveryTest, ProgramFailuresRetireBlocksWithoutDataLoss) {
   auto ftl = make_crash_ftl(GetParam(), cfg);
 
   const std::uint64_t logical = ftl->logical_pages();
-  std::vector<std::uint8_t> acked(logical, 0);
+  HostOracle oracle(logical);
   WriteContext ctx;
   Xoshiro256 rng(77);
-  for (std::uint64_t w = 0; w < logical * 3; ++w) {
-    const Lpn lpn = rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
-    acked[lpn] = 1;
-  }
+  for (std::uint64_t w = 0; w < logical * 3; ++w)
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(logical), ctx),
+              WriteResult::kOk);
 
   EXPECT_EQ(ftl->stats().program_failures, 3u);
   // Each failure marks its superblock for retirement; retirement happens
   // when GC later picks the block, and 3x drive writes force full GC churn.
   EXPECT_GE(ftl->stats().blocks_retired, 1u);
   EXPECT_EQ(ftl->flash().bad_block_count(), ftl->stats().blocks_retired);
-  ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 
   // Retired blocks must survive a remount out of service.
   ftl->recover();
   EXPECT_EQ(ftl->flash().bad_block_count(), ftl->stats().blocks_retired);
-  ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 }
 
 TEST_P(RecoveryTest, EraseFailuresShrinkTheDriveGracefully) {
@@ -531,19 +415,16 @@ TEST_P(RecoveryTest, EraseFailuresShrinkTheDriveGracefully) {
   auto ftl = make_crash_ftl(GetParam(), cfg);
 
   const std::uint64_t logical = ftl->logical_pages();
-  std::vector<std::uint8_t> acked(logical, 0);
+  HostOracle oracle(logical);
   WriteContext ctx;
   Xoshiro256 rng(78);
-  for (std::uint64_t w = 0; w < logical * 3; ++w) {
-    const Lpn lpn = rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
-    acked[lpn] = 1;
-  }
+  for (std::uint64_t w = 0; w < logical * 3; ++w)
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(logical), ctx),
+              WriteResult::kOk);
 
   EXPECT_EQ(ftl->stats().erase_failures, 2u);
   EXPECT_GE(ftl->flash().bad_block_count(), 2u);
-  ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 }
 
 TEST_P(RecoveryTest, FactoryBadBlocksStayOutOfService) {
@@ -556,14 +437,12 @@ TEST_P(RecoveryTest, FactoryBadBlocksStayOutOfService) {
 
   EXPECT_EQ(ftl->flash().bad_block_count(), 3u);
   const std::uint64_t logical = ftl->logical_pages();
-  std::vector<std::uint8_t> acked(logical, 0);
+  HostOracle oracle(logical);
   WriteContext ctx;
   Xoshiro256 rng(79);
-  for (std::uint64_t w = 0; w < logical * 2; ++w) {
-    const Lpn lpn = rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
-    acked[lpn] = 1;
-  }
+  for (std::uint64_t w = 0; w < logical * 2; ++w)
+    ASSERT_EQ(oracle.write(*ftl, rng.next_below(logical), ctx),
+              WriteResult::kOk);
 
   // No live data may ever land in a factory-bad superblock.
   const Geometry& g = cfg.geom;
@@ -577,8 +456,7 @@ TEST_P(RecoveryTest, FactoryBadBlocksStayOutOfService) {
   // And recovery must skip them while restoring everything else.
   ftl->recover();
   EXPECT_EQ(ftl->flash().bad_block_count(), 3u);
-  ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 }
 
 TEST_P(RecoveryTest, WatermarkRejectsWritesCleanlyUnderEraseStorm) {
@@ -595,9 +473,10 @@ TEST_P(RecoveryTest, WatermarkRejectsWritesCleanlyUnderEraseStorm) {
   const std::uint64_t logical = ftl->logical_pages();
 
   // Fill the whole logical space — a healthy drive admits all of it.
+  HostOracle oracle(logical);
   WriteContext ctx;
   for (Lpn lpn = 0; lpn < logical; ++lpn)
-    ASSERT_EQ(ftl->try_write_page(lpn, ctx), WriteResult::kOk);
+    ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
   ASSERT_EQ(ftl->mapped_page_count(), logical);
 
   // Overwrite churn drives GC; each scheduled erase failure takes a block
@@ -606,17 +485,14 @@ TEST_P(RecoveryTest, WatermarkRejectsWritesCleanlyUnderEraseStorm) {
   bool saw_enospc = false;
   for (std::uint64_t w = 0; w < logical * 6 && !saw_enospc; ++w) {
     const Lpn lpn = rng.next_below(logical);
-    saw_enospc = ftl->try_write_page(lpn, ctx) == WriteResult::kEnospc;
+    saw_enospc = oracle.write(*ftl, lpn, ctx) == WriteResult::kEnospc;
   }
   ASSERT_TRUE(saw_enospc) << "erase storm never tripped the watermark";
   EXPECT_GE(ftl->stats().enospc_rejections, 1u);
   EXPECT_GT(ftl->mapped_page_count(), ftl->capacity_watermark_pages());
 
-  // The drive is read-only, not dead: every mapped page still reads back.
-  for (int i = 0; i < 100; ++i) {
-    const Lpn lpn = rng.next_below(logical);
-    EXPECT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL);
-  }
+  // The drive is read-only, not dead: every acknowledged page reads back.
+  ASSERT_EQ(oracle.check(*ftl), "");
 
   // Trimming frees capacity, and writes are admitted again below the
   // watermark (with slack for the request below).
@@ -625,23 +501,22 @@ TEST_P(RecoveryTest, WatermarkRejectsWritesCleanlyUnderEraseStorm) {
        lpn < logical &&
        ftl->mapped_page_count() + 64 > ftl->capacity_watermark_pages();
        ++lpn)
-    freed += ftl->trim_page(lpn) ? 1 : 0;
+    freed += oracle.trim(*ftl, lpn) ? 1 : 0;
   EXPECT_GT(freed, 64u);
-  EXPECT_EQ(ftl->try_write_page(logical - 1, ctx), WriteResult::kOk);
+  EXPECT_EQ(oracle.write(*ftl, logical - 1, ctx), WriteResult::kOk);
 
   // A request that crosses the watermark mid-flight reports honest partial
   // completion: the first pages_completed pages took effect, the rest
-  // (including the page that bounced) did not.
+  // (including the page that bounced) did not, which the oracle checks.
   HostRequest req;
   req.op = OpType::kWrite;
   req.start_lpn = 0;  // the freshly trimmed region: all new mappings
   req.num_pages = 256;
-  const SubmitResult sr = ftl->submit_checked(req);
+  const SubmitResult sr = oracle.submit(*ftl, req);
   EXPECT_EQ(sr.status, WriteResult::kEnospc);
   ASSERT_LT(sr.pages_completed, req.num_pages);
   EXPECT_GE(sr.pages_completed, 1u);
-  EXPECT_TRUE(ftl->is_mapped(sr.pages_completed - 1));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 }
 
 TEST_P(RecoveryTest, RecoveryAndFaultMetricsAreExported) {
@@ -695,6 +570,45 @@ TEST_P(RecoveryTest, RecoveryAndFaultMetricsAreExported) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
 }
 
+// The oracle catches what it exists to catch. After a clean run with GC
+// and a remount, which it passes, one operation done on the FTL behind its
+// back must yield a report naming that operation's LPN.
+TEST_P(RecoveryTest, OracleReportsOperationsBehindItsBack) {
+  WriteContext ctx;
+  const auto expect_caught = [&](const char* what, const auto& behind_back) {
+    SCOPED_TRACE(what);
+    auto ftl = make_crash_ftl(GetParam(), small_config());
+    const Lpn half = ftl->logical_pages() / 2;  // [half, end) stays unwritten
+    HostOracle oracle(ftl->logical_pages());
+    for (Lpn lpn = 0; lpn < half; ++lpn)
+      ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk);
+    Xoshiro256 rng(17);
+    for (std::uint64_t w = 0; w < half * 3; ++w)  // overwrites: GC runs
+      ASSERT_EQ(oracle.write(*ftl, rng.next_below(half), ctx),
+                WriteResult::kOk);
+    ASSERT_TRUE(oracle.trim(*ftl, 0));
+    ftl->recover();
+    ASSERT_EQ(oracle.check(*ftl), "");
+    const Lpn lpn = behind_back(*ftl, half);
+    const std::string report = oracle.check(*ftl);
+    EXPECT_NE(report.find("lpn " + std::to_string(lpn) + " "),
+              std::string::npos)
+        << report;
+  };
+  expect_caught("lost write", [](FtlBase& ftl, Lpn) {
+    EXPECT_TRUE(ftl.trim_page(1));
+    return Lpn{1};
+  });
+  expect_caught("resurrected trim", [&](FtlBase& ftl, Lpn) {
+    EXPECT_EQ(ftl.try_write_page(0, ctx), WriteResult::kOk);
+    return Lpn{0};
+  });
+  expect_caught("never-written page", [&](FtlBase& ftl, Lpn half) {
+    EXPECT_EQ(ftl.try_write_page(half, ctx), WriteResult::kOk);
+    return half;
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, RecoveryTest,
                          ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
 
@@ -717,26 +631,20 @@ TEST(FaultEndOfLife, SingleStreamGcEndsItsRoundInsteadOfAborting) {
     BaseFtl ftl(cfg, VictimPolicy::kGreedy);
 
     const std::uint64_t logical = ftl.logical_pages();
-    std::vector<std::uint8_t> acked(logical, 0);
+    HostOracle oracle(logical);
     WriteContext ctx;
     Xoshiro256 rng(5);
     bool read_only = false;
-    for (std::uint64_t w = 0; w < logical * 20 && !read_only; ++w) {
-      const Lpn lpn = rng.next_below(logical);
-      if (ftl.try_write_page(lpn, ctx) == WriteResult::kOk)
-        acked[lpn] = 1;
-      else
-        read_only = true;
-    }
+    for (std::uint64_t w = 0; w < logical * 20 && !read_only; ++w)
+      read_only = oracle.write(ftl, rng.next_below(logical), ctx) ==
+                  WriteResult::kEnospc;
     ASSERT_TRUE(read_only) << "the drive never reached end of life";
     EXPECT_EQ(ftl.stats().enospc_rejections, 1u);
     EXPECT_GT(ftl.stats().program_failures, 0u);
-    ASSERT_NO_FATAL_FAILURE(verify_acked(ftl, acked));
-    ASSERT_NO_FATAL_FAILURE(check_invariants(ftl));
+    ASSERT_EQ(oracle.check(ftl), "");
 
     ftl.recover();
-    ASSERT_NO_FATAL_FAILURE(verify_acked(ftl, acked));
-    ASSERT_NO_FATAL_FAILURE(check_invariants(ftl));
+    ASSERT_EQ(oracle.check(ftl), "");
   }
 }
 

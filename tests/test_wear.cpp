@@ -3,10 +3,10 @@
 // documents the contract these tests enforce.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
+#include "ftl/host_oracle.hpp"
 #include "helpers.hpp"
 #include "util/rng.hpp"
 
@@ -19,26 +19,15 @@ using test::small_workload;
 
 class WearTest : public ::testing::TestWithParam<std::string> {};
 
-/// Structural invariants at a quiescent point (same checks as the GC
-/// suites, plus the wear table's consistency with the flash array).
-void check_invariants(const FtlBase& ftl) {
-  const Geometry& g = ftl.config().geom;
-  for (std::uint64_t sb = 0; sb < g.num_superblocks(); ++sb) {
-    std::uint64_t bitmap_count = 0;
-    for (std::uint64_t off = 0; off < g.pages_per_superblock(); ++off)
-      bitmap_count += ftl.page_valid(g.make_ppn(sb, off)) ? 1 : 0;
-    ASSERT_EQ(bitmap_count, ftl.valid_count(sb)) << "sb " << sb;
-    // The RAM wear table never overstates the physical erase count.
-    ASSERT_LE(ftl.wear_count(sb), ftl.flash().erase_count(sb)) << "sb " << sb;
-  }
-}
-
-/// Drives the scheme with the shared skewed workload. The hot/cold split
-/// pins cold superblocks closed while hot blocks churn, which is exactly
-/// what builds up wear spread.
-void run_workload(FtlBase& ftl, double drive_writes, std::uint64_t seed) {
+/// Drives the scheme with the shared skewed workload, recording what the
+/// host was promised in `oracle`. The hot/cold split pins cold superblocks
+/// closed while hot blocks churn, which is exactly what builds up wear
+/// spread.
+void run_workload(FtlBase& ftl, HostOracle& oracle, double drive_writes,
+                  std::uint64_t seed) {
   const Trace trace = small_workload(ftl.config(), drive_writes, seed);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  for (const auto& req : trace.ops)
+    ASSERT_EQ(oracle.submit(ftl, req).status, WriteResult::kOk);
   ftl.drain();
 }
 
@@ -54,8 +43,10 @@ TEST_P(WearTest, WearSpreadBoundedUnderLeveling) {
   on_cfg.wear_level_threshold = kThreshold;
   auto off = make_ftl(GetParam(), off_cfg);
   auto on = make_ftl(GetParam(), on_cfg);
-  run_workload(*off, 8.0, 211);
-  run_workload(*on, 8.0, 211);
+  // Both drives acknowledge the same requests, so one record serves both.
+  HostOracle oracle(off->logical_pages());
+  ASSERT_NO_FATAL_FAILURE(run_workload(*off, oracle, 8.0, 211));
+  ASSERT_NO_FATAL_FAILURE(run_workload(*on, oracle, 8.0, 211));
 
   EXPECT_EQ(off->stats().wl_rounds, 0u);
   EXPECT_EQ(off->stats().wl_migrations, 0u);
@@ -78,16 +69,10 @@ TEST_P(WearTest, WearSpreadBoundedUnderLeveling) {
   // Leveling migrations are charged to WA like any GC write.
   EXPECT_GE(on->stats().gc_writes, on->stats().wl_migrations);
   EXPECT_GE(on->stats().gc_invocations, on->stats().wl_rounds);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*off));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*on));
 
-  // The drive still serves every acknowledged page after leveling.
-  for (Lpn lpn = 0; lpn < on->logical_pages(); ++lpn) {
-    ASSERT_EQ(on->is_mapped(lpn), off->is_mapped(lpn)) << "lpn " << lpn;
-    if (on->is_mapped(lpn)) {
-      ASSERT_EQ(on->read_page(lpn), lpn ^ 0x5bd1e995ULL) << "lpn " << lpn;
-    }
-  }
+  // Both drives still serve every acknowledged page after leveling.
+  ASSERT_EQ(oracle.check(*off), "");
+  ASSERT_EQ(oracle.check(*on), "");
 }
 
 // A threshold high enough that the trigger never fires must leave the
@@ -100,8 +85,9 @@ TEST_P(WearTest, LevelingOffIsBitIdentical) {
   dormant_cfg.wear_level_threshold = 1ULL << 60;  // armed but never fires
   auto disabled = make_ftl(GetParam(), disabled_cfg);
   auto dormant = make_ftl(GetParam(), dormant_cfg);
-  run_workload(*disabled, 5.0, 223);
-  run_workload(*dormant, 5.0, 223);
+  HostOracle oracle(disabled->logical_pages());
+  ASSERT_NO_FATAL_FAILURE(run_workload(*disabled, oracle, 5.0, 223));
+  ASSERT_NO_FATAL_FAILURE(run_workload(*dormant, oracle, 5.0, 223));
 
   EXPECT_EQ(dormant->stats().wl_rounds, 0u);
   EXPECT_EQ(dormant->stats().wl_migrations, 0u);
@@ -122,10 +108,9 @@ TEST_P(WearTest, LevelingOffIsBitIdentical) {
         << "sb " << sb;
     ASSERT_EQ(disabled->wear_count(sb), dormant->wear_count(sb)) << "sb " << sb;
   }
-  for (Lpn lpn = 0; lpn < disabled->logical_pages(); ++lpn) {
-    ASSERT_EQ(disabled->is_mapped(lpn), dormant->is_mapped(lpn))
-        << "lpn " << lpn;
-  }
+  // The same LPNs are mapped on both: each matches the one record.
+  ASSERT_EQ(oracle.check(*disabled), "");
+  ASSERT_EQ(oracle.check(*dormant), "");
 }
 
 // End-of-life is an ENOSPC condition, not a crash: as blocks exhaust their
@@ -137,9 +122,10 @@ TEST_P(WearTest, BudgetExhaustionRetiresCleanly) {
   auto ftl = make_ftl(GetParam(), cfg);
   const std::uint64_t logical = ftl->logical_pages();
   const std::uint64_t fill = logical * 8 / 10;
+  HostOracle oracle(logical);
   WriteContext ctx;
   for (Lpn lpn = 0; lpn < fill; ++lpn) {
-    ASSERT_EQ(ftl->try_write_page(lpn, ctx), WriteResult::kOk) << "lpn " << lpn;
+    ASSERT_EQ(oracle.write(*ftl, lpn, ctx), WriteResult::kOk) << "lpn " << lpn;
   }
 
   // Hammer a hot region until the budget kills enough blocks for the
@@ -152,7 +138,7 @@ TEST_P(WearTest, BudgetExhaustionRetiresCleanly) {
   for (std::uint64_t w = 0; w < logical * 40 && !saw_enospc; ++w) {
     const Lpn lpn =
         rng.next_bool(0.9) ? rng.next_below(hot) : rng.next_below(fill);
-    saw_enospc = ftl->try_write_page(lpn, ctx) == WriteResult::kEnospc;
+    saw_enospc = oracle.write(*ftl, lpn, ctx) == WriteResult::kEnospc;
   }
   ASSERT_TRUE(saw_enospc) << GetParam() << ": budget never exhausted";
   EXPECT_GT(ftl->stats().wear_retired, 0u) << GetParam();
@@ -170,15 +156,9 @@ TEST_P(WearTest, BudgetExhaustionRetiresCleanly) {
   }
 
   ftl->drain();
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
   // Read-only afterlife: acknowledged data survives end-of-life.
-  std::uint64_t mapped = 0;
-  for (Lpn lpn = 0; lpn < logical; ++lpn) {
-    if (!ftl->is_mapped(lpn)) continue;
-    ++mapped;
-    ASSERT_EQ(ftl->read_page(lpn), lpn ^ 0x5bd1e995ULL) << "lpn " << lpn;
-  }
-  EXPECT_GE(mapped, fill);
+  ASSERT_EQ(oracle.check(*ftl), "");
+  EXPECT_GE(ftl->mapped_page_count(), fill);
 }
 
 // Mount-time re-derivation (docs/ENDURANCE.md, docs/RECOVERY.md): the wear
@@ -189,7 +169,8 @@ TEST_P(WearTest, RecoveryRederivesEraseCountLowerBounds) {
   FtlConfig cfg = small_config();
   cfg.wear_level_threshold = 4;
   auto ftl = make_ftl(GetParam(), cfg);
-  run_workload(*ftl, 6.0, 233);
+  HostOracle oracle(ftl->logical_pages());
+  ASSERT_NO_FATAL_FAILURE(run_workload(*ftl, oracle, 6.0, 233));
 
   // Snapshot the exact table, then mount.
   const Geometry& g = cfg.geom;
@@ -214,13 +195,13 @@ TEST_P(WearTest, RecoveryRederivesEraseCountLowerBounds) {
   // spread stays controlled (no stall, no crash, rounds still firing for
   // schemes whose separation builds spread in the first place).
   const std::uint64_t before = ftl->stats().wl_rounds;
-  run_workload(*ftl, 6.0, 239);
+  ASSERT_NO_FATAL_FAILURE(run_workload(*ftl, oracle, 6.0, 239));
   if (before > 0) {
     EXPECT_GT(ftl->stats().wl_rounds, before) << GetParam();
   }
   EXPECT_LE(ftl->wear_spread(),
             static_cast<double>(cfg.wear_level_threshold) + 4.0);
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  ASSERT_EQ(oracle.check(*ftl), "");
 }
 
 TEST_P(WearTest, WearMetricsAndTraceAreExported) {
@@ -229,7 +210,8 @@ TEST_P(WearTest, WearMetricsAndTraceAreExported) {
   cfg.wear_level_threshold = 4;
   auto ftl = make_ftl(GetParam(), cfg);
   ftl->observability().trace().enable(1 << 20);
-  run_workload(*ftl, 8.0, 241);
+  HostOracle oracle(ftl->logical_pages());
+  ASSERT_NO_FATAL_FAILURE(run_workload(*ftl, oracle, 8.0, 241));
 
   const auto& reg = ftl->observability().metrics();
   const auto* wl_rounds = reg.find_counter("ftl.wl.rounds");
