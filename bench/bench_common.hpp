@@ -1,4 +1,5 @@
-// Shared runner for the trace-suite benchmarks (Fig. 5, Table I, cache).
+// Shared runner for the trace-suite benchmarks (bench_fig5's tables and
+// bench_replay's identity rows).
 //
 // Every suite benchmark replays a (scheme × trace × config) grid of fully
 // independent runs. ExperimentRunner executes that grid on a fixed-size
@@ -27,6 +28,7 @@
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace phftl::bench {
@@ -85,26 +87,47 @@ class MetricsArtifact {
 
 struct SuiteRunResult {
   std::string trace_id;
-  std::string scheme;
+  std::string scheme;  ///< scheme_label(): "PHFTL/history1" for an arm
   double wa = 0.0;
   FtlStats stats;
+  std::uint32_t streams = 0;  ///< the scheme's write-stream count
+  RunningStats erase_counts;  ///< per superblock, at the end of the run
   // PHFTL-only extras:
   ConfusionMatrix classifier;
   double cache_hit_rate = 0.0;
-  std::int64_t threshold = -1;
-  std::uint64_t windows = 0;
   /// Full metrics_to_json dump (captured only when the artifact is enabled
   /// or the caller asked for it; empty otherwise).
   std::string metrics_json;
 };
 
+/// The PHFTL arm a cell runs: the paper's design, or the one departure
+/// from it that an ablation measures (§V-C's history length, Algorithm 1's
+/// adaptive threshold, Eq. 1's victim policy). Other schemes ignore it.
+enum class PhftlArm {
+  kDefault,
+  kHistory1,         ///< feature sequence truncated to the latest write
+  kFrozenThreshold,  ///< threshold frozen after the first window
+  kGreedy,           ///< plain Greedy victims instead of Adjusted Greedy
+  kCostBenefit,      ///< Cost-Benefit victims instead of Adjusted Greedy
+};
+
 /// What a grid cell varies per run; everything else is FtlConfig's.
 struct RunOptions {
-  std::uint32_t history_len = 8;  ///< PHFTL feature-sequence length
+  PhftlArm arm = PhftlArm::kDefault;
   /// Capture metrics_to_json into SuiteRunResult::metrics_json even when
   /// the artifact is disabled (the determinism test compares these).
   bool capture_metrics = false;
 };
+
+/// A cell's scheme name in tables and BENCH_metrics.json: the scheme, plus
+/// "/<arm>" for a PHFTL ablation arm.
+inline std::string scheme_label(const std::string& scheme, PhftlArm arm) {
+  static const char* const kArmNames[] = {"", "history1", "frozen-threshold",
+                                          "greedy", "cost-benefit"};
+  return arm == PhftlArm::kDefault
+             ? scheme
+             : scheme + "/" + kArmNames[static_cast<int>(arm)];
+}
 
 inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
                                             const FtlConfig& cfg,
@@ -113,7 +136,13 @@ inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
   if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
   if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
   core::PhftlConfig pcfg = core::default_phftl_config(cfg);
-  pcfg.trainer.history_len = opts.history_len;
+  if (opts.arm == PhftlArm::kHistory1) pcfg.trainer.history_len = 1;
+  pcfg.trainer.threshold.freeze_after_first_window =
+      opts.arm == PhftlArm::kFrozenThreshold;
+  if (opts.arm == PhftlArm::kGreedy)
+    pcfg.gc_policy = core::PhftlConfig::GcPolicy::kGreedy;
+  if (opts.arm == PhftlArm::kCostBenefit)
+    pcfg.gc_policy = core::PhftlConfig::GcPolicy::kCostBenefit;
   // Wall-clock predict latency is not reproducible; keep it out of every
   // bench export (PhftlConfig::time_predictions).
   pcfg.time_predictions = false;
@@ -135,15 +164,16 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
 
   SuiteRunResult res;
   res.trace_id = spec.id;
-  res.scheme = scheme;
+  res.scheme = scheme_label(scheme, opts.arm);
   res.stats = ftl->stats();
   res.wa = res.stats.write_amplification();
+  res.streams = ftl->num_streams();
+  for (std::uint64_t sb = 0; sb < cfg.geom.num_superblocks(); ++sb)
+    res.erase_counts.add(static_cast<double>(ftl->flash().erase_count(sb)));
   if (auto* phftl = dynamic_cast<core::PhftlFtl*>(ftl.get())) {
     phftl->finalize_evaluation();
     res.classifier = phftl->classifier_metrics();
     res.cache_hit_rate = phftl->meta_store().cache_hit_rate();
-    res.threshold = phftl->threshold();
-    res.windows = phftl->trainer().windows_completed();
   }
 
   // With PHFTL_METRICS_DIR set, ExperimentRunner embeds every run's full
@@ -170,9 +200,7 @@ class ExperimentRunner {
   /// through the same code path so serial and parallel outputs match).
   explicit ExperimentRunner(unsigned jobs) : jobs_(jobs == 0 ? 1 : jobs) {}
 
-  unsigned jobs() const { return jobs_; }
-
-  /// Run every cell, concurrently when jobs() > 1, and return results in
+  /// Run every cell, concurrently when jobs > 1, and return results in
   /// cell order. Artifact entries are appended in cell order after all
   /// runs complete, so BENCH_metrics.json is byte-identical to a serial
   /// run. Exceptions from a run propagate out of this call.

@@ -33,12 +33,7 @@ class BaseFtl : public FtlBase {
     // Greedy is an O(1) pop from the victim index; Cost-Benefit's age term
     // is unbounded, so it scans every candidate.
     if (policy_ == VictimPolicy::kGreedy) return greedy_victim();
-    const double inv_pages = sb_fraction_scale(*this);
-    return select_victim(*this, [&](std::uint64_t sb) {
-      const double age = static_cast<double>(virtual_clock() - close_time(sb));
-      return cost_benefit_score(invalid_fraction(valid_count(sb), inv_pages),
-                                age);
-    });
+    return cost_benefit_victim(*this);
   }
 
  private:

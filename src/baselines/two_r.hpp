@@ -33,15 +33,7 @@ class TwoRFtl : public FtlBase {
     // keep them out of the user region like GC survivors (docs/MAPPING.md).
     return 1;
   }
-  std::uint64_t pick_victim() override {
-    const double inv_pages = sb_fraction_scale(*this);
-    return select_victim(*this, [&](std::uint64_t sb) {
-      const double age =
-          static_cast<double>(virtual_clock() - close_time(sb));
-      return cost_benefit_score(invalid_fraction(valid_count(sb), inv_pages),
-                                age);
-    });
-  }
+  std::uint64_t pick_victim() override { return cost_benefit_victim(*this); }
 };
 
 }  // namespace phftl

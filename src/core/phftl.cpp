@@ -186,23 +186,18 @@ std::uint32_t PhftlFtl::classify_gc_write(Lpn /*lpn*/, std::uint8_t gc_count,
 }
 
 std::uint64_t PhftlFtl::pick_victim() {
-  const std::uint64_t now = virtual_clock();
-  const double inv_pages = sb_fraction_scale(*this);
   switch (cfg_.gc_policy) {
     case PhftlConfig::GcPolicy::kGreedy:
       return greedy_victim();  // O(1) index pop
     case PhftlConfig::GcPolicy::kCostBenefit:
-      // Age is unbounded, so Cost-Benefit scans all candidates.
-      return select_victim(*this, [&](std::uint64_t sb) {
-        return cost_benefit_score(
-            invalid_fraction(valid_count(sb), inv_pages),
-            static_cast<double>(now - close_time(sb)));
-      });
+      return cost_benefit_victim(*this);  // age is unbounded: a full scan
     case PhftlConfig::GcPolicy::kAdjustedGreedy:
     default: {
       // Eq. 1's score is capped by the invalid fraction, so the bounded
       // scan walks valid-count buckets in ascending order and prunes the
       // rest once the cap drops below the best score found.
+      const std::uint64_t now = virtual_clock();
+      const double inv_pages = sb_fraction_scale(*this);
       const double threshold = static_cast<double>(
           std::max<std::int64_t>(trainer_.threshold(), 1));
       return select_victim_bounded(*this, [&](std::uint64_t sb) {

@@ -130,15 +130,10 @@ std::uint64_t ThresholdController::pick_threshold(
   // point first makes ties re-anchor the threshold at the CDF knee — the
   // placement the paper's Fig. 2 intends — instead of letting a flat,
   // noisy accuracy surface random-walk the threshold away from it.
-  double max_accu = -1.0;
-  std::uint64_t max_thres = static_cast<std::uint64_t>(threshold_);
+  // A re-anchor counts as "no directional adjustment" (chosen_dir 0).
+  std::uint64_t max_thres = inflection_point(lifetimes);
+  double max_accu = evaluate_candidate(max_thres, lifetimes, features);
   int chosen_dir = 0;
-  bool anchored = true;
-  if (cfg_.reanchor) {
-    const std::uint64_t knee = inflection_point(lifetimes);
-    max_accu = evaluate_candidate(knee, lifetimes, features);
-    max_thres = knee;
-  }
   for (const int dir : {0, -1, 1}) {
     const std::uint64_t t =
         value_at_percentile(sorted, p + dir * static_cast<double>(step_));
@@ -147,10 +142,8 @@ std::uint64_t ThresholdController::pick_threshold(
       max_accu = accu;
       max_thres = t;
       chosen_dir = dir;
-      anchored = false;
     }
   }
-  (void)anchored;  // a re-anchor counts as "no directional adjustment"
 
   // Step-length adaptation (Algorithm 1's four rules).
   const int cur_dir = chosen_dir;

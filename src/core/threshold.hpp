@@ -35,10 +35,6 @@ class ThresholdController {
     std::size_t resample_per_class = 512;
     /// Held-out fraction when scoring a candidate threshold.
     double test_fraction = 0.25;
-    /// Include each window's inflection point as a re-anchoring candidate
-    /// (see DESIGN.md §7.6). Disable to run pure Algorithm 1 — used by the
-    /// frozen-threshold ablation.
-    bool reanchor = true;
     /// Freeze the threshold after the first window (ablation only).
     bool freeze_after_first_window = false;
     std::uint64_t seed = 99;

@@ -20,7 +20,6 @@
 #include <cstdint>
 
 #include "obs/observability.hpp"
-#include "sim/event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace phftl {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "device/fifo_server.hpp"
 #include "util/assert.hpp"
 
 namespace phftl {
@@ -20,10 +21,24 @@ TimedReplayer::TimedReplayer(FtlBase& ftl, const DeviceTimingConfig& cfg)
       "under time-sliced GC — docs/QOS.md)");
 }
 
-TimedReplayer::OpCosts TimedReplayer::service_ns(const HostRequest& req,
-                                                 std::uint64_t programs,
-                                                 std::uint64_t reads,
-                                                 std::uint64_t erases) {
+TimedReplayer::OpCosts TimedReplayer::run_request(const HostRequest& req) {
+  // The cost model reads three sums of the FTL's ledger: programs, reads
+  // and erases, each before and after the request.
+  const FtlStats& s = ftl_.stats();
+  const auto read_sum = [&s] {
+    return s.gc_reads + s.meta_reads + s.host_reads;
+  };
+  const std::uint64_t programs_before = s.flash_writes();
+  const std::uint64_t reads_before = read_sum();
+  const std::uint64_t erases_before = s.erases;
+  // Past the capacity watermark a write is rejected, not aborted: the
+  // refusal shows in FtlStats::enospc_rejections, and the request is
+  // charged only for the pages it completed.
+  const std::uint32_t done = ftl_.submit_checked(req).pages_completed;
+  const std::uint64_t programs = s.flash_writes() - programs_before;
+  const std::uint64_t reads = read_sum() - reads_before;
+  const std::uint64_t erases = s.erases - erases_before;
+
   const Geometry& geom = ftl_.config().geom;
   const std::uint32_t page_kb = geom.page_size / 1024;
   const std::uint32_t size_kb = req.num_pages * page_kb;
@@ -36,11 +51,9 @@ TimedReplayer::OpCosts TimedReplayer::service_ns(const HostRequest& req,
   const std::uint64_t per_read =
       cfg_.flash.read_ns + cfg_.flash.bus_ns_per_kb * page_kb;
   const std::uint64_t own_programs =
-      req.op == OpType::kWrite ? std::min<std::uint64_t>(req.num_pages, programs)
-                               : 0;
+      req.op == OpType::kWrite ? std::min<std::uint64_t>(done, programs) : 0;
   const std::uint64_t own_reads =
-      req.op == OpType::kRead ? std::min<std::uint64_t>(req.num_pages, reads)
-                              : 0;
+      req.op == OpType::kRead ? std::min<std::uint64_t>(done, reads) : 0;
   const std::uint64_t own_flash =
       (own_programs * per_program + own_reads * per_read) / geom.num_dies;
   const std::uint64_t gc_flash = ((programs - own_programs) * per_program +
@@ -86,17 +99,7 @@ Phase1Result TimedReplayer::stress_load(const Trace& trace,
       static_cast<double>(ftl_.config().geom.page_size) / (1024.0 * 1024.0);
 
   for (const auto& req : trace.ops) {
-    const FtlStats before = ftl_.stats();
-    ftl_.submit(req);
-    const FtlStats& after = ftl_.stats();
-
-    const std::uint64_t programs = after.flash_writes() - before.flash_writes();
-    const std::uint64_t reads = (after.gc_reads + after.meta_reads +
-                                 after.host_reads) -
-                                (before.gc_reads + before.meta_reads +
-                                 before.host_reads);
-    const std::uint64_t erases = after.erases - before.erases;
-    const OpCosts costs = service_ns(req, programs, reads, erases);
+    const OpCosts costs = run_request(req);
     sim_ns += costs.user_ns + costs.gc_ns;
 
     if (req.op == OpType::kWrite) {
@@ -132,19 +135,7 @@ Phase2Result TimedReplayer::timed_replay(const Trace& trace,
   for (const auto& req : trace.ops) {
     const auto arrival = static_cast<SimTime>(
         static_cast<double>(req.timestamp_us) * 1000.0 * time_scale);
-
-    const FtlStats before = ftl_.stats();
-    ftl_.submit(req);
-    const FtlStats& after = ftl_.stats();
-
-    const std::uint64_t programs = after.flash_writes() - before.flash_writes();
-    const std::uint64_t reads = (after.gc_reads + after.meta_reads +
-                                 after.host_reads) -
-                                (before.gc_reads + before.meta_reads +
-                                 before.host_reads);
-    const std::uint64_t erases = after.erases - before.erases;
-
-    const OpCosts costs = service_ns(req, programs, reads, erases);
+    const OpCosts costs = run_request(req);
     const SimTime done = device.serve(arrival, costs.user_ns + costs.gc_ns);
     const double latency_us = static_cast<double>(done - arrival) * 1e-3;
     lat.add(latency_us);

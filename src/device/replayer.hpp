@@ -9,6 +9,9 @@
 //   * Phase 2 — open-loop replay by trace timestamps: report the host
 //     latency distribution (P50…P99.9, mean). GC bursts behind a request
 //     inflate the tail; lower WA ⇒ lower tails.
+// Both modes submit through FtlBase::submit_checked: a write past the
+// capacity watermark is rejected (FtlStats::enospc_rejections) and the
+// replay goes on.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +62,9 @@ class TimedReplayer {
     std::uint64_t user_ns = 0;  ///< host path + the request's own flash ops
     std::uint64_t gc_ns = 0;    ///< GC/meta work triggered behind it
   };
-  /// Service time of one request given the flash ops it triggered.
-  OpCosts service_ns(const HostRequest& req, std::uint64_t programs,
-                     std::uint64_t reads, std::uint64_t erases);
+  /// Submits `req` through the admission-checked path and returns its
+  /// service time: the host path plus the flash work it caused.
+  OpCosts run_request(const HostRequest& req);
 
   FtlBase& ftl_;
   DeviceTimingConfig cfg_;

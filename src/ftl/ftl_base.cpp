@@ -22,7 +22,8 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
       pending_retire_(cfg.geom.num_superblocks(), 0),
       wear_(cfg.geom.num_superblocks()),
       journal_(*this, logical_pages_, cfg.geom) {
-  PHFTL_CHECK_MSG(num_streams_ >= 1, "at least one stream required");
+  PHFTL_CHECK_MSG(num_streams_ >= 1 && num_streams_ <= kMaxStreams,
+                  "stream count must be in [1, kMaxStreams]");
   // Attach the injector before building the free pool: factory bad blocks
   // are marked at attach time and must never enter circulation.
   flash_.attach_fault_injector(cfg.fault_injector);
@@ -68,17 +69,17 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
 
 void FtlBase::register_ftl_metrics() {
   obs::MetricsRegistry& m = obs_.metrics();
-  stream_host_writes_.reserve(num_streams_);
-  stream_flash_writes_.reserve(num_streams_);
+  // Counters over an FtlStats field are views of it: FtlStats is the one
+  // event ledger, and the export reads it in this registration order.
   for (std::uint32_t s = 0; s < num_streams_; ++s) {
     const std::string id = std::to_string(s);
-    stream_host_writes_.push_back(
-        &m.counter("ftl.stream" + id + ".host_writes", "pages",
-                   "host pages the write classifier sent to stream " + id));
-    stream_flash_writes_.push_back(
-        &m.counter("ftl.stream" + id + ".flash_writes", "pages",
+    m.counter_view("ftl.stream" + id + ".host_writes",
+                   &stats_.stream_host_writes[s], "pages",
+                   "host pages the write classifier sent to stream " + id);
+    m.counter_view("ftl.stream" + id + ".flash_writes",
+                   &stats_.stream_flash_writes[s], "pages",
                    "pages programmed into stream " + id +
-                       " (user + GC migrations + meta pages)"));
+                       " (user + GC migrations + meta pages)");
   }
   gc_rounds_ctr_ = &m.counter("ftl.gc.rounds", "rounds",
                               "completed GC victim collections");
@@ -89,8 +90,6 @@ void FtlBase::register_ftl_metrics() {
   gc_moved_ctr_ = &m.counter("ftl.gc.moved_valid_pages", "pages",
                              "valid pages migrated out of GC victims (the "
                              "numerator of write amplification)");
-  // Counters over an FtlStats field are views of it: FtlStats is the one
-  // event ledger, and the export reads it in this registration order.
   m.counter_view("ftl.gc.steps", &stats_.gc_steps, "steps",
                  "bounded GC relocation slices (one per round under "
                  "stop-the-world; many under time-sliced GC)");
@@ -357,7 +356,7 @@ WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   journal_.note_rewrite(lpn);
 
   ++stats_.user_writes;
-  stream_host_writes_[stream]->inc();
+  ++stats_.stream_host_writes[stream];
   ++virtual_clock_;
   on_host_write_complete(lpn, ppn, ctx);
   maybe_gc();
@@ -574,7 +573,7 @@ Ppn FtlBase::program_page(SbKind kind, std::uint32_t stream, OobData& oob,
     }
     if (gc_collects(kind)) {
       mark_valid(ppn, sb, kind == SbKind::kTranslation ? oob.tpn : oob.lpn);
-      stream_flash_writes_[target]->inc();
+      ++stats_.stream_flash_writes[target];
     }
     on_programmed(ppn, target);
     obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
@@ -623,7 +622,7 @@ Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
     return kInvalidPpn;
   }
   ++stats_.meta_writes;
-  stream_flash_writes_[sb_meta_[sb].stream]->inc();
+  ++stats_.stream_flash_writes[sb_meta_[sb].stream];
   obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_, ppn,
                       0, sb_meta_[sb].stream);
   return ppn;

@@ -595,8 +595,6 @@ class FtlBase {
 
   // --- observability (handles are stable; no allocation after setup) ---
   obs::Observability obs_;
-  std::vector<obs::Counter*> stream_host_writes_;   ///< per-stream user pages
-  std::vector<obs::Counter*> stream_flash_writes_;  ///< per-stream programs
   obs::Counter* gc_rounds_ctr_ = nullptr;
   obs::Counter* gc_aborted_ctr_ = nullptr;
   obs::Counter* gc_moved_ctr_ = nullptr;

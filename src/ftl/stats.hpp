@@ -1,9 +1,13 @@
 // Write-amplification and flash-operation accounting.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace phftl {
+
+/// Most write streams any FTL opens (PHFTL uses 7); FtlBase checks it.
+inline constexpr std::uint32_t kMaxStreams = 8;
 
 struct FtlStats {
   std::uint64_t user_writes = 0;  ///< host pages written (U)
@@ -94,6 +98,13 @@ struct FtlStats {
   /// learned_probe_reads): charged into host read amplification alongside
   /// trans_reads_host.
   std::uint64_t learned_probe_reads_host = 0;
+  /// Host pages the write classifier sent to each stream (entries past the
+  /// FTL's stream count stay 0).
+  std::array<std::uint64_t, kMaxStreams> stream_host_writes{};
+  /// Pages programmed into each stream's superblocks: user pages, GC
+  /// migrations, translation pages and meta pages. Journal pages have no
+  /// stream, so the array sums to flash_writes() - journal_writes.
+  std::array<std::uint64_t, kMaxStreams> stream_flash_writes{};
 
   /// Total flash page programs (F): user + GC migrations + meta pages +
   /// trim-journal record pages + translation pages.

@@ -7,7 +7,7 @@
 //   * Cost-Benefit (Rosenblum & Ousterhout, LFS): benefit/cost =
 //     (1 - u) * age / (2u) — favours old, mostly-invalid segments. Used for
 //     baselines whose papers did not specify a policy (paper §V-A). Age is
-//     unbounded, so this one scans every candidate (select_victim).
+//     unbounded, so this one scans every candidate (cost_benefit_victim).
 //   * Adjusted Greedy (paper Eq. 1): greedy, but superblocks holding
 //     short-living pages are discounted by V^(T/C) so that hot blocks get
 //     more time to self-invalidate — unless they have been closed for long
@@ -132,6 +132,19 @@ inline double invalid_fraction(std::uint64_t valid_count, double inv_pages) {
 }
 inline double valid_fraction(std::uint64_t valid_count, double inv_pages) {
   return static_cast<double>(valid_count) * inv_pages;
+}
+
+/// Cost-Benefit's arg-max over every closed superblock, aged against one
+/// read of the virtual clock: Base's and 2R's policy, and PHFTL's
+/// kCostBenefit ablation arm.
+inline std::uint64_t cost_benefit_victim(const FtlBase& ftl) {
+  const std::uint64_t now = ftl.virtual_clock();
+  const double inv_pages = sb_fraction_scale(ftl);
+  return select_victim(ftl, [&](std::uint64_t sb) {
+    return cost_benefit_score(
+        invalid_fraction(ftl.valid_count(sb), inv_pages),
+        static_cast<double>(now - ftl.close_time(sb)));
+  });
 }
 
 }  // namespace phftl

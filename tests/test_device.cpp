@@ -109,6 +109,30 @@ TEST(TimedReplayer, TimedReplayReportsPercentiles) {
   EXPECT_LE(res.p995_us, res.p999_us);
 }
 
+// A device-timed run past the capacity watermark rejects writes instead of
+// aborting: the P/E budget retires blocks until the watermark sinks below
+// the mapped count, and the stress load still replays the whole trace.
+TEST(TimedReplayer, StressLoadPastWatermarkRejectsAndCompletes) {
+  FtlConfig cfg = test::small_config();
+  cfg.max_pe_cycles = 8;
+  BaseFtl ftl(cfg);
+  // 40 drive writes need several times the drive's whole P/E budget.
+  const Trace trace = test::small_workload(cfg, 40.0);
+  std::uint64_t write_pages = 0;
+  for (const HostRequest& req : trace.ops)
+    if (req.op == OpType::kWrite) write_pages += req.num_pages;
+
+  TimedReplayer replayer(ftl, DeviceTimingConfig{});
+  const Phase1Result res = replayer.stress_load(trace, ftl.logical_pages());
+  EXPECT_GT(ftl.stats().wear_retired, 0u);
+  EXPECT_GT(ftl.stats().enospc_rejections, 0u);
+  EXPECT_LT(ftl.stats().user_writes, write_pages);
+  // A segment per drive write the trace offers, rejected pages included
+  // (each segment drops its overshoot, so the last may fall short).
+  EXPECT_GE(res.bandwidth_mb_s.size() + 1, write_pages / ftl.logical_pages());
+  EXPECT_GT(res.total_sim_ns, 0u);
+}
+
 TEST(TimedReplayer, SlowerArrivalsLowerTailLatency) {
   const FtlConfig cfg = test::small_config();
   const Trace trace = test::small_workload(cfg, 2.0);

@@ -139,6 +139,26 @@ TEST(FtlBase, SequentialFlagDetection) {
   EXPECT_FALSE(ftl.last_seq);
 }
 
+TEST(FtlBaseDeath, MoreStreamsThanTheLedgerCountsAborts) {
+  // FtlStats counts per-stream pages in kMaxStreams-entry arrays.
+  class Wide : public FtlBase {
+   public:
+    explicit Wide(const FtlConfig& cfg) : FtlBase(cfg, kMaxStreams + 1) {}
+    std::string name() const override { return "Wide"; }
+
+   protected:
+    std::uint32_t classify_user_write(Lpn, const WriteContext&) override {
+      return 0;
+    }
+    std::uint32_t classify_gc_write(Lpn, std::uint8_t,
+                                    const OobData&) override {
+      return 0;
+    }
+    std::uint64_t pick_victim() override { return greedy_victim(); }
+  };
+  EXPECT_DEATH(Wide{small_config()}, "stream count must be in");
+}
+
 TEST(FtlBaseDeath, OutOfRangeRequestAborts) {
   BaseFtl ftl(small_config());
   HostRequest req;

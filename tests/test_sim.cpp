@@ -1,69 +1,10 @@
+// The analytic FIFO-server model that times the device replay.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "sim/event_queue.hpp"
+#include "device/fifo_server.hpp"
 
 namespace phftl {
 namespace {
-
-TEST(EventQueue, RunsEventsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(30, [&] { order.push_back(3); });
-  q.schedule_at(10, [&] { order.push_back(1); });
-  q.schedule_at(20, [&] { order.push_back(2); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueue, FifoTieBreakAtSameTime) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    q.schedule_at(42, [&order, i] { order.push_back(i); });
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CallbacksMayScheduleMoreEvents) {
-  EventQueue q;
-  std::vector<SimTime> times;
-  std::function<void()> chain = [&] {
-    times.push_back(q.now());
-    if (times.size() < 4) q.schedule_in(5, chain);
-  };
-  q.schedule_at(0, chain);
-  q.run();
-  EXPECT_EQ(times, (std::vector<SimTime>{0, 5, 10, 15}));
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWithoutOverrunning) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule_at(10, [&] { ++fired; });
-  q.schedule_at(50, [&] { ++fired; });
-  q.run_until(30);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.now(), 30u);
-  EXPECT_EQ(q.pending(), 1u);
-  q.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, StepReturnsFalseWhenEmpty) {
-  EventQueue q;
-  EXPECT_FALSE(q.step());
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueDeath, SchedulingInThePastAborts) {
-  EventQueue q;
-  q.schedule_at(100, [] {});
-  q.run();
-  EXPECT_DEATH(q.schedule_at(50, [] {}), "past");
-}
 
 TEST(FifoServer, IdleServerStartsImmediately) {
   FifoServer s;

@@ -149,7 +149,6 @@ TEST(ThresholdController, StableWindowsGrowStep) {
 TEST(ThresholdController, FreezeAfterFirstWindowHoldsThreshold) {
   auto cfg = test_cfg();
   cfg.freeze_after_first_window = true;
-  cfg.reanchor = false;
   ThresholdController tc(cfg);
   std::vector<std::vector<float>> feats;
   const auto w1 = bimodal(400, 50, 100, 5000, 71);
