@@ -21,10 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "baselines/base_ftl.hpp"
-#include "baselines/sepbit.hpp"
-#include "baselines/two_r.hpp"
 #include "core/phftl.hpp"
+#include "core/schemes.hpp"
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
 #include "util/cli.hpp"
@@ -129,12 +127,10 @@ inline std::string scheme_label(const std::string& scheme, PhftlArm arm) {
              : scheme + "/" + kArmNames[static_cast<int>(arm)];
 }
 
+/// phftl::make_scheme with the cell's PHFTL arm applied.
 inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
                                             const FtlConfig& cfg,
                                             const RunOptions& opts = {}) {
-  if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
-  if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
-  if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
   core::PhftlConfig pcfg = core::default_phftl_config(cfg);
   if (opts.arm == PhftlArm::kHistory1) pcfg.trainer.history_len = 1;
   pcfg.trainer.threshold.freeze_after_first_window =
@@ -146,7 +142,7 @@ inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
   // Wall-clock predict latency is not reproducible; keep it out of every
   // bench export (PhftlConfig::time_predictions).
   pcfg.time_predictions = false;
-  return std::make_unique<core::PhftlFtl>(pcfg);
+  return phftl::make_scheme(scheme, pcfg);
 }
 
 /// Replay one suite trace under one scheme and collect everything the
@@ -159,7 +155,9 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
   const FtlConfig cfg = suite_ftl_config(spec);
   const Trace trace = make_suite_trace(spec, drive_writes);
   auto ftl = make_scheme(scheme, cfg, opts);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  // A write the capacity watermark rejects counts in
+  // stats.enospc_rejections, which ExperimentRunner reports.
+  for (const auto& req : trace.ops) ftl->submit_checked(req);
   ftl->drain();  // finish a parked GC round, flush CMT write-back
 
   SuiteRunResult res;
@@ -167,7 +165,7 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
   res.scheme = scheme_label(scheme, opts.arm);
   res.stats = ftl->stats();
   res.wa = res.stats.write_amplification();
-  res.streams = ftl->num_streams();
+  res.streams = ftl->layout().num_streams;
   for (std::uint64_t sb = 0; sb < cfg.geom.num_superblocks(); ++sb)
     res.erase_counts.add(static_cast<double>(ftl->flash().erase_count(sb)));
   if (auto* phftl = dynamic_cast<core::PhftlFtl*>(ftl.get())) {
@@ -203,7 +201,9 @@ class ExperimentRunner {
   /// Run every cell, concurrently when jobs > 1, and return results in
   /// cell order. Artifact entries are appended in cell order after all
   /// runs complete, so BENCH_metrics.json is byte-identical to a serial
-  /// run. Exceptions from a run propagate out of this call.
+  /// run. A cell whose writes hit the capacity watermark gets one stdout
+  /// line with its rejection count. Exceptions from a run propagate out
+  /// of this call.
   std::vector<SuiteRunResult> run(const std::vector<GridCell>& cells) const {
     std::vector<SuiteRunResult> results;
     results.reserve(cells.size());
@@ -218,6 +218,12 @@ class ExperimentRunner {
       }));
     }
     for (auto& fut : futures) results.push_back(fut.get());
+    for (const SuiteRunResult& r : results)
+      if (r.stats.enospc_rejections > 0)
+        std::printf("%s on %s: %llu write requests rejected (ENOSPC)\n",
+                    r.scheme.c_str(), r.trace_id.c_str(),
+                    static_cast<unsigned long long>(
+                        r.stats.enospc_rejections));
 
     auto& artifact = detail::MetricsArtifact::instance();
     if (artifact.enabled()) {

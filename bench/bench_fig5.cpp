@@ -277,7 +277,7 @@ void print_stream_attribution(const std::vector<SuiteRunResult>& grid,
 int main(int argc, char** argv) {
   const unsigned jobs = bench::jobs_from_cli(argc, argv);
   const double drive_writes = drive_writes_from_env(6.0);
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
+  const std::vector<std::string>& schemes = kSchemeNames;
 
   std::printf("Figure 5: overall write amplification, %.1f drive writes "
               "(paper: 20; set PHFTL_DRIVE_WRITES to change), %u job(s)\n\n",

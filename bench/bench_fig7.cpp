@@ -22,9 +22,8 @@
 #include <sstream>
 #include <vector>
 
-#include "baselines/base_ftl.hpp"
 #include "bench_common.hpp"
-#include "core/phftl.hpp"
+#include "core/schemes.hpp"
 #include "device/replayer.hpp"
 #include "trace/alibaba_suite.hpp"
 #include "util/table.hpp"
@@ -33,10 +32,9 @@ namespace {
 
 using namespace phftl;
 
-std::unique_ptr<FtlBase> make_device_ftl(const std::string& scheme,
-                                         const FtlConfig& cfg) {
-  if (scheme == "Stock") return std::make_unique<BaseFtl>(cfg);
-  return std::make_unique<core::PhftlFtl>(core::default_phftl_config(cfg));
+/// The scheme behind a device label: the stock FTL is Base.
+const char* scheme_of(const std::string& label) {
+  return label == "Stock" ? "Base" : "PHFTL";
 }
 
 DeviceTimingConfig timing_for(const std::string& scheme) {
@@ -74,7 +72,7 @@ std::string run_trace(const char* trace_id, double drive_writes) {
   double last_bw[2] = {0, 0};
   int idx = 0;
   for (const char* scheme : {"Stock", "PHFTL-hw"}) {
-    auto ftl = make_device_ftl(scheme, cfg);
+    auto ftl = make_scheme(scheme_of(scheme), core::default_phftl_config(cfg));
     TimedReplayer replayer(*ftl, timing_for(scheme));
     const Phase1Result res = replayer.stress_load(trace, segment);
     std::vector<std::string> row{scheme};
@@ -113,7 +111,7 @@ std::string run_trace(const char* trace_id, double drive_writes) {
   double time_scale = 1.0;  // set by the Stock run, reused by PHFTL-hw
   idx = 0;
   for (const char* scheme : {"Stock", "PHFTL-hw"}) {
-    auto ftl = make_device_ftl(scheme, cfg);
+    auto ftl = make_scheme(scheme_of(scheme), core::default_phftl_config(cfg));
     TimedReplayer replayer(*ftl, timing_for(scheme));
     // Age the device first (phase 1 portion), then measure the tail.
     Trace head;

@@ -177,16 +177,15 @@ int main(int argc, char** argv) {
   const double drive_writes = drive_writes_from_env(4.0);
 
   const std::vector<std::string> trace_ids = {"#144", "#52"};
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
   std::printf("GC scheduling tail latency: %zu traces x %zu schemes, "
               "%.1f drive writes, step budget %llu pages, %u jobs\n\n",
-              trace_ids.size(), schemes.size(), drive_writes,
+              trace_ids.size(), kSchemeNames.size(), drive_writes,
               static_cast<unsigned long long>(step_pages), jobs);
 
   phftl::util::ThreadPool pool(jobs);
   std::vector<std::future<CellResult>> futures;
   for (const auto& id : trace_ids)
-    for (const auto& scheme : schemes)
+    for (const auto& scheme : kSchemeNames)
       futures.push_back(pool.submit([&spec = suite_spec(id), scheme,
                                      drive_writes, step_pages] {
         return run_cell(spec, scheme, drive_writes, step_pages);

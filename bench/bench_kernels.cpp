@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -292,7 +293,11 @@ const BaseFtl& dirty_ftl(std::uint64_t n_sb) {
   for (std::uint64_t i = 0; i < logical * 2; ++i) {
     const Lpn lpn =
         rng.next_bool(0.5) ? rng.next_below(hot) : rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
+    if (ftl->try_write_page(lpn, ctx) != WriteResult::kOk) {
+      std::fprintf(stderr, "dirty_ftl(%llu): write rejected (ENOSPC)\n",
+                   static_cast<unsigned long long>(n_sb));
+      std::exit(1);
+    }
   }
   cache.emplace_back(n_sb, std::move(ftl));
   return *cache.back().second;

@@ -158,14 +158,14 @@ int main(int argc, char** argv) {
   if (budget == 0) budget = 60;
   const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
 
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
   std::printf("Lifetime to ENOSPC: %zu schemes x {WL off, WL on}, "
               "P/E budget %llu, %u jobs\n\n",
-              schemes.size(), static_cast<unsigned long long>(budget), jobs);
+              kSchemeNames.size(), static_cast<unsigned long long>(budget),
+              jobs);
 
   phftl::util::ThreadPool pool(jobs);
   std::vector<std::future<CellResult>> futures;
-  for (const auto& scheme : schemes)
+  for (const auto& scheme : kSchemeNames)
     for (const bool wl : {false, true})
       futures.push_back(pool.submit(
           [scheme, wl, budget] { return run_cell(scheme, wl, budget); }));

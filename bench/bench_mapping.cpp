@@ -291,19 +291,18 @@ int main(int argc, char** argv) {
   const unsigned jobs = cli_jobs == 0 ? 4 : static_cast<unsigned>(cli_jobs);
   const unsigned hw = std::thread::hardware_concurrency();
 
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
   const std::vector<std::uint64_t> cmt_sizes = {0, 2, 4, 8, 16};
   const std::vector<std::uint64_t> tb_tp_entries = {2048, 256, 32, 2};
   std::printf("Mapping-tier sweep: %zu schemes x %zu CMT sizes "
               "(0 = flat L2P) x learned off/on, %zu-point multi-TB "
               "tp_entries sweep, %g ops per page, %u jobs, %u hardware "
               "threads\n\n",
-              schemes.size(), cmt_sizes.size(), tb_tp_entries.size(),
+              kSchemeNames.size(), cmt_sizes.size(), tb_tp_entries.size(),
               ops_per_page, jobs, hw);
 
   phftl::util::ThreadPool pool(jobs);
   std::vector<std::future<CellResult>> futures;
-  for (const auto& scheme : schemes)
+  for (const auto& scheme : kSchemeNames)
     for (const std::uint64_t cmt : cmt_sizes)
       for (const bool learned : {false, true}) {
         if (cmt == 0 && learned) continue;  // model needs the tier

@@ -61,12 +61,12 @@ Trace sweep_workload(std::uint64_t footprint_pages, double drive_writes,
   return generate_workload(wp);
 }
 
-double replay_wa(const std::string& scheme, const FtlConfig& cfg,
-                 const Trace& trace) {
+FtlStats replay(const std::string& scheme, const FtlConfig& cfg,
+               const Trace& trace) {
   auto ftl = bench::make_scheme(scheme, cfg);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  for (const auto& req : trace.ops) ftl->submit_checked(req);
   ftl->drain();
-  return ftl->stats().write_amplification();
+  return ftl->stats();
 }
 
 }  // namespace
@@ -74,7 +74,7 @@ double replay_wa(const std::string& scheme, const FtlConfig& cfg,
 int main(int argc, char** argv) {
   const unsigned jobs = phftl::bench::jobs_from_cli(argc, argv);
   const double drive_writes = drive_writes_from_env(3.0);
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
+  const std::vector<std::string>& schemes = kSchemeNames;
   const std::vector<double> op_points = {0.07, 0.10, 0.15, 0.20, 0.25};
   const std::vector<double> trim_points = {0.0, 0.05, 0.10, 0.20};
 
@@ -101,20 +101,25 @@ int main(int argc, char** argv) {
         sweep_workload(logical_at(0.07), drive_writes, tf, 91));
 
   util::ThreadPool pool(jobs);
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<FtlStats>> futures;
   for (std::size_t oi = 0; oi < op_points.size(); ++oi)
     for (const auto& scheme : schemes)
       futures.push_back(
           pool.submit([op = op_points[oi], scheme, &trace = op_traces[oi]] {
-            return replay_wa(scheme, sweep_config(op), trace);
+            return replay(scheme, sweep_config(op), trace);
           }));
   for (std::size_t ti = 0; ti < trim_points.size(); ++ti)
     for (const auto& scheme : schemes)
       futures.push_back(pool.submit([&trace = trim_traces[ti], scheme] {
-        return replay_wa(scheme, sweep_config(0.07), trace);
+        return replay(scheme, sweep_config(0.07), trace);
       }));
   std::vector<double> wa;
-  for (auto& f : futures) wa.push_back(f.get());
+  std::uint64_t rejected = 0;
+  for (auto& f : futures) {
+    const FtlStats s = f.get();
+    wa.push_back(s.write_amplification());
+    rejected += s.enospc_rejections;
+  }
 
   std::size_t k = 0;
   std::printf("WA vs over-provisioning (no trims):\n");
@@ -147,5 +152,8 @@ int main(int argc, char** argv) {
     trim_table.row(row);
   }
   trim_table.render(std::cout);
+  if (rejected > 0)
+    std::printf("\n%llu write requests rejected (ENOSPC)\n",
+                static_cast<unsigned long long>(rejected));
   return 0;
 }

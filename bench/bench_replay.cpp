@@ -35,16 +35,15 @@ int main(int argc, char** argv) {
   }
   const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
   const double drive_writes = drive_writes_from_env(2.0);
-  const std::vector<std::string> schemes = {"Base", "2R", "SepBIT", "PHFTL"};
   const std::vector<std::string> trace_ids = {"#52", "#144"};
 
   std::printf("Replay WA: %zu schemes x %zu traces, %.1f drive writes, "
               "%u job(s)\n",
-              schemes.size(), trace_ids.size(), drive_writes, jobs);
+              kSchemeNames.size(), trace_ids.size(), drive_writes, jobs);
 
   std::vector<bench::GridCell> cells;
   for (const auto& id : trace_ids)
-    for (const auto& scheme : schemes)
+    for (const auto& scheme : kSchemeNames)
       cells.push_back({&suite_spec(id), scheme, drive_writes, {}});
   const auto results = bench::ExperimentRunner(jobs).run(cells);
 

@@ -37,10 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/base_ftl.hpp"
-#include "baselines/sepbit.hpp"
-#include "baselines/two_r.hpp"
-#include "core/phftl.hpp"
+#include "core/schemes.hpp"
 #include "flash/fault_injector.hpp"
 #include "ftl/host_oracle.hpp"
 #include "util/cli.hpp"
@@ -59,22 +56,6 @@ FtlConfig lab_config() {
   cfg.geom.page_size = 4096;
   cfg.op_ratio = 0.10;
   return cfg;
-}
-
-std::unique_ptr<FtlBase> make_ftl(const std::string& scheme,
-                                  const FtlConfig& cfg) {
-  if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
-  if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
-  if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
-  if (scheme == "PHFTL") {
-    core::PhftlConfig pc = core::default_phftl_config(cfg, /*seed=*/99);
-    // Lighten the trainer: the lab replays each workload up to the cut
-    // many times; classification quality is not under test here.
-    pc.trainer.max_window_samples = 512;
-    pc.trainer.train_per_class = 64;
-    return std::make_unique<core::PhftlFtl>(pc);
-  }
-  return nullptr;
 }
 
 struct WorkloadOp {
@@ -124,7 +105,12 @@ CutOutcome run_one_cut(const std::string& scheme, std::uint64_t cut,
   FtlConfig cfg = lab_config();
   FaultInjector injector(fc);
   if (with_faults) cfg.fault_injector = &injector;
-  std::unique_ptr<FtlBase> ftl = make_ftl(scheme, cfg);
+  core::PhftlConfig pc = core::default_phftl_config(cfg, /*seed=*/99);
+  // Lighten PHFTL's trainer: the lab replays each workload up to the cut
+  // many times; classification quality is not under test here.
+  pc.trainer.max_window_samples = 512;
+  pc.trainer.train_per_class = 64;
+  std::unique_ptr<FtlBase> ftl = make_scheme(scheme, pc);
 
   const std::uint64_t total_writes = ftl->logical_pages() * 3;
   const std::vector<WorkloadOp> ops =
@@ -221,9 +207,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::string> schemes;
-  if (scheme == "all") schemes = {"Base", "2R", "SepBIT", "PHFTL"};
-  else schemes = {scheme};
+  const std::vector<std::string> schemes = schemes_named(flags, scheme);
 
   const FtlConfig probe = lab_config();
   // Logical pages are derivable without building an FTL: total * (1 - OP).
@@ -241,15 +225,10 @@ int main(int argc, char** argv) {
   };
   Xoshiro256 cut_rng(seed);
   std::vector<Cell> cells;
-  for (const std::string& s : schemes) {
-    if (!make_ftl(s, probe)) {
-      std::fprintf(stderr, "unknown scheme %s\n", s.c_str());
-      return 2;
-    }
+  for (const std::string& s : schemes)
     for (std::uint64_t i = 0; i < cuts; ++i)
       cells.push_back(
           {s, 1 + cut_rng.next_below(total_writes), seed ^ (i + 1)});
-  }
 
   util::ThreadPool pool(util::resolve_jobs(cli_jobs));
   std::vector<std::future<CutOutcome>> runs;

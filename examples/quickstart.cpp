@@ -53,12 +53,12 @@ int main() {
 
   // --- Base FTL: no data separation ---
   BaseFtl base(cfg);
-  for (const auto& req : trace.ops) base.submit(req);
+  for (const auto& req : trace.ops) base.submit_checked(req);
 
   // --- PHFTL: learning-based data separation ---
   core::PhftlConfig pcfg = core::default_phftl_config(cfg);
   core::PhftlFtl phftl(pcfg);
-  for (const auto& req : trace.ops) phftl.submit(req);
+  for (const auto& req : trace.ops) phftl.submit_checked(req);
   phftl.finalize_evaluation();
 
   TextTable table;
@@ -69,6 +69,11 @@ int main() {
     table.row({ftl->name(), TextTable::pct(s.write_amplification()),
                std::to_string(s.gc_writes), std::to_string(s.erases),
                std::to_string(s.gc_invocations)});
+    // A write past the capacity watermark is rejected, not aborted.
+    if (s.enospc_rejections > 0)
+      std::printf("%s: %llu write requests rejected (ENOSPC)\n",
+                  ftl->name().c_str(),
+                  static_cast<unsigned long long>(s.enospc_rejections));
   }
   table.render(std::cout);
 

@@ -50,7 +50,6 @@
 // Bad input never aborts: an unknown suite id, an unreadable or malformed
 // CSV, or a numeric flag whose whole token is not a number in the flag's
 // range exits with status 2 and one line naming the flag and the value.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -60,10 +59,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/base_ftl.hpp"
-#include "baselines/sepbit.hpp"
-#include "baselines/two_r.hpp"
-#include "core/phftl.hpp"
+#include "core/schemes.hpp"
 #include "flash/fault_injector.hpp"
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
@@ -129,17 +125,6 @@ struct ReplayOutcome {
   bool ok = true;
 };
 
-const std::vector<std::string> kSchemes = {"Base", "2R", "SepBIT", "PHFTL"};
-
-/// `scheme` is one of kSchemes (main validates it before any replay).
-std::unique_ptr<FtlBase> make_ftl(const std::string& scheme,
-                                  const FtlConfig& cfg) {
-  if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
-  if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
-  if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
-  return std::make_unique<core::PhftlFtl>(core::default_phftl_config(cfg));
-}
-
 bool write_or_complain(std::ostringstream& out, const std::string& path,
                        const std::string& content, const char* what) {
   if (!obs::write_text_file(path, content)) {
@@ -163,7 +148,8 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   FaultInjector injector(opt.fault_cfg);
   if (opt.with_faults) cfg.fault_injector = &injector;
 
-  auto ftl = make_ftl(scheme, cfg);
+  // `scheme` is one of kSchemeNames (main validates it before any replay).
+  auto ftl = make_scheme(scheme, core::default_phftl_config(cfg));
 
   if (!opt.trace_out_path.empty())
     ftl->observability().trace().enable(/*capacity=*/65536);
@@ -463,10 +449,7 @@ int main(int argc, char** argv) {
       learned_error = flags.parse_uint(arg, next(), 1, 250);
     } else usage();
   }
-  if (scheme != "all" &&
-      std::find(kSchemes.begin(), kSchemes.end(), scheme) == kSchemes.end())
-    flags.bad_value("--scheme", scheme,
-                    "expected Base, 2R, SepBIT, PHFTL or all");
+  const std::vector<std::string> schemes = schemes_named(flags, scheme);
   if (learned_index && !mapping_tier) {
     std::fprintf(stderr, "trace_replay: --learned-index requires "
                          "--mapping-tier\n");
@@ -561,7 +544,7 @@ int main(int argc, char** argv) {
   const unsigned jobs = util::resolve_jobs(cli_jobs);
   util::ThreadPool pool(jobs);
   std::vector<std::future<ReplayOutcome>> runs;
-  for (const auto& s : kSchemes)
+  for (const auto& s : schemes)
     runs.push_back(pool.submit(
         [&s, &trace, &cfg, &opt] { return run_replay(s, trace, cfg, opt); }));
   bool ok = true;

@@ -18,17 +18,16 @@ class BaseFtl : public FtlBase {
  public:
   explicit BaseFtl(const FtlConfig& cfg,
                    VictimPolicy policy = VictimPolicy::kCostBenefit)
-      : FtlBase(cfg, /*num_streams=*/1), policy_(policy) {}
+      : FtlBase(cfg, StreamLayout{}), policy_(policy) {}
 
   std::string name() const override { return "Base"; }
 
  protected:
-  std::uint32_t classify_user_write(Lpn, const WriteContext&) override {
+  std::uint32_t classify_user_write(Lpn, const WriteContext&,
+                                    OobData&) override {
     return 0;
   }
-  std::uint32_t classify_gc_write(Lpn, std::uint8_t, const OobData&) override {
-    return 0;
-  }
+  std::uint32_t classify_gc_write(const OobData&) override { return 0; }
   std::uint64_t pick_victim() override {
     // Greedy is an O(1) pop from the victim index; Cost-Benefit's age term
     // is unbounded, so it scans every candidate.

@@ -24,8 +24,13 @@ namespace phftl {
 
 class SepBitFtl : public FtlBase {
  public:
+  // SepBIT has no lifetime signal for translation pages: write-backs
+  // rewrite at cache-eviction cadence (class 3's short-survivor band),
+  // GC-migrated ones already survived a collection (class 4).
   explicit SepBitFtl(const FtlConfig& cfg)
-      : FtlBase(cfg, /*num_streams=*/6),
+      : FtlBase(cfg, {.num_streams = 6,
+                      .translation_writeback = 2,
+                      .translation_gc = 3}),
         last_user_write_(logical_pages(), kNever),
         was_class1_(logical_pages(), 0) {
     // Bootstrap ℓ at 10% of logical capacity; replaced after the first
@@ -41,7 +46,8 @@ class SepBitFtl : public FtlBase {
   double lifetime_estimate() const { return lifetime_estimate_; }
 
  protected:
-  std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx) override {
+  std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx,
+                                    OobData&) override {
     std::uint32_t cls = 1;  // class 2 (cold) by default / first write
     if (last_user_write_[lpn] != kNever) {
       const double v = static_cast<double>(ctx.now - last_user_write_[lpn]);
@@ -52,8 +58,7 @@ class SepBitFtl : public FtlBase {
     return cls;
   }
 
-  std::uint32_t classify_gc_write(Lpn, std::uint8_t,
-                                  const OobData& oob) override {
+  std::uint32_t classify_gc_write(const OobData& oob) override {
     // Wear-leveled pages ride the same age ladder: a leveling victim's
     // long-closed cold data lands in the oldest classes (5/6).
     const double u =
@@ -62,14 +67,6 @@ class SepBitFtl : public FtlBase {
     if (u <= 4.0 * lifetime_estimate_) return 3;    // class 4
     if (u <= 16.0 * lifetime_estimate_) return 4;   // class 5
     return 5;                                       // class 6
-  }
-
-  std::uint32_t classify_translation_write(std::uint64_t,
-                                           bool gc_migration) override {
-    // SepBIT has no lifetime signal for translation pages; write-backs
-    // rewrite at cache-eviction cadence (class 3's short-survivor band),
-    // GC-migrated ones already survived a collection (class 4).
-    return gc_migration ? 3 : 2;
   }
 
   void on_page_invalidated(Lpn lpn, Ppn /*ppn*/, std::uint64_t now) override {

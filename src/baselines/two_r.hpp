@@ -16,23 +16,21 @@ namespace phftl {
 
 class TwoRFtl : public FtlBase {
  public:
-  explicit TwoRFtl(const FtlConfig& cfg) : FtlBase(cfg, /*num_streams=*/2) {}
+  // Translation pages churn at write-back cadence, not host cadence — keep
+  // them out of the user region like GC survivors (docs/MAPPING.md).
+  explicit TwoRFtl(const FtlConfig& cfg)
+      : FtlBase(cfg, {.num_streams = 2,
+                      .translation_writeback = 1,
+                      .translation_gc = 1}) {}
 
   std::string name() const override { return "2R"; }
 
  protected:
-  std::uint32_t classify_user_write(Lpn, const WriteContext&) override {
+  std::uint32_t classify_user_write(Lpn, const WriteContext&,
+                                    OobData&) override {
     return 0;
   }
-  std::uint32_t classify_gc_write(Lpn, std::uint8_t, const OobData&) override {
-    return 1;
-  }
-  std::uint32_t classify_translation_write(std::uint64_t,
-                                           bool) override {
-    // Translation pages churn at write-back cadence, not host cadence —
-    // keep them out of the user region like GC survivors (docs/MAPPING.md).
-    return 1;
-  }
+  std::uint32_t classify_gc_write(const OobData&) override { return 1; }
   std::uint64_t pick_victim() override { return cost_benefit_victim(*this); }
 };
 

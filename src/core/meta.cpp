@@ -6,24 +6,29 @@
 
 namespace phftl::core {
 
-MetaStore::MetaStore(const Config& cfg) : geom_(cfg.geom) {
-  entries_per_page_ =
-      static_cast<std::uint32_t>(geom_.page_size / kMetaEntryBytes);
-  PHFTL_CHECK_MSG(entries_per_page_ > 0, "page too small for meta entries");
-
-  // Fixed point of: meta = ceil((pages_per_sb - meta) / entries_per_page).
-  const std::uint64_t pps = geom_.pages_per_superblock();
+std::uint32_t MetaStore::meta_pages_for(const Geometry& geom) {
+  const auto per_page =
+      static_cast<std::uint32_t>(geom.page_size / kMetaEntryBytes);
+  PHFTL_CHECK_MSG(per_page > 0, "page too small for meta entries");
+  const std::uint64_t pps = geom.pages_per_superblock();
   std::uint32_t meta = 0;
   for (;;) {
     const std::uint64_t data = pps - meta;
-    const auto need = static_cast<std::uint32_t>(
-        (data + entries_per_page_ - 1) / entries_per_page_);
+    const auto need =
+        static_cast<std::uint32_t>((data + per_page - 1) / per_page);
     if (need == meta) break;
     meta = need;
   }
-  meta_per_sb_ = std::max<std::uint32_t>(meta, 1);
-  data_per_sb_ = pps - meta_per_sb_;
-  PHFTL_CHECK_MSG(data_per_sb_ > 0, "superblock too small");
+  meta = std::max<std::uint32_t>(meta, 1);
+  PHFTL_CHECK_MSG(pps > meta, "superblock too small");
+  return meta;
+}
+
+MetaStore::MetaStore(const Config& cfg) : geom_(cfg.geom) {
+  entries_per_page_ =
+      static_cast<std::uint32_t>(geom_.page_size / kMetaEntryBytes);
+  meta_per_sb_ = meta_pages_for(geom_);
+  data_per_sb_ = geom_.pages_per_superblock() - meta_per_sb_;
 
   const auto cap = static_cast<std::size_t>(
       static_cast<double>(total_meta_pages()) * cfg.cache_fraction);

@@ -50,6 +50,12 @@ class MetaStore {
 
   explicit MetaStore(const Config& cfg);
 
+  /// Meta pages at the tail of each superblock of `geom`: the fixed point
+  /// of meta = ceil((pages_per_superblock - meta) / entries_per_page), at
+  /// least one. The FTL's StreamLayout reserves them before a MetaStore
+  /// exists.
+  static std::uint32_t meta_pages_for(const Geometry& geom);
+
   // --- layout ---
   std::uint32_t entries_per_meta_page() const { return entries_per_page_; }
   std::uint32_t meta_pages_per_superblock() const { return meta_per_sb_; }

@@ -46,7 +46,10 @@ FeatureTracker::Config fill_tracker_config(const PhftlConfig& cfg,
 }  // namespace
 
 PhftlFtl::PhftlFtl(const PhftlConfig& cfg)
-    : FtlBase(cfg.ftl, kNumStreams),
+    : FtlBase(cfg.ftl, {.num_streams = kNumStreams,
+                        .meta_pages = MetaStore::meta_pages_for(cfg.ftl.geom),
+                        .translation_writeback = kStreamShort,
+                        .translation_gc = kStreamLong}),
       cfg_(cfg),
       tracker_(fill_tracker_config(cfg, logical_pages())),
       meta_(fill_meta_config(cfg)),
@@ -112,7 +115,8 @@ MetaEntry PhftlFtl::fetch_metadata(Lpn lpn) {
   return entry;
 }
 
-std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
+std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx,
+                                            OobData& oob) {
   // 1. Retrieve ML metadata (cached hidden state + last write time).
   const MetaEntry entry = fetch_metadata(lpn);
   const std::uint64_t prev_lifetime64 =
@@ -137,51 +141,48 @@ std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
     pend.predicted = 2;
   }
 
-  // 4. Predict with one incremental GRU step from the cached hidden state.
-  scratch_entry_.write_time = ctx.now;
-  scratch_entry_.hidden = entry.hidden;
-  if (!trainer_.model_deployed()) {
-    // Before the first deployment all user writes share the long stream.
-    return kStreamLong;
+  // 4. Predict with one incremental GRU step from the cached hidden state,
+  //    straight into the new copy's OOB. Before the first deployment all
+  //    user writes share the long stream and keep their hidden state.
+  oob.hidden = entry.hidden;
+  std::uint32_t stream = kStreamLong;
+  if (trainer_.model_deployed()) {
+    std::array<float, kInputDim> x;
+    encode_features(raw, x);
+    int cls;
+    if (obs::kEnabled && cfg_.time_predictions) {
+      // Time the device-side inference step (the paper's ~9 us budget,
+      // SIII-C). The clock reads sit outside the kernel, so bench_kernels'
+      // fused-predict numbers are unaffected.
+      const auto t0 = std::chrono::steady_clock::now();
+      cls = trainer_.deployed_model().predict_incremental(x, oob.hidden);
+      const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      predict_latency_hist_->observe(static_cast<double>(dt));
+      observability().trace().record(obs::TraceEventType::kMlPredict,
+                                     ctx.now, static_cast<std::uint64_t>(dt),
+                                     static_cast<std::uint64_t>(cls));
+    } else {
+      cls = trainer_.deployed_model().predict_incremental(x, oob.hidden);
+    }
+    const bool short_living = cls == 1;
+    ++predictions_;
+    if (short_living) ++short_predictions_;
+
+    pend.predicted = short_living ? 1 : 0;
+    pend.threshold = static_cast<std::uint32_t>(
+        std::max<std::int64_t>(trainer_.threshold(), 0));
+    stream = short_living ? kStreamShort : kStreamLong;
   }
-
-  std::array<float, kInputDim> x;
-  encode_features(raw, x);
-  int cls;
-  if (obs::kEnabled && cfg_.time_predictions) {
-    // Time the device-side inference step (the paper's ~9 us budget,
-    // SIII-C). The clock reads sit outside the kernel, so bench_kernels'
-    // fused-predict numbers are unaffected.
-    const auto t0 = std::chrono::steady_clock::now();
-    cls = trainer_.deployed_model().predict_incremental(
-        x, scratch_entry_.hidden);
-    const auto dt = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-    predict_latency_hist_->observe(static_cast<double>(dt));
-    observability().trace().record(obs::TraceEventType::kMlPredict, ctx.now,
-                                   static_cast<std::uint64_t>(dt),
-                                   static_cast<std::uint64_t>(cls));
-  } else {
-    cls = trainer_.deployed_model().predict_incremental(
-        x, scratch_entry_.hidden);
-  }
-  const bool short_living = cls == 1;
-  ++predictions_;
-  if (short_living) ++short_predictions_;
-
-  pend.predicted = short_living ? 1 : 0;
-  pend.threshold = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(trainer_.threshold(), 0));
-
-  return short_living ? kStreamShort : kStreamLong;
+  trainer_.maybe_train();
+  return stream;
 }
 
-std::uint32_t PhftlFtl::classify_gc_write(Lpn /*lpn*/, std::uint8_t gc_count,
-                                          const OobData& /*oob*/) {
+std::uint32_t PhftlFtl::classify_gc_write(const OobData& oob) {
   // Streams 2..6 for pages GC'd 1..5+ times (paper §III-A item 3).
-  PHFTL_CHECK(gc_count >= 1);
-  const std::uint32_t idx = std::min<std::uint32_t>(gc_count, 5);
+  PHFTL_CHECK(oob.gc_count >= 1);
+  const std::uint32_t idx = std::min<std::uint32_t>(oob.gc_count, 5);
   return kFirstGcStream + idx - 1;
 }
 
@@ -212,18 +213,6 @@ std::uint64_t PhftlFtl::pick_victim() {
   }
 }
 
-std::uint64_t PhftlFtl::data_capacity(std::uint64_t /*sb*/) const {
-  return meta_.data_pages_per_superblock();
-}
-
-void PhftlFtl::finalize_superblock(std::uint64_t sb) {
-  // Program the meta pages at the superblock tail (paper Fig. 4). Entry
-  // contents are already staged in the MetaStore's RAM buffer; programming
-  // them makes the superblock's metadata flash-resident.
-  for (std::uint32_t i = 0; i < meta_.meta_pages_per_superblock(); ++i)
-    program_meta_page(sb, /*payload=*/sb * 1000 + i);
-}
-
 void PhftlFtl::on_superblock_erased(std::uint64_t sb) {
   meta_.on_superblock_erased(sb);
 }
@@ -232,25 +221,10 @@ void PhftlFtl::on_request(const HostRequest& req) {
   tracker_.observe_request(req);
 }
 
-void PhftlFtl::on_host_write_complete(Lpn /*lpn*/, Ppn ppn,
-                                      const WriteContext& /*ctx*/) {
-  // Stage the page's metadata entry (write time + updated hidden state) in
-  // the open superblock's buffer; it reaches flash when the block closes.
-  meta_.put(ppn, scratch_entry_);
-  trainer_.maybe_train();
-}
-
-void PhftlFtl::on_gc_write_complete(Lpn /*lpn*/, Ppn new_ppn,
-                                    const OobData& oob) {
-  // GC migrates metadata from the page's OOB copy — no meta-page read.
-  MetaEntry entry;
-  entry.write_time = oob.write_time;
-  entry.hidden = oob.hidden;
-  meta_.put(new_ppn, entry);
-}
-
-void PhftlFtl::fill_user_oob(Lpn /*lpn*/, OobData& oob) {
-  oob.hidden = scratch_entry_.hidden;
+void PhftlFtl::on_data_programmed(Ppn ppn, const OobData& oob) {
+  // Stage the entry in the open superblock's buffer; it reaches flash
+  // with the superblock's meta-page tail.
+  meta_.put(ppn, MetaEntry{oob.write_time, oob.hidden});
 }
 
 void PhftlFtl::on_recovery(const RecoveryReport& /*report*/) {
@@ -283,7 +257,6 @@ void PhftlFtl::on_recovery(const RecoveryReport& /*report*/) {
 
   // Outstanding predictions lost their ground truth; never score them.
   std::fill(pending_.begin(), pending_.end(), Pending{});
-  scratch_entry_ = MetaEntry{};
 }
 
 void PhftlFtl::finalize_evaluation() {

@@ -10,6 +10,10 @@
 //     superblocks, §III-A);
 //   * ML metadata (40 B/page) lives in meta pages at superblock tails with
 //     a 1 % RAM cache (§III-C); each page's OOB carries a copy for GC;
+//   * translation pages (docs/MAPPING.md) carry no GRU-predictable access
+//     pattern: dirty write-backs rewrite at eviction cadence (short-lived,
+//     stream 0), and a copy GC had to migrate stayed live through a whole
+//     collection (long-lived, stream 1);
 //   * the host-side Model Trainer re-picks the labeling threshold
 //     (Algorithm 1) and retrains/deploys the model every write window;
 //   * GC victims are chosen by the Adjusted Greedy policy (Eq. 1).
@@ -83,30 +87,20 @@ class PhftlFtl : public FtlBase {
   std::uint64_t short_predictions() const { return short_predictions_; }
 
  protected:
-  std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx) override;
+  /// Predicts into `oob.hidden`, then runs the trainer's window boundary
+  /// when due.
+  std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx,
+                                    OobData& oob) override;
   /// Also places wear-leveled pages: their survival count already encodes
   /// coldness, so leveling cannot perturb the learned separation of
   /// streams 0/1.
-  std::uint32_t classify_gc_write(Lpn lpn, std::uint8_t gc_count,
-                                  const OobData& oob) override;
-  /// Translation pages carry no GRU-predictable host access pattern: dirty
-  /// write-backs rewrite at eviction cadence (short-lived → stream 0); a
-  /// copy GC had to migrate stayed live through a whole collection
-  /// (long-lived → stream 1). The learned user separation is untouched.
-  std::uint32_t classify_translation_write(std::uint64_t,
-                                           bool gc_migration) override {
-    return gc_migration ? kStreamLong : kStreamShort;
-  }
+  std::uint32_t classify_gc_write(const OobData& oob) override;
   std::uint64_t pick_victim() override;
-  std::uint64_t data_capacity(std::uint64_t sb) const override;
-  void finalize_superblock(std::uint64_t sb) override;
   void on_superblock_erased(std::uint64_t sb) override;
   void on_request(const HostRequest& req) override;
-  void on_host_write_complete(Lpn lpn, Ppn ppn,
-                              const WriteContext& ctx) override;
-  void on_gc_write_complete(Lpn lpn, Ppn new_ppn,
-                            const OobData& oob) override;
-  void fill_user_oob(Lpn lpn, OobData& oob) override;
+  /// Stages the page's meta entry from its OOB copy (host writes and GC
+  /// migrations alike; GC reads no meta page).
+  void on_data_programmed(Ppn ppn, const OobData& oob) override;
   /// Unclean-shutdown re-derivation (docs/RECOVERY.md): meta entries come
   /// back from the per-page OOB copies; the trainer, threshold, feature
   /// tracker, and outstanding Table-I predictions reset to safe defaults.
@@ -129,10 +123,6 @@ class PhftlFtl : public FtlBase {
   };
   std::vector<Pending> pending_;
   ConfusionMatrix cm_;
-
-  /// Scratch carrying the entry from classify_user_write to
-  /// on_host_write_complete / fill_user_oob (same page write).
-  MetaEntry scratch_entry_;
 
   std::uint64_t predictions_ = 0;
   std::uint64_t short_predictions_ = 0;

@@ -8,9 +8,7 @@
 namespace phftl::core {
 
 ThresholdController::ThresholdController(const Config& cfg)
-    : cfg_(cfg), rng_(cfg.seed), step_(cfg.initial_step) {
-  PHFTL_CHECK(cfg_.initial_step >= 1 && cfg_.max_step >= cfg_.initial_step);
-}
+    : cfg_(cfg), rng_(cfg.seed), step_(kInitialStep) {}
 
 std::uint64_t ThresholdController::inflection_point(
     std::vector<std::uint64_t> samples) {
@@ -91,7 +89,7 @@ double ThresholdController::evaluate_candidate(
     ml::balanced_resample(features, labels, cfg_.resample_per_class, rng_,
                           bal_x, bal_y);
     if (bal_x.size() < 8) continue;
-    total += ml::train_eval_light_model(bal_x, bal_y, cfg_.test_fraction,
+    total += ml::train_eval_light_model(bal_x, bal_y, kTestFraction,
                                         rng_, lm);
     ++rounds;
   }
@@ -156,7 +154,7 @@ std::uint64_t ThresholdController::pick_threshold(
   } else if (prev_dir_ != 0 && cur_dir != 0 && prev_dir_ == cur_dir) {
     ++step_;  // consistent movement: accelerate
   }
-  step_ = std::min(std::abs(step_), cfg_.max_step);
+  step_ = std::min(std::abs(step_), kMaxStep);
   step_ = std::max(step_, 1);
 
   prev_dir_ = cur_dir;

@@ -28,13 +28,15 @@ namespace phftl::core {
 
 class ThresholdController {
  public:
+  static constexpr int kInitialStep = 5;  ///< percentile points (paper: 5)
+  static constexpr int kMaxStep = 10;     ///< paper: min(|step|, 10)
+  static_assert(kInitialStep >= 1 && kMaxStep >= kInitialStep);
+  /// Held-out fraction when scoring a candidate threshold.
+  static constexpr double kTestFraction = 0.25;
+
   struct Config {
-    int initial_step = 5;  ///< percentile points (paper: 5)
-    int max_step = 10;     ///< paper: min(|step|, 10)
     /// Balanced-resample cap per class for the lightweight model.
     std::size_t resample_per_class = 512;
-    /// Held-out fraction when scoring a candidate threshold.
-    double test_fraction = 0.25;
     /// Freeze the threshold after the first window (ablation only).
     bool freeze_after_first_window = false;
     std::uint64_t seed = 99;

@@ -142,7 +142,7 @@ void ModelTrainer::train_window() {
   draw(neg_idx, train_set, 0);
 
   // 3. One epoch of training on the persistent model (paper §III-B).
-  last_loss_ = model_.train_epoch(train_set, cfg_.batch_size, rng_);
+  model_.train_epoch(train_set, cfg_.batch_size, rng_);
 
   // 4. Deployment: quantize to int8, recalibrate the decision boundary to
   //    the window's natural class prior, and hand to the device.
@@ -160,7 +160,7 @@ void ModelTrainer::train_window() {
           static_cast<double>(pages_in_window_),
       0.02, 0.98);
   deployed_.set_decision_bias(
-      cfg_.prior_bias_strength *
+      kPriorBiasStrength *
       static_cast<float>(std::log(pos_rate / (1.0 - pos_rate))));
   ++trainings_;
 }

@@ -27,6 +27,14 @@ namespace phftl::core {
 
 class ModelTrainer {
  public:
+  /// Strength of the deployment-time decision-prior correction in [0, 1]:
+  /// 0 = plain balanced argmax (short-eager), 1 = fully recalibrated to the
+  /// window's natural positive rate. Intermediate values trade Table-I
+  /// precision against separation aggressiveness (an eager short stream is
+  /// cheap to be wrong about — Adjusted Greedy remediates — while a starved
+  /// one forfeits separation).
+  static constexpr float kPriorBiasStrength = 0.25f;
+
   struct Config {
     std::uint64_t logical_pages = 0;
     /// Window length in host-written pages (5 % of the SSD's physical size).
@@ -41,13 +49,6 @@ class ModelTrainer {
     std::size_t batch_size = 32;
     std::size_t gru_hidden = 32;
     float gru_lr = 3e-3f;  ///< Adam learning rate for the GRU
-    /// Strength of the deployment-time decision-prior correction in
-    /// [0, 1]: 0 = plain balanced argmax (short-eager), 1 = fully
-    /// recalibrated to the window's natural positive rate. Intermediate
-    /// values trade Table-I precision against separation aggressiveness
-    /// (an eager short stream is cheap to be wrong about — Adjusted
-    /// Greedy remediates — while a starved one forfeits separation).
-    float prior_bias_strength = 0.25f;
     ThresholdController::Config threshold;
     ml::AdamConfig adam;
     std::uint64_t seed = 1234;
@@ -83,7 +84,6 @@ class ModelTrainer {
   // --- diagnostics ---
   std::uint64_t windows_completed() const { return windows_; }
   std::uint64_t trainings_run() const { return trainings_; }
-  float last_train_loss() const { return last_loss_; }
   const ThresholdController& controller() const { return controller_; }
   std::size_t last_window_sample_count() const { return last_sample_count_; }
   /// Host-side RAM the trainer uses for histories, in bytes (diagnostic).
@@ -126,7 +126,6 @@ class ModelTrainer {
 
   std::uint64_t windows_ = 0;
   std::uint64_t trainings_ = 0;
-  float last_loss_ = 0.0f;
   std::size_t last_sample_count_ = 0;
 };
 

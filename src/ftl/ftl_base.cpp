@@ -8,22 +8,23 @@
 
 namespace phftl {
 
-FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
+FtlBase::FtlBase(const FtlConfig& cfg, const StreamLayout& layout)
     : cfg_(cfg),
       flash_(cfg.geom),
       logical_pages_(static_cast<std::uint64_t>(
           static_cast<double>(cfg.geom.total_pages()) *
           (1.0 - cfg.op_ratio))),
-      num_streams_(num_streams),
+      layout_(layout),
       l2p_(logical_pages_, kInvalidPpn),
       p2l_(cfg.geom.total_pages(), kInvalidLpn),
       sb_meta_(cfg.geom.num_superblocks()),
-      open_(kNumSbKinds * num_streams, kNoSb),
+      open_(kNumSbKinds * layout.num_streams, kNoSb),
       pending_retire_(cfg.geom.num_superblocks(), 0),
       wear_(cfg.geom.num_superblocks()),
       journal_(*this, logical_pages_, cfg.geom) {
-  PHFTL_CHECK_MSG(num_streams_ >= 1 && num_streams_ <= kMaxStreams,
-                  "stream count must be in [1, kMaxStreams]");
+  PHFTL_CHECK_MSG(
+      layout_.num_streams >= 1 && layout_.num_streams <= kMaxStreams,
+      "stream count must be in [1, kMaxStreams]");
   // Attach the injector before building the free pool: factory bad blocks
   // are marked at attach time and must never enter circulation.
   flash_.attach_fault_injector(cfg.fault_injector);
@@ -54,7 +55,7 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
       "GC trigger exceeds over-provisioning headroom; use more "
       "(or smaller) superblocks, or fewer factory bad blocks");
   PHFTL_CHECK_MSG(cfg.geom.num_superblocks() >
-                      gc_trigger_count_ + num_streams_ +
+                      gc_trigger_count_ + layout_.num_streams +
                           flash_.bad_block_count(),
                   "geometry too small for stream count");
   for (std::uint64_t sb = 0; sb < cfg.geom.num_superblocks(); ++sb)
@@ -71,7 +72,7 @@ void FtlBase::register_ftl_metrics() {
   obs::MetricsRegistry& m = obs_.metrics();
   // Counters over an FtlStats field are views of it: FtlStats is the one
   // event ledger, and the export reads it in this registration order.
-  for (std::uint32_t s = 0; s < num_streams_; ++s) {
+  for (std::uint32_t s = 0; s < layout_.num_streams; ++s) {
     const std::string id = std::to_string(s);
     m.counter_view("ftl.stream" + id + ".host_writes",
                    &stats_.stream_host_writes[s], "pages",
@@ -79,7 +80,8 @@ void FtlBase::register_ftl_metrics() {
     m.counter_view("ftl.stream" + id + ".flash_writes",
                    &stats_.stream_flash_writes[s], "pages",
                    "pages programmed into stream " + id +
-                       " (user + GC migrations + meta pages)");
+                       " (user + GC migrations + meta and translation "
+                       "pages)");
   }
   gc_rounds_ctr_ = &m.counter("ftl.gc.rounds", "rounds",
                               "completed GC victim collections");
@@ -243,20 +245,13 @@ std::uint64_t FtlBase::capacity_watermark_pages() const {
     reserve += tier_->reserve_superblocks(geom().pages_per_superblock());
   const std::uint64_t total = geom().num_superblocks();
   if (reserve >= total) return 0;
-  return (total - reserve) * data_capacity(0);
+  return (total - reserve) * data_capacity();
 }
 
 void FtlBase::seed_virtual_clock(std::uint64_t v) {
   PHFTL_CHECK_MSG(v >= virtual_clock_,
                   "seed_virtual_clock cannot move the clock backwards");
   virtual_clock_ = v;
-}
-
-void FtlBase::submit(const HostRequest& req) {
-  const SubmitResult res = submit_checked(req);
-  PHFTL_CHECK_MSG(res.status == WriteResult::kOk,
-                  "host write rejected at the capacity watermark (ENOSPC); "
-                  "use submit_checked() to handle it");
 }
 
 SubmitResult FtlBase::submit_checked(const HostRequest& req) {
@@ -298,14 +293,6 @@ SubmitResult FtlBase::submit_checked(const HostRequest& req) {
   return res;
 }
 
-void FtlBase::write_page(Lpn lpn, const WriteContext& ctx) {
-  const WriteResult res = try_write_page(lpn, ctx);
-  PHFTL_CHECK_MSG(res == WriteResult::kOk,
-                  "host write rejected (ENOSPC: capacity watermark or end "
-                  "of life); use try_write_page()/submit_checked() to "
-                  "handle it");
-}
-
 WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   PHFTL_CHECK(lpn < logical_pages_);
 
@@ -324,11 +311,12 @@ WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   // its floor).
   const bool new_mapping = l2p_[lpn] == kInvalidPpn;
   const auto has_room = [&](std::uint64_t sb) {
-    return sb != kNoSb && flash_.write_pointer(sb) < data_capacity(sb);
+    return sb != kNoSb && flash_.write_pointer(sb) < data_capacity();
   };
   if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages() ||
       (free_pool_.empty() &&
-       std::none_of(open_.begin(), open_.begin() + num_streams_, has_room))) {
+       std::none_of(open_.begin(), open_.begin() + layout_.num_streams,
+                    has_room))) {
     ++stats_.enospc_rejections;
     obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
                         mapped_count_);
@@ -343,12 +331,10 @@ WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   // (lifetime of the dying version = now - its write time).
   invalidate(lpn);
 
-  const std::uint32_t stream = classify_user_write(lpn, ctx);
-
   OobData oob;
   oob.lpn = lpn;
   oob.write_time = virtual_clock_;
-  fill_user_oob(lpn, oob);
+  const std::uint32_t stream = classify_user_write(lpn, ctx, oob);
   const Ppn ppn = append(stream, payload_of(lpn), oob);
   l2p_[lpn] = ppn;
   if (tier_) tier_->update(lpn, ppn);
@@ -358,7 +344,7 @@ WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   ++stats_.user_writes;
   ++stats_.stream_host_writes[stream];
   ++virtual_clock_;
-  on_host_write_complete(lpn, ppn, ctx);
+  on_data_programmed(ppn, oob);
   maybe_gc();
   obs_.tick(virtual_clock_);
   return WriteResult::kOk;
@@ -433,11 +419,11 @@ bool FtlBase::reclaims_before_borrowing(SbKind kind) {
   return kind != SbKind::kData;
 }
 
-/// A data superblock closes at the scheme's data capacity, after
-/// finalize_superblock() fills its meta-page tail; translation and journal
-/// superblocks have no tail and close at the raw superblock boundary.
-std::uint64_t FtlBase::fill_limit(SbKind kind, std::uint64_t sb) const {
-  return kind == SbKind::kData ? data_capacity(sb)
+/// A data superblock's data region ends at data_capacity(), before the
+/// layout's meta-page tail; translation and journal superblocks have no
+/// tail and fill to the raw superblock boundary.
+std::uint64_t FtlBase::fill_limit(SbKind kind) const {
+  return kind == SbKind::kData ? data_capacity()
                                : geom().pages_per_superblock();
 }
 
@@ -523,7 +509,7 @@ Ppn FtlBase::program_page(SbKind kind, std::uint32_t stream, OobData& oob,
   // marked for retirement, and the page retries on a fresh superblock. The
   // attempt bound only trips under absurd fault rates (each attempt consumes
   // a whole superblock).
-  PHFTL_CHECK(stream < num_streams_);
+  PHFTL_CHECK(stream < layout_.num_streams);
   for (std::uint32_t attempt = 0;; ++attempt) {
     PHFTL_CHECK_MSG(attempt < 64, "program retry limit exceeded");
     std::uint32_t target = stream;
@@ -538,9 +524,10 @@ Ppn FtlBase::program_page(SbKind kind, std::uint32_t stream, OobData& oob,
         // open superblock with room exists, so the drive's last pages mix
         // streams instead of crashing.
         target = 0;
-        while (target < num_streams_ && open_slot(kind, target) == kNoSb)
+        while (target < layout_.num_streams &&
+               open_slot(kind, target) == kNoSb)
           ++target;
-        if (target == num_streams_) {
+        if (target == layout_.num_streams) {
           // Fault-driven end of life: a program failure closed the last
           // open superblock and the pool is empty. A GC data migration ends
           // its round (gc_step); the host then sees ENOSPC at admission
@@ -562,7 +549,7 @@ Ppn FtlBase::program_page(SbKind kind, std::uint32_t stream, OobData& oob,
     if (ppn == kInvalidPpn) {
       // Program abort: the targeted page is consumed and empty. A block
       // that failed a program is untrustworthy — close it immediately
-      // (skipping finalize_superblock: no meta pages go into a failing
+      // (skipping the meta-page tail: no meta pages go into a failing
       // block; their content is recoverable from the per-page OOB copies)
       // and mark it for retirement. Its valid pages stay readable; GC will
       // drain them and retire the block instead of erasing it.
@@ -578,11 +565,13 @@ Ppn FtlBase::program_page(SbKind kind, std::uint32_t stream, OobData& oob,
     on_programmed(ppn, target);
     obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
                         ppn, 0, target);
-    if (flash_.write_pointer(sb) >= fill_limit(kind, sb)) {
-      // finalize_superblock() may program meta pages into a data block's
-      // tail first (PHFTL, Fig. 4). Any tail pages it did not use are
-      // skipped (left unprogrammed); real firmware pads them.
-      if (kind == SbKind::kData) finalize_superblock(sb);
+    if (flash_.write_pointer(sb) >= fill_limit(kind)) {
+      // A full data region closes behind the layout's meta-page tail
+      // (PHFTL, Fig. 4): the entries are already staged in the scheme's
+      // RAM buffer, and programming the tail makes them flash-resident.
+      if (kind == SbKind::kData)
+        for (std::uint32_t i = 0; i < layout_.meta_pages; ++i)
+          program_meta_page(sb, /*payload=*/sb * 1000 + i);
       close_superblock(sb);
       sb = kNoSb;
     }
@@ -607,25 +596,22 @@ void FtlBase::append_journal_page(std::span<const std::uint64_t> chunk) {
                });
 }
 
-Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
-  PHFTL_CHECK_MSG(flash_.state(sb) == SuperblockState::kOpen,
-                  "meta pages go into the still-open superblock");
+void FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
   OobData oob;  // meta pages carry no logical mapping
   oob.kind = PageKind::kMeta;
   const Ppn ppn = flash_.program(sb, payload, oob);
   if (ppn == kInvalidPpn) {
     // A failed meta page is tolerable — the per-page OOB copies remain
     // authoritative for recovery (§III-C) — but the block is untrustworthy:
-    // mark it for retirement. The caller keeps programming its remaining
-    // meta pages; each tail slot is attempted exactly once either way.
+    // mark it for retirement. The remaining meta pages are still
+    // programmed; each tail slot is attempted exactly once either way.
     note_program_failure(sb);
-    return kInvalidPpn;
+    return;
   }
   ++stats_.meta_writes;
   ++stats_.stream_flash_writes[sb_meta_[sb].stream];
   obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_, ppn,
                       0, sb_meta_[sb].stream);
-  return ppn;
 }
 
 std::uint64_t FtlBase::rebuild_mapping_from_flash() {
@@ -948,20 +934,18 @@ bool FtlBase::gc_begin_round() {
   //     mid-append). Healthy drives always pass: the pool floor alone
   //     covers a victim.
   const auto room = [&] {
-    std::uint64_t pages = 0;
-    for (const std::uint64_t sb : free_pool_) pages += data_capacity(sb);
-    for (std::uint32_t s = 0; s < num_streams_; ++s) {
+    std::uint64_t pages = free_pool_.size() * data_capacity();
+    for (std::uint32_t s = 0; s < layout_.num_streams; ++s) {
       const std::uint64_t sb = open_slot(SbKind::kData, s);
       if (sb == kNoSb) continue;
       const std::uint64_t wp = flash_.write_pointer(sb);
-      const std::uint64_t cap = data_capacity(sb);
-      pages += cap > wp ? cap - wp : 0;
+      pages += data_capacity() > wp ? data_capacity() - wp : 0;
     }
     return pages;
   };
   const std::uint64_t victim = pick_victim();
   if (victim == kNoVictim ||
-      sb_meta_[victim].valid_count >= data_capacity(victim) ||
+      sb_meta_[victim].valid_count >= data_capacity() ||
       room() < sb_meta_[victim].valid_count) {
     gc_aborted_ctr_->inc();
     return false;
@@ -1028,7 +1012,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     const std::uint8_t new_count = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(src.gc_count + 1, kMaxGcCount));
     oob.gc_count = new_count;  // the OOB copy is the count's one home
-    const std::uint32_t stream = classify_gc_write(lpn, new_count, oob);
+    const std::uint32_t stream = classify_gc_write(oob);
 
     // Append first, then clear the old copy: at fault-driven end of life
     // the append can find no destination, and the page must stay valid in
@@ -1052,7 +1036,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     ++stats_.gc_writes;
     if (round_.wear_level) ++stats_.wl_migrations;
     ++moved;
-    on_gc_write_complete(lpn, new_ppn, oob);
+    on_data_programmed(new_ppn, oob);
   }
   // A budget-limited step that drained the last valid page should not cost
   // an extra no-op step next time: skim the invalid tail now.
@@ -1107,7 +1091,8 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
   oob.tpn = tpn;
   oob.write_time = virtual_clock_;
   return program_page(
-      SbKind::kTranslation, classify_translation_write(tpn, gc_migration),
+      SbKind::kTranslation,
+      gc_migration ? layout_.translation_gc : layout_.translation_writeback,
       oob, /*payload=*/0, blob, [&](Ppn ppn, std::uint32_t stream) {
         // New copy durable first, then supersede the old one (write-new-
         // before-invalidate-old; recovery orders the two by program_seq).

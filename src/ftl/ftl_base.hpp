@@ -2,18 +2,24 @@
 //
 // FtlBase owns everything every FTL variant shares — the page-granularity
 // L2P/P2L tables, per-superblock validity accounting, multi-stream open-
-// superblock allocation, the free pool, and the GC loop — and delegates the
-// policy decisions that differentiate the paper's schemes to virtuals:
+// superblock allocation, the free pool, and the GC loop. The paper's
+// schemes differ in two decisions (§V-A): which stream a page joins and
+// which superblock GC collects. A scheme states what is fixed about its
+// streams as a StreamLayout (stream count, meta pages per data superblock,
+// the streams translation pages join) and answers eight hooks:
 //
-//   * classify_user_write() — which stream a host-written page goes to
-//     (Base: single stream; 2R: user stream; SepBIT: class 1/2 by inferred
-//     lifetime; PHFTL: short-/long-living by the Page Classifier),
+//   * classify_user_write() — which stream a host-written page goes to,
+//     filling in the new copy's OOB (Base: single stream; 2R: user stream;
+//     SepBIT: class 1/2 by inferred lifetime; PHFTL: short-/long-living by
+//     the Page Classifier, whose new hidden state goes into the OOB),
 //   * classify_gc_write()  — stream for a page migrated by GC or by a
-//     wear-leveling round,
-//   * classify_translation_write() — stream label for a translation page,
+//     wear-leveling round, from its OOB copy,
 //   * pick_victim()        — victim-selection policy,
-//   * finalize_superblock()— hook run when a superblock fills, before it is
-//     closed (PHFTL programs its ML meta pages here, paper Fig. 4).
+//   * on_request(), on_page_invalidated(), on_data_programmed(),
+//     on_superblock_erased(), on_recovery() — notifications.
+//
+// FtlBase programs a data superblock's meta-page tail itself as the
+// superblock fills (PHFTL's ML metadata, paper Fig. 4).
 //
 // The flash-resident mapping tier (ftl/mapping_tier.hpp, held only when
 // FtlConfig::mapping_tier is on), the trim journal (ftl/trim_journal.hpp)
@@ -141,6 +147,20 @@ struct RecoveryReport {
   std::uint64_t trans_reconciled = 0;
 };
 
+/// What a scheme fixes about its write streams when it is built.
+struct StreamLayout {
+  /// Write streams, each with its own open superblock per kind.
+  std::uint32_t num_streams = 1;
+  /// Meta pages FtlBase programs into the tail of each data superblock as
+  /// it fills (PHFTL's ML metadata, paper Fig. 4); 0 = data fills it all.
+  std::uint32_t meta_pages = 0;
+  /// Stream a translation page joins (docs/MAPPING.md): a dirty write-back
+  /// churns with the host working set, a GC-migrated copy outlived its
+  /// block. Translation pages never share a superblock with user data.
+  std::uint32_t translation_writeback = 0;
+  std::uint32_t translation_gc = 0;
+};
+
 class FtlBase {
  public:
   /// "No superblock" sentinel (pick_victim abort, idle gc_inflight_victim).
@@ -148,7 +168,7 @@ class FtlBase {
   /// GC trigger (paper §III-D): collect when under 5 % of superblocks are free.
   static constexpr double kGcFreeThreshold = 0.05;
 
-  FtlBase(const FtlConfig& cfg, std::uint32_t num_streams);
+  FtlBase(const FtlConfig& cfg, const StreamLayout& layout);
   virtual ~FtlBase() = default;
 
   FtlBase(const FtlBase&) = delete;
@@ -163,20 +183,15 @@ class FtlBase {
     return lpn ^ 0x5bd1e995ULL;
   }
 
-  /// Submit a block-layer request; pages are processed in order. Aborts
-  /// (PHFTL_CHECK) if a write is rejected at the capacity watermark — use
-  /// submit_checked() to observe ENOSPC instead.
-  void submit(const HostRequest& req);
-  /// Admission-checked submit: write pages past the capacity watermark are
-  /// rejected with WriteResult::kEnospc instead of aborting. Pages are
-  /// processed in order; see SubmitResult for partial-completion semantics.
+  /// Submit a block-layer request; pages are processed in order. Write
+  /// pages past the capacity watermark are rejected with
+  /// WriteResult::kEnospc; see SubmitResult for partial-completion
+  /// semantics.
   SubmitResult submit_checked(const HostRequest& req);
 
-  /// Single-page operations (page-granularity convenience API).
-  void write_page(Lpn lpn, const WriteContext& ctx);
-  /// Admission-checked single-page write. Returns kEnospc — with no state
-  /// modified — when accepting the page would push the mapped-page count
-  /// past capacity_watermark_pages(); kOk otherwise.
+  /// Single-page write. Returns kEnospc — with no state modified — when
+  /// accepting the page would push the mapped-page count past
+  /// capacity_watermark_pages(); kOk otherwise.
   WriteResult try_write_page(Lpn lpn, const WriteContext& ctx);
   /// Returns the stored payload, or 0 if the page was never written.
   std::uint64_t read_page(Lpn lpn);
@@ -198,7 +213,7 @@ class FtlBase {
   const FtlConfig& config() const { return cfg_; }
   std::uint64_t virtual_clock() const { return virtual_clock_; }
   std::uint64_t free_superblock_count() const { return free_pool_.size(); }
-  std::uint32_t num_streams() const { return num_streams_; }
+  const StreamLayout& layout() const { return layout_; }
 
   /// Logical pages currently mapped (tracked incrementally).
   std::uint64_t mapped_page_count() const { return mapped_count_; }
@@ -356,50 +371,29 @@ class FtlBase {
 
  protected:
   // --- Policy hooks ---
-  virtual std::uint32_t classify_user_write(Lpn lpn,
-                                            const WriteContext& ctx) = 0;
+  /// Stream for a host write of `lpn`. `oob` is the new copy's OOB area,
+  /// with its LPN and write time (ctx.now) already stamped; the scheme may
+  /// add fields (PHFTL stores the page's new hidden state, §III-C).
+  virtual std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx,
+                                            OobData& oob) = 0;
   /// Stream for a migrated page: GC survivors and wear-leveling
   /// migrations alike (a leveled page is cold data that survived, which is
   /// what every scheme's GC answer already encodes; docs/ENDURANCE.md).
-  virtual std::uint32_t classify_gc_write(Lpn lpn, std::uint8_t gc_count,
-                                          const OobData& oob) = 0;
-  /// Stream label for a translation-page program (docs/MAPPING.md).
-  /// Translation pages live in their own open superblocks — one per
-  /// returned stream id, never mixed with user data — but the label drives
-  /// per-stream accounting and lets schemes separate mapping metadata by
-  /// churn: `gc_migration` distinguishes a fresh dirty write-back (churns
-  /// with the host working set) from a GC-migrated survivor (cold enough
-  /// to outlive its block). Default: everything to stream 0.
-  virtual std::uint32_t classify_translation_write(std::uint64_t /*tpn*/,
-                                                   bool /*gc_migration*/) {
-    return 0;
-  }
+  /// `oob` is the page's OOB copy, its GC count already incremented.
+  virtual std::uint32_t classify_gc_write(const OobData& oob) = 0;
   /// Pick a victim among closed superblocks; kNoVictim aborts this GC round.
   virtual std::uint64_t pick_victim() = 0;
 
-  /// Pages of a superblock usable for data (rest reserved for meta pages).
-  virtual std::uint64_t data_capacity(std::uint64_t /*sb*/) const {
-    return geom().pages_per_superblock();
-  }
-  /// Called when a superblock's data region fills, before close. PHFTL
-  /// programs meta pages here via program_meta_page().
-  virtual void finalize_superblock(std::uint64_t /*sb*/) {}
   /// Notification hooks.
-  virtual void on_page_invalidated(Lpn /*lpn*/, Ppn /*ppn*/,
-                                   std::uint64_t /*now*/) {}
-  virtual void on_superblock_erased(std::uint64_t /*sb*/) {}
   /// Called once per submitted request, before its pages are processed
   /// (PHFTL's feature tracker consumes request-level statistics here).
   virtual void on_request(const HostRequest& /*req*/) {}
-  /// Called once per host page write after the page has been appended.
-  virtual void on_host_write_complete(Lpn /*lpn*/, Ppn /*ppn*/,
-                                      const WriteContext& /*ctx*/) {}
-  /// Called after a GC migration has appended the page at `new_ppn`.
-  virtual void on_gc_write_complete(Lpn /*lpn*/, Ppn /*new_ppn*/,
-                                    const OobData& /*oob*/) {}
-  /// Let the subclass add fields to a user-written page's OOB area
-  /// (PHFTL stores the page's new hidden state there, §III-C).
-  virtual void fill_user_oob(Lpn /*lpn*/, OobData& /*oob*/) {}
+  virtual void on_page_invalidated(Lpn /*lpn*/, Ppn /*ppn*/,
+                                   std::uint64_t /*now*/) {}
+  /// Called once a data page — a host write or a GC migration — has been
+  /// programmed at `ppn` with `oob`.
+  virtual void on_data_programmed(Ppn /*ppn*/, const OobData& /*oob*/) {}
+  virtual void on_superblock_erased(std::uint64_t /*sb*/) {}
   /// Called at the end of recover(), after the base mapping/index rebuild,
   /// so the scheme can re-derive (from flash) or reset (to safe defaults)
   /// its policy state. Base/2R need nothing; SepBIT and PHFTL override.
@@ -408,9 +402,6 @@ class FtlBase {
   // --- Services for subclasses ---
   const Geometry& geom() const { return cfg_.geom; }
 
-  /// Program one meta page into the open superblock tail (counts as a meta
-  /// write). Only legal inside finalize_superblock().
-  Ppn program_meta_page(std::uint64_t sb, std::uint64_t payload);
   /// Account a meta-page read (metadata cache miss).
   void note_meta_read() { ++stats_.meta_reads; }
 
@@ -451,11 +442,20 @@ class FtlBase {
                    OnProgrammed&& on_programmed);
   static bool gc_collects(SbKind kind);
   static bool reclaims_before_borrowing(SbKind kind);
-  std::uint64_t fill_limit(SbKind kind, std::uint64_t sb) const;
+  std::uint64_t fill_limit(SbKind kind) const;
+  /// Pages of a data superblock that hold data; the layout's meta pages
+  /// take the rest.
+  std::uint64_t data_capacity() const {
+    return geom().pages_per_superblock() - layout_.meta_pages;
+  }
+  /// Program one meta page into data superblock `sb`'s tail (counts as a
+  /// meta write).
+  void program_meta_page(std::uint64_t sb, std::uint64_t payload);
   /// Program one data page (host write or GC survivor) into `stream`.
   Ppn append(std::uint32_t stream, std::uint64_t payload, OobData& oob);
   std::uint64_t& open_slot(SbKind kind, std::uint32_t stream) {
-    return open_[static_cast<std::size_t>(kind) * num_streams_ + stream];
+    return open_[static_cast<std::size_t>(kind) * layout_.num_streams +
+                 stream];
   }
   void invalidate(Lpn lpn);
   /// Count `ppn` as a valid page of superblock `sb`, owned by `owner` (an
@@ -538,7 +538,7 @@ class FtlBase {
   FtlConfig cfg_;
   FlashArray flash_;
   std::uint64_t logical_pages_;
-  std::uint32_t num_streams_;
+  StreamLayout layout_;
   std::uint64_t gc_trigger_count_;
 
   std::vector<Ppn> l2p_;

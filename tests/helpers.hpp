@@ -2,13 +2,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
-#include "baselines/base_ftl.hpp"
-#include "baselines/sepbit.hpp"
-#include "baselines/two_r.hpp"
+#include <gtest/gtest.h>
+
 #include "core/phftl.hpp"
+#include "core/schemes.hpp"
 #include "ftl/ftl_base.hpp"
 #include "trace/generator.hpp"
 
@@ -27,18 +25,30 @@ inline FtlConfig small_config() {
   return cfg;
 }
 
-/// Factory over all four schemes, for parameterized suites.
-inline std::unique_ptr<FtlBase> make_ftl(const std::string& scheme,
-                                         const FtlConfig& cfg,
-                                         std::uint64_t seed = 1) {
-  if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
-  if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
-  if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
-  if (scheme == "PHFTL") {
-    core::PhftlConfig pcfg = core::default_phftl_config(cfg, seed);
-    return std::make_unique<core::PhftlFtl>(pcfg);
-  }
-  return nullptr;
+/// What make_scheme builds a test drive from: PHFTL's paper defaults at
+/// the suite's seed (Base, 2R and SepBIT read only its `ftl` part).
+inline core::PhftlConfig scheme_config(const FtlConfig& cfg,
+                                       std::uint64_t seed = 1) {
+  return core::default_phftl_config(cfg, seed);
+}
+
+/// A host write the test expects the drive to accept.
+inline void write_ok(FtlBase& ftl, Lpn lpn, const WriteContext& ctx) {
+  EXPECT_EQ(ftl.try_write_page(lpn, ctx), WriteResult::kOk) << "lpn " << lpn;
+}
+
+/// A request the test expects the drive to accept in full.
+inline void submit_ok(FtlBase& ftl, const HostRequest& req) {
+  EXPECT_EQ(ftl.submit_checked(req).status, WriteResult::kOk)
+      << "request at lpn " << req.start_lpn;
+}
+
+/// Replays `trace`, expecting every request to be accepted; stops at the
+/// first rejection.
+inline void replay_ok(FtlBase& ftl, const Trace& trace) {
+  for (const HostRequest& req : trace.ops)
+    ASSERT_EQ(ftl.submit_checked(req).status, WriteResult::kOk)
+        << "request at lpn " << req.start_lpn;
 }
 
 /// A modest skewed workload sized for `cfg`.

@@ -1,23 +1,28 @@
 #include <gtest/gtest.h>
 
+#include "baselines/base_ftl.hpp"
+#include "baselines/sepbit.hpp"
+#include "baselines/two_r.hpp"
 #include "helpers.hpp"
 
 namespace phftl {
 namespace {
 
+using test::replay_ok;
 using test::small_config;
+using test::write_ok;
 
 TEST(BaseFtl, SingleStream) {
   BaseFtl ftl(small_config());
-  EXPECT_EQ(ftl.num_streams(), 1u);
+  EXPECT_EQ(ftl.layout().num_streams, 1u);
   EXPECT_EQ(ftl.name(), "Base");
 }
 
 TEST(TwoRFtl, SeparatesGcWritesFromUserWrites) {
   TwoRFtl ftl(small_config());
-  EXPECT_EQ(ftl.num_streams(), 2u);
+  EXPECT_EQ(ftl.layout().num_streams, 2u);
   const Trace trace = test::small_workload(small_config(), 3.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   ASSERT_GT(ftl.stats().gc_writes, 0u);
 
   // After heavy GC, stream-1 superblocks must exist (GC-written data) and
@@ -31,7 +36,7 @@ TEST(TwoRFtl, SeparatesGcWritesFromUserWrites) {
 
 TEST(SepBitFtl, SixStreams) {
   SepBitFtl ftl(small_config());
-  EXPECT_EQ(ftl.num_streams(), 6u);
+  EXPECT_EQ(ftl.layout().num_streams, 6u);
   EXPECT_EQ(ftl.name(), "SepBIT");
 }
 
@@ -43,7 +48,7 @@ TEST(SepBitFtl, LifetimeEstimateAdaptsToWorkload) {
   // tiny, so ℓ must fall well below its bootstrap value.
   Xoshiro256 rng(5);
   for (int i = 0; i < 40000; ++i)
-    ftl.write_page(rng.next_below(64), ctx);
+    write_ok(ftl, rng.next_below(64), ctx);
   EXPECT_LT(ftl.lifetime_estimate(), initial);
   EXPECT_LT(ftl.lifetime_estimate(), 200.0);
 }
@@ -54,10 +59,10 @@ TEST(SepBitFtl, HotPagesLandInClassOne) {
   SepBitFtl ftl(small_config());
   WriteContext ctx;
   Xoshiro256 rng(9);
-  for (int i = 0; i < 40000; ++i) ftl.write_page(rng.next_below(64), ctx);
+  for (int i = 0; i < 40000; ++i) write_ok(ftl, rng.next_below(64), ctx);
   // The open superblock receiving the most recent hot write is stream 0.
   const Ppn ppn = ftl.lookup(0);
-  ftl.write_page(0, ctx);
+  write_ok(ftl, 0, ctx);
   const Ppn ppn2 = ftl.lookup(0);
   EXPECT_NE(ppn, ppn2);
   EXPECT_EQ(ftl.stream_of(ftl.config().geom.superblock_of(ppn2)), 0u);
@@ -66,7 +71,7 @@ TEST(SepBitFtl, HotPagesLandInClassOne) {
 TEST(SepBitFtl, FirstWriteIsClassTwo) {
   SepBitFtl ftl(small_config());
   WriteContext ctx;
-  ftl.write_page(100, ctx);
+  write_ok(ftl, 100, ctx);
   const Ppn ppn = ftl.lookup(100);
   EXPECT_EQ(ftl.stream_of(ftl.config().geom.superblock_of(ppn)), 1u);
 }
@@ -81,23 +86,23 @@ TEST(Schemes, SeparationReducesWaOnSkewedWorkload) {
   double wa_base = 0, wa_2r = 0, wa_sepbit = 0, wa_phftl = 0;
   {
     BaseFtl ftl(cfg);
-    for (const auto& r : trace.ops) ftl.submit(r);
+    replay_ok(ftl, trace);
     wa_base = ftl.stats().write_amplification();
   }
   {
     TwoRFtl ftl(cfg);
-    for (const auto& r : trace.ops) ftl.submit(r);
+    replay_ok(ftl, trace);
     wa_2r = ftl.stats().write_amplification();
   }
   {
     SepBitFtl ftl(cfg);
-    for (const auto& r : trace.ops) ftl.submit(r);
+    replay_ok(ftl, trace);
     wa_sepbit = ftl.stats().write_amplification();
   }
   {
     core::PhftlConfig pcfg = core::default_phftl_config(cfg);
     core::PhftlFtl ftl(pcfg);
-    for (const auto& r : trace.ops) ftl.submit(r);
+    replay_ok(ftl, trace);
     wa_phftl = ftl.stats().write_amplification();
   }
   EXPECT_GT(wa_base, 0.0);

@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 
+#include "baselines/base_ftl.hpp"
 #include "ftl/host_oracle.hpp"
 #include "ftl/victim_policy.hpp"
 #include "helpers.hpp"
@@ -11,8 +12,11 @@
 namespace phftl {
 namespace {
 
-using test::make_ftl;
+using test::replay_ok;
+using test::scheme_config;
 using test::small_config;
+using test::submit_ok;
+using test::write_ok;
 
 TEST(FtlBase, LogicalCapacityRespectsOverProvisioning) {
   const FtlConfig cfg = small_config();
@@ -25,7 +29,7 @@ TEST(FtlBase, LogicalCapacityRespectsOverProvisioning) {
 TEST(FtlBase, WriteThenReadReturnsMapping) {
   BaseFtl ftl(small_config());
   WriteContext ctx;
-  ftl.write_page(5, ctx);
+  write_ok(ftl, 5, ctx);
   EXPECT_TRUE(ftl.is_mapped(5));
   EXPECT_NE(ftl.read_page(5), 0u);
   EXPECT_FALSE(ftl.is_mapped(6));
@@ -35,9 +39,9 @@ TEST(FtlBase, WriteThenReadReturnsMapping) {
 TEST(FtlBase, OverwriteRemapsAndInvalidatesOldPage) {
   BaseFtl ftl(small_config());
   WriteContext ctx;
-  ftl.write_page(5, ctx);
+  write_ok(ftl, 5, ctx);
   const Ppn first = ftl.lookup(5);
-  ftl.write_page(5, ctx);
+  write_ok(ftl, 5, ctx);
   const Ppn second = ftl.lookup(5);
   EXPECT_NE(first, second);
   EXPECT_FALSE(ftl.page_valid(first));
@@ -48,7 +52,7 @@ TEST(FtlBase, OverwriteRemapsAndInvalidatesOldPage) {
 TEST(FtlBase, TrimUnmaps) {
   BaseFtl ftl(small_config());
   WriteContext ctx;
-  ftl.write_page(9, ctx);
+  write_ok(ftl, 9, ctx);
   const Ppn ppn = ftl.lookup(9);
   EXPECT_TRUE(ftl.trim_page(9));
   EXPECT_FALSE(ftl.is_mapped(9));
@@ -67,9 +71,9 @@ TEST(FtlBase, MappedCountAndWatermarkTracking) {
   BaseFtl ftl(small_config());
   WriteContext ctx;
   EXPECT_EQ(ftl.mapped_page_count(), 0u);
-  ftl.write_page(3, ctx);
-  ftl.write_page(4, ctx);
-  ftl.write_page(3, ctx);  // overwrite: mapped count unchanged
+  write_ok(ftl, 3, ctx);
+  write_ok(ftl, 4, ctx);
+  write_ok(ftl, 3, ctx);  // overwrite: mapped count unchanged
   EXPECT_EQ(ftl.mapped_page_count(), 2u);
   ftl.trim_page(4);
   EXPECT_EQ(ftl.mapped_page_count(), 1u);
@@ -87,17 +91,17 @@ TEST(FtlBase, VirtualClockCountsHostPages) {
   req.op = OpType::kWrite;
   req.start_lpn = 0;
   req.num_pages = 10;
-  ftl.submit(req);
+  submit_ok(ftl, req);
   EXPECT_EQ(ftl.virtual_clock(), 10u);
   req.op = OpType::kRead;
-  ftl.submit(req);
+  submit_ok(ftl, req);
   EXPECT_EQ(ftl.virtual_clock(), 10u);  // reads don't advance it
 }
 
 TEST(FtlBase, StatsIdentityFlashWrites) {
   BaseFtl ftl(small_config());
   const Trace trace = test::small_workload(small_config(), 3.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   const FtlStats& s = ftl.stats();
   EXPECT_EQ(s.flash_writes(), s.user_writes + s.gc_writes + s.meta_writes);
   EXPECT_EQ(s.user_writes, trace.total_write_pages());
@@ -118,10 +122,10 @@ TEST(FtlBase, SequentialFlagDetection) {
     bool last_seq = false;
 
    protected:
-    std::uint32_t classify_user_write(Lpn lpn,
-                                      const WriteContext& ctx) override {
+    std::uint32_t classify_user_write(Lpn lpn, const WriteContext& ctx,
+                                      OobData& oob) override {
       last_seq = ctx.is_sequential;
-      return BaseFtl::classify_user_write(lpn, ctx);
+      return BaseFtl::classify_user_write(lpn, ctx, oob);
     }
   };
   Probe ftl(small_config());
@@ -129,13 +133,13 @@ TEST(FtlBase, SequentialFlagDetection) {
   req.op = OpType::kWrite;
   req.start_lpn = 100;
   req.num_pages = 4;
-  ftl.submit(req);
+  submit_ok(ftl, req);
   EXPECT_FALSE(ftl.last_seq);
   req.start_lpn = 104;
-  ftl.submit(req);
+  submit_ok(ftl, req);
   EXPECT_TRUE(ftl.last_seq);
   req.start_lpn = 200;
-  ftl.submit(req);
+  submit_ok(ftl, req);
   EXPECT_FALSE(ftl.last_seq);
 }
 
@@ -143,17 +147,16 @@ TEST(FtlBaseDeath, MoreStreamsThanTheLedgerCountsAborts) {
   // FtlStats counts per-stream pages in kMaxStreams-entry arrays.
   class Wide : public FtlBase {
    public:
-    explicit Wide(const FtlConfig& cfg) : FtlBase(cfg, kMaxStreams + 1) {}
+    explicit Wide(const FtlConfig& cfg)
+        : FtlBase(cfg, {.num_streams = kMaxStreams + 1}) {}
     std::string name() const override { return "Wide"; }
 
    protected:
-    std::uint32_t classify_user_write(Lpn, const WriteContext&) override {
+    std::uint32_t classify_user_write(Lpn, const WriteContext&,
+                                      OobData&) override {
       return 0;
     }
-    std::uint32_t classify_gc_write(Lpn, std::uint8_t,
-                                    const OobData&) override {
-      return 0;
-    }
+    std::uint32_t classify_gc_write(const OobData&) override { return 0; }
     std::uint64_t pick_victim() override { return greedy_victim(); }
   };
   EXPECT_DEATH(Wide{small_config()}, "stream count must be in");
@@ -165,7 +168,7 @@ TEST(FtlBaseDeath, OutOfRangeRequestAborts) {
   req.op = OpType::kWrite;
   req.start_lpn = ftl.logical_pages() - 1;
   req.num_pages = 2;
-  EXPECT_DEATH(ftl.submit(req), "beyond logical capacity");
+  EXPECT_DEATH(ftl.submit_checked(req), "beyond logical capacity");
 }
 
 // --- Victim policy scoring ---
@@ -232,7 +235,7 @@ class FtlIntegrityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(FtlIntegrityTest, RandomTrafficPreservesAllMappings) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   ASSERT_NE(ftl, nullptr);
 
   Xoshiro256 rng(2024);
@@ -248,9 +251,9 @@ TEST_P(FtlIntegrityTest, RandomTrafficPreservesAllMappings) {
 
 TEST_P(FtlIntegrityTest, MappingAndValidityAreConsistentAfterGc) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = test::small_workload(cfg, 4.0, /*seed=*/99);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   // Every mapped LPN points at a valid page that points back, and the
   // valid pages are exactly the mapped ones.
@@ -258,7 +261,7 @@ TEST_P(FtlIntegrityTest, MappingAndValidityAreConsistentAfterGc) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, FtlIntegrityTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // --- Property: the incremental victim index agrees with a fresh scan ---
 
@@ -277,7 +280,7 @@ std::uint64_t linear_min_valid_scan(const FtlBase& ftl) {
 
 TEST_P(FtlIntegrityTest, VictimIndexAgreesWithFreshScanUnderRandomTraffic) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   ASSERT_NE(ftl, nullptr);
 
   Xoshiro256 rng(7777);
@@ -290,7 +293,7 @@ TEST_P(FtlIntegrityTest, VictimIndexAgreesWithFreshScanUnderRandomTraffic) {
     if (rng.next_bool(0.05))
       ftl->trim_page(lpn);
     else
-      ftl->write_page(lpn, ctx);
+      write_ok(*ftl, lpn, ctx);
     if (op % 500 != 0) continue;
 
     // 1. The index enumerates exactly the closed superblocks.
@@ -333,9 +336,9 @@ TEST_P(FtlIntegrityTest, VictimIndexAgreesWithFreshScanUnderRandomTraffic) {
 
 TEST_P(FtlIntegrityTest, VictimIndexSurvivesRecoveryRebuild) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = test::small_workload(cfg, 3.0, /*seed=*/55);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   ftl->rebuild_mapping_from_flash();
 

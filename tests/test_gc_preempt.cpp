@@ -12,9 +12,11 @@
 namespace phftl {
 namespace {
 
-using test::make_ftl;
+using test::scheme_config;
 using test::small_config;
 using test::small_workload;
+using test::submit_ok;
+using test::write_ok;
 
 class GcPreemptTest : public ::testing::TestWithParam<std::string> {};
 
@@ -32,14 +34,14 @@ FtlConfig sliced_config(std::uint64_t step_pages = 4) {
 TEST_P(GcPreemptTest, TimeSlicedMatchesStopTheWorldFinalState) {
   const FtlConfig stw_cfg = small_config();
   const FtlConfig ts_cfg = sliced_config();
-  auto stw = make_ftl(GetParam(), stw_cfg);
-  auto sliced = make_ftl(GetParam(), ts_cfg);
+  auto stw = make_scheme(GetParam(), scheme_config(stw_cfg));
+  auto sliced = make_scheme(GetParam(), scheme_config(ts_cfg));
   const Trace trace = small_workload(stw_cfg, 3.0, 137);
   // Both drives acknowledge every request, so one record serves both.
   HostOracle oracle(stw->logical_pages());
   for (const auto& req : trace.ops) {
     ASSERT_EQ(oracle.submit(*stw, req).status, WriteResult::kOk);
-    sliced->submit(req);
+    submit_ok(*sliced, req);
   }
   stw->drain();
   sliced->drain();
@@ -68,7 +70,7 @@ TEST_P(GcPreemptTest, TimeSlicedMatchesStopTheWorldFinalState) {
 TEST_P(GcPreemptTest, StepBudgetBoundsPerWriteGcWork) {
   const std::uint64_t kBudget = 4;
   const FtlConfig cfg = sliced_config(kBudget);
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   WriteContext ctx;
   Xoshiro256 rng(23);
   const std::uint64_t logical = ftl->logical_pages();
@@ -79,7 +81,7 @@ TEST_P(GcPreemptTest, StepBudgetBoundsPerWriteGcWork) {
     const std::uint64_t gc_before = ftl->stats().gc_writes;
     const Lpn lpn =
         rng.next_bool(0.5) ? rng.next_below(hot) : rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
+    write_ok(*ftl, lpn, ctx);
     // Below the urgent floor GC legitimately runs whole rounds; above it
     // the per-write relocation budget is the contract.
     if (free_before >= 3) {
@@ -97,7 +99,7 @@ TEST_P(GcPreemptTest, StepBudgetBoundsPerWriteGcWork) {
 // cursor, and the in-flight accessors expose the parked state in between.
 TEST_P(GcPreemptTest, DrainCompletesInflightRound) {
   const FtlConfig cfg = sliced_config(2);  // small budget: parks often
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   WriteContext ctx;
   Xoshiro256 rng(29);
   const std::uint64_t logical = ftl->logical_pages();
@@ -133,12 +135,12 @@ TEST_P(GcPreemptTest, DrainCompletesInflightRound) {
 // no preemptions, no in-flight victim outside gc calls.
 TEST_P(GcPreemptTest, StopTheWorldNeverPreempts) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   WriteContext ctx;
   Xoshiro256 rng(31);
   const std::uint64_t logical = ftl->logical_pages();
   for (std::uint64_t w = 0; w < logical * 2; ++w) {
-    ftl->write_page(rng.next_below(logical), ctx);
+    write_ok(*ftl, rng.next_below(logical), ctx);
     ASSERT_EQ(ftl->gc_inflight_victim(), FtlBase::kNoVictim);
   }
   EXPECT_EQ(ftl->stats().gc_preemptions, 0u);
@@ -148,13 +150,13 @@ TEST_P(GcPreemptTest, StopTheWorldNeverPreempts) {
 TEST_P(GcPreemptTest, PreemptionMetricsAndTraceAreExported) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const FtlConfig cfg = sliced_config(2);
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   ftl->observability().trace().enable(4096);
   WriteContext ctx;
   Xoshiro256 rng(37);
   const std::uint64_t logical = ftl->logical_pages();
   for (std::uint64_t w = 0; w < logical * 2; ++w)
-    ftl->write_page(rng.next_below(logical), ctx);
+    write_ok(*ftl, rng.next_below(logical), ctx);
   ftl->drain();
 
   const auto& reg = ftl->observability().metrics();
@@ -179,7 +181,7 @@ TEST_P(GcPreemptTest, PreemptionMetricsAndTraceAreExported) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, GcPreemptTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 }  // namespace
 }  // namespace phftl

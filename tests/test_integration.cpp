@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/base_ftl.hpp"
+#include "baselines/sepbit.hpp"
 #include "flash/fault_injector.hpp"
 #include "helpers.hpp"
 #include "trace/trace.hpp"
@@ -16,9 +18,12 @@
 namespace phftl {
 namespace {
 
-using test::make_ftl;
+using test::replay_ok;
+using test::scheme_config;
 using test::small_config;
 using test::small_workload;
+using test::submit_ok;
+using test::write_ok;
 
 // --- Determinism: identical seeds must reproduce identical results ---
 
@@ -29,15 +34,15 @@ TEST_P(DeterminismTest, SameSeedSameOutcome) {
   const Trace trace = small_workload(cfg, 2.0, 77);
   std::uint64_t flash_writes[2];
   for (int run = 0; run < 2; ++run) {
-    auto ftl = make_ftl(GetParam(), cfg, /*seed=*/5);
-    for (const auto& req : trace.ops) ftl->submit(req);
+    auto ftl = make_scheme(GetParam(), scheme_config(cfg, /*seed=*/5));
+    replay_ok(*ftl, trace);
     flash_writes[run] = ftl->stats().flash_writes();
   }
   EXPECT_EQ(flash_writes[0], flash_writes[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, DeterminismTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // --- Conservation laws across all schemes ---
 
@@ -45,9 +50,9 @@ class ConservationTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ConservationTest, EraseAndProgramAccountingMatchesFlashArray) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = small_workload(cfg, 3.0, 11);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   const FtlStats& s = ftl->stats();
   EXPECT_EQ(ftl->flash().total_programs(), s.flash_writes());
@@ -62,9 +67,9 @@ TEST_P(ConservationTest, EraseAndProgramAccountingMatchesFlashArray) {
 
 TEST_P(ConservationTest, MappedPagesNeverExceedLogicalSpace) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = small_workload(cfg, 2.5, 13);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
   std::uint64_t mapped = 0;
   for (Lpn lpn = 0; lpn < ftl->logical_pages(); ++lpn)
     if (ftl->is_mapped(lpn)) ++mapped;
@@ -73,7 +78,7 @@ TEST_P(ConservationTest, MappedPagesNeverExceedLogicalSpace) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConservationTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // --- Snapshots: every row's gauges read the FTL at that instant ---
 
@@ -82,10 +87,10 @@ class SnapshotGaugeTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(SnapshotGaugeTest, EveryRowReadsLiveFtlState) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   ftl->observability().set_snapshot_cadence(1000);
   const Trace trace = small_workload(cfg, 2.0, 29);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   const obs::Observability& o = ftl->observability();
   const auto& entries = o.metrics().entries();
@@ -107,7 +112,7 @@ TEST_P(SnapshotGaugeTest, EveryRowReadsLiveFtlState) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotGaugeTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // --- Trim interaction ---
 
@@ -115,13 +120,13 @@ TEST(TrimIntegration, TrimmedPagesFreeSpaceAndStayUnmapped) {
   const FtlConfig cfg = small_config();
   BaseFtl ftl(cfg);
   WriteContext ctx;
-  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) ftl.write_page(lpn, ctx);
+  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) write_ok(ftl, lpn, ctx);
   // Trim half the drive; subsequent GC should find lots of invalid pages.
   for (Lpn lpn = 0; lpn < ftl.logical_pages() / 2; ++lpn) ftl.trim_page(lpn);
   const std::uint64_t gc_before = ftl.stats().gc_writes;
   Xoshiro256 rng(3);
   for (int i = 0; i < 20000; ++i)
-    ftl.write_page(ftl.logical_pages() / 2 + rng.next_below(100), ctx);
+    write_ok(ftl, ftl.logical_pages() / 2 + rng.next_below(100), ctx);
   // GC after trim migrates almost nothing extra per erase.
   const std::uint64_t copies = ftl.stats().gc_writes - gc_before;
   EXPECT_LT(copies, 20000u);
@@ -145,7 +150,7 @@ TEST_P(GeometrySweepTest, PhftlSurvivesGeometry) {
   core::PhftlConfig pcfg = core::default_phftl_config(cfg);
   core::PhftlFtl ftl(pcfg);
   const Trace trace = test::small_workload(cfg, 2.0, 31);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_EQ(ftl.stats().user_writes, trace.total_write_pages());
   EXPECT_GT(ftl.stats().erases, 0u);
 }
@@ -184,12 +189,12 @@ TEST(WaShape, SkewReducesWaForSeparatingSchemes) {
   double wa_uniform, wa_skewed;
   {
     SepBitFtl ftl(cfg);
-    for (const auto& r : generate_workload(uniform).ops) ftl.submit(r);
+    replay_ok(ftl, generate_workload(uniform));
     wa_uniform = ftl.stats().write_amplification();
   }
   {
     SepBitFtl ftl(cfg);
-    for (const auto& r : generate_workload(skewed).ops) ftl.submit(r);
+    replay_ok(ftl, generate_workload(skewed));
     wa_skewed = ftl.stats().write_amplification();
   }
   EXPECT_LT(wa_skewed, wa_uniform);
@@ -202,7 +207,7 @@ TEST(PhftlInvariants, PredictionsBoundedByUserWrites) {
   auto pcfg = core::default_phftl_config(cfg);
   core::PhftlFtl ftl(pcfg);
   const Trace trace = small_workload(cfg, 4.0, 17);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_LE(ftl.predictions_made(), ftl.stats().user_writes);
   EXPECT_LE(ftl.short_predictions(), ftl.predictions_made());
 }
@@ -212,7 +217,7 @@ TEST(PhftlInvariants, MetaReadsOnlyOnCacheMisses) {
   auto pcfg = core::default_phftl_config(cfg);
   core::PhftlFtl ftl(pcfg);
   const Trace trace = small_workload(cfg, 3.0, 19);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_EQ(ftl.stats().meta_reads, ftl.meta_store().cache_misses());
 }
 
@@ -221,7 +226,7 @@ TEST(PhftlInvariants, WindowCountMatchesWriteVolume) {
   auto pcfg = core::default_phftl_config(cfg);
   core::PhftlFtl ftl(pcfg);
   const Trace trace = small_workload(cfg, 3.0, 23);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   const std::uint64_t expected =
       trace.total_write_pages() / (cfg.geom.total_pages() / 20);
   EXPECT_GE(ftl.trainer().windows_completed() + 1, expected);
@@ -319,17 +324,13 @@ std::unique_ptr<FtlBase> run_knob_matrix(const std::string& scheme,
   cfg.max_pe_cycles = 40;
   cfg.wear_level_threshold = 2;
   cfg.fault_injector = &injector;
-  std::unique_ptr<FtlBase> ftl;
-  if (scheme == "PHFTL") {
-    // A light trainer: the FTL's bookkeeping is under test, not accuracy.
-    core::PhftlConfig pc = core::default_phftl_config(cfg, /*seed=*/11);
-    pc.trainer.window_pages = 1024;
-    pc.trainer.max_window_samples = 512;
-    pc.trainer.train_per_class = 32;
-    ftl = std::make_unique<core::PhftlFtl>(pc);
-  } else {
-    ftl = make_ftl(scheme, cfg);
-  }
+  // A light PHFTL trainer: the FTL's bookkeeping is under test, not
+  // accuracy.
+  core::PhftlConfig pc = scheme_config(cfg, /*seed=*/11);
+  pc.trainer.window_pages = 1024;
+  pc.trainer.max_window_samples = 512;
+  pc.trainer.train_per_class = 32;
+  std::unique_ptr<FtlBase> ftl = make_scheme(scheme, pc);
 
   const std::uint64_t logical = ftl->logical_pages();
   const std::uint64_t ops = logical * 4;
@@ -350,7 +351,7 @@ std::unique_ptr<FtlBase> run_knob_matrix(const std::string& scheme,
       req.start_lpn = lpn;
       req.num_pages = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(1 + rng.next_below(8), logical - lpn));
-      ftl->submit(req);
+      submit_ok(*ftl, req);
     } else {
       EXPECT_EQ(ftl->try_write_page(lpn, ctx), WriteResult::kOk);
     }
@@ -586,7 +587,7 @@ gauge ftl.map.learned_index_bytes bytes
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, KnobMatrixPin,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // The per-stream counts on the all-knobs scenario (with one scheduled
 // program failure, whose consumed page is no program): host pages add up
@@ -603,7 +604,7 @@ TEST_P(PerStreamLedger, SumsToTheLedgerAndCountersReadIt) {
   const FtlStats& s = ftl->stats();
   std::uint64_t host = 0, flash = 0;
   for (std::uint32_t i = 0; i < kMaxStreams; ++i) {
-    if (i >= ftl->num_streams()) {
+    if (i >= ftl->layout().num_streams) {
       EXPECT_EQ(s.stream_host_writes[i], 0u) << "stream " << i;
       EXPECT_EQ(s.stream_flash_writes[i], 0u) << "stream " << i;
     }
@@ -616,7 +617,7 @@ TEST_P(PerStreamLedger, SumsToTheLedgerAndCountersReadIt) {
 
   if (!obs::kEnabled) return;
   const obs::MetricsRegistry& reg = ftl->observability().metrics();
-  for (std::uint32_t i = 0; i < ftl->num_streams(); ++i) {
+  for (std::uint32_t i = 0; i < ftl->layout().num_streams; ++i) {
     const std::string id = "ftl.stream" + std::to_string(i);
     const obs::Counter* h = reg.find_counter(id + ".host_writes");
     const obs::Counter* f = reg.find_counter(id + ".flash_writes");
@@ -626,13 +627,13 @@ TEST_P(PerStreamLedger, SumsToTheLedgerAndCountersReadIt) {
     EXPECT_EQ(f->value(), s.stream_flash_writes[i]) << id;
   }
   EXPECT_EQ(reg.find_counter("ftl.stream" +
-                             std::to_string(ftl->num_streams()) +
+                             std::to_string(ftl->layout().num_streams) +
                              ".host_writes"),
             nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, PerStreamLedger,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 }  // namespace
 }  // namespace phftl

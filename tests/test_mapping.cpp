@@ -45,16 +45,16 @@ FtlConfig tier_config() {
 using MappingDeathTest = ::testing::Test;
 
 TEST(MappingDeathTest, NearOverflowWriteSubmitAborts) {
-  auto ftl = make_ftl("Base", small_config());
+  auto ftl = make_scheme("Base", scheme_config(small_config()));
   HostRequest req;
   req.op = OpType::kWrite;
   req.start_lpn = std::numeric_limits<std::uint64_t>::max() - 2;
   req.num_pages = 4;  // start + num wraps to 1: the additive bound passed
-  EXPECT_DEATH(ftl->submit(req), "beyond logical capacity");
+  EXPECT_DEATH(ftl->submit_checked(req), "beyond logical capacity");
 }
 
 TEST(MappingDeathTest, NearOverflowCheckedSubmitAborts) {
-  auto ftl = make_ftl("Base", small_config());
+  auto ftl = make_scheme("Base", scheme_config(small_config()));
   HostRequest req;
   req.op = OpType::kRead;
   req.start_lpn = std::numeric_limits<std::uint64_t>::max();
@@ -63,7 +63,7 @@ TEST(MappingDeathTest, NearOverflowCheckedSubmitAborts) {
 }
 
 TEST(MappingDeathTest, NearOverflowTrimAborts) {
-  auto ftl = make_ftl("Base", small_config());
+  auto ftl = make_scheme("Base", scheme_config(small_config()));
   EXPECT_DEATH(
       ftl->trim_page(std::numeric_limits<std::uint64_t>::max() - 2),
       "trim beyond logical capacity");
@@ -75,14 +75,14 @@ TEST(MappingTier, UnmappedReadsAreCountedOnBothPaths) {
   for (const bool tier : {false, true}) {
     FtlConfig cfg = tier_config();
     cfg.mapping_tier = tier;
-    auto ftl = make_ftl("Base", cfg);
+    auto ftl = make_scheme("Base", scheme_config(cfg));
     // Never-written LPN: zero-fill, no flash touched, no host_reads.
     EXPECT_EQ(ftl->read_page(7), 0u);
     EXPECT_EQ(ftl->stats().host_reads, 0u);
     EXPECT_EQ(ftl->stats().host_reads_unmapped, 1u);
 
     WriteContext ctx;
-    ftl->write_page(7, ctx);
+    write_ok(*ftl, 7, ctx);
     EXPECT_EQ(ftl->read_page(7), FtlBase::payload_of(7));
     EXPECT_EQ(ftl->stats().host_reads, 1u);
 
@@ -103,12 +103,12 @@ TEST(MappingTier, UnmappedReadsAreCountedOnBothPaths) {
 // --- tentpole: demand-paged lookups serve from flash-resident truth ---
 
 TEST(MappingTier, TranslationPagesAreGcCitizens) {
-  auto ftl = make_ftl("Base", tier_config());
+  auto ftl = make_scheme("Base", scheme_config(tier_config()));
   const std::uint64_t logical = ftl->logical_pages();
   Xoshiro256 rng(42);
   WriteContext ctx;
   for (std::uint64_t w = 0; w < logical * 8; ++w)
-    ftl->write_page(rng.next_below(logical), ctx);
+    write_ok(*ftl, rng.next_below(logical), ctx);
   ftl->drain();
 
   const FtlStats& s = ftl->stats();
@@ -152,8 +152,8 @@ TEST(MappingTier, MillionOpDifferentialAgainstFlatL2p) {
   const FtlConfig on_cfg = tier_config();
   FtlConfig off_cfg = on_cfg;
   off_cfg.mapping_tier = false;
-  auto tiered = make_ftl("Base", on_cfg);
-  auto flat = make_ftl("Base", off_cfg);
+  auto tiered = make_scheme("Base", scheme_config(on_cfg));
+  auto flat = make_scheme("Base", scheme_config(off_cfg));
   ASSERT_EQ(tiered->logical_pages(), flat->logical_pages());
   const std::uint64_t logical = tiered->logical_pages();
   const std::uint64_t hot = std::max<std::uint64_t>(logical / 16, 1);
@@ -166,8 +166,8 @@ TEST(MappingTier, MillionOpDifferentialAgainstFlatL2p) {
     const Lpn lpn = rng.next_bool(0.5) ? rng.next_below(hot)
                                        : rng.next_below(logical);
     if (dice < 55) {
-      tiered->write_page(lpn, ctx);
-      flat->write_page(lpn, ctx);
+      write_ok(*tiered, lpn, ctx);
+      write_ok(*flat, lpn, ctx);
     } else if (dice < 90) {
       ASSERT_EQ(tiered->read_page(lpn), flat->read_page(lpn))
           << "op " << i << " lpn " << lpn;
@@ -198,17 +198,17 @@ TEST(MappingTier, MillionOpDifferentialAgainstFlatL2p) {
   EXPECT_GE(on.flash_writes(), off.user_writes + on.trans_writes);
 }
 
-// Shorter differential across every scheme: translation streams route
-// through each scheme's classify_translation_write override without
-// perturbing host-visible behavior.
+// Shorter differential across every scheme: translation pages route to
+// each scheme's StreamLayout streams without perturbing host-visible
+// behavior.
 class MappingSchemeTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(MappingSchemeTest, DifferentialMixAcrossSchemes) {
   const FtlConfig on_cfg = tier_config();
   FtlConfig off_cfg = on_cfg;
   off_cfg.mapping_tier = false;
-  auto tiered = make_ftl(GetParam(), on_cfg);
-  auto flat = make_ftl(GetParam(), off_cfg);
+  auto tiered = make_scheme(GetParam(), scheme_config(on_cfg));
+  auto flat = make_scheme(GetParam(), scheme_config(off_cfg));
   ASSERT_NE(tiered, nullptr);
   const std::uint64_t logical = tiered->logical_pages();
   const std::uint64_t hot = std::max<std::uint64_t>(logical / 16, 1);
@@ -220,8 +220,8 @@ TEST_P(MappingSchemeTest, DifferentialMixAcrossSchemes) {
     const Lpn lpn = rng.next_bool(0.5) ? rng.next_below(hot)
                                        : rng.next_below(logical);
     if (dice < 60) {
-      tiered->write_page(lpn, ctx);
-      flat->write_page(lpn, ctx);
+      write_ok(*tiered, lpn, ctx);
+      write_ok(*flat, lpn, ctx);
     } else if (dice < 92) {
       ASSERT_EQ(tiered->read_page(lpn), flat->read_page(lpn))
           << GetParam() << " op " << i;
@@ -239,8 +239,34 @@ TEST_P(MappingSchemeTest, DifferentialMixAcrossSchemes) {
   EXPECT_GT(tiered->stats().trans_writes, 0u) << GetParam();
 }
 
+// Each live translation copy sits in a superblock of the scheme's
+// translation_writeback or translation_gc stream, GC-migrated copies
+// included.
+TEST_P(MappingSchemeTest, TranslationPagesLandInLayoutStreams) {
+  auto ftl = make_scheme(GetParam(), scheme_config(tier_config()));
+  const std::uint64_t logical = ftl->logical_pages();
+  Xoshiro256 rng(13);
+  WriteContext ctx;
+  for (std::uint64_t w = 0; w < logical * 8; ++w)
+    write_ok(*ftl, rng.next_below(logical), ctx);
+  ftl->drain();
+  EXPECT_GT(ftl->stats().trans_gc_writes, 0u) << GetParam();
+
+  const StreamLayout& layout = ftl->layout();
+  std::uint64_t copies = 0;
+  ftl->mapping_tier()->for_each_live_copy([&](std::uint64_t tpn, Ppn ppn) {
+    const std::uint32_t stream =
+        ftl->stream_of(ftl->flash().geometry().superblock_of(ppn));
+    EXPECT_TRUE(stream == layout.translation_writeback ||
+                stream == layout.translation_gc)
+        << GetParam() << ": tpn " << tpn << " in stream " << stream;
+    ++copies;
+  });
+  EXPECT_GT(copies, 0u) << GetParam();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, MappingSchemeTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // --- tentpole: mount-time GTD rebuild + reconciliation ---
 
@@ -251,7 +277,7 @@ TEST(MappingTier, MountRebuildsGtdAndReconcilesDirtyState) {
   // and a partially filled write-back buffer — the state reconciliation
   // exists to repair.
   cfg.cmt_wb_batch = 16;
-  auto ftl = make_ftl("Base", cfg);
+  auto ftl = make_scheme("Base", scheme_config(cfg));
   const std::uint64_t logical = ftl->logical_pages();
   HostOracle oracle(logical);
   Xoshiro256 rng(99);
@@ -289,12 +315,12 @@ TEST(MappingTier, MountRebuildsGtdAndReconcilesDirtyState) {
 // in place, so the mount may still reconcile those — what must hold is
 // that the rebuilt GTD and the demand-paged path agree with the shadow.
 TEST(MappingTier, DrainedRemountServesIdenticalMappings) {
-  auto ftl = make_ftl("Base", tier_config());
+  auto ftl = make_scheme("Base", scheme_config(tier_config()));
   const std::uint64_t logical = ftl->logical_pages();
   Xoshiro256 rng(5);
   WriteContext ctx;
   for (std::uint64_t w = 0; w < logical * 2; ++w)
-    ftl->write_page(rng.next_below(logical), ctx);
+    write_ok(*ftl, rng.next_below(logical), ctx);
   ftl->drain();
   ASSERT_GT(ftl->stats().trans_writes, 0u);
   const RecoveryReport rep = ftl->recover();
@@ -580,8 +606,8 @@ TEST_P(LearnedSchemeTest, MillionOpDifferentialAgainstFlatL2p) {
   FtlConfig off_cfg = on_cfg;
   off_cfg.mapping_tier = false;
   off_cfg.learned_index = false;
-  auto learned = make_ftl(GetParam(), on_cfg);
-  auto flat = make_ftl(GetParam(), off_cfg);
+  auto learned = make_scheme(GetParam(), scheme_config(on_cfg));
+  auto flat = make_scheme(GetParam(), scheme_config(off_cfg));
   ASSERT_NE(learned, nullptr);
   const std::uint64_t logical = learned->logical_pages();
   const std::uint64_t hot = std::max<std::uint64_t>(logical / 16, 1);
@@ -594,8 +620,8 @@ TEST_P(LearnedSchemeTest, MillionOpDifferentialAgainstFlatL2p) {
     const Lpn lpn = rng.next_bool(0.5) ? rng.next_below(hot)
                                        : rng.next_below(logical);
     if (dice < 55) {
-      learned->write_page(lpn, ctx);
-      flat->write_page(lpn, ctx);
+      write_ok(*learned, lpn, ctx);
+      write_ok(*flat, lpn, ctx);
     } else if (dice < 90) {
       ASSERT_EQ(learned->read_page(lpn), flat->read_page(lpn))
           << GetParam() << " op " << i << " lpn " << lpn;
@@ -622,7 +648,7 @@ TEST_P(LearnedSchemeTest, MillionOpDifferentialAgainstFlatL2p) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, LearnedSchemeTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // Regression (satellite): a stale segment must never serve a wrong PPN —
 // the OOB verify probe has to reject it, fall back to the CMT path, and
@@ -630,18 +656,18 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, LearnedSchemeTest,
 // models fresh by construction: MappingTier::update invalidates, write-back
 // retrains — including when data-GC patches owning TPs).
 TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
-  auto ftl = make_ftl("Base", learned_config());
+  auto ftl = make_scheme("Base", scheme_config(learned_config()));
   const std::uint64_t tp = ftl->mapping_tier()->tp_entries();
   WriteContext ctx;
   // A sequential region over translation pages 0..15, flushed and trained.
-  for (Lpn lpn = 0; lpn < tp * 16; ++lpn) ftl->write_page(lpn, ctx);
+  for (Lpn lpn = 0; lpn < tp * 16; ++lpn) write_ok(*ftl, lpn, ctx);
   ftl->drain();
   ASSERT_GT(ftl->learned_segments(), 0u);
 
   // Evict translation page 0 (writes to 25 distinct other TPs churn the
   // 8-entry CMT), then flush so its blob is flash truth again.
   for (std::uint64_t k = 0; k < 25; ++k)
-    ftl->write_page((16 + k) * tp, ctx);
+    write_ok(*ftl, (16 + k) * tp, ctx);
   ftl->drain();
 
   const Lpn victim_lpn = 5;
@@ -662,9 +688,9 @@ TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
 
   // Rewriting the LPN invalidates the corrupt cover; after the next
   // eviction + flush the retrained segment serves verified hits again.
-  ftl->write_page(victim_lpn, ctx);
+  write_ok(*ftl, victim_lpn, ctx);
   for (std::uint64_t k = 0; k < 25; ++k)
-    ftl->write_page((16 + k) * tp, ctx);
+    write_ok(*ftl, (16 + k) * tp, ctx);
   ftl->drain();
   const std::uint64_t hits_before = s.learned_hits;
   EXPECT_EQ(ftl->read_page(victim_lpn), FtlBase::payload_of(victim_lpn));
@@ -677,12 +703,12 @@ TEST(LearnedIndexTest, StaleSegmentNeverServesWrongPpn) {
 // (stale serves would abort on the shadow check, and any consulted-but-
 // stale model would surface as a mispredict).
 TEST(LearnedIndexTest, GcPatchedSegmentsNeverGoStale) {
-  auto ftl = make_ftl("Base", learned_config());
+  auto ftl = make_scheme("Base", scheme_config(learned_config()));
   const std::uint64_t logical = ftl->logical_pages();
   Xoshiro256 rng(0x6C6C);
   WriteContext ctx;
   for (std::uint64_t w = 0; w < logical * 8; ++w) {
-    ftl->write_page(rng.next_below(logical), ctx);
+    write_ok(*ftl, rng.next_below(logical), ctx);
     if (w % 7 == 0) ftl->read_page(rng.next_below(logical));
   }
   ftl->drain();

@@ -6,7 +6,9 @@
 namespace phftl::core {
 namespace {
 
+using test::replay_ok;
 using test::small_config;
+using test::write_ok;
 
 PhftlConfig small_phftl_config() {
   return default_phftl_config(small_config());
@@ -14,14 +16,14 @@ PhftlConfig small_phftl_config() {
 
 TEST(PhftlFtl, StreamLayout) {
   PhftlFtl ftl(small_phftl_config());
-  EXPECT_EQ(ftl.num_streams(), 7u);
+  EXPECT_EQ(ftl.layout().num_streams, 7u);
   EXPECT_EQ(ftl.name(), "PHFTL");
 }
 
 TEST(PhftlFtl, MetaPagesReduceDataCapacityAndAreProgrammed) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 2.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_GT(ftl.stats().meta_writes, 0u);
   // Meta writes come in whole superblock tails.
   EXPECT_EQ(ftl.stats().meta_writes %
@@ -33,11 +35,11 @@ TEST(PhftlFtl, PredictionsBeginAfterFirstDeployment) {
   PhftlFtl ftl(small_phftl_config());
   WriteContext ctx;
   // Before any window completes, no predictions.
-  for (int i = 0; i < 50; ++i) ftl.write_page(i, ctx);
+  for (int i = 0; i < 50; ++i) write_ok(ftl, i, ctx);
   EXPECT_EQ(ftl.predictions_made(), 0u);
 
   const Trace trace = test::small_workload(small_config(), 3.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_GT(ftl.trainer().windows_completed(), 0u);
   EXPECT_GT(ftl.predictions_made(), 0u);
 }
@@ -45,7 +47,7 @@ TEST(PhftlFtl, PredictionsBeginAfterFirstDeployment) {
 TEST(PhftlFtl, ClassifierMetricsPopulatedAndSane) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 5.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   ftl.finalize_evaluation();
   const auto& cm = ftl.classifier_metrics();
   ASSERT_GT(cm.total(), 0u);
@@ -57,7 +59,7 @@ TEST(PhftlFtl, ClassifierMetricsPopulatedAndSane) {
 TEST(PhftlFtl, FinalizeEvaluationResolvesAllPending) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 3.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   ftl.finalize_evaluation();
   const auto t1 = ftl.classifier_metrics().total();
   ftl.finalize_evaluation();  // idempotent
@@ -67,7 +69,7 @@ TEST(PhftlFtl, FinalizeEvaluationResolvesAllPending) {
 TEST(PhftlFtl, MetadataCacheServesRetrievals) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 4.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   const auto& meta = ftl.meta_store();
   EXPECT_GT(meta.cache_hits() + meta.cache_misses() + meta.buffer_hits(), 0u);
   // Meta reads in stats must equal cache misses (each miss = 1 flash read).
@@ -77,7 +79,7 @@ TEST(PhftlFtl, MetadataCacheServesRetrievals) {
 TEST(PhftlFtl, ShortAndLongStreamsBothUsed) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 5.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   ASSERT_GT(ftl.predictions_made(), 0u);
   EXPECT_GT(ftl.short_predictions(), 0u);
   EXPECT_LT(ftl.short_predictions(), ftl.predictions_made());
@@ -86,7 +88,7 @@ TEST(PhftlFtl, ShortAndLongStreamsBothUsed) {
 TEST(PhftlFtl, GcCountStreamsSeparateColdData) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 12.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   // Multi-GC'd pages must exist and carry bounded counts.
   bool saw_gc2plus = false;
   const auto& geom = ftl.config().geom;
@@ -101,7 +103,7 @@ TEST(PhftlFtl, GcCountStreamsSeparateColdData) {
 TEST(PhftlFtl, ThresholdIsLiveDuringRun) {
   PhftlFtl ftl(small_phftl_config());
   const Trace trace = test::small_workload(small_config(), 4.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_GT(ftl.threshold(), 0);
   EXPECT_LT(static_cast<std::uint64_t>(ftl.threshold()),
             ftl.logical_pages() * 4);
@@ -115,7 +117,7 @@ TEST(PhftlFtl, GcPolicyAblationConfigsRun) {
     cfg.gc_policy = policy;
     PhftlFtl ftl(cfg);
     const Trace trace = test::small_workload(small_config(), 2.0);
-    for (const auto& req : trace.ops) ftl.submit(req);
+    replay_ok(ftl, trace);
     EXPECT_GT(ftl.stats().gc_invocations, 0u);
   }
 }
@@ -125,7 +127,7 @@ TEST(PhftlFtl, DisabledTrainerDegradesGracefully) {
   cfg.trainer.enabled = false;
   PhftlFtl ftl(cfg);
   const Trace trace = test::small_workload(small_config(), 3.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   EXPECT_EQ(ftl.predictions_made(), 0u);
   EXPECT_GT(ftl.stats().gc_invocations, 0u);  // GC separation still works
 }
@@ -135,7 +137,7 @@ TEST(PhftlFtl, SequenceAblationConfigRuns) {
   cfg.trainer.history_len = 1;  // §V-C truncation ablation
   PhftlFtl ftl(cfg);
   const Trace trace = test::small_workload(small_config(), 4.0);
-  for (const auto& req : trace.ops) ftl.submit(req);
+  replay_ok(ftl, trace);
   ftl.finalize_evaluation();
   EXPECT_GT(ftl.classifier_metrics().total(), 0u);
 }

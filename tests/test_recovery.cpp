@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "baselines/base_ftl.hpp"
 #include "flash/fault_injector.hpp"
 #include "ftl/host_oracle.hpp"
 #include "helpers.hpp"
@@ -14,9 +15,11 @@
 namespace phftl {
 namespace {
 
-using test::make_ftl;
+using test::replay_ok;
+using test::scheme_config;
 using test::small_config;
 using test::small_workload;
+using test::write_ok;
 
 class RecoveryTest : public ::testing::TestWithParam<std::string> {};
 
@@ -30,21 +33,18 @@ std::unique_ptr<FtlBase> make_crash_ftl(
     GcMode gc_mode = GcMode::kStopTheWorld) {
   cfg.gc_mode = gc_mode;
   cfg.gc_step_pages = 3;  // tiny budget: parks a victim nearly every round
-  if (scheme == "PHFTL") {
-    core::PhftlConfig pc = core::default_phftl_config(cfg, /*seed=*/11);
-    pc.trainer.window_pages = 1024;
-    pc.trainer.max_window_samples = 512;
-    pc.trainer.train_per_class = 32;
-    return std::make_unique<core::PhftlFtl>(pc);
-  }
-  return make_ftl(scheme, cfg);
+  core::PhftlConfig pc = scheme_config(cfg, /*seed=*/11);
+  pc.trainer.window_pages = 1024;
+  pc.trainer.max_window_samples = 512;
+  pc.trainer.train_per_class = 32;
+  return make_scheme(scheme, pc);
 }
 
 TEST_P(RecoveryTest, RebuiltMappingServesIdenticalReads) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = small_workload(cfg, 3.0, 41);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   // Snapshot the pre-crash state.
   std::map<Lpn, Ppn> mapping;
@@ -64,9 +64,9 @@ TEST_P(RecoveryTest, RebuiltMappingServesIdenticalReads) {
 
 TEST_P(RecoveryTest, RebuiltValidityCountsAreConsistent) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = small_workload(cfg, 2.0, 43);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   std::vector<std::uint64_t> counts_before(cfg.geom.num_superblocks());
   for (std::uint64_t sb = 0; sb < cfg.geom.num_superblocks(); ++sb)
@@ -79,9 +79,9 @@ TEST_P(RecoveryTest, RebuiltValidityCountsAreConsistent) {
 
 TEST_P(RecoveryTest, DeviceRemainsUsableAfterRecovery) {
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const Trace trace = small_workload(cfg, 2.0, 47);
-  for (const auto& req : trace.ops) ftl->submit(req);
+  replay_ok(*ftl, trace);
 
   ftl->rebuild_mapping_from_flash();
 
@@ -90,7 +90,7 @@ TEST_P(RecoveryTest, DeviceRemainsUsableAfterRecovery) {
   Xoshiro256 rng(5);
   for (int i = 0; i < 20000; ++i) {
     const Lpn lpn = rng.next_below(ftl->logical_pages());
-    ftl->write_page(lpn, ctx);
+    write_ok(*ftl, lpn, ctx);
     ASSERT_EQ(ftl->read_page(lpn), FtlBase::payload_of(lpn));
   }
 }
@@ -100,9 +100,9 @@ TEST_P(RecoveryTest, TrimmedPagesStayUnmappedAcrossRecovery) {
   // the journal after the OOB rebuild — so a trimmed-and-not-rewritten page
   // must stay unmapped across an unclean shutdown (docs/RECOVERY.md).
   const FtlConfig cfg = small_config();
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   WriteContext ctx;
-  ftl->write_page(7, ctx);
+  write_ok(*ftl, 7, ctx);
   ftl->trim_page(7);
   EXPECT_FALSE(ftl->is_mapped(7));
 
@@ -118,7 +118,7 @@ TEST_P(RecoveryTest, TrimmedPagesStayUnmappedAcrossRecovery) {
   EXPECT_GE(ftl->live_tombstones(), 1u);
 
   // A rewrite after the trim wins over the journal record.
-  ftl->write_page(7, ctx);
+  write_ok(*ftl, 7, ctx);
   ftl->recover();
   EXPECT_TRUE(ftl->is_mapped(7));
   EXPECT_EQ(ftl->read_page(7), FtlBase::payload_of(7));
@@ -200,7 +200,7 @@ TEST_P(RecoveryTest, VirtualClockSurvivesCrossing32Bits) {
   ftl->seed_virtual_clock(seed_clock);
   const std::uint64_t writes = 200;  // clock crosses 2^32 mid-loop
   for (std::uint64_t w = 0; w < writes; ++w)
-    ftl->write_page(rng.next_below(ftl->logical_pages()), ctx);
+    write_ok(*ftl, rng.next_below(ftl->logical_pages()), ctx);
   EXPECT_GT(ftl->virtual_clock(), 1ULL << 32);
 
   const RecoveryReport rep = ftl->recover();
@@ -531,7 +531,7 @@ TEST_P(RecoveryTest, RecoveryAndFaultMetricsAreExported) {
   WriteContext ctx;
   Xoshiro256 rng(80);
   for (std::uint64_t w = 0; w < ftl->logical_pages(); ++w)
-    ftl->write_page(rng.next_below(ftl->logical_pages()), ctx);
+    write_ok(*ftl, rng.next_below(ftl->logical_pages()), ctx);
   const RecoveryReport rep = ftl->recover();
 
   const auto& reg = ftl->observability().metrics();
@@ -610,7 +610,7 @@ TEST_P(RecoveryTest, OracleReportsOperationsBehindItsBack) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, RecoveryTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 // --- fault-driven end of life (docs/RECOVERY.md) ---
 

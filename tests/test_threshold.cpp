@@ -163,7 +163,7 @@ TEST(ThresholdController, FreezeAfterFirstWindowHoldsThreshold) {
 
 TEST(ThresholdController, ReanchorFollowsDistributionJump) {
   // With re-anchoring, a sudden 8x lifetime shift is tracked in one
-  // window instead of crawling at <= max_step percentile points.
+  // window instead of crawling at <= kMaxStep percentile points.
   ThresholdController tc(test_cfg());
   std::vector<std::vector<float>> feats;
   const auto w1 = bimodal(400, 50, 100, 5000, 73);

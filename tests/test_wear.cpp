@@ -13,7 +13,7 @@
 namespace phftl {
 namespace {
 
-using test::make_ftl;
+using test::scheme_config;
 using test::small_config;
 using test::small_workload;
 
@@ -41,8 +41,8 @@ TEST_P(WearTest, WearSpreadBoundedUnderLeveling) {
   FtlConfig off_cfg = small_config();
   FtlConfig on_cfg = small_config();
   on_cfg.wear_level_threshold = kThreshold;
-  auto off = make_ftl(GetParam(), off_cfg);
-  auto on = make_ftl(GetParam(), on_cfg);
+  auto off = make_scheme(GetParam(), scheme_config(off_cfg));
+  auto on = make_scheme(GetParam(), scheme_config(on_cfg));
   // Both drives acknowledge the same requests, so one record serves both.
   HostOracle oracle(off->logical_pages());
   ASSERT_NO_FATAL_FAILURE(run_workload(*off, oracle, 8.0, 211));
@@ -83,8 +83,8 @@ TEST_P(WearTest, LevelingOffIsBitIdentical) {
   FtlConfig disabled_cfg = small_config();  // wear_level_threshold = 0
   FtlConfig dormant_cfg = small_config();
   dormant_cfg.wear_level_threshold = 1ULL << 60;  // armed but never fires
-  auto disabled = make_ftl(GetParam(), disabled_cfg);
-  auto dormant = make_ftl(GetParam(), dormant_cfg);
+  auto disabled = make_scheme(GetParam(), scheme_config(disabled_cfg));
+  auto dormant = make_scheme(GetParam(), scheme_config(dormant_cfg));
   HostOracle oracle(disabled->logical_pages());
   ASSERT_NO_FATAL_FAILURE(run_workload(*disabled, oracle, 5.0, 223));
   ASSERT_NO_FATAL_FAILURE(run_workload(*dormant, oracle, 5.0, 223));
@@ -119,7 +119,7 @@ TEST_P(WearTest, LevelingOffIsBitIdentical) {
 TEST_P(WearTest, BudgetExhaustionRetiresCleanly) {
   FtlConfig cfg = small_config();
   cfg.max_pe_cycles = 8;
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   const std::uint64_t logical = ftl->logical_pages();
   const std::uint64_t fill = logical * 8 / 10;
   HostOracle oracle(logical);
@@ -168,7 +168,7 @@ TEST_P(WearTest, BudgetExhaustionRetiresCleanly) {
 TEST_P(WearTest, RecoveryRederivesEraseCountLowerBounds) {
   FtlConfig cfg = small_config();
   cfg.wear_level_threshold = 4;
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   HostOracle oracle(ftl->logical_pages());
   ASSERT_NO_FATAL_FAILURE(run_workload(*ftl, oracle, 6.0, 233));
 
@@ -208,7 +208,7 @@ TEST_P(WearTest, WearMetricsAndTraceAreExported) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   FtlConfig cfg = small_config();
   cfg.wear_level_threshold = 4;
-  auto ftl = make_ftl(GetParam(), cfg);
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
   ftl->observability().trace().enable(1 << 20);
   HostOracle oracle(ftl->logical_pages());
   ASSERT_NO_FATAL_FAILURE(run_workload(*ftl, oracle, 8.0, 241));
@@ -249,7 +249,7 @@ TEST_P(WearTest, WearMetricsAndTraceAreExported) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, WearTest,
-                         ::testing::Values("Base", "2R", "SepBIT", "PHFTL"));
+                         ::testing::ValuesIn(kSchemeNames));
 
 }  // namespace
 }  // namespace phftl
