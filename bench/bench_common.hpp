@@ -239,8 +239,9 @@ class ExperimentRunner {
 };
 
 /// The one `--jobs` value parser every bench shares: the whole token must
-/// be an integer in [0, 256], where 0 keeps the binary's own default;
-/// anything else exits 2 with one line naming the flag and the value.
+/// be an integer in [0, 256], where 0 means one job per hardware thread
+/// (util::resolve_jobs); anything else exits 2 with one line naming the
+/// flag and the value.
 inline unsigned parse_jobs(const util::FlagParser& flags, const char* text) {
   return static_cast<unsigned>(flags.parse_uint("--jobs", text, 0, 256));
 }

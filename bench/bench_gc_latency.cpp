@@ -3,9 +3,9 @@
 // For every scheme (Base/2R/SepBIT/PHFTL) on the two Fig. 7 traces (#144
 // high-WA, #52 low-WA), replay the trace tail on the device timing model
 // twice — once with GC running whole victims inside the triggering write
-// (GcMode::kStopTheWorld) and once with GC bounded to gc_step_pages
-// relocations per host write (GcMode::kTimeSliced) — and report the host
-// latency distribution plus WA for each. The QoS contract under test:
+// (gc_step_pages 0, stop-the-world) and once with GC bounded to
+// --step-pages relocations per host write (time-sliced) — and report the
+// host latency distribution plus WA for each. The QoS contract under test:
 // time-sliced GC must cut P99/P99.9 (no request waits behind a whole
 // victim) while staying WA-neutral to within 1 % (the cursor-based round
 // relocates the same valid pages, minus any the host invalidates mid-round).
@@ -17,9 +17,11 @@
 //
 // Usage: bench_gc_latency [--jobs N] [--step-pages N] [--out <path>]
 // Writes BENCH_gc_latency.json (schema "phftl-bench-gc-latency/1" — see
-// EXPERIMENTS.md). A numeric flag whose whole token is not an integer in
-// its range (--jobs [0, 256], 0 = 4; --step-pages >= 0, 0 = 8) exits with
-// status 2.
+// EXPERIMENTS.md). The job count is --jobs, else PHFTL_JOBS, else 4; 0 means
+// one per hardware thread. --step-pages 0 keeps the default 8, since a
+// budget of 0 would make both arms stop-the-world. A numeric flag whose
+// whole token is not an integer in its range (--jobs [0, 256];
+// --step-pages >= 0) exits with status 2.
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -62,7 +64,6 @@ std::string json_num(double v) {
 CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
                     double drive_writes, std::uint64_t step_pages) {
   FtlConfig cfg = suite_ftl_config(spec);
-  cfg.gc_step_pages = step_pages;
   const Trace trace = make_suite_trace(spec, drive_writes);
   const auto segment = static_cast<std::uint64_t>(
       static_cast<double>(trace.total_write_pages()) / drive_writes);
@@ -86,13 +87,13 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
   cell.scheme = scheme;
 
   double time_scale = 1.0;  // set by the STW run, reused for time-sliced
-  for (const GcMode mode : {GcMode::kStopTheWorld, GcMode::kTimeSliced}) {
-    cfg.gc_mode = mode;
+  for (const bool sliced : {false, true}) {
+    cfg.gc_step_pages = sliced ? step_pages : 0;
     auto ftl = bench::make_scheme(scheme, cfg);
     TimedReplayer replayer(*ftl, DeviceTimingConfig{});
 
     const Phase1Result aged = replayer.stress_load(head, segment);
-    if (mode == GcMode::kStopTheWorld) {
+    if (!sliced) {
       // Offered load at ~65 % of the aged stop-the-world service rate
       // (bench_fig7's calibration), corrected by the first-to-last
       // drive-write slowdown the head understates.
@@ -108,7 +109,7 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
       if (time_scale < 1e-6) time_scale = 1e-6;
     }
 
-    ModeResult& r = mode == GcMode::kStopTheWorld ? cell.stw : cell.sliced;
+    ModeResult& r = sliced ? cell.sliced : cell.stw;
     r.lat = replayer.timed_replay(tail, time_scale);
     ftl->drain();  // finish a preempted round before reading final stats
     const FtlStats& s = ftl->stats();
@@ -154,7 +155,7 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
 
 int main(int argc, char** argv) {
   const phftl::util::FlagParser flags("bench_gc_latency");
-  unsigned cli_jobs = 4;
+  long cli_jobs = -1;
   std::uint64_t step_pages = 8;
   std::string out_path = "BENCH_gc_latency.json";
   for (int i = 1; i < argc; ++i) {
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
     }
   }
   if (step_pages == 0) step_pages = 8;
-  const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
+  const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
   const double drive_writes = drive_writes_from_env(4.0);
 
   const std::vector<std::string> trace_ids = {"#144", "#52"};

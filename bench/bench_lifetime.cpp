@@ -19,8 +19,9 @@
 // Usage: bench_lifetime [--jobs N] [--budget N] [--smoke] [--out <path>]
 // Writes BENCH_lifetime.json (schema "phftl-bench-lifetime/1" — see
 // EXPERIMENTS.md). --smoke shrinks the budget for a seconds-scale CI run.
-// A numeric flag whose whole token is not an integer in its range
-// (--jobs [0, 256], 0 = 4; --budget [0, 1000000], 0 = 60) exits with
+// The job count is --jobs, else PHFTL_JOBS, else 4; 0 means one per
+// hardware thread. A numeric flag whose whole token is not an integer in
+// its range (--jobs [0, 256]; --budget [0, 1000000], 0 = 60) exits with
 // status 2.
 #include <cstdio>
 #include <cstdlib>
@@ -131,7 +132,7 @@ CellResult run_cell(const std::string& scheme, bool wear_level,
 
 int main(int argc, char** argv) {
   const phftl::util::FlagParser flags("bench_lifetime");
-  unsigned cli_jobs = 4;
+  long cli_jobs = -1;
   std::uint64_t budget = 60;
   bool budget_set = false;
   bool smoke = false;
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
   }
   if (smoke && !budget_set) budget = 12;
   if (budget == 0) budget = 60;
-  const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
+  const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
 
   std::printf("Lifetime to ENOSPC: %zu schemes x {WL off, WL on}, "
               "P/E budget %llu, %u jobs\n\n",

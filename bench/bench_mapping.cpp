@@ -35,8 +35,9 @@
 // Writes BENCH_mapping.json (schema "phftl-bench-mapping/2" — see
 // EXPERIMENTS.md). --smoke shrinks the drive and the default op count
 // (0.5 ops per page instead of 2) for a seconds-scale CI run; an explicit
-// --ops-per-page wins in either order. A numeric flag whose whole token is
-// not a number in its range (--jobs [0, 256], 0 = 4; --ops-per-page
+// --ops-per-page wins in either order. The job count is --jobs, else
+// PHFTL_JOBS, else 4; 0 means one per hardware thread. A numeric flag whose
+// whole token is not a number in its range (--jobs [0, 256]; --ops-per-page
 // [0, 1000]; --warmup [0, 1)) exits with status 2.
 #include <cstdio>
 #include <future>
@@ -258,7 +259,7 @@ void emit_cell_json(std::ostringstream& js, const CellResult& c, bool tb_row,
 
 int main(int argc, char** argv) {
   const phftl::util::FlagParser flags("bench_mapping");
-  std::uint64_t cli_jobs = 4;  // 0: the default, 4
+  long cli_jobs = -1;
   bool smoke = false;
   std::optional<double> ops_flag;
   double warmup_fraction = 0.10;
@@ -288,7 +289,7 @@ int main(int argc, char** argv) {
   }
   // --smoke only changes the default, whatever the flag order.
   const double ops_per_page = ops_flag.value_or(smoke ? 0.5 : 2.0);
-  const unsigned jobs = cli_jobs == 0 ? 4 : static_cast<unsigned>(cli_jobs);
+  const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
   const unsigned hw = std::thread::hardware_concurrency();
 
   const std::vector<std::uint64_t> cmt_sizes = {0, 2, 4, 8, 16};

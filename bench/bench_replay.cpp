@@ -4,9 +4,9 @@
 // replay the PHFTL cells with trace_replay and compare against these rows.
 //
 // Usage: bench_replay [--jobs N] [--out <path>]
-//   --jobs  job count for the grid, an integer in [0, 256] (default and 0:
-//           4; anything else exits 2). The artifact is the same under any
-//           job count.
+//   --jobs  job count for the grid, an integer in [0, 256] (0: one per
+//           hardware thread; anything else exits 2). Without it PHFTL_JOBS
+//           decides, else 4. The artifact is the same under any job count.
 //   --out   artifact path (default ./BENCH_replay.json).
 //
 // Replay wall-clock is perfbench's job (perfbench/README.md).
@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace phftl;
   const util::FlagParser flags("bench_replay");
-  unsigned cli_jobs = 4;
+  long cli_jobs = -1;
   std::string out_path = "BENCH_replay.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const unsigned jobs = cli_jobs == 0 ? 4 : cli_jobs;
+  const unsigned jobs = util::resolve_jobs(cli_jobs, /*fallback=*/4);
   const double drive_writes = drive_writes_from_env(2.0);
   const std::vector<std::string> trace_ids = {"#52", "#144"};
 

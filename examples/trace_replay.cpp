@@ -10,7 +10,7 @@
 //                [--power-cut-at <host write #>] [--recover]
 //                [--program-fail-prob <p>] [--erase-fail-prob <p>]
 //                [--fault-seed <n>] [--trim-fraction <f>]
-//                [--gc-mode stop_the_world|time_sliced] [--gc-step-pages <N>]
+//                [--gc-step-pages <N>]
 //                [--mapping-tier] [--cmt-pages <N>] [--tp-entries <N>]
 //                [--learned-index] [--learned-error <N>]
 //
@@ -31,9 +31,10 @@
 //   trace_replay --trim-fraction 0.1 --power-cut-at 100000 --recover
 //     (override the suite trace's TRIM request fraction; exercises the trim
 //     journal across the cut)
-//   trace_replay --scheme all --gc-mode time_sliced --gc-step-pages 8
-//     (preemptive GC: each host write advances the in-flight victim by at
-//     most N relocations instead of paying for a whole round — docs/QOS.md)
+//   trace_replay --scheme all --gc-step-pages 8
+//     (time-sliced GC: each host write advances the in-flight victim by at
+//     most N relocations instead of paying for a whole round; the default,
+//     0, is stop-the-world — docs/QOS.md)
 //   trace_replay --scheme Base --mapping-tier --cmt-pages 16
 //     (demand-paged flash-resident L2P: translation pages on flash behind a
 //     16-page cached mapping table — docs/MAPPING.md; the report grows a
@@ -87,8 +88,8 @@ void usage() {
                "                    [--program-fail-prob <p>] "
                "[--erase-fail-prob <p>] [--fault-seed <n>]\n"
                "                    [--trim-fraction <f>]\n"
-               "                    [--gc-mode stop_the_world|time_sliced] "
-               "[--gc-step-pages <N>]\n"
+               "                    [--gc-step-pages <N>] "
+               "(0 = stop-the-world)\n"
                "                    [--max-pe-cycles <N>] [--wear-level "
                "<threshold>]\n"
                "                    [--mapping-tier] [--cmt-pages <N>] "
@@ -381,8 +382,7 @@ int main(int argc, char** argv) {
   double drive_writes = 4.0;
   double trim_fraction = -1.0;  // < 0: keep the suite trace's own fraction
   long cli_jobs = -1;
-  GcMode gc_mode = GcMode::kStopTheWorld;
-  std::uint64_t gc_step_pages = 0;  // 0: keep the FtlConfig default
+  std::uint64_t gc_step_pages = 0;  // 0: stop-the-world
   std::uint64_t max_pe_cycles = 0;          // 0: unlimited P/E budget
   std::uint64_t wear_level_threshold = 0;   // 0: wear leveling off
   bool mapping_tier = false;
@@ -426,13 +426,8 @@ int main(int argc, char** argv) {
       opt.fault_cfg.seed = flags.parse_uint(arg, next());
     } else if (arg == "--trim-fraction") {
       trim_fraction = flags.parse_real(arg, next(), 0.0, 1.0);
-    } else if (arg == "--gc-mode") {
-      const std::string mode = next();
-      if (mode == "stop_the_world") gc_mode = GcMode::kStopTheWorld;
-      else if (mode == "time_sliced") gc_mode = GcMode::kTimeSliced;
-      else flags.bad_value(arg, mode, "expected stop_the_world or time_sliced");
     } else if (arg == "--gc-step-pages") {
-      gc_step_pages = flags.parse_uint(arg, next(), 1);
+      gc_step_pages = flags.parse_uint(arg, next());
     } else if (arg == "--max-pe-cycles") {
       max_pe_cycles = flags.parse_uint(arg, next());
     } else if (arg == "--wear-level") {
@@ -506,8 +501,7 @@ int main(int argc, char** argv) {
                         std::to_string(max_cmt_pages) +
                         "] (the drive's translation-page count)");
 
-  cfg.gc_mode = gc_mode;
-  if (gc_step_pages > 0) cfg.gc_step_pages = gc_step_pages;
+  cfg.gc_step_pages = gc_step_pages;
   cfg.max_pe_cycles = max_pe_cycles;
   cfg.wear_level_threshold = wear_level_threshold;
   cfg.mapping_tier = mapping_tier;

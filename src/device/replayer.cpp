@@ -129,9 +129,9 @@ Phase2Result TimedReplayer::timed_replay(const Trace& trace,
   // Each request is charged exactly the flash work the FTL performed while
   // serving it — its own programs/reads plus whatever GC it triggered.
   // Incremental background GC is no longer faked here with a debt pool:
-  // the FTL itself time-slices GC when configured (FtlConfig::gc_mode ==
-  // kTimeSliced), so the latency distribution honestly reflects the GC
-  // scheduling policy under test (docs/QOS.md).
+  // the FTL itself time-slices GC when given a step budget
+  // (FtlConfig::gc_step_pages > 0), so the latency distribution honestly
+  // reflects the GC scheduling policy under test (docs/QOS.md).
   for (const auto& req : trace.ops) {
     const auto arrival = static_cast<SimTime>(
         static_cast<double>(req.timestamp_us) * 1000.0 * time_scale);

@@ -40,14 +40,19 @@ FtlBase::FtlBase(const FtlConfig& cfg, const StreamLayout& layout)
       static_cast<double>(cfg.geom.num_superblocks()) * kGcFreeThreshold +
       0.999);
   gc_trigger_count_ = std::max<std::uint64_t>(ratio_count, 2);
-  // Time-sliced urgent floor: half the trigger, never below the two
-  // superblocks a write + concurrent GC appends can consume before the
-  // next maybe_gc(). Between the floor and the trigger GC yields to the
-  // host after each bounded step; below it, rounds complete synchronously
-  // (docs/QOS.md "Safety argument"). With a 2-superblock trigger the floor
-  // equals the trigger and time-sliced mode degenerates to stop-the-world.
-  gc_urgent_count_ =
-      std::max<std::uint64_t>(gc_trigger_count_ / 2, 2);
+  // Stop-the-world (no step budget) collects whole rounds up to the
+  // trigger. Under a budget the urgent floor is half the trigger, never
+  // below the two superblocks a write + concurrent GC appends can consume
+  // before the next maybe_gc(). Between the floor and the trigger GC yields
+  // to the host after each bounded step; below it, rounds complete
+  // synchronously (docs/QOS.md "Safety argument"). With a 2-superblock
+  // trigger the floor equals the trigger.
+  if (cfg.gc_step_pages == 0) {
+    gc_urgent_count_ = gc_trigger_count_;
+  } else {
+    gc_urgent_count_ = std::max<std::uint64_t>(gc_trigger_count_ / 2, 2);
+    gc_step_budget_ = cfg.gc_step_pages;
+  }
   const auto op_superblocks = static_cast<std::uint64_t>(
       static_cast<double>(cfg.geom.num_superblocks()) * cfg.op_ratio);
   PHFTL_CHECK_MSG(
@@ -83,15 +88,16 @@ void FtlBase::register_ftl_metrics() {
                        " (user + GC migrations + meta and translation "
                        "pages)");
   }
-  gc_rounds_ctr_ = &m.counter("ftl.gc.rounds", "rounds",
-                              "completed GC victim collections");
-  gc_aborted_ctr_ =
-      &m.counter("ftl.gc.aborted_rounds", "rounds",
+  m.counter_view("ftl.gc.rounds", &stats_.gc_rounds, "rounds",
+                 "completed GC victim collections");
+  m.counter_view("ftl.gc.aborted_rounds", &stats_.gc_aborted_rounds,
+                 "rounds",
                  "GC rounds abandoned because the best victim was fully "
                  "valid (back-off)");
-  gc_moved_ctr_ = &m.counter("ftl.gc.moved_valid_pages", "pages",
-                             "valid pages migrated out of GC victims (the "
-                             "numerator of write amplification)");
+  m.counter_view("ftl.gc.moved_valid_pages", &stats_.gc_moved_valid_pages,
+                 "pages",
+                 "valid pages migrated out of GC victims (the numerator of "
+                 "write amplification)");
   m.counter_view("ftl.gc.steps", &stats_.gc_steps, "steps",
                  "bounded GC relocation slices (one per round under "
                  "stop-the-world; many under time-sliced GC)");
@@ -248,6 +254,17 @@ std::uint64_t FtlBase::capacity_watermark_pages() const {
   return (total - reserve) * data_capacity();
 }
 
+std::uint64_t FtlBase::data_room() const {
+  std::uint64_t pages = free_pool_.size() * data_capacity();
+  // The data kind's open slots come first in open_ (open_slot()).
+  for (const std::uint64_t sb : std::span(open_).first(layout_.num_streams)) {
+    if (sb == kNoSb) continue;
+    const std::uint64_t wp = flash_.write_pointer(sb);
+    pages += data_capacity() > wp ? data_capacity() - wp : 0;
+  }
+  return pages;
+}
+
 void FtlBase::seed_virtual_clock(std::uint64_t v) {
   PHFTL_CHECK_MSG(v >= virtual_clock_,
                   "seed_virtual_clock cannot move the clock backwards");
@@ -310,13 +327,8 @@ WriteResult FtlBase::try_write_page(Lpn lpn, const WriteContext& ctx_in) {
   // healthy drive never gets past the empty() test (GC keeps the pool at
   // its floor).
   const bool new_mapping = l2p_[lpn] == kInvalidPpn;
-  const auto has_room = [&](std::uint64_t sb) {
-    return sb != kNoSb && flash_.write_pointer(sb) < data_capacity();
-  };
   if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages() ||
-      (free_pool_.empty() &&
-       std::none_of(open_.begin(), open_.begin() + layout_.num_streams,
-                    has_room))) {
+      (free_pool_.empty() && data_room() == 0)) {
     ++stats_.enospc_rejections;
     obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
                         mapped_count_);
@@ -798,103 +810,38 @@ RecoveryReport FtlBase::recover() {
 
 void FtlBase::maybe_gc() {
   if (in_gc_) return;
-  // Urgent phase (both modes): complete whole rounds — finishing a
-  // preempted one first — until the free pool is back above the floor.
-  // Under kStopTheWorld the floor *is* the trigger, reproducing the classic
-  // collect-until-satisfied loop; under kTimeSliced it is the lower
-  // gc_urgent_count_, guaranteeing progress even when every reclaim stalls
-  // on program failures (and that the empty-pool synchronous reclaim in
-  // program_page still works for translation and journal pages).
-  const std::uint64_t floor = cfg_.gc_mode == GcMode::kStopTheWorld
-                                  ? gc_trigger_count_
-                                  : gc_urgent_count_;
+  // Urgent pass: complete whole rounds — finishing an in-flight one first —
+  // until the free pool is back at the urgent floor. Under stop-the-world
+  // the floor *is* the trigger, the classic collect-until-satisfied loop;
+  // under a step budget it is lower, guaranteeing progress even when every
+  // reclaim stalls on program failures (and that the empty-pool
+  // synchronous reclaim in program_page still works for translation and
+  // journal pages).
   std::uint64_t rounds = 0;
-  while (free_pool_.size() < floor) {
+  while (free_pool_.size() < gc_urgent_count_) {
     PHFTL_CHECK_MSG(rounds++ < geom().num_superblocks() * 8,
                     "GC not converging");
-    if (!gc_once()) break;  // nothing reclaimable right now
-  }
-  if (cfg_.gc_mode == GcMode::kStopTheWorld) {
-    maybe_wear_level();  // space pressure handled; leveling may run
-    return;
+    if (round_.victim == kNoVictim && !gc_begin_round()) break;
+    // An unbounded step either drains the victim or ends the round at
+    // fault-driven end of life; only a drained victim reclaimed space.
+    if (!gc_step(~0ULL)) break;
   }
 
-  // Time-sliced phase: between the floor and the trigger, advance the
-  // in-flight round by one bounded step and hand control back to the host.
-  // The caller's request is charged at most gc_step_pages relocations —
-  // the per-request tail-latency bound (docs/QOS.md).
-  if (free_pool_.size() >= gc_trigger_count_) {
-    maybe_wear_level();  // same per-request step budget applies
-    return;
-  }
-  if (round_.victim == kNoVictim && !gc_begin_round()) return;
-  advance_round(std::max<std::uint64_t>(cfg_.gc_step_pages, 1));
-}
-
-void FtlBase::maybe_wear_level() {
-  if (cfg_.wear_level_threshold == 0) return;  // leveling disabled (default)
-  // Leveling rides the existing round machinery under the same QoS budget:
-  // time-sliced mode advances one bounded step per host request,
-  // stop-the-world completes the round synchronously (docs/ENDURANCE.md).
-  const std::uint64_t budget =
-      cfg_.gc_mode == GcMode::kTimeSliced
-          ? std::max<std::uint64_t>(cfg_.gc_step_pages, 1)
-          : ~0ULL;
+  // Then one step of at most the budget — the per-request tail-latency
+  // bound (docs/QOS.md) — on the in-flight round, else on a new space
+  // round below the trigger, else on a leveling round at or above it
+  // (space reclaim always outranks leveling). A parked space round waits
+  // while the pool is at or above the trigger. Stop-the-world starts no
+  // space round here: its urgent pass already collected all it could.
+  const bool below_trigger = free_pool_.size() < gc_trigger_count_;
   if (round_.victim != kNoVictim) {
-    // A parked round is in flight. Advance it only if it is a leveling
-    // round; a preempted *space* round is the reclaim path's business.
-    if (round_.wear_level) advance_round(budget);
+    if (!round_.wear_level && !below_trigger) return;
+  } else if (below_trigger) {
+    if (gc_step_budget_ == ~0ULL || !gc_begin_round()) return;
+  } else if (!wl_begin_round()) {
     return;
   }
-  // Space reclaim always outranks leveling — never start a leveling round
-  // while the free pool is below the GC trigger.
-  if (free_pool_.size() < gc_trigger_count_) return;
-  if (wear_spread() <= static_cast<double>(cfg_.wear_level_threshold)) return;
-  const std::uint64_t victim = pick_wl_victim();
-  if (victim == kNoVictim) return;  // nothing colder than the mean
-  // No fully-valid back-off here — a fully valid, long-closed block is
-  // precisely the cold data leveling must move — and the victim-quality
-  // histogram is not observed: WL victims are intentionally high-valid and
-  // would skew the separation diagnostic.
-  claim_victim(victim, /*wear_level=*/true);
-  advance_round(budget);
-}
-
-void FtlBase::advance_round(std::uint64_t budget) {
-  if (!gc_step(budget) && round_.victim != kNoVictim) {
-    ++stats_.gc_preemptions;
-    obs_.trace().record(obs::TraceEventType::kGcPreempt, virtual_clock_,
-                        round_.victim, sb_meta_[round_.victim].valid_count);
-  }
-}
-
-std::uint64_t FtlBase::pick_wl_victim() const {
-  // Cold victim: an indexed closed superblock whose wear sits strictly
-  // below the mean, oldest close time first — long-closed, under-erased
-  // blocks hold exactly the cold data that pins wear down. Valid count is
-  // deliberately ignored (a fully valid block is the ideal WL victim).
-  const double mean = wear_.mean(flash_);
-  std::uint64_t best = kNoVictim;
-  std::uint64_t best_close = 0;
-  victim_index_.visit_ascending(
-      [&](std::uint64_t, const std::vector<std::uint64_t>& sbs) {
-        for (const std::uint64_t sb : sbs) {
-          if (static_cast<double>(wear_.count(sb)) >= mean) continue;
-          if (best == kNoVictim || sb_meta_[sb].close_time < best_close) {
-            best = sb;
-            best_close = sb_meta_[sb].close_time;
-          }
-        }
-        return true;  // full walk: coldness decides, not valid count
-      });
-  return best;
-}
-
-bool FtlBase::gc_once() {
-  if (round_.victim == kNoVictim && !gc_begin_round()) return false;
-  // An unbounded step either drains the victim or ends the round at
-  // fault-driven end of life; only a drained victim reclaimed space.
-  return gc_step(~0ULL);
+  gc_step(gc_step_budget_);
 }
 
 void FtlBase::drain() {
@@ -933,26 +880,46 @@ bool FtlBase::gc_begin_round() {
   //     admission path surfaces ENOSPC to the host instead of GC aborting
   //     mid-append). Healthy drives always pass: the pool floor alone
   //     covers a victim.
-  const auto room = [&] {
-    std::uint64_t pages = free_pool_.size() * data_capacity();
-    for (std::uint32_t s = 0; s < layout_.num_streams; ++s) {
-      const std::uint64_t sb = open_slot(SbKind::kData, s);
-      if (sb == kNoSb) continue;
-      const std::uint64_t wp = flash_.write_pointer(sb);
-      pages += data_capacity() > wp ? data_capacity() - wp : 0;
-    }
-    return pages;
-  };
   const std::uint64_t victim = pick_victim();
   if (victim == kNoVictim ||
       sb_meta_[victim].valid_count >= data_capacity() ||
-      room() < sb_meta_[victim].valid_count) {
-    gc_aborted_ctr_->inc();
+      data_room() < sb_meta_[victim].valid_count) {
+    ++stats_.gc_aborted_rounds;
     return false;
   }
   victim_valid_hist_->observe(
       static_cast<double>(sb_meta_[victim].valid_count));
   claim_victim(victim, /*wear_level=*/false);
+  return true;
+}
+
+bool FtlBase::wl_begin_round() {
+  if (cfg_.wear_level_threshold == 0) return false;  // leveling off (default)
+  if (wear_spread() <= static_cast<double>(cfg_.wear_level_threshold))
+    return false;
+  // Cold victim: an indexed closed superblock whose wear sits strictly
+  // below the mean, oldest close time first — long-closed, under-erased
+  // blocks hold exactly the cold data that pins wear down. Valid count is
+  // deliberately ignored: there is no fully-valid back-off, since a fully
+  // valid, long-closed block is precisely the cold data leveling must move.
+  const double mean = wear_.mean(flash_);
+  std::uint64_t victim = kNoVictim;
+  std::uint64_t victim_close = 0;
+  victim_index_.visit_ascending(
+      [&](std::uint64_t, const std::vector<std::uint64_t>& sbs) {
+        for (const std::uint64_t sb : sbs) {
+          if (static_cast<double>(wear_.count(sb)) >= mean) continue;
+          if (victim == kNoVictim || sb_meta_[sb].close_time < victim_close) {
+            victim = sb;
+            victim_close = sb_meta_[sb].close_time;
+          }
+        }
+        return true;  // full walk: coldness decides, not valid count
+      });
+  if (victim == kNoVictim) return false;  // nothing colder than the mean
+  // The victim-quality histogram is not observed: leveling victims are
+  // intentionally high-valid and would skew the separation diagnostic.
+  claim_victim(victim, /*wear_level=*/true);
   return true;
 }
 
@@ -1054,14 +1021,19 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // pages it did move are real migrations (WA charges them).
     in_gc_ = false;
     victim_index_.insert(victim, sb_meta_[victim].valid_count);
-    gc_aborted_ctr_->inc();
-    gc_moved_ctr_->add(round_.moved);
+    ++stats_.gc_aborted_rounds;
+    stats_.gc_moved_valid_pages += round_.moved;
     round_ = GcRound{};
     return false;
   }
   if (off < pages) {
+    // Preempted: the budget ran out with valid pages beyond the cursor, and
+    // the round stays parked until the next step.
     in_gc_ = false;
-    return false;  // preempted: valid pages remain beyond the cursor
+    ++stats_.gc_preemptions;
+    obs_.trace().record(obs::TraceEventType::kGcPreempt, virtual_clock_,
+                        victim, sb_meta_[victim].valid_count);
+    return false;
   }
 
   PHFTL_CHECK(sb_meta_[victim].valid_count == 0);
@@ -1069,9 +1041,9 @@ bool FtlBase::gc_step(std::uint64_t budget) {
   dispose_drained_superblock(victim);
   in_gc_ = false;
   // gc_rounds includes wear-leveling rounds (they are real collections);
-  // ftl.wl.rounds counts the leveling subset separately.
-  gc_rounds_ctr_->inc();
-  gc_moved_ctr_->add(round_.moved);
+  // wl_rounds counts the leveling subset separately.
+  ++stats_.gc_rounds;
+  stats_.gc_moved_valid_pages += round_.moved;
   obs_.trace().record(obs::TraceEventType::kGcRoundEnd, virtual_clock_,
                       victim, round_.moved);
   if (round_.wear_level) {

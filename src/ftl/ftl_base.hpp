@@ -51,26 +51,17 @@ namespace phftl {
 
 class FaultInjector;
 
-/// How the GC engine schedules a victim's relocation (docs/QOS.md).
-enum class GcMode : std::uint8_t {
-  /// Classic semantics: once triggered, GC relocates whole victims until
-  /// the free pool is back above the trigger. The host write that tripped
-  /// the trigger pays for every moved page.
-  kStopTheWorld,
-  /// Preemptive, time-sliced GC (Nagel et al.'s partial GC): each host
-  /// write between the urgent floor and the trigger advances the in-flight
-  /// round by at most `gc_step_pages` relocations, then yields back to the
-  /// host. The victim survives as first-class FTL state between steps.
-  kTimeSliced,
-};
-
 struct FtlConfig {
   Geometry geom;
   double op_ratio = 0.07;               ///< over-provisioning (paper: 7 %)
-  GcMode gc_mode = GcMode::kStopTheWorld;
-  /// Valid-page relocation budget of one time-sliced GC step (the per-write
-  /// tail-latency bound; ignored under kStopTheWorld). docs/QOS.md.
-  std::uint64_t gc_step_pages = 8;
+  /// Valid-page relocation budget of one GC step (docs/QOS.md). 0 (default)
+  /// is unbounded, stop-the-world: once triggered, GC relocates whole
+  /// victims until the free pool is back at the trigger, and the host write
+  /// that tripped it pays for every moved page. N > 0 is time-sliced GC
+  /// (Nagel et al.'s partial GC): each host write above the urgent floor
+  /// advances the in-flight round by at most N relocations, the per-write
+  /// tail-latency bound, and the victim stays parked between steps.
+  std::uint64_t gc_step_pages = 0;
   /// Optional NAND fault injector (not owned; must outlive the FTL). When
   /// set, programs/erases may fail and the FTL exercises its degradation
   /// paths — see docs/RECOVERY.md §"Fault model".
@@ -84,8 +75,8 @@ struct FtlConfig {
   /// Static wear-leveling trigger (docs/ENDURANCE.md): start a leveling
   /// round — cold-data migration into the most-worn free superblock — when
   /// max(erase count) - mean(erase count) over in-service superblocks
-  /// exceeds this. Rounds ride the GC machinery, so under kTimeSliced they
-  /// respect the per-write gc_step_pages bound (docs/QOS.md). 0 disables
+  /// exceeds this. Rounds ride the GC machinery, so they respect the
+  /// per-write gc_step_pages bound (docs/QOS.md). 0 disables
   /// (default; bit-identical to pre-endurance behavior).
   std::uint64_t wear_level_threshold = 0;
   /// Demand-paged flash-resident mapping tier (docs/MAPPING.md):
@@ -199,7 +190,7 @@ class FtlBase {
   /// (an effective trim, journaled for crash durability).
   bool trim_page(Lpn lpn);
 
-  /// Complete an in-flight time-sliced GC round and flush the mapping
+  /// Complete a GC round parked by the step budget and flush the mapping
   /// tier's translation write-back buffer, leaving the drive quiescent.
   /// Harnesses call this after the last request and before reading final
   /// statistics.
@@ -217,7 +208,7 @@ class FtlBase {
 
   /// Logical pages currently mapped (tracked incrementally).
   std::uint64_t mapped_page_count() const { return mapped_count_; }
-  /// Superblock a preempted time-sliced GC round is mid-way through
+  /// Superblock a GC round preempted by the step budget is mid-way through
   /// relocating, or kNoVictim when no round is in flight. The in-flight
   /// victim is closed but deliberately absent from the victim index; it
   /// re-enters either when the round finishes (erase) or at mount-time
@@ -448,6 +439,9 @@ class FtlBase {
   std::uint64_t data_capacity() const {
     return geom().pages_per_superblock() - layout_.meta_pages;
   }
+  /// Data pages the drive can still program: the free pool's superblocks
+  /// plus what the open data superblocks have left.
+  std::uint64_t data_room() const;
   /// Program one meta page into data superblock `sb`'s tail (counts as a
   /// meta write).
   void program_meta_page(std::uint64_t sb, std::uint64_t payload);
@@ -475,14 +469,21 @@ class FtlBase {
   /// Count and record a program failure in `sb` and mark the block for
   /// retirement. The caller decides whether the block closes.
   void note_program_failure(std::uint64_t sb);
+  /// The one GC scheduler, for space reclaim and wear leveling alike
+  /// (docs/QOS.md): whole rounds below the urgent floor, then one step of
+  /// at most the step budget.
   void maybe_gc();
-  /// One full GC round (finishing a preempted one first); returns false
-  /// when no victim can reclaim anything right now.
-  bool gc_once();
   /// Pick a GC victim and claim it. Returns false — with nothing claimed —
   /// when pick_victim backs off, the best victim is fully valid, or its
   /// live pages have nowhere to go.
   bool gc_begin_round();
+  /// Start a static wear-leveling round (docs/ENDURANCE.md) when the wear
+  /// spread exceeds wear_level_threshold: claim the coldest victim, an
+  /// indexed closed superblock with wear strictly below the mean, oldest
+  /// close time first. Returns false — with nothing claimed — when
+  /// leveling is off, the spread is within the threshold, or no block is
+  /// colder than the mean.
+  bool wl_begin_round();
   /// Start the in-flight round on `victim` (cursor at offset 0, nothing
   /// moved): take it out of the victim index and record the round begin.
   /// Shared by GC and wear-leveling rounds.
@@ -492,25 +493,13 @@ class FtlBase {
   /// invalidated since the last step are skipped for free. Returns true
   /// when the victim is fully drained — then also retires/erases it and
   /// clears the in-flight state. Returns false with the round still in
-  /// flight on preemption (budget hit with valid pages left), or with the
-  /// round ended when a migration found no destination at fault-driven end
-  /// of life (the victim goes back into the victim index, its remaining
-  /// pages valid in place; counted in ftl.gc.aborted_rounds).
+  /// flight on preemption (budget hit with valid pages left; counted in
+  /// gc_preemptions), or with the round ended when a migration found no
+  /// destination at fault-driven end of life (the victim goes back into the
+  /// victim index, its remaining pages valid in place; counted in
+  /// gc_aborted_rounds).
   bool gc_step(std::uint64_t budget);
 
-  // --- static wear leveling (docs/ENDURANCE.md) ---
-  /// Start or advance a wear-leveling round when the spread trigger fires
-  /// and no GC pressure claims the slice. Under kTimeSliced this advances
-  /// by one bounded gc_step (the QoS per-write bound covers WL work too);
-  /// under kStopTheWorld the round completes synchronously. No-op when
-  /// wear_level_threshold == 0.
-  void maybe_wear_level();
-  /// Cold WL victim: an indexed closed superblock with wear strictly below
-  /// the mean, oldest close_time first. kNoVictim when none qualifies.
-  std::uint64_t pick_wl_victim() const;
-  /// Advance the in-flight round by one bounded slice, counting a
-  /// preemption when the round stays in flight.
-  void advance_round(std::uint64_t budget);
   /// Shared end-of-round disposal of a drained victim: retire it if it is
   /// pending-retire, otherwise erase it — handling erase failures and
   /// P/E-budget exhaustion.
@@ -555,8 +544,9 @@ class FtlBase {
   /// the closed set until they fail again (docs/RECOVERY.md).
   std::vector<std::uint8_t> pending_retire_;
   std::deque<std::uint64_t> free_pool_;
-  /// Closed superblocks bucketed by valid count. Invariant outside gc_once:
-  /// indexed(sb) ⇔ flash state(sb) == kClosed, at sb's current valid count.
+  /// Closed superblocks bucketed by valid count. Invariant apart from the
+  /// in-flight victim: indexed(sb) ⇔ flash state(sb) == kClosed, at sb's
+  /// current valid count.
   VictimIndex victim_index_;
 
   FtlStats stats_;
@@ -564,7 +554,7 @@ class FtlBase {
   std::uint64_t prev_req_end_ = kInvalidLpn;
   bool in_gc_ = false;
 
-  /// In-flight GC round (first-class state under kTimeSliced).
+  /// In-flight GC round (first-class state under a step budget).
   struct GcRound {
     /// Victim the round is relocating; kNoVictim when idle. Closed, and
     /// out of the victim index for the round's whole lifetime.
@@ -578,10 +568,14 @@ class FtlBase {
     bool wear_level = false;
   };
   GcRound round_;
-  /// Time-sliced urgent floor: below this many free superblocks, maybe_gc
-  /// completes whole rounds synchronously instead of yielding, so the free
-  /// pool can never run dry between steps (always <= gc_trigger_count_).
+  /// Urgent floor: below this many free superblocks, maybe_gc completes
+  /// whole rounds synchronously instead of yielding, so the free pool can
+  /// never run dry between steps. The GC trigger under stop-the-world;
+  /// lower under a step budget.
   std::uint64_t gc_urgent_count_ = 2;
+  /// Relocations one maybe_gc step may make: FtlConfig::gc_step_pages, or
+  /// unbounded (~0) under stop-the-world.
+  std::uint64_t gc_step_budget_ = ~0ULL;
 
   /// Erase count per superblock (docs/ENDURANCE.md).
   WearTable wear_;
@@ -595,9 +589,6 @@ class FtlBase {
 
   // --- observability (handles are stable; no allocation after setup) ---
   obs::Observability obs_;
-  obs::Counter* gc_rounds_ctr_ = nullptr;
-  obs::Counter* gc_aborted_ctr_ = nullptr;
-  obs::Counter* gc_moved_ctr_ = nullptr;
   obs::Counter* recovery_mounts_ctr_ = nullptr;
   obs::Counter* recovery_oob_scans_ctr_ = nullptr;
   obs::Counter* recovery_rebuild_ns_ctr_ = nullptr;

@@ -18,11 +18,19 @@ struct FtlStats {
   std::uint64_t meta_reads = 0;   ///< meta-page reads (metadata cache misses)
   std::uint64_t erases = 0;       ///< superblock erases
   std::uint64_t gc_invocations = 0;
-  /// Bounded GC relocation slices (== gc_invocations under stop-the-world;
-  /// larger under time-sliced GC, where a round spans many steps).
+  /// Completed GC rounds, leveling rounds included.
+  std::uint64_t gc_rounds = 0;
+  /// GC rounds not started (pick_victim backed off, the best victim was
+  /// fully valid, or its pages had nowhere to go) or ended early at
+  /// fault-driven end of life.
+  std::uint64_t gc_aborted_rounds = 0;
+  /// Valid pages moved by ended rounds, counted when the round ends.
+  std::uint64_t gc_moved_valid_pages = 0;
+  /// GC relocation steps (== gc_invocations under stop-the-world; larger
+  /// under a gc_step_pages budget, where a round spans many steps).
   std::uint64_t gc_steps = 0;
-  /// Time-sliced steps that hit their gc_step_pages budget and yielded
-  /// back to the host mid-round (always 0 under stop-the-world).
+  /// Steps that hit their gc_step_pages budget and yielded back to the
+  /// host mid-round (always 0 under stop-the-world).
   std::uint64_t gc_preemptions = 0;
   /// GC appends redirected to another stream under free-pool pressure.
   std::uint64_t stream_borrows = 0;

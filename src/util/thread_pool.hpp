@@ -94,18 +94,19 @@ class ThreadPool {
 };
 
 /// Job-count resolution shared by every harness that takes `--jobs N`:
-/// explicit CLI value > PHFTL_JOBS environment variable > 1 (serial).
-/// 0 from either source means "one per hardware thread". PHFTL_JOBS is
-/// held to the --jobs contract: anything but an integer in [0, 256] exits 2
-/// with one stderr line naming the variable and the value.
-inline unsigned resolve_jobs(long cli_jobs = -1) {
+/// explicit CLI value > PHFTL_JOBS environment variable > `fallback` (1,
+/// serial, unless the harness keeps its own default). 0 from either source
+/// means "one per hardware thread". PHFTL_JOBS is held to the --jobs
+/// contract: anything but an integer in [0, 256] exits 2 with one stderr
+/// line naming the variable and the value.
+inline unsigned resolve_jobs(long cli_jobs = -1, unsigned fallback = 1) {
   long jobs = cli_jobs;
   if (jobs < 0) {
     if (const char* env = std::getenv("PHFTL_JOBS"); env && *env)
       jobs = static_cast<long>(
           FlagParser("environment").parse_uint("PHFTL_JOBS", env, 0, 256));
     else
-      jobs = 1;
+      jobs = fallback;
   }
   if (jobs == 0) {
     const unsigned hw = std::thread::hardware_concurrency();

@@ -22,7 +22,6 @@ class GcPreemptTest : public ::testing::TestWithParam<std::string> {};
 
 FtlConfig sliced_config(std::uint64_t step_pages = 4) {
   FtlConfig cfg = small_config();
-  cfg.gc_mode = GcMode::kTimeSliced;
   cfg.gc_step_pages = step_pages;
   return cfg;
 }
@@ -93,6 +92,50 @@ TEST_P(GcPreemptTest, StepBudgetBoundsPerWriteGcWork) {
   // The bound must actually have been exercised under GC pressure.
   EXPECT_GT(bounded_writes, 0u);
   EXPECT_GT(ftl->stats().gc_preemptions, 0u) << GetParam();
+}
+
+// Wear leveling rides the same budget (docs/ENDURANCE.md): above the urgent
+// floor no write pays for more than gc_step_pages relocations, leveling
+// migrations included, and a leveling round parks between steps like a
+// space round.
+TEST_P(GcPreemptTest, StepBudgetBoundsWearLevelingWork) {
+  const std::uint64_t kBudget = 4;
+  const std::uint64_t kThreshold = 2;
+  const FtlConfig unleveled_cfg = sliced_config(kBudget);
+  FtlConfig cfg = unleveled_cfg;
+  cfg.wear_level_threshold = kThreshold;
+  auto ftl = make_scheme(GetParam(), scheme_config(cfg));
+  auto unleveled = make_scheme(GetParam(), scheme_config(unleveled_cfg));
+  WriteContext ctx;
+  Xoshiro256 rng(41);
+  const std::uint64_t logical = ftl->logical_pages();
+  const std::uint64_t hot = std::max<std::uint64_t>(logical / 20, 1);
+  std::uint64_t bounded_writes = 0;
+  std::uint64_t leveling_steps = 0;  // writes that moved leveling pages
+  for (std::uint64_t w = 0; w < logical * 8; ++w) {
+    const Lpn lpn =
+        rng.next_bool(0.9) ? rng.next_below(hot) : rng.next_below(logical);
+    write_ok(*unleveled, lpn, ctx);
+    const std::uint64_t free_before = ftl->free_superblock_count();
+    const FtlStats before = ftl->stats();
+    write_ok(*ftl, lpn, ctx);
+    if (free_before >= 3) {
+      ASSERT_LE(ftl->stats().gc_writes - before.gc_writes, kBudget)
+          << GetParam() << " write " << w << " free " << free_before;
+      ++bounded_writes;
+    }
+    leveling_steps += ftl->stats().wl_migrations > before.wl_migrations;
+  }
+  ftl->drain();
+  EXPECT_GT(bounded_writes, 0u);
+  // As in WearTest.WearSpreadBoundedUnderLeveling: Base mixes lifetimes and
+  // largely self-levels, so leveling must fire only where the unleveled
+  // twin's spread says it must.
+  if (unleveled->wear_spread() > static_cast<double>(kThreshold)) {
+    EXPECT_GT(ftl->stats().wl_rounds, 0u) << GetParam();
+    EXPECT_GT(leveling_steps, ftl->stats().wl_rounds)
+        << GetParam() << ": no leveling round parked and resumed";
+  }
 }
 
 // drain() completes a parked round so shutdown never leaves a dangling

@@ -272,7 +272,7 @@ TEST(LifetimeConsistency, AnnotatorMatchesOnlineObservation) {
 /// per-stream arrays have their own test (PerStreamLedger below).
 std::vector<std::pair<const char*, std::uint64_t>> stats_fields(
     const FtlStats& s) {
-  static_assert(sizeof(FtlStats) == 32 * sizeof(std::uint64_t) +
+  static_assert(sizeof(FtlStats) == 35 * sizeof(std::uint64_t) +
                                         sizeof(s.stream_host_writes) +
                                         sizeof(s.stream_flash_writes),
                 "a new FtlStats field needs a place in stats_fields()");
@@ -284,6 +284,9 @@ std::vector<std::pair<const char*, std::uint64_t>> stats_fields(
           {"meta_reads", s.meta_reads},
           {"erases", s.erases},
           {"gc_invocations", s.gc_invocations},
+          {"gc_rounds", s.gc_rounds},
+          {"gc_aborted_rounds", s.gc_aborted_rounds},
+          {"gc_moved_valid_pages", s.gc_moved_valid_pages},
           {"gc_steps", s.gc_steps},
           {"gc_preemptions", s.gc_preemptions},
           {"stream_borrows", s.stream_borrows},
@@ -319,7 +322,6 @@ std::unique_ptr<FtlBase> run_knob_matrix(const std::string& scheme,
   cfg.cmt_pages = 4;
   cfg.tp_entries = 32;
   cfg.learned_index = true;
-  cfg.gc_mode = GcMode::kTimeSliced;
   cfg.gc_step_pages = 3;
   cfg.max_pe_cycles = 40;
   cfg.wear_level_threshold = 2;
@@ -377,25 +379,29 @@ TEST_P(KnobMatrixPin, StatsAndViewsMatchRecordedValues) {
   // array's program, read and erase totals.
   const std::map<std::string, std::vector<std::uint64_t>> recorded = {
       {"Base",
-       {10553, 3707, 0,    875,  3707, 0,     353,   343,   1510,
-        1167,  0,    3,    2,    2,    1514,  447,   14,    0,
-        115,   2835, 0,    354,  10986, 329,  11113, 248,   3524,
-        12912, 546,  0,    457,  457,  25693, 4582, 353}},
+       {10553, 3707, 0,    875,   3707, 0,    353, 343,   343,
+        0,     4036, 1510, 1167,  0,    3,    2,   2,     1514,
+        447,   14,   0,    115,   2835, 0,    354, 10986, 329,
+        11113, 248,  3524, 12912, 546,  0,    457, 457,   25693,
+        4582,  353}},
       {"2R",
-       {10553, 3429, 0,    875,  3429, 0,     343,   334,   1384,
-        1050,  0,    3,    2,    3,    1514,  447,   14,    0,
-        101,   2604, 0,    354,  10665, 299,  10793, 249,   3518,
-        12646, 540,  0,    454,  454,  25094, 4304, 343}},
+       {10553, 3429, 0,    875,   3429, 0,    343, 334,   334,
+        0,     3728, 1384, 1050,  0,    3,    2,   3,     1514,
+        447,   14,   0,    101,   2604, 0,    354, 10665, 299,
+        10793, 249,  3518, 12646, 540,  0,    454, 454,   25094,
+        4304,  343}},
       {"SepBIT",
-       {10553, 4113, 0,    875,  4113, 0,     372,   363,   1729,
-        1366,  0,    3,    2,    3,    1514,  447,   14,    0,
-        157,   3702, 0,    354,  11455, 644,  11584, 249,   3687,
-        13167, 534,  0,    438,  438,  26568, 4988, 372}},
+       {10553, 4113, 0,    875,   4113, 0,    372, 363,   363,
+        0,     4757, 1729, 1366,  0,    3,    2,   3,     1514,
+        447,   14,   0,    157,   3702, 0,    354, 11455, 644,
+        11584, 249,  3687, 13167, 534,  0,    438, 438,   26568,
+        4988,  372}},
       {"PHFTL",
-       {10553, 4231, 230,  875,  4231, 1497,  373,   363,   1618,
-        1255,  0,    3,    2,    2,    1514,  447,   14,    0,
-        78,    2577, 0,    354,  11227, 18,   11357, 251,   3505,
-        13453, 548,  0,    465,  465,  26688, 5106, 373}},
+       {10553, 4231, 230,  875,   4231, 1497, 373, 363,   363,
+        0,     4249, 1618, 1255,  0,    3,    2,   2,     1514,
+        447,   14,   0,    78,    2577, 0,    354, 11227, 18,
+        11357, 251,  3505, 13453, 548,  0,    465, 465,   26688,
+        5106,  373}},
   };
   std::vector<std::uint64_t> actual;
   std::string row;
@@ -424,6 +430,9 @@ TEST_P(KnobMatrixPin, StatsAndViewsMatchRecordedValues) {
   // Exported name -> the field it must read. A swapped binding shows up
   // as a mismatch here even where the two fields happen to move together.
   std::vector<std::pair<const char*, std::uint64_t>> views = {
+      {"ftl.gc.rounds", s.gc_rounds},
+      {"ftl.gc.aborted_rounds", s.gc_aborted_rounds},
+      {"ftl.gc.moved_valid_pages", s.gc_moved_valid_pages},
       {"ftl.gc.steps", s.gc_steps},
       {"ftl.gc.preemptions", s.gc_preemptions},
       {"ftl.erases", s.erases},

@@ -25,14 +25,13 @@ class RecoveryTest : public ::testing::TestWithParam<std::string> {};
 
 /// Scheme factory with a lightened PHFTL trainer: the crash-property suite
 /// replays hundreds of workloads, and classifier quality is not under test.
-/// `gc_mode` lets the power-cut property alternate between stop-the-world
-/// and time-sliced GC so cuts land mid-round with a half-relocated victim
-/// (docs/QOS.md "Crash consistency").
-std::unique_ptr<FtlBase> make_crash_ftl(
-    const std::string& scheme, FtlConfig cfg,
-    GcMode gc_mode = GcMode::kStopTheWorld) {
-  cfg.gc_mode = gc_mode;
-  cfg.gc_step_pages = 3;  // tiny budget: parks a victim nearly every round
+/// `gc_step_pages` lets the power-cut property alternate between
+/// stop-the-world (0) and time-sliced GC so cuts land mid-round with a
+/// half-relocated victim (docs/QOS.md "Crash consistency").
+std::unique_ptr<FtlBase> make_crash_ftl(const std::string& scheme,
+                                        FtlConfig cfg,
+                                        std::uint64_t gc_step_pages = 0) {
+  cfg.gc_step_pages = gc_step_pages;
   core::PhftlConfig pc = scheme_config(cfg, /*seed=*/11);
   pc.trainer.window_pages = 1024;
   pc.trainer.max_window_samples = 512;
@@ -224,9 +223,8 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveAcknowledgedData) {
   constexpr std::uint64_t kCuts = 50;
   Xoshiro256 cut_rng(0xC0FFEE);
   for (std::uint64_t c = 0; c < kCuts; ++c) {
-    const GcMode mode =
-        c % 2 == 1 ? GcMode::kTimeSliced : GcMode::kStopTheWorld;
-    auto ftl = make_crash_ftl(GetParam(), cfg, mode);
+    const std::uint64_t step_pages = c % 2 == 1 ? 3 : 0;
+    auto ftl = make_crash_ftl(GetParam(), cfg, step_pages);
     const std::uint64_t logical = ftl->logical_pages();
     const std::uint64_t hot = std::max<std::uint64_t>(logical / 10, 1);
     // Cuts span cold start through steady-state GC (up to 2 full drives).
@@ -305,14 +303,13 @@ TEST_P(RecoveryTest, RandomizedPowerCutsPreserveDataWithMappingTier) {
   constexpr std::uint64_t kCuts = 50;
   Xoshiro256 cut_rng(0x7EA0C0DE);
   for (std::uint64_t c = 0; c < kCuts; ++c) {
-    const GcMode mode =
-        c % 2 == 1 ? GcMode::kTimeSliced : GcMode::kStopTheWorld;
-    // Alternate the learned index on/off across cuts (period 2 vs the GC
-    // mode's period so both pair with both): on, the model dies with RAM
+    const std::uint64_t step_pages = c % 2 == 1 ? 3 : 0;
+    // Alternate the learned index on/off across cuts (period 2 vs the step
+    // budget's period so both pair with both): on, the model dies with RAM
     // at the cut and mount-time reconciliation must retrain its segments
     // from the rebuilt truth (docs/MAPPING.md "Learned index").
     cfg.learned_index = (c / 2) % 2 == 0;
-    auto ftl = make_crash_ftl(GetParam(), cfg, mode);
+    auto ftl = make_crash_ftl(GetParam(), cfg, step_pages);
     const std::uint64_t logical = ftl->logical_pages();
     const std::uint64_t hot = std::max<std::uint64_t>(logical / 10, 1);
     const std::uint64_t cut = 1 + cut_rng.next_below(logical * 2);
