@@ -593,6 +593,115 @@ TEST(LearnedIndexUnit, ScriptedSequenceKeepsRecordedCountsAndRam) {
   EXPECT_EQ(got, recorded);
 }
 
+// Pins the model's exact output, where the reference test above only
+// checks the bound: after every train, invalidate and clear(), each LPN's
+// (covered, pred, radius), segment_count() and ram_bytes() fold into an
+// FNV-1a hash, recorded per shape from the ordered-map container. Beside
+// random pages the ops sweep 8 to 12 consecutive translation pages with
+// one slope-1 or slope-2 line. An in-order sweep merges leftwards into one
+// long segment; a reverse sweep merges rightwards, moving the segment's
+// start left of its anchor x0 so later predictions take dx < 0. Interior
+// holes near each end of the swept run then split it with the left half
+// shorter, then the right. Scrambled pages hit kMaxSegmentsPerTrain.
+TEST(LearnedIndexUnit, RandomOpsMatchRecordedPredictions) {
+  struct Shape {
+    std::uint64_t logical, tp_entries;
+    std::uint32_t bound;
+    std::uint64_t recorded;
+  };
+  for (const Shape sh : {Shape{1500, 128, 0, 11290168832101359678ull},
+                         Shape{1030, 100, 3, 10313207471225887527ull},
+                         Shape{778, 7, 1, 14930803141910847285ull}}) {
+    SCOPED_TRACE("tp_entries " + std::to_string(sh.tp_entries));
+    LearnedIndex li;
+    li.reset(sh.logical, sh.tp_entries, sh.bound);
+    std::vector<std::uint64_t> blob(sh.tp_entries);
+    const std::uint64_t num_tps =
+        (sh.logical + sh.tp_entries - 1) / sh.tp_entries;
+    Xoshiro256 rng(0xF1A7 + sh.tp_entries);
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](std::uint64_t v) {
+      for (int k = 0; k < 8; ++k) {
+        h ^= (v >> (8 * k)) & 0xFFu;
+        h *= 1099511628211ull;
+      }
+    };
+    auto fold = [&] {
+      for (Lpn lpn = 0; lpn < sh.logical; ++lpn) {
+        std::int64_t pred = 0;
+        std::uint32_t radius = 0;
+        const bool covered = li.predict(lpn, &pred, &radius);
+        mix(covered);
+        if (covered) {
+          mix(static_cast<std::uint64_t>(pred));
+          mix(radius);
+        }
+      }
+      mix(li.segment_count());
+      mix(li.ram_bytes());
+    };
+    for (int op = 0; op < 600; ++op) {
+      const std::uint64_t dice = rng.next_below(1000);
+      if (dice < 4) {
+        li.clear();
+        fold();
+      } else if (dice < 60) {
+        const std::uint64_t span =
+            std::min<std::uint64_t>(8 + rng.next_below(5), num_tps);
+        const std::uint64_t first_tp = rng.next_below(num_tps - span + 1);
+        const Lpn lo = first_tp * sh.tp_entries;
+        const Lpn hi =
+            std::min((first_tp + span) * sh.tp_entries, sh.logical);
+        const std::uint64_t slope = 1 + rng.next_below(2);
+        const std::uint64_t base = rng.next_below(1 << 20);
+        const bool jitter = rng.next_bool(0.5);
+        const bool holes = rng.next_bool(0.3);
+        const bool reverse = rng.next_bool(0.5);
+        for (std::uint64_t k = 0; k < span; ++k) {
+          const std::uint64_t tpn = first_tp + (reverse ? span - 1 - k : k);
+          for (std::uint64_t i = 0; i < sh.tp_entries; ++i) {
+            const Lpn lpn = tpn * sh.tp_entries + i;
+            blob[i] = base + slope * (lpn - lo) +
+                      (jitter ? rng.next_below(sh.bound + 1) : 0);
+            if (holes && rng.next_bool(0.05)) blob[i] = kInvalidPpn;
+          }
+          li.train(tpn, blob);
+          fold();
+        }
+        li.invalidate(lo + 1 + rng.next_below(3));
+        fold();
+        li.invalidate(hi - 2 - rng.next_below(3));
+        fold();
+      } else if (dice < 400) {
+        const std::uint64_t tpn = rng.next_below(num_tps);
+        const bool scrambled = rng.next_bool(0.2);
+        for (std::uint64_t i = 0; i < sh.tp_entries;) {
+          const std::uint64_t len =
+              scrambled ? sh.tp_entries : 1 + rng.next_below(sh.tp_entries);
+          const std::uint64_t kind = scrambled ? 2 : rng.next_below(4);
+          const std::uint64_t base = rng.next_below(1 << 20);
+          for (std::uint64_t k = 0; k < len && i < sh.tp_entries; ++k, ++i) {
+            switch (kind) {
+              case 0: blob[i] = base + k; break;
+              case 1: blob[i] = base + 2 * k + rng.next_below(sh.bound + 1);
+                      break;
+              case 2: blob[i] = rng.next_below(1 << 20); break;
+              default: blob[i] = kInvalidPpn;
+            }
+            if (rng.next_bool(0.03)) blob[i] = kInvalidPpn;
+          }
+        }
+        li.train(tpn, blob);
+        fold();
+      } else {
+        li.invalidate(rng.next_below(sh.logical));
+        fold();
+      }
+    }
+    EXPECT_EQ(h, sh.recorded);
+  }
+}
+
 // Learned-on 1M-op differential vs the flat oracle across all four
 // schemes: byte-identical reads, identical host-visible state, real
 // learned traffic, and — because every mapping update invalidates its
