@@ -92,8 +92,9 @@ void FtlBase::register_ftl_metrics() {
                  "completed GC victim collections");
   m.counter_view("ftl.gc.aborted_rounds", &stats_.gc_aborted_rounds,
                  "rounds",
-                 "GC rounds abandoned because the best victim was fully "
-                 "valid (back-off)");
+                 "GC rounds not started or not finished: no victim, a "
+                 "fully valid best victim, live pages with nowhere to go, "
+                 "or fault-driven end of life");
   m.counter_view("ftl.gc.moved_valid_pages", &stats_.gc_moved_valid_pages,
                  "pages",
                  "valid pages migrated out of GC victims (the numerator of "

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iterator>
-#include <utility>
 
 #include "util/assert.hpp"
 
@@ -14,6 +12,9 @@ namespace {
 // Floor division with a positive denominator — predictions must round the
 // same way on both sides of zero so the fit-time radius stays exact.
 std::int64_t floor_div(__int128 num, std::int64_t den) {
+  // Division by 1 is the product itself: slope-1 lines and single-point
+  // pieces, the common case, skip the 128-bit division.
+  if (den == 1) return static_cast<std::int64_t>(num);
   const __int128 d = den;
   __int128 q = num / d;
   if ((num % d) != 0 && ((num < 0) != (d < 0))) --q;
@@ -30,15 +31,6 @@ int rational_cmp(std::int64_t a_n, std::int64_t a_d, std::int64_t b_n,
   return 0;
 }
 
-// The entry of `segs` whose cover holds `lpn`, or segs.end().
-template <class Map>
-auto cover_of(Map& segs, Lpn lpn) -> decltype(segs.begin()) {
-  auto it = segs.upper_bound(lpn);
-  if (it == segs.begin()) return segs.end();
-  --it;
-  return lpn < it->first + it->second.len ? it : segs.end();
-}
-
 }  // namespace
 
 void LearnedIndex::reset(std::uint64_t logical_pages, std::uint64_t tp_entries,
@@ -49,11 +41,16 @@ void LearnedIndex::reset(std::uint64_t logical_pages, std::uint64_t tp_entries,
   logical_ = logical_pages;
   tp_entries_ = tp_entries;
   error_bound_ = error_bound;
-  segs_.clear();
+  owner_.resize(logical_pages);
+  clear();
   ram_cap_ = 0;
-  pts_.clear();
-  scratch_.clear();
-  order_.clear();
+}
+
+void LearnedIndex::clear() {
+  std::fill(owner_.begin(), owner_.end(), kNoSlot);
+  slots_.clear();
+  free_.clear();
+  live_ = 0;
 }
 
 std::int64_t LearnedIndex::eval(const Segment& s, Lpn x) {
@@ -64,10 +61,10 @@ std::int64_t LearnedIndex::eval(const Segment& s, Lpn x) {
 
 bool LearnedIndex::predict(Lpn lpn, std::int64_t* pred,
                            std::uint32_t* radius) const {
-  const auto it = cover_of(segs_, lpn);
-  if (it == segs_.end()) return false;
-  *pred = eval(it->second, lpn);
-  *radius = it->second.radius;
+  const std::uint32_t id = slot_of(lpn);
+  if (id == kNoSlot) return false;
+  *pred = eval(slots_[id], lpn);
+  *radius = slots_[id].radius;
   return true;
 }
 
@@ -155,45 +152,73 @@ void LearnedIndex::grow_ram(std::uint64_t n) {
   // The growth rule libstdc++ applies to std::vector, which produced the
   // RAM figures in BENCH_mapping.json (its capacity of 1600 segments rules
   // out plain doubling).
-  const std::uint64_t size = segs_.size();
-  if (size + n > ram_cap_) ram_cap_ = size + std::max(size, n);
+  if (live_ + n > ram_cap_) ram_cap_ = live_ + std::max(live_, n);
 }
 
-LearnedIndex::SegMap::iterator LearnedIndex::move_start(SegMap::iterator it,
-                                                      Lpn start) {
-  const Lpn end = it->first + it->second.len;
-  const auto next = std::next(it);
-  auto node = segs_.extract(it);
-  node.key() = start;
-  node.mapped().start = start;
-  node.mapped().len = static_cast<std::uint32_t>(end - start);
-  return segs_.insert(next, std::move(node));
+void LearnedIndex::add(const Segment& s) {
+  std::uint32_t id = static_cast<std::uint32_t>(slots_.size());
+  if (free_.empty()) {
+    slots_.push_back(s);
+  } else {
+    id = free_.back();
+    free_.pop_back();
+    slots_[id] = s;
+  }
+  ++live_;
+  std::fill_n(owner_.begin() + s.start, s.len, id);
 }
 
-LearnedIndex::SegMap::iterator LearnedIndex::splice_range(Lpn lo, Lpn hi) {
-  auto it = segs_.upper_bound(lo);
-  if (it != segs_.begin()) {
-    Segment& s = std::prev(it)->second;
-    const Lpn s_end = s.start + s.len;
-    if (s.start == lo) {
-      --it;  // starts inside the range: erased or trimmed below
-    } else if (s_end > lo) {
+void LearnedIndex::cut(std::uint32_t id, Lpn lo, Lpn hi) {
+  Segment& s = slots_[id];
+  const Lpn end = s.start + s.len;
+  lo = std::max(lo, s.start);
+  hi = std::min(hi, end);
+  std::fill(owner_.begin() + lo, owner_.begin() + hi, kNoSlot);
+  if (lo == s.start && hi == end) {
+    free_.push_back(id);
+    --live_;
+  } else if (lo == s.start) {
+    s.start = hi;
+    s.len = static_cast<std::uint32_t>(end - hi);
+  } else if (hi == end) {
+    s.len = static_cast<std::uint32_t>(lo - s.start);
+  } else {
+    // Interior hole: split. Both halves keep the frozen line, so their
+    // predictions (and radius) are unchanged. The longer half keeps the
+    // slot, so only the shorter one is relabelled.
+    Segment piece = s;
+    if (lo - s.start < end - hi) {
+      piece.len = static_cast<std::uint32_t>(lo - s.start);
+      s.start = hi;
+      s.len = static_cast<std::uint32_t>(end - hi);
+    } else {
+      piece.start = hi;
+      piece.len = static_cast<std::uint32_t>(end - hi);
       s.len = static_cast<std::uint32_t>(lo - s.start);
-      if (s_end > hi) {
-        // Range is interior: keep the left piece, split off the right.
-        Segment right = s;
-        right.start = hi;
-        right.len = static_cast<std::uint32_t>(s_end - hi);
-        grow_ram(1);
-        return segs_.emplace_hint(it, hi, right);
-      }
     }
+    grow_ram(1);
+    add(piece);
   }
-  while (it != segs_.end() && it->first < hi) {
-    if (it->first + it->second.len > hi) return move_start(it, hi);
-    it = segs_.erase(it);
+}
+
+bool LearnedIndex::absorb(std::uint32_t id, const ScratchSeg& piece) {
+  Segment& s = slots_[id];
+  const std::uint32_t err = fit_error(s, piece.pt_begin, piece.pt_end);
+  if (err == kNoFit) return false;
+  std::fill_n(owner_.begin() + piece.seg.start, piece.seg.len, id);
+  s.start = std::min(s.start, piece.seg.start);
+  s.len += piece.seg.len;
+  if (err > s.radius) s.radius = static_cast<std::uint8_t>(err);
+  return true;
+}
+
+void LearnedIndex::splice_range(Lpn lo, Lpn hi) {
+  for (Lpn p = lo; p < hi;) {
+    const std::uint32_t id = owner_[p++];
+    if (id == kNoSlot) continue;
+    p = slots_[id].start + slots_[id].len;
+    cut(id, lo, hi);
   }
-  return it;
 }
 
 void LearnedIndex::train(std::uint64_t tpn,
@@ -226,76 +251,37 @@ void LearnedIndex::train(std::uint64_t tpn,
     scratch_.resize(kMaxSegmentsPerTrain);
   }
 
-  auto right_it = splice_range(lo, hi);
+  splice_range(lo, hi);
   std::size_t first = 0, last = scratch_.size();
 
   // Boundary merges: if the fresh first/last piece continues the line of
-  // the neighbouring segment within the error bound (checked point by
-  // point), extend that segment instead — this is what keeps segment
-  // count tracking sequential runs rather than translation-page count.
-  if (first < last && right_it != segs_.begin()) {
-    Segment& left = std::prev(right_it)->second;
-    const ScratchSeg& f = scratch_[first];
-    if (left.start + left.len == f.seg.start) {
-      const std::uint32_t err = fit_error(left, f.pt_begin, f.pt_end);
-      if (err != kNoFit) {
-        left.len += f.seg.len;
-        if (err > left.radius) left.radius = static_cast<std::uint8_t>(err);
-        ++first;
-      }
-    }
-  }
-  if (first < last && right_it != segs_.end()) {
-    Segment& right = right_it->second;
-    const ScratchSeg& l = scratch_[last - 1];
-    if (l.seg.start + l.seg.len == right.start) {
-      const std::uint32_t err = fit_error(right, l.pt_begin, l.pt_end);
-      if (err != kNoFit) {
-        if (err > right.radius) right.radius = static_cast<std::uint8_t>(err);
-        right_it = move_start(right_it, l.seg.start);
-        --last;
-      }
-    }
-  }
+  // the segment ending at lo (or starting at hi), within the error bound
+  // and checked point by point, extend that segment instead — this is what
+  // keeps segment count tracking sequential runs rather than translation-
+  // page count.
+  const std::uint32_t left = lo > 0 ? slot_of(lo - 1) : kNoSlot;
+  if (first < last && left != kNoSlot && scratch_[first].seg.start == lo &&
+      absorb(left, scratch_[first]))
+    ++first;
+  const std::uint32_t right = slot_of(hi);
+  if (first < last && right != kNoSlot &&
+      scratch_[last - 1].seg.start + scratch_[last - 1].seg.len == hi &&
+      absorb(right, scratch_[last - 1]))
+    --last;
 
-  // The kept pieces are sorted by start and disjoint: each goes just
-  // before the right neighbour, after the one inserted before it.
   if (first < last) grow_ram(last - first);
-  for (std::size_t i = first; i < last; ++i) {
-    segs_.emplace_hint(right_it, scratch_[i].seg.start, scratch_[i].seg);
-  }
+  for (std::size_t i = first; i < last; ++i) add(scratch_[i].seg);
 }
 
 void LearnedIndex::invalidate(Lpn lpn) {
-  const auto it = cover_of(segs_, lpn);
-  if (it == segs_.end()) return;
-  Segment& s = it->second;
-  if (s.len == 1) {
-    segs_.erase(it);
-    return;
-  }
-  if (lpn == s.start) {
-    move_start(it, lpn + 1);
-    return;
-  }
-  if (lpn == s.start + s.len - 1) {
-    s.len -= 1;
-    return;
-  }
-  // Interior hole: split. Both halves keep the frozen line, so their
-  // predictions (and radius) are unchanged.
-  Segment right = s;
-  right.start = lpn + 1;
-  right.len = static_cast<std::uint32_t>(s.start + s.len - lpn - 1);
-  s.len = static_cast<std::uint32_t>(lpn - s.start);
-  grow_ram(1);
-  segs_.emplace_hint(std::next(it), right.start, right);
+  const std::uint32_t id = slot_of(lpn);
+  if (id != kNoSlot) cut(id, lpn, lpn + 1);
 }
 
 bool LearnedIndex::corrupt_segment_for_test(Lpn lpn, std::int64_t delta) {
-  const auto it = cover_of(segs_, lpn);
-  if (it == segs_.end()) return false;
-  it->second.base += delta;
+  const std::uint32_t id = slot_of(lpn);
+  if (id == kNoSlot) return false;
+  slots_[id].base += delta;
   return true;
 }
 

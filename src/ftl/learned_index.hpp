@@ -17,31 +17,33 @@
 //     from the feasible interval the greedy fit maintains, predictions use
 //     floor division, and bound comparisons cross-multiply in 128-bit —
 //     no float rounding can ever widen a segment's true error;
-//   * training reuses member scratch buffers and predictions are a tree
-//     search plus one division; the segment map allocates one node per
-//     segment gained (a split or a kept piece) and frees one per segment
-//     lost, while an edge trim that moves a start re-keys its node in place.
+//   * training reuses member scratch buffers, and a slope-1 line (the
+//     append-order case) predicts with no division at all.
 //
-// Segments live in one ordered map keyed by start LPN, with disjoint covers,
-// so a split, trim, erase or insert costs O(log n). The map is global rather
-// than per translation page: a fit whose first/last run continues a
-// neighbouring segment's line (verified point-by-point against the
-// error bound) extends that segment instead of starting a new one. Long
-// sequential regions therefore cost O(superblock runs) segments however
-// small `tp_entries` is — the sub-linear RAM property the multi-TB sweep in
-// BENCH_mapping.json demonstrates — while a scrambled translation page is
-// capped at kMaxSegmentsPerTrain (longest-first) and simply leaves its
-// remainder uncovered for the ordinary GTD/CMT path.
+// Segments have disjoint covers and live in a slot pool with a free list;
+// owner_ names each LPN's covering slot, so a lookup is one load.
+// invalidate is O(1), plus a relabel of the shorter half when its hole
+// splits a segment; train is O(tp_entries) plus the relabels of a split, a
+// merge or a new piece; clear() is O(logical pages). The cover is global,
+// not per translation page: a fit whose first/last run continues a
+// neighbouring segment's line (checked point by point against the error
+// bound) extends that segment, so long sequential regions cost
+// O(superblock runs) segments however small `tp_entries` is (the
+// sub-linear RAM of BENCH_mapping.json's multi-TB sweep), while a scrambled
+// translation page is capped at kMaxSegmentsPerTrain (longest first) and
+// leaves its remainder to the GTD/CMT path. owner_ (4 B per LPN) and the
+// pool are simulator state: ram_bytes() charges the sorted array a
+// controller would hold.
 //
 // Correctness never rests on the model: the FTL treats a prediction as a
 // hint, verifies it against the probed page's OOB LPN and validity, and
 // falls back to the translation-page path on any mismatch
-// (ftl.map.learned_mispredicts). See FtlBase::learned_lookup.
+// (ftl.map.learned_mispredicts). See MappingTier::learned_lookup.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "flash/geometry.hpp"
@@ -74,7 +76,7 @@ class LearnedIndex {
              std::uint32_t error_bound);
   /// Drop every segment (mount-time rebuild starts from nothing). The RAM
   /// high-water mark stays, as an array's capacity would.
-  void clear() { segs_.clear(); }
+  void clear();
 
   /// Retrain the LPN range of translation page `tpn` from its write-back
   /// blob (`blob[i]` = PPN of LPN tpn*tp_entries+i, kInvalidPpn if
@@ -94,7 +96,7 @@ class LearnedIndex {
   /// write-back, never a superseded mapping.
   void invalidate(Lpn lpn);
 
-  std::uint64_t segment_count() const { return segs_.size(); }
+  std::uint64_t segment_count() const { return live_; }
   /// Model RAM a controller would hold: the segments as one sorted array,
   /// charged at its high-water capacity (into mapping_ram_bytes();
   /// docs/MAPPING.md). The array grows to size + max(size, n) whenever n
@@ -128,19 +130,30 @@ class LearnedIndex {
   void close_piece(std::uint32_t pb, std::uint32_t pe, std::int64_t hi_n,
                    std::int64_t hi_d, std::int64_t lo_n, std::int64_t lo_d);
 
-  using SegMap = std::map<Lpn, Segment>;
-  /// Remove [lo, hi) from the cover of existing segments (trim / split /
-  /// erase). Returns the right neighbour: new segments go before it.
-  SegMap::iterator splice_range(Lpn lo, Lpn hi);
-  /// Move the start of `it`'s cover to `start`, keeping its end, by
-  /// re-keying the node (no allocation). Returns the node's iterator.
-  SegMap::iterator move_start(SegMap::iterator it, Lpn start);
+  /// The slot covering `lpn`, or kNoSlot.
+  std::uint32_t slot_of(Lpn lpn) const {
+    return lpn < owner_.size() ? owner_[lpn] : kNoSlot;
+  }
+  /// Store `s` in a free slot and label its cover.
+  void add(const Segment& s);
+  /// Remove [lo, hi) from the cover of slot `id`: erase, trim an edge, or
+  /// split around an interior hole.
+  void cut(std::uint32_t id, Lpn lo, Lpn hi);
+  /// Remove [lo, hi) from the cover of every segment.
+  void splice_range(Lpn lo, Lpn hi);
+  /// Extend slot `id` over the adjacent `piece` if the piece's points fit
+  /// its line within the error bound.
+  bool absorb(std::uint32_t id, const ScratchSeg& piece);
   /// Charge `n` segments about to be added to the modelled array.
   void grow_ram(std::uint64_t n);
 
   static constexpr std::uint32_t kNoFit = ~0U;
+  static constexpr std::uint32_t kNoSlot = ~0U;
 
-  SegMap segs_;  ///< keyed by start LPN, disjoint covers
+  std::vector<std::uint32_t> owner_;  ///< per LPN: covering slot or kNoSlot
+  std::vector<Segment> slots_;        ///< segment pool, indexed by slot
+  std::vector<std::uint32_t> free_;   ///< released slots
+  std::uint64_t live_ = 0;            ///< slots holding a segment
   std::uint64_t ram_cap_ = 0;  ///< modelled array capacity, in segments
   // Training scratch, reused across calls (allocation-free steady state).
   std::vector<std::pair<Lpn, std::uint64_t>> pts_;
