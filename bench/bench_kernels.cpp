@@ -140,7 +140,7 @@ void BM_FusedGemv3(benchmark::State& state) {
                                    127);
   const auto p =
       ml::kernels::pack_gates3(g0.data(), g1.data(), g2.data(), rows, cols);
-  std::vector<std::int8_t> x(p.stride, 0);
+  std::vector<std::int8_t> x(2 * p.pairs, 0);
   for (std::size_t i = 0; i < cols; ++i)
     x[i] = static_cast<std::int8_t>(static_cast<int>(rng.next_below(255)) -
                                     127);
@@ -229,7 +229,7 @@ BENCHMARK(BM_TrainEpoch)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
 void BM_ThresholdAdjustment(benchmark::State& state) {
   Xoshiro256 rng(7);
   std::vector<std::uint64_t> lifetimes;
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t lt =
         rng.next_bool(0.7) ? 100 + rng.next_below(100)
@@ -237,13 +237,16 @@ void BM_ThresholdAdjustment(benchmark::State& state) {
     lifetimes.push_back(lt);
     core::RawFeatures raw;
     raw.prev_lifetime = static_cast<std::uint32_t>(lt);
-    feats.push_back(core::encode_features_compact(raw));
+    const auto row = core::encode_features_compact(raw);
+    feats.insert(feats.end(), row.begin(), row.end());
   }
+  const ml::ConstMatView window(feats.data(), lifetimes.size(),
+                                core::kCompactDim);
   for (auto _ : state) {
     core::ThresholdController::Config cfg;
     core::ThresholdController tc(cfg);
-    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, feats));
-    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, feats));
+    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, window));
+    benchmark::DoNotOptimize(tc.pick_threshold(lifetimes, window));
   }
 }
 BENCHMARK(BM_ThresholdAdjustment)->Unit(benchmark::kMillisecond);

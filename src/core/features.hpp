@@ -27,7 +27,7 @@
 
 namespace phftl::core {
 
-/// Raw (un-encoded) features of one write event. 16 bytes — cheap enough to
+/// Raw (un-encoded) features of one write event. 12 bytes — cheap enough to
 /// keep short per-page histories on the host trainer.
 struct RawFeatures {
   std::uint32_t prev_lifetime = 0;  ///< pages; saturated
@@ -37,6 +37,8 @@ struct RawFeatures {
   std::uint8_t rw_percent = 0;      ///< global reads/(reads+writes) × 100
   std::uint8_t is_seq = 0;          ///< 1 if request is sequential
 };
+static_assert(sizeof(RawFeatures) == 12,
+              "the trainer's per-page ring budget assumes 12-byte entries");
 
 /// Hex digits per feature: prev_lifetime 8, io_len 3, chunk_write 3,
 /// chunk_read 3, rw_rat 2, is_seq 1 → 20 input neurons.

@@ -58,8 +58,7 @@ double ThresholdController::percentile_of_value(
 }
 
 double ThresholdController::evaluate_candidate(
-    std::uint64_t candidate, const std::vector<std::uint64_t>& lifetimes,
-    const std::vector<std::vector<float>>& features) {
+    std::uint64_t candidate, std::span<const std::uint64_t> lifetimes) {
   // Label with the candidate, balance, train the lightweight model, and
   // report held-out accuracy (Algorithm 1's TrainEvalLightModel). Two
   // independent resample/split rounds are averaged: the hill climb follows
@@ -83,23 +82,20 @@ double ThresholdController::evaluate_candidate(
 
   double total = 0.0;
   int rounds = 0;
+  std::vector<std::uint32_t> balanced;
   for (int round = 0; round < 2; ++round) {
-    std::vector<std::vector<float>> bal_x;
-    std::vector<int> bal_y;
-    ml::balanced_resample(features, labels, cfg_.resample_per_class, rng_,
-                          bal_x, bal_y);
-    if (bal_x.size() < 8) continue;
-    total += ml::train_eval_light_model(bal_x, bal_y, kTestFraction,
-                                        rng_, lm);
+    ml::balanced_resample(labels, cfg_.resample_per_class, rng_, balanced);
+    if (balanced.size() < 8) continue;
+    total += ml::train_eval_light_model(window_, labels, balanced,
+                                        kTestFraction, rng_, lm);
     ++rounds;
   }
   return rounds ? total / rounds : 0.0;
 }
 
 std::uint64_t ThresholdController::pick_threshold(
-    const std::vector<std::uint64_t>& lifetimes,
-    const std::vector<std::vector<float>>& features) {
-  PHFTL_CHECK(lifetimes.size() == features.size());
+    std::span<const std::uint64_t> lifetimes, ml::ConstMatView features) {
+  PHFTL_CHECK(lifetimes.size() == features.rows);
   if (lifetimes.empty()) {
     // No samples this window: keep the previous threshold.
     return threshold_ >= 0 ? static_cast<std::uint64_t>(threshold_) : 0;
@@ -107,7 +103,8 @@ std::uint64_t ThresholdController::pick_threshold(
 
   if (threshold_ < 0) {
     // First window: inflection point of the lifetime CDF.
-    threshold_ = static_cast<std::int64_t>(inflection_point(lifetimes));
+    threshold_ = static_cast<std::int64_t>(
+        inflection_point({lifetimes.begin(), lifetimes.end()}));
     have_prev_window_ = true;
     prev_dir_ = 0;
     last_dir_ = 0;
@@ -118,10 +115,11 @@ std::uint64_t ThresholdController::pick_threshold(
   if (cfg_.freeze_after_first_window)
     return static_cast<std::uint64_t>(threshold_);
 
-  std::vector<std::uint64_t> sorted = lifetimes;
+  std::vector<std::uint64_t> sorted(lifetimes.begin(), lifetimes.end());
   std::sort(sorted.begin(), sorted.end());
   const double p =
       percentile_of_value(sorted, static_cast<std::uint64_t>(threshold_));
+  window_.assign(features.data, features.rows, features.cols);
 
   // Candidate set: the window's own inflection point (re-anchor), then the
   // percentile walk {p, p − step, p + step}. Evaluating the inflection
@@ -129,13 +127,13 @@ std::uint64_t ThresholdController::pick_threshold(
   // placement the paper's Fig. 2 intends — instead of letting a flat,
   // noisy accuracy surface random-walk the threshold away from it.
   // A re-anchor counts as "no directional adjustment" (chosen_dir 0).
-  std::uint64_t max_thres = inflection_point(lifetimes);
-  double max_accu = evaluate_candidate(max_thres, lifetimes, features);
+  std::uint64_t max_thres = inflection_point(sorted);
+  double max_accu = evaluate_candidate(max_thres, lifetimes);
   int chosen_dir = 0;
   for (const int dir : {0, -1, 1}) {
     const std::uint64_t t =
         value_at_percentile(sorted, p + dir * static_cast<double>(step_));
-    const double accu = evaluate_candidate(t, lifetimes, features);
+    const double accu = evaluate_candidate(t, lifetimes);
     if (accu > max_accu) {
       max_accu = accu;
       max_thres = t;

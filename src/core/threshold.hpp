@@ -19,9 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/logreg.hpp"
+#include "ml/tensor.hpp"
 #include "util/rng.hpp"
 
 namespace phftl::core {
@@ -44,12 +46,12 @@ class ThresholdController {
 
   explicit ThresholdController(const Config& cfg);
 
-  /// Run one window's adjustment. `lifetimes[i]` pairs with `features[i]`
-  /// (the encoded feature vector of the write that *created* the sampled
-  /// version). Returns the new threshold; with no samples the previous
-  /// threshold is retained.
-  std::uint64_t pick_threshold(const std::vector<std::uint64_t>& lifetimes,
-                               const std::vector<std::vector<float>>& features);
+  /// Run one window's adjustment. `lifetimes[i]` pairs with row i of the
+  /// window matrix `features` (the compact encoding of the write that
+  /// *created* the sampled version). Returns the new threshold; with no
+  /// samples the previous threshold is retained.
+  std::uint64_t pick_threshold(std::span<const std::uint64_t> lifetimes,
+                               ml::ConstMatView features);
 
   /// Current threshold; -1 before the first window.
   std::int64_t threshold() const { return threshold_; }
@@ -71,9 +73,9 @@ class ThresholdController {
   static double percentile_of_value(const std::vector<std::uint64_t>& sorted,
                                     std::uint64_t value);
 
+  /// Label the window with `candidate` and score it on `window_`.
   double evaluate_candidate(std::uint64_t candidate,
-                            const std::vector<std::uint64_t>& lifetimes,
-                            const std::vector<std::vector<float>>& features);
+                            std::span<const std::uint64_t> lifetimes);
 
   Config cfg_;
   Xoshiro256 rng_;
@@ -83,6 +85,9 @@ class ThresholdController {
   bool have_prev_window_ = false;
   int prev_dir_ = 0;
   double last_accuracy_ = 0.0;
+  /// The window matrix's nonzeros, shared by the window's fits; kept so
+  /// its buffers are reused across windows.
+  ml::SparseRows window_;
 };
 
 }  // namespace phftl::core

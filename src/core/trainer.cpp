@@ -26,7 +26,10 @@ ModelTrainer::ModelTrainer(const Config& cfg)
   PHFTL_CHECK_MSG(cfg_.history_len >= 1 && cfg_.history_len <= 16,
                   "history ring holds at most 16 steps");
   history_.resize(cfg_.logical_pages);
-  samples_.reserve(cfg_.max_window_samples);
+  ring_.resize(cfg_.logical_pages * cfg_.history_len);
+  sample_lifetime_.reserve(cfg_.max_window_samples);
+  sample_len_.resize(cfg_.max_window_samples);
+  sample_steps_.resize(cfg_.max_window_samples * cfg_.history_len);
 }
 
 void ModelTrainer::reset() {
@@ -37,19 +40,15 @@ void ModelTrainer::reset() {
   *this = ModelTrainer(cfg_);
 }
 
-std::vector<RawFeatures> ModelTrainer::history_snapshot(
-    const History& h) const {
-  // Oldest → newest, at most history_len entries.
-  const std::uint32_t n = std::min<std::uint32_t>(h.count, cfg_.history_len);
-  std::vector<RawFeatures> seq(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    // Entry (count-n+i) in logical order; head points past the newest.
-    const std::uint32_t logical = h.count - n + i;
-    const std::uint32_t pos =
-        (h.head + 16 - h.count + logical) % 16;
-    seq[i] = h.ring[pos];
-  }
-  return seq;
+void ModelTrainer::store_sample(std::size_t slot, Lpn lpn) {
+  // The ring holds the newest `count` entries; head points past the newest.
+  const History& h = history_[lpn];
+  const std::uint32_t len = cfg_.history_len;
+  const RawFeatures* ring = ring_.data() + lpn * len;
+  RawFeatures* dst = sample_steps_.data() + slot * len;
+  for (std::uint32_t i = 0; i < h.count; ++i)
+    dst[i] = ring[(h.head + len - h.count + i) % len];
+  sample_len_[slot] = h.count;
 }
 
 void ModelTrainer::observe_page_write(Lpn lpn, const RawFeatures& raw,
@@ -66,21 +65,24 @@ void ModelTrainer::observe_page_write(Lpn lpn, const RawFeatures& raw,
       h.count > 0) {
     const std::uint64_t lifetime = now - h.last_write_time;
     ++samples_seen_;
-    if (samples_.size() < cfg_.max_window_samples) {
-      samples_.push_back({lifetime, history_snapshot(h)});
+    if (sample_lifetime_.size() < cfg_.max_window_samples) {
+      store_sample(sample_lifetime_.size(), lpn);
+      sample_lifetime_.push_back(lifetime);
     } else {
       // Reservoir sampling keeps the set unbiased.
       const std::uint64_t j = rng_.next_below(samples_seen_);
-      if (j < cfg_.max_window_samples)
-        samples_[static_cast<std::size_t>(j)] = {lifetime,
-                                                 history_snapshot(h)};
+      if (j < cfg_.max_window_samples) {
+        store_sample(static_cast<std::size_t>(j), lpn);
+        sample_lifetime_[static_cast<std::size_t>(j)] = lifetime;
+      }
     }
   }
 
   // Append this write's features to the ring.
-  h.ring[h.head] = raw;
-  h.head = static_cast<std::uint8_t>((h.head + 1) % 16);
-  if (h.count < 16) ++h.count;
+  const std::uint32_t len = cfg_.history_len;
+  ring_[lpn * len + h.head] = raw;
+  h.head = static_cast<std::uint8_t>((h.head + 1) % len);
+  if (h.count < len) ++h.count;
   h.last_write_time = now;
   ++pages_in_window_;
 }
@@ -91,33 +93,33 @@ bool ModelTrainer::maybe_train() {
   // Start the next window at the current clock.
   window_start_ = now_ + 1;
   pages_in_window_ = 0;
-  samples_.clear();
+  sample_lifetime_.clear();
   samples_seen_ = 0;
   ++windows_;
   return true;
 }
 
 void ModelTrainer::train_window() {
-  last_sample_count_ = samples_.size();
-  if (samples_.empty()) return;
+  const std::size_t n = sample_lifetime_.size();
+  last_sample_count_ = n;
+  if (n == 0) return;
 
   // 1. Threshold adjustment (Algorithm 1) on (lifetime, last-step feature)
   //    pairs. The lightweight model consumes the compact monotone encoding
   //    (see features.hpp) so candidate accuracy actually peaks at the knee.
-  std::vector<std::uint64_t> lifetimes(samples_.size());
-  std::vector<std::vector<float>> last_feats(samples_.size());
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    lifetimes[i] = samples_[i].lifetime;
-    PHFTL_CHECK(!samples_[i].sequence.empty());
-    last_feats[i] = encode_features_compact(samples_[i].sequence.back());
-  }
-  const std::uint64_t threshold =
-      controller_.pick_threshold(lifetimes, last_feats);
+  const std::uint32_t len = cfg_.history_len;
+  compact_.resize(n * kCompactDim);
+  for (std::size_t i = 0; i < n; ++i)
+    encode_features_compact(
+        sample_steps_[i * len + sample_len_[i] - 1],
+        std::span<float>(compact_.data() + i * kCompactDim, kCompactDim));
+  const std::uint64_t threshold = controller_.pick_threshold(
+      sample_lifetime_, ml::ConstMatView(compact_.data(), n, kCompactDim));
 
   // 2. Label sequences and balance classes.
   std::vector<std::size_t> pos_idx, neg_idx;
-  for (std::size_t i = 0; i < samples_.size(); ++i)
-    (samples_[i].lifetime <= threshold ? pos_idx : neg_idx).push_back(i);
+  for (std::size_t i = 0; i < n; ++i)
+    (sample_lifetime_[i] <= threshold ? pos_idx : neg_idx).push_back(i);
   if (pos_idx.empty() || neg_idx.empty()) return;  // degenerate window
 
   const std::size_t per_class =
@@ -127,12 +129,12 @@ void ModelTrainer::train_window() {
     for (std::size_t k = 0; k < per_class; ++k) {
       const std::size_t j = k + rng_.next_below(idx.size() - k);
       std::swap(idx[k], idx[j]);
-      const WindowSample& s = samples_[idx[k]];
+      const RawFeatures* steps = sample_steps_.data() + idx[k] * len;
       ml::Sequence seq;
       seq.label = label;
-      seq.steps.reserve(s.sequence.size());
-      for (const RawFeatures& f : s.sequence)
-        seq.steps.push_back(encode_features(f));
+      seq.steps.reserve(sample_len_[idx[k]]);
+      for (std::uint32_t t = 0; t < sample_len_[idx[k]]; ++t)
+        seq.steps.push_back(encode_features(steps[t]));
       dst.push_back(std::move(seq));
     }
   };
@@ -156,7 +158,7 @@ void ModelTrainer::train_window() {
   const double pos_rate = std::clamp(
       static_cast<double>(pos_idx.size()) *
           (static_cast<double>(samples_seen_) /
-           std::max<double>(1.0, static_cast<double>(samples_.size()))) /
+           std::max<double>(1.0, static_cast<double>(n))) /
           static_cast<double>(pages_in_window_),
       0.02, 0.98);
   deployed_.set_decision_bias(

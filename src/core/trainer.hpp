@@ -4,9 +4,11 @@
 // window (host writes totalling 5 % of the SSD's size):
 //   * lifetime samples: every write to a page already written in the same
 //     window yields (lifetime, feature history of the dying version),
-//     reservoir-sampled to a bounded set;
-//   * per-page feature histories (a ring of the last H write events),
-//     used as the GRU's input time series.
+//     reservoir-sampled to a bounded set held in one fixed store of
+//     max_window_samples × history_len entries;
+//   * per-page feature histories (a ring of the last history_len write
+//     events, 16 + 12·history_len bytes per logical page), used as the
+//     GRU's input time series.
 // At each window boundary it (1) re-picks the classification threshold via
 // Algorithm 1, (2) labels and balance-resamples the window's sequences,
 // (3) trains the persistent GRU for one epoch with cross-entropy + Adam,
@@ -86,27 +88,29 @@ class ModelTrainer {
   std::uint64_t trainings_run() const { return trainings_; }
   const ThresholdController& controller() const { return controller_; }
   std::size_t last_window_sample_count() const { return last_sample_count_; }
-  /// Host-side RAM the trainer uses for histories, in bytes (diagnostic).
+  /// Host-side RAM the trainer uses for per-page histories, in bytes
+  /// (diagnostic): each page's History plus its history_len ring entries.
   std::size_t history_ram_bytes() const {
-    return history_.size() * sizeof(History);
+    return history_.size() * sizeof(History) +
+           ring_.size() * sizeof(RawFeatures);
   }
 
   /// The float (pre-quantization) model, for ablations and tests.
   const ml::GruClassifier& float_model() const { return model_; }
 
  private:
+  /// A page's ring state; its history_len entries live in ring_.
   struct History {
     std::uint64_t last_write_time = kNeverWritten;
-    std::uint8_t count = 0;  ///< valid entries in ring
+    std::uint8_t count = 0;  ///< valid entries in the ring
     std::uint8_t head = 0;   ///< next slot to overwrite
-    std::array<RawFeatures, 16> ring{};
   };
-  struct WindowSample {
-    std::uint64_t lifetime;
-    std::vector<RawFeatures> sequence;  ///< oldest → newest
-  };
+  static_assert(sizeof(History) == 16,
+                "history_ram_bytes() and the header assume 16-byte records");
 
-  std::vector<RawFeatures> history_snapshot(const History& h) const;
+  /// Copy page `lpn`'s history, oldest → newest, into window sample slot
+  /// `slot`.
+  void store_sample(std::size_t slot, Lpn lpn);
   /// The window-boundary pipeline: threshold → label → balanced draw →
   /// train → quantize + bias.
   void train_window();
@@ -118,7 +122,14 @@ class ModelTrainer {
   ThresholdController controller_;
 
   std::vector<History> history_;
-  std::vector<WindowSample> samples_;
+  std::vector<RawFeatures> ring_;  ///< logical_pages × history_len
+  /// Window samples: slot s holds sample_len_[s] steps, oldest → newest,
+  /// at sample_steps_[s · history_len]; sample_lifetime_.size() is the
+  /// sample count.
+  std::vector<std::uint64_t> sample_lifetime_;
+  std::vector<std::uint8_t> sample_len_;
+  std::vector<RawFeatures> sample_steps_;
+  std::vector<float> compact_;  ///< window matrix for Algorithm 1
   std::uint64_t samples_seen_ = 0;  ///< total this window (for reservoir)
   std::uint64_t window_start_ = 0;
   std::uint64_t pages_in_window_ = 0;

@@ -13,13 +13,15 @@ PackedGates3 pack_gates3(const std::int8_t* g0, const std::int8_t* g1,
   PackedGates3 p;
   p.rows = rows;
   p.cols = cols;
-  p.stride = padded_cols(cols);
-  p.data.assign(rows * 3 * p.stride, 0);
+  p.pairs = (cols + 1) / 2;
+  p.blocks = (rows + kRowBlock - 1) / kRowBlock;
+  p.data.assign(p.pairs * p.blocks * 3 * PackedGates3::kTileSize, 0);
   const std::int8_t* gates[3] = {g0, g1, g2};
   for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t g = 0; g < 3; ++g)
-      std::memcpy(p.data.data() + (r * 3 + g) * p.stride, gates[g] + r * cols,
-                  cols);
+    for (std::size_t c = 0; c < cols; ++c)
+      for (std::size_t g = 0; g < 3; ++g)
+        p.data[p.tile_offset(c / 2, r / kRowBlock, g) + r % kRowBlock * 2 +
+               c % 2] = gates[g][r * cols + c];
   return p;
 }
 
@@ -28,74 +30,93 @@ namespace {
 void fused_gemv3_scalar(const PackedGates3& m, const std::int8_t* x,
                         std::int32_t* out0, std::int32_t* out1,
                         std::int32_t* out2) {
-  const std::size_t stride = m.stride;
-  const std::int8_t* __restrict xp = x;
-  for (std::size_t r = 0; r < m.rows; ++r) {
-    const std::int8_t* __restrict w0 = m.data.data() + r * 3 * stride;
-    const std::int8_t* __restrict w1 = w0 + stride;
-    const std::int8_t* __restrict w2 = w1 + stride;
-    std::int32_t a0 = 0, a1 = 0, a2 = 0;
-    // stride is a multiple of kLaneAlign, so the 4-way unroll has no tail;
-    // each x[c] is loaded once and feeds all three gate accumulators.
-    for (std::size_t c = 0; c < stride; c += 4) {
-      const std::int32_t xc0 = xp[c + 0], xc1 = xp[c + 1];
-      const std::int32_t xc2 = xp[c + 2], xc3 = xp[c + 3];
-      a0 += w0[c + 0] * xc0 + w0[c + 1] * xc1 + w0[c + 2] * xc2 +
-            w0[c + 3] * xc3;
-      a1 += w1[c + 0] * xc0 + w1[c + 1] * xc1 + w1[c + 2] * xc2 +
-            w1[c + 3] * xc3;
-      a2 += w2[c + 0] * xc0 + w2[c + 1] * xc1 + w2[c + 2] * xc2 +
-            w2[c + 3] * xc3;
+  std::int32_t* out[3] = {out0, out1, out2};
+  for (std::size_t b = 0; b < m.blocks; ++b) {
+    std::int32_t acc[3][kRowBlock] = {};
+    for (std::size_t p = 0; p < m.pairs; ++p) {
+      const std::int32_t x0 = x[2 * p], x1 = x[2 * p + 1];
+      for (std::size_t g = 0; g < 3; ++g) {
+        const std::int16_t* t = m.tile(p, b, g);
+        for (std::size_t i = 0; i < kRowBlock; ++i)
+          acc[g][i] += t[2 * i] * x0 + t[2 * i + 1] * x1;
+      }
     }
-    out0[r] = a0;
-    out1[r] = a1;
-    out2[r] = a2;
+    const std::size_t n = std::min(kRowBlock, m.rows - b * kRowBlock);
+    for (std::size_t g = 0; g < 3; ++g)
+      std::memcpy(out[g] + b * kRowBlock, acc[g], n * sizeof(std::int32_t));
   }
 }
 
 #if PHFTL_ML_X86
 
-PHFTL_TARGET_AVX2 inline std::int32_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
+/// Row blocks [b0, b0 + NB) of the fused GEMV, their 3·NB accumulators held
+/// in registers across all column pairs. Each pair (x[2p], x[2p+1]) is
+/// broadcast as one int16 pair; madd_epi16 against a tile gives each row's
+/// w[r][2p]·x[2p] + w[r][2p+1]·x[2p+1] in int32, which cannot overflow:
+/// |product| ≤ 128², and rows are at most a few hundred columns.
+template <int NB>
+PHFTL_TARGET_AVX2 void fused_gemv3_blocks_avx2(const PackedGates3& m,
+                                               std::size_t b0,
+                                               const std::int8_t* x,
+                                               std::int32_t* const* out) {
+  // acc[3b + g] is gate g of block b0 + b: the order of the tiles of one
+  // column pair, so the tile loop walks memory straight through.
+  constexpr int kAcc = 3 * NB;
+  __m256i acc[kAcc];
+#pragma GCC unroll 12
+  for (int k = 0; k < kAcc; ++k) acc[k] = _mm256_setzero_si256();
+  for (std::size_t p = 0; p < m.pairs; ++p) {
+    const std::uint32_t pair =
+        static_cast<std::uint16_t>(x[2 * p]) |
+        static_cast<std::uint32_t>(static_cast<std::uint16_t>(x[2 * p + 1]))
+            << 16;
+    const __m256i xv = _mm256_set1_epi32(static_cast<int>(pair));
+    const std::int16_t* t = m.tile(p, b0, 0);
+#pragma GCC unroll 12
+    for (int k = 0; k < kAcc; ++k)
+      acc[k] = _mm256_add_epi32(
+          acc[k], _mm256_madd_epi16(_mm256_loadu_si256(
+                                        reinterpret_cast<const __m256i*>(
+                                            t + k * PackedGates3::kTileSize)),
+                                    xv));
+  }
+#pragma GCC unroll 12
+  for (int k = 0; k < kAcc; ++k) {
+    const std::size_t row = (b0 + k / 3) * kRowBlock;
+    std::int32_t* dst = out[k % 3] + row;
+    if (m.rows - row >= kRowBlock) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), acc[k]);
+    } else {
+      alignas(32) std::int32_t tmp[kRowBlock];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc[k]);
+      std::memcpy(dst, tmp, (m.rows - row) * sizeof(std::int32_t));
+    }
+  }
 }
 
 PHFTL_TARGET_AVX2 void fused_gemv3_avx2(const PackedGates3& m,
                                         const std::int8_t* x,
                                         std::int32_t* out0, std::int32_t* out1,
                                         std::int32_t* out2) {
-  const std::size_t stride = m.stride;
-  for (std::size_t r = 0; r < m.rows; ++r) {
-    const std::int8_t* w0 = m.data.data() + r * 3 * stride;
-    const std::int8_t* w1 = w0 + stride;
-    const std::int8_t* w2 = w1 + stride;
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    // 16 int8 lanes per step, widened to int16; each 16-lane chunk of x is
-    // loaded once and multiply-accumulated against all three gate rows.
-    // madd_epi16 pair-sums into int32, which cannot overflow here:
-    // |product| ≤ 127², and rows are at most a few hundred columns.
-    for (std::size_t c = 0; c < stride; c += 16) {
-      const __m256i xv = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + c)));
-      const __m256i v0 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w0 + c)));
-      const __m256i v1 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w1 + c)));
-      const __m256i v2 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(w2 + c)));
-      acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(v0, xv));
-      acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(v1, xv));
-      acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(v2, xv));
+  std::int32_t* const out[3] = {out0, out1, out2};
+  // Up to four row blocks (32 rows, the paper's hidden size) per pass:
+  // 12 accumulators, the pair broadcast and a weight tile fit the 16
+  // AVX2 registers.
+  for (std::size_t b0 = 0; b0 < m.blocks; b0 += 4) {
+    switch (std::min<std::size_t>(m.blocks - b0, 4)) {
+      case 1:
+        fused_gemv3_blocks_avx2<1>(m, b0, x, out);
+        break;
+      case 2:
+        fused_gemv3_blocks_avx2<2>(m, b0, x, out);
+        break;
+      case 3:
+        fused_gemv3_blocks_avx2<3>(m, b0, x, out);
+        break;
+      default:
+        fused_gemv3_blocks_avx2<4>(m, b0, x, out);
+        break;
     }
-    out0[r] = hsum_epi32(acc0);
-    out1[r] = hsum_epi32(acc1);
-    out2[r] = hsum_epi32(acc2);
   }
 }
 

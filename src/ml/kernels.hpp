@@ -7,15 +7,18 @@
 // The paper budgets one incremental prediction at ~9 µs on a Cortex-A9
 // (§IV); to stay inside that class of budget on any controller, this layer
 //
-//  * packs each matrix triple into one interleaved row-major buffer
-//    (gate-0 row r, gate-1 row r, gate-2 row r, then row r+1, ...) so a
-//    single pass over the input vector feeds all three gate accumulators,
-//  * pads every row to a 32-byte-multiple stride with zeros, which lets the
-//    inner loops run without tail handling (zero columns contribute nothing
-//    to an integer accumulator),
+//  * packs each matrix triple once, by column pairs: for each pair of
+//    columns (2p, 2p+1) and each block of 8 rows, the three gates' 8 × 2
+//    weights sit back to back, so one pass over the input feeds all three
+//    gates and the AVX2 kernel multiply-adds an (x[2p], x[2p+1]) pair into
+//    8 row accumulators at once — no horizontal sums,
+//  * pads an odd column count with a zero column and the last row block
+//    with zero rows, which lets the inner loops run without tail handling
+//    (a zero weight contributes nothing to an integer accumulator),
 //  * accumulates in int32 — bit-exact regardless of summation order, so the
-//    scalar and SIMD paths produce identical results and the test suite can
-//    assert parity against the retained reference implementation,
+//    scalar and SIMD paths (both read the one packed layout) produce
+//    identical results and the test suite can assert parity against the
+//    retained reference implementation,
 //  * dispatches to an AVX2 kernel at runtime when the CPU supports it
 //    (compile-time selected when built with -mavx2 / -march=native).
 #pragma once
@@ -26,38 +29,44 @@
 
 namespace phftl::ml::kernels {
 
-/// Row stride granularity (bytes of int8). 32 matches one AVX2 register and
-/// is a whole number of NEON/SSE registers, so every padded row is tail-free
-/// for any of the vector paths.
-inline constexpr std::size_t kLaneAlign = 32;
+/// Rows per packed block: one AVX2 register of int32 accumulators.
+inline constexpr std::size_t kRowBlock = 8;
 
-inline constexpr std::size_t padded_cols(std::size_t cols) {
-  return (cols + kLaneAlign - 1) / kLaneAlign * kLaneAlign;
-}
-
-/// Three same-shape int8 matrices interleaved per output row. `stride` is
-/// the zero-padded row length; logical columns beyond `cols` are zero.
+/// Three same-shape int8 matrices packed by column pairs, each weight
+/// widened to int16 at packing so the kernels multiply-add it as loaded.
+/// The tile for column pair p, row block b and gate g holds 8 rows × 2
+/// columns, row-major (w[8b + i][2p], w[8b + i][2p + 1] for i = 0 … 7);
+/// tiles are ordered by pair, then block, then gate. Padding columns and
+/// rows are zero.
 struct PackedGates3 {
-  std::vector<std::int8_t> data;
+  std::vector<std::int16_t> data;
   std::size_t rows = 0;
   std::size_t cols = 0;    ///< logical columns
-  std::size_t stride = 0;  ///< padded columns (multiple of kLaneAlign)
+  std::size_t pairs = 0;   ///< column pairs, ceil(cols / 2)
+  std::size_t blocks = 0;  ///< row blocks, ceil(rows / kRowBlock)
+
+  static constexpr std::size_t kTileSize = kRowBlock * 2;
 
   bool empty() const { return rows == 0; }
-  const std::int8_t* row_block(std::size_t r) const {
-    return data.data() + r * 3 * stride;
+  std::size_t tile_offset(std::size_t p, std::size_t b, std::size_t g) const {
+    return ((p * blocks + b) * 3 + g) * kTileSize;
+  }
+  const std::int16_t* tile(std::size_t p, std::size_t b, std::size_t g) const {
+    return data.data() + tile_offset(p, b, g);
   }
 };
 
-/// Pack three row-major [rows x cols] int8 matrices into the interleaved
+/// Pack three row-major [rows x cols] int8 matrices into the column-pair
 /// layout above.
 PackedGates3 pack_gates3(const std::int8_t* g0, const std::int8_t* g1,
                          const std::int8_t* g2, std::size_t rows,
                          std::size_t cols);
 
 /// Fused triple GEMV: out_g[r] = Σ_c gate_g[r][c] · x[c] for g = 0, 1, 2.
-/// `x` must be readable (and zero) up to m.stride elements. Results are
-/// int32-exact, identical across the scalar and SIMD paths.
+/// `x` must be readable up to 2 · m.pairs elements (the padding column's
+/// weights are zero, so its x value is ignored); each out_g holds m.rows
+/// values. Results are int32-exact, identical across the scalar and SIMD
+/// paths.
 void fused_gemv3_i8(const PackedGates3& m, const std::int8_t* x,
                     std::int32_t* out0, std::int32_t* out1,
                     std::int32_t* out2);
@@ -75,7 +84,7 @@ bool fused_gemv3_uses_avx2();
 // ---------------------------------------------------------------------------
 // Float lane kernels for minibatch training.
 //
-// Training runs a minibatch as lanes: one sequence (or sample) per lane, all
+// GRU training runs a minibatch as lanes: one sequence per lane, all
 // lanes in lockstep. A lane tile [n x lanes] stores element (i, l) at
 // i * lanes + l, and `lanes` is a positive multiple of kFloatLanes. The
 // kernels vectorize across lanes (or, for the outer product, across
@@ -89,7 +98,7 @@ bool fused_gemv3_uses_avx2();
 /// Lane-count granularity: one AVX2 register of floats.
 inline constexpr std::size_t kFloatLanes = 8;
 
-/// Tile lane count for n sequences or samples (n rounded up to a multiple
+/// Tile lane count for n sequences (n rounded up to a multiple
 /// of kFloatLanes); the padding lanes compute values nobody reads.
 inline constexpr std::size_t padded_lanes(std::size_t n) {
   return (n + kFloatLanes - 1) / kFloatLanes * kFloatLanes;

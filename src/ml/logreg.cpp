@@ -1,13 +1,30 @@
 #include "ml/logreg.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "ml/activations.hpp"
-#include "ml/kernels.hpp"
 #include "util/assert.hpp"
 
 namespace phftl::ml {
+
+void SparseRows::assign(const float* dense, std::size_t n_rows,
+                        std::size_t n_cols) {
+  cols = n_cols;
+  row_start.assign(1, 0);
+  col.clear();
+  val.clear();
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const float* x = dense + r * n_cols;
+    for (std::size_t c = 0; c < n_cols; ++c)
+      if (x[c] != 0.0f) {
+        col.push_back(static_cast<std::uint32_t>(c));
+        val.push_back(x[c]);
+      }
+    row_start.push_back(static_cast<std::uint32_t>(col.size()));
+  }
+}
 
 LogisticRegression::LogisticRegression(const Config& cfg)
     : cfg_(cfg), w_(cfg.input_dim, 0.0f) {}
@@ -19,47 +36,49 @@ float LogisticRegression::predict_proba(std::span<const float> x) const {
   return act::sigmoid(acc);
 }
 
-void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
-                             const std::vector<int>& labels) {
-  PHFTL_CHECK(features.size() == labels.size());
+float LogisticRegression::score(const SparseRows& x,
+                                std::uint32_t row) const {
+  float acc = b_;
+  for (std::uint32_t e = x.row_start[row]; e < x.row_start[row + 1]; ++e)
+    acc += w_[x.col[e]] * x.val[e];
+  return acc;
+}
+
+void LogisticRegression::fit(const SparseRows& x, std::span<const int> labels,
+                             std::span<const std::uint32_t> rows) {
+  PHFTL_CHECK(labels.size() == x.rows() && x.cols == w_.size());
   PHFTL_CHECK_MSG(cfg_.batch_size > 0, "training batch_size must be positive");
-  if (features.empty()) return;
+  if (rows.empty()) return;
   Xoshiro256 rng(cfg_.seed);
-  std::vector<std::size_t> order(features.size());
+  std::vector<std::size_t> order(rows.size());
   std::iota(order.begin(), order.end(), 0);
 
-  // A minibatch's samples are all scored against the same weights, so they
-  // run as SIMD lanes: lane l holds b + w·x_l summed left to right from b,
-  // the predict_proba chain, and the scores are activated in one call. The
-  // gradient is then accumulated sample by sample, so the result is
-  // bit-identical to per-sample scoring.
+  // Scores run sample by sample (predict_proba's left-to-right chain from
+  // the bias, zero inputs skipped) and a minibatch's scores are activated
+  // in one call; the gradient is then accumulated sample by sample. Each
+  // gw[c] starts at +0 and a sum never yields -0 from +0, so a skipped
+  // err·0 term changes nothing there either.
   const std::size_t dim = w_.size();
-  const std::size_t max_lanes =
-      kernels::padded_lanes(std::min(cfg_.batch_size, features.size()));
-  std::vector<float> xt(dim * max_lanes), acc(max_lanes);
+  std::vector<float> p(std::min(cfg_.batch_size, rows.size()));
   std::vector<float> gw(dim);
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
     deterministic_shuffle(order, rng);
     std::size_t pos = 0;
     while (pos < order.size()) {
       const std::size_t end = std::min(pos + cfg_.batch_size, order.size());
-      const std::size_t nb = end - pos, lanes = kernels::padded_lanes(nb);
-      std::fill_n(xt.begin(), dim * lanes, 0.0f);
-      for (std::size_t l = 0; l < nb; ++l) {
-        const auto& x = features[order[pos + l]];
-        PHFTL_CHECK(x.size() == dim);
-        for (std::size_t j = 0; j < dim; ++j) xt[j * lanes + l] = x[j];
-      }
-      std::fill_n(acc.begin(), lanes, b_);
-      kernels::lane_gemv(w_.data(), 1, dim, xt.data(), lanes, acc.data());
-      act::sigmoid_inplace(acc.data(), nb);
+      const std::size_t nb = end - pos;
+      for (std::size_t l = 0; l < nb; ++l)
+        p[l] = score(x, rows[order[pos + l]]);
+      act::sigmoid_inplace(p.data(), nb);
 
       std::fill(gw.begin(), gw.end(), 0.0f);
       float gb = 0.0f;
       for (std::size_t l = 0; l < nb; ++l) {
-        const auto& x = features[order[pos + l]];
-        const float err = acc[l] - static_cast<float>(labels[order[pos + l]]);
-        for (std::size_t j = 0; j < dim; ++j) gw[j] += err * x[j];
+        const std::uint32_t row = rows[order[pos + l]];
+        const float err = p[l] - static_cast<float>(labels[row]);
+        for (std::uint32_t e = x.row_start[row]; e < x.row_start[row + 1];
+             ++e)
+          gw[x.col[e]] += err * x.val[e];
         gb += err;
       }
       const float inv = 1.0f / static_cast<float>(nb);
@@ -69,6 +88,41 @@ void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
       pos = end;
     }
   }
+  // The skip is exact only while the weights are finite; a weight that
+  // went non-finite stays so through every later update, so checking the
+  // end state covers the whole fit.
+  PHFTL_CHECK_MSG(std::isfinite(b_) &&
+                      std::all_of(w_.begin(), w_.end(),
+                                  [](float w) { return std::isfinite(w); }),
+                  "logistic regression diverged to a non-finite weight");
+}
+
+void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
+                             const std::vector<int>& labels) {
+  PHFTL_CHECK(features.size() == labels.size());
+  std::vector<float> dense;
+  dense.reserve(features.size() * w_.size());
+  for (const auto& x : features) {
+    PHFTL_CHECK(x.size() == w_.size());
+    dense.insert(dense.end(), x.begin(), x.end());
+  }
+  SparseRows sparse;
+  sparse.assign(dense.data(), features.size(), w_.size());
+  std::vector<std::uint32_t> rows(features.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  fit(sparse, labels, rows);
+}
+
+float LogisticRegression::evaluate(const SparseRows& x,
+                                   std::span<const int> labels,
+                                   std::span<const std::uint32_t> rows) const {
+  PHFTL_CHECK(labels.size() == x.rows() && x.cols == w_.size());
+  if (rows.empty()) return 0.0f;
+  std::size_t correct = 0;
+  for (const std::uint32_t row : rows)
+    if ((act::sigmoid(score(x, row)) >= 0.5f ? 1 : 0) == labels[row])
+      ++correct;
+  return static_cast<float>(correct) / static_cast<float>(rows.size());
 }
 
 float LogisticRegression::evaluate(
@@ -82,72 +136,54 @@ float LogisticRegression::evaluate(
   return static_cast<float>(correct) / static_cast<float>(features.size());
 }
 
-void balanced_resample(const std::vector<std::vector<float>>& features,
-                       const std::vector<int>& labels,
-                       std::size_t max_per_class, Xoshiro256& rng,
-                       std::vector<std::vector<float>>& out_features,
-                       std::vector<int>& out_labels) {
-  PHFTL_CHECK(features.size() == labels.size());
-  out_features.clear();
-  out_labels.clear();
-  std::vector<std::size_t> pos_idx, neg_idx;
+void balanced_resample(std::span<const int> labels, std::size_t max_per_class,
+                       Xoshiro256& rng, std::vector<std::uint32_t>& out_rows) {
+  out_rows.clear();
+  std::vector<std::uint32_t> pos_idx, neg_idx;
   for (std::size_t i = 0; i < labels.size(); ++i)
-    (labels[i] ? pos_idx : neg_idx).push_back(i);
+    (labels[i] ? pos_idx : neg_idx).push_back(static_cast<std::uint32_t>(i));
   if (pos_idx.empty() || neg_idx.empty()) {
     // Degenerate window: nothing to balance; return as-is (capped).
-    const std::size_t n = std::min(features.size(), 2 * max_per_class);
-    for (std::size_t i = 0; i < n; ++i) {
-      out_features.push_back(features[i]);
-      out_labels.push_back(labels[i]);
-    }
+    out_rows.resize(std::min(labels.size(), 2 * max_per_class));
+    std::iota(out_rows.begin(), out_rows.end(), 0u);
     return;
   }
   const std::size_t per_class =
       std::min({max_per_class, pos_idx.size(), neg_idx.size()});
-  auto draw = [&](const std::vector<std::size_t>& idx) {
-    // Sample without replacement when possible (partial Fisher-Yates).
-    std::vector<std::size_t> pool = idx;
+  auto draw = [&](std::vector<std::uint32_t>& pool) {
+    // Sample without replacement (partial Fisher-Yates).
     for (std::size_t k = 0; k < per_class; ++k) {
       const std::size_t j = k + rng.next_below(pool.size() - k);
       std::swap(pool[k], pool[j]);
-      out_features.push_back(features[pool[k]]);
-      out_labels.push_back(labels[pool[k]]);
+      out_rows.push_back(pool[k]);
     }
   };
   draw(pos_idx);
   draw(neg_idx);
 }
 
-float train_eval_light_model(const std::vector<std::vector<float>>& features,
-                             const std::vector<int>& labels,
+float train_eval_light_model(const SparseRows& x, std::span<const int> labels,
+                             std::span<const std::uint32_t> rows,
                              double test_fraction, Xoshiro256& rng,
                              LogisticRegression::Config cfg) {
-  PHFTL_CHECK(features.size() == labels.size());
-  if (features.size() < 4) return 0.0f;
-  std::vector<std::size_t> order(features.size());
+  if (rows.size() < 4) return 0.0f;
+  std::vector<std::size_t> order(rows.size());
   std::iota(order.begin(), order.end(), 0);
   deterministic_shuffle(order, rng);
 
   const auto n_test = static_cast<std::size_t>(
-      static_cast<double>(features.size()) * test_fraction);
-  const std::size_t n_train = features.size() - std::max<std::size_t>(n_test, 1);
-
-  std::vector<std::vector<float>> train_x, test_x;
-  std::vector<int> train_y, test_y;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i < n_train) {
-      train_x.push_back(features[order[i]]);
-      train_y.push_back(labels[order[i]]);
-    } else {
-      test_x.push_back(features[order[i]]);
-      test_y.push_back(labels[order[i]]);
-    }
-  }
-  if (train_x.empty() || test_x.empty()) return 0.0f;
-  cfg.input_dim = features.front().size();
+      static_cast<double>(rows.size()) * test_fraction);
+  const std::size_t n_train = rows.size() - std::max<std::size_t>(n_test, 1);
+  std::vector<std::uint32_t> split(rows.size());
+  for (std::size_t i = 0; i < order.size(); ++i) split[i] = rows[order[i]];
+  const std::span<const std::uint32_t> train(split.data(), n_train);
+  const std::span<const std::uint32_t> test(split.data() + n_train,
+                                            split.size() - n_train);
+  if (train.empty() || test.empty()) return 0.0f;
+  cfg.input_dim = x.cols;
   LogisticRegression model(cfg);
-  model.fit(train_x, train_y);
-  return model.evaluate(test_x, test_y);
+  model.fit(x, labels, train);
+  return model.evaluate(x, labels, test);
 }
 
 }  // namespace phftl::ml

@@ -5,6 +5,11 @@
 // regression per candidate on a balanced resample, and keeps the threshold
 // whose model scores the highest accuracy. This model exists purely to rank
 // thresholds cheaply; the deployed Page Classifier is the GRU.
+//
+// Algorithm 1's inputs are one window matrix: a row per lifetime sample.
+// Resamples and train/test splits are lists of row indices into it, so no
+// fit copies a row. Its compact rows are mostly zeros (at most 7 nonzeros
+// of 38), and fits walk only the nonzero inputs of each row (SparseRows).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +19,23 @@
 #include "util/rng.hpp"
 
 namespace phftl::ml {
+
+/// A row-major matrix's nonzero entries, row by row in column order
+/// (compressed sparse rows). Built once per window and shared by all of
+/// the window's fits.
+struct SparseRows {
+  std::size_t cols = 0;
+  /// Row i's entries are [row_start[i], row_start[i + 1]).
+  std::vector<std::uint32_t> row_start{0};
+  std::vector<std::uint32_t> col;
+  std::vector<float> val;
+
+  /// Rebuild from `rows` × `cols` row-major floats, keeping capacity.
+  /// An entry is stored when it compares unequal to zero (so NaN is kept
+  /// and -0.0 is dropped).
+  void assign(const float* dense, std::size_t rows, std::size_t cols);
+  std::size_t rows() const { return row_start.size() - 1; }
+};
 
 class LogisticRegression {
  public:
@@ -34,12 +56,24 @@ class LogisticRegression {
     return predict_proba(x) >= 0.5f ? 1 : 0;
   }
 
-  /// Mini-batch SGD training on (features, labels). Config::batch_size
-  /// must be positive.
+  /// Mini-batch SGD on rows `rows` of `x` (the sample order), where row i
+  /// has label `labels[i]`. A row's score is the bias plus w[c]·x[c] over
+  /// its nonzero inputs in column order — with finite weights the same
+  /// float as the dense sum, since a zero input adds ±0 (see DESIGN.md
+  /// §8.3); the fit checks that its weights end finite. Config::batch_size
+  /// must be positive and x.cols must equal Config::input_dim.
+  void fit(const SparseRows& x, std::span<const int> labels,
+           std::span<const std::uint32_t> rows);
+
+  /// Dense form: trains on every row of `features` in order.
   void fit(const std::vector<std::vector<float>>& features,
            const std::vector<int>& labels);
 
-  /// Accuracy over a labelled set.
+  /// Accuracy over rows `rows` of `x`, labelled as in fit().
+  float evaluate(const SparseRows& x, std::span<const int> labels,
+                 std::span<const std::uint32_t> rows) const;
+
+  /// Accuracy over a dense labelled set.
   float evaluate(const std::vector<std::vector<float>>& features,
                  const std::vector<int>& labels) const;
 
@@ -47,26 +81,28 @@ class LogisticRegression {
   float bias() const { return b_; }
 
  private:
+  /// b + w·x over row `row`'s nonzero inputs, in column order.
+  float score(const SparseRows& x, std::uint32_t row) const;
+
   Config cfg_;
   std::vector<float> w_;
   float b_ = 0.0f;
 };
 
 /// Train-test split + fit + held-out accuracy in one call, the exact
-/// operation `TrainEvalLightModel` performs in Algorithm 1.
-/// `test_fraction` of the data (after shuffling) is held out.
-float train_eval_light_model(const std::vector<std::vector<float>>& features,
-                             const std::vector<int>& labels,
+/// operation `TrainEvalLightModel` performs in Algorithm 1, on rows `rows`
+/// of `x` labelled by `labels` (indexed by row). `test_fraction` of the
+/// rows (after shuffling) is held out.
+float train_eval_light_model(const SparseRows& x, std::span<const int> labels,
+                             std::span<const std::uint32_t> rows,
                              double test_fraction, Xoshiro256& rng,
                              LogisticRegression::Config cfg = {});
 
-/// Resample (with replacement if needed) to a balanced set of at most
-/// `max_per_class` samples per class — "label and resample to a small,
-/// balanced training set" in Algorithm 1.
-void balanced_resample(const std::vector<std::vector<float>>& features,
-                       const std::vector<int>& labels,
-                       std::size_t max_per_class, Xoshiro256& rng,
-                       std::vector<std::vector<float>>& out_features,
-                       std::vector<int>& out_labels);
+/// Resample (without replacement) to a balanced set of at most
+/// `max_per_class` rows per class — "label and resample to a small,
+/// balanced training set" in Algorithm 1. Writes the drawn row indices,
+/// positives first, to `out_rows`.
+void balanced_resample(std::span<const int> labels, std::size_t max_per_class,
+                       Xoshiro256& rng, std::vector<std::uint32_t>& out_rows);
 
 }  // namespace phftl::ml

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ml/activations.hpp"
+#include "ml/avx2_target.hpp"
 #include "util/assert.hpp"
 
 namespace phftl::ml {
@@ -56,10 +57,10 @@ QuantizedGru::QuantizedGru(const GruClassifier& model)
     for (std::size_t c = 0; c < wo_.cols; ++c)
       wo_deq_[cls * wo_.cols + c] = wo_.dequant(cls, c);
 
-  // Size the scratch once; the padded tails of xq/hq stay zero forever, so
-  // the stride-length kernel loops see zeros past the logical columns.
-  scratch_.xq.assign(w_packed_.stride, 0);
-  scratch_.hq.assign(u_packed_.stride, 0);
+  // Size the scratch once: the kernels read whole column pairs, so an odd
+  // dimension gets one padding element, which stays zero.
+  scratch_.xq.assign(2 * w_packed_.pairs, 0);
+  scratch_.hq.assign(2 * u_packed_.pairs, 0);
   scratch_.ax.resize(3 * hidden_dim_);
   scratch_.ah.resize(3 * hidden_dim_);
   scratch_.z.resize(hidden_dim_);
@@ -67,6 +68,155 @@ QuantizedGru::QuantizedGru(const GruClassifier& model)
   scratch_.n.resize(hidden_dim_);
   scratch_.h_new.resize(hidden_dim_);
 }
+
+namespace {
+
+/// Input-feature scale: features are hex digits normalized to [0, 1].
+constexpr float kInputScale = 1.0f / 127.0f;
+
+/// One step's float tail after the six GEMVs: the int32 gate sums, the
+/// per-tensor weight scales, the biases, the gate and new-hidden arrays,
+/// and the int8 hidden state (read as h_prev, overwritten quantized).
+struct Tail {
+  const std::int32_t *az, *ar, *an, *uz, *ur, *un;
+  float wz, wr, wn, uz_scale, ur_scale, un_scale;
+  const float *bz, *br, *bn, *bun;
+  float *z, *r, *n, *h_new;
+  std::int8_t* h;
+};
+
+#if PHFTL_ML_X86
+
+// AVX2 twins of the three tail loops: each lane evaluates the scalar
+// expression of its unit with the same operations in the same order (no
+// FMA; phftl_ml builds with -ffp-contract=off), over whole vectors of 8
+// units. They return how many units they did; the scalar loop finishes.
+
+const bool g_tail_avx2 = __builtin_cpu_supports("avx2");
+
+/// float(a[0..8)) · scale · unit, multiplied left to right.
+PHFTL_TARGET_AVX2 inline __m256 dequant8(const std::int32_t* a, float scale,
+                                         float unit) {
+  const __m256 v = _mm256_cvtepi32_ps(
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)));
+  return _mm256_mul_ps(_mm256_mul_ps(v, _mm256_set1_ps(scale)),
+                       _mm256_set1_ps(unit));
+}
+
+PHFTL_TARGET_AVX2 std::size_t tail_zr_avx2(const Tail& t, std::size_t h) {
+  std::size_t i = 0;
+  for (; i + 8 <= h; i += 8) {
+    _mm256_storeu_ps(
+        t.z + i,
+        _mm256_add_ps(_mm256_add_ps(dequant8(t.az + i, t.wz, kInputScale),
+                                    dequant8(t.uz + i, t.uz_scale,
+                                             kHiddenScale)),
+                      _mm256_loadu_ps(t.bz + i)));
+    _mm256_storeu_ps(
+        t.r + i,
+        _mm256_add_ps(_mm256_add_ps(dequant8(t.ar + i, t.wr, kInputScale),
+                                    dequant8(t.ur + i, t.ur_scale,
+                                             kHiddenScale)),
+                      _mm256_loadu_ps(t.br + i)));
+  }
+  return i;
+}
+
+PHFTL_TARGET_AVX2 std::size_t tail_candidate_avx2(const Tail& t,
+                                                  std::size_t h) {
+  std::size_t i = 0;
+  for (; i + 8 <= h; i += 8) {
+    const __m256 sn =
+        _mm256_add_ps(dequant8(t.un + i, t.un_scale, kHiddenScale),
+                      _mm256_loadu_ps(t.bun + i));
+    _mm256_storeu_ps(
+        t.n + i,
+        _mm256_add_ps(_mm256_add_ps(dequant8(t.an + i, t.wn, kInputScale),
+                                    _mm256_loadu_ps(t.bn + i)),
+                      _mm256_mul_ps(_mm256_loadu_ps(t.r + i), sn)));
+  }
+  return i;
+}
+
+PHFTL_TARGET_AVX2 std::size_t tail_update_avx2(const Tail& t, std::size_t h) {
+  const __m256 one = _mm256_set1_ps(1.0f), half = _mm256_set1_ps(0.5f);
+  const __m256 hi = _mm256_set1_ps(127.0f), lo = _mm256_set1_ps(-127.0f);
+  // Byte 0 of each int32 lane, packed into the low 8 bytes.
+  const __m256i low_bytes = _mm256_setr_epi8(
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i gather = _mm256_setr_epi32(0, 4, 0, 0, 0, 0, 0, 0);
+  std::size_t i = 0;
+  for (; i + 8 <= h; i += 8) {
+    const __m256 h_prev = _mm256_mul_ps(
+        _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(t.h + i)))),
+        _mm256_set1_ps(kHiddenScale));
+    const __m256 z = _mm256_loadu_ps(t.z + i);
+    const __m256 h_new =
+        _mm256_add_ps(_mm256_mul_ps(_mm256_sub_ps(one, z),
+                                    _mm256_loadu_ps(t.n + i)),
+                      _mm256_mul_ps(z, h_prev));
+    _mm256_storeu_ps(t.h_new + i, h_new);
+    // quantize_hidden: min/max take their second operand on a NaN, as the
+    // scalar compares keep `scaled`; then ±0.5 and truncate.
+    __m256 scaled = _mm256_mul_ps(h_new, hi);
+    scaled = _mm256_max_ps(lo, _mm256_min_ps(hi, scaled));
+    const __m256 rounded = _mm256_blendv_ps(
+        _mm256_sub_ps(scaled, half), _mm256_add_ps(scaled, half),
+        _mm256_cmp_ps(scaled, _mm256_setzero_ps(), _CMP_GE_OQ));
+    const __m256i q = _mm256_permutevar8x32_epi32(
+        _mm256_shuffle_epi8(_mm256_cvttps_epi32(rounded), low_bytes), gather);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(t.h + i),
+                     _mm256_castsi256_si128(q));
+  }
+  return i;
+}
+
+#endif  // PHFTL_ML_X86
+
+/// z and r pre-activations for units [0, h).
+void tail_zr(const Tail& t, std::size_t h) {
+  std::size_t i = 0;
+#if PHFTL_ML_X86
+  if (g_tail_avx2) i = tail_zr_avx2(t, h);
+#endif
+  for (; i < h; ++i) {
+    t.z[i] = static_cast<float>(t.az[i]) * t.wz * kInputScale +
+             static_cast<float>(t.uz[i]) * t.uz_scale * kHiddenScale + t.bz[i];
+    t.r[i] = static_cast<float>(t.ar[i]) * t.wr * kInputScale +
+             static_cast<float>(t.ur[i]) * t.ur_scale * kHiddenScale + t.br[i];
+  }
+}
+
+/// Candidate gate pre-activation: Wn x + bn + r ⊙ (Un h + bun).
+void tail_candidate(const Tail& t, std::size_t h) {
+  std::size_t i = 0;
+#if PHFTL_ML_X86
+  if (g_tail_avx2) i = tail_candidate_avx2(t, h);
+#endif
+  for (; i < h; ++i) {
+    const float sn =
+        static_cast<float>(t.un[i]) * t.un_scale * kHiddenScale + t.bun[i];
+    t.n[i] = static_cast<float>(t.an[i]) * t.wn * kInputScale + t.bn[i] +
+             t.r[i] * sn;
+  }
+}
+
+/// h_new = (1 − z) ⊙ n + z ⊙ h_prev, and the int8 hidden state from it.
+void tail_update(const Tail& t, std::size_t h) {
+  std::size_t i = 0;
+#if PHFTL_ML_X86
+  if (g_tail_avx2) i = tail_update_avx2(t, h);
+#endif
+  for (; i < h; ++i) {
+    const float h_prev = static_cast<float>(t.h[i]) * kHiddenScale;
+    t.h_new[i] = (1.0f - t.z[i]) * t.n[i] + t.z[i] * h_prev;
+    t.h[i] = quantize_hidden(t.h_new[i]);
+  }
+}
+
+}  // namespace
 
 void QuantizedGru::gate_preact(const QMat& w, const QMat& u,
                                std::span<const std::int8_t> xq,
@@ -94,7 +244,6 @@ int QuantizedGru::predict_incremental(std::span<const float> x,
                                       std::span<std::int8_t> h_inout) const {
   PHFTL_CHECK(deployed());
   PHFTL_CHECK(x.size() == input_dim_ && h_inout.size() == hidden_dim_);
-  const float x_scale = 1.0f / 127.0f;
   Scratch& s = scratch_;
 
   for (std::size_t i = 0; i < input_dim_; ++i)
@@ -116,27 +265,17 @@ int QuantizedGru::predict_incremental(std::span<const float> x,
   // Combine with exactly the reference path's float expressions (term
   // order preserved), activating each gate's array in one call, so the
   // result is bit-exact against it.
-  for (std::size_t i = 0; i < h; ++i) {
-    s.z[i] = static_cast<float>(az[i]) * wz_.scale * x_scale +
-             static_cast<float>(uz[i]) * uz_.scale * kHiddenScale + bz_[i];
-    s.r[i] = static_cast<float>(ar[i]) * wr_.scale * x_scale +
-             static_cast<float>(ur[i]) * ur_.scale * kHiddenScale + br_[i];
-  }
+  const Tail t{az,       ar,       an,     uz,     ur,     un,
+               wz_.scale, wr_.scale, wn_.scale, uz_.scale, ur_.scale, un_.scale,
+               bz_.data(), br_.data(), bn_.data(), bun_.data(),
+               s.z.data(), s.r.data(), s.n.data(), s.h_new.data(),
+               h_inout.data()};
+  tail_zr(t, h);
   act::sigmoid_inplace(s.z.data(), h);
   act::sigmoid_inplace(s.r.data(), h);
-  // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
-  for (std::size_t i = 0; i < h; ++i) {
-    const float sn =
-        static_cast<float>(un[i]) * un_.scale * kHiddenScale + bun_[i];
-    s.n[i] = static_cast<float>(an[i]) * wn_.scale * x_scale + bn_[i] +
-             s.r[i] * sn;
-  }
+  tail_candidate(t, h);
   act::tanh_inplace(s.n.data(), h);
-  for (std::size_t i = 0; i < h; ++i) {
-    const float h_prev = static_cast<float>(h_inout[i]) * kHiddenScale;
-    s.h_new[i] = (1.0f - s.z[i]) * s.n[i] + s.z[i] * h_prev;
-  }
-  for (std::size_t i = 0; i < h; ++i) h_inout[i] = quantize_hidden(s.h_new[i]);
+  tail_update(t, h);
 
   // Classification head (pre-dequantized int8 weights, float hidden for
   // best fidelity). Class 1 (short-living) carries the decision-prior bias.
@@ -185,7 +324,7 @@ int QuantizedGru::predict_incremental_reference(
                        bn_[row] + r[row] * s[row]);
   }
 
-  std::vector<float> h_new(hidden_dim_);
+  std::vector<float>& h_new = scratch_.h_new;  // read by last_hidden()
   for (std::size_t i = 0; i < hidden_dim_; ++i) {
     const float h_prev = static_cast<float>(h_inout[i]) * kHiddenScale;
     h_new[i] = (1.0f - z[i]) * n[i] + z[i] * h_prev;

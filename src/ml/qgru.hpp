@@ -14,7 +14,9 @@
 // The hot path (predict_incremental, one call per host write) runs the six
 // gate GEMVs through the fused kernels in ml/kernels.hpp — the Wz/Wr/Wn and
 // Uz/Ur/Un triples are packed at deployment time and all scratch buffers
-// are preallocated, so a prediction performs no heap allocation. The
+// are preallocated, so a prediction performs no heap allocation. Its float
+// tail (gate combine, h update, quantize) runs 8 units at a time on AVX2
+// CPUs, each unit through the scalar expression's operations in order. The
 // original scalar implementation is retained as
 // predict_incremental_reference(); the fused path is bit-exact against it
 // (integer accumulation is order-independent and the float combining
@@ -90,6 +92,11 @@ class QuantizedGru {
   int predict_incremental_reference(std::span<const float> x,
                                     std::span<std::int8_t> h_inout) const;
 
+  /// The float hidden state the last prediction (either path) computed,
+  /// before quantization: what the head scores. Parity tests compare it
+  /// bit for bit, since int8 rounding hides most float differences.
+  std::span<const float> last_hidden() const { return scratch_.h_new; }
+
   /// Full-sequence prediction from a zero hidden state (used in tests and
   /// the sequence-length ablation).
   int predict_sequence(const std::vector<std::vector<float>>& steps) const;
@@ -126,14 +133,14 @@ class QuantizedGru {
   std::vector<float> bz_, br_, bn_, bun_, bo_;
 
   // --- Fused-kernel deployment state ---
-  kernels::PackedGates3 w_packed_;  ///< Wz/Wr/Wn interleaved, stride-padded
-  kernels::PackedGates3 u_packed_;  ///< Uz/Ur/Un interleaved, stride-padded
+  kernels::PackedGates3 w_packed_;  ///< Wz/Wr/Wn packed by column pairs
+  kernels::PackedGates3 u_packed_;  ///< Uz/Ur/Un packed by column pairs
   std::vector<float> wo_deq_;       ///< pre-dequantized head [classes x H]
 
   /// Per-instance scratch reused across predictions (no allocation on the
   /// predict path). Mutable: prediction is logically const.
   struct Scratch {
-    std::vector<std::int8_t> xq, hq;        // stride-padded, tails stay 0
+    std::vector<std::int8_t> xq, hq;        // pair-padded, pads stay 0
     std::vector<std::int32_t> ax, ah;       // 3 x H gate accumulators
     std::vector<float> z, r, n, h_new;
   };

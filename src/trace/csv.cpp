@@ -1,10 +1,12 @@
 #include "trace/csv.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace phftl {
 
@@ -25,6 +27,30 @@ bool write_trace_csv_file(const Trace& trace, const std::string& path) {
   return static_cast<bool>(os);
 }
 
+namespace {
+
+[[noreturn]] void reject(const char* what, std::size_t lineno) {
+  throw std::runtime_error(std::string("trace CSV: ") + what + " on line " +
+                           std::to_string(lineno));
+}
+
+/// A numeric field: one or more decimal digits and nothing else (no sign,
+/// space or suffix), within 64 bits.
+std::uint64_t parse_number(std::string_view field, std::size_t lineno) {
+  const bool digits_only = !field.empty() &&
+                           std::all_of(field.begin(), field.end(), [](char c) {
+                             return c >= '0' && c <= '9';
+                           });
+  std::uint64_t v = 0;
+  if (!digits_only ||
+      std::from_chars(field.data(), field.data() + field.size(), v).ec !=
+          std::errc())
+    reject("bad number", lineno);
+  return v;
+}
+
+}  // namespace
+
 Trace read_trace_csv(std::istream& is, std::uint64_t logical_pages,
                      const std::string& name) {
   Trace trace;
@@ -41,23 +67,26 @@ Trace read_trace_csv(std::istream& is, std::uint64_t logical_pages,
   std::size_t lineno = 1;
   while (std::getline(is, line)) {
     ++lineno;
+    // CRLF files: drop the one carriage return getline leaves behind.
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    std::istringstream ss(line);
-    std::string ts, op, lpn, np;
-    if (!std::getline(ss, ts, ',') || !std::getline(ss, op, ',') ||
-        !std::getline(ss, lpn, ',') || !std::getline(ss, np, ','))
-      throw std::runtime_error("trace CSV: malformed line " +
-                               std::to_string(lineno));
-    HostRequest req;
-    std::uint64_t num_pages = 0;
-    try {
-      req.timestamp_us = std::stoull(ts);
-      req.start_lpn = std::stoull(lpn);
-      num_pages = std::stoull(np);
-    } catch (const std::exception&) {
-      throw std::runtime_error("trace CSV: bad number on line " +
-                               std::to_string(lineno));
+    std::string_view fields[4];
+    std::size_t n = 0, start = 0;
+    for (;;) {
+      const std::size_t comma = line.find(',', start);
+      if (n == 4) reject("more than four fields", lineno);
+      fields[n++] = std::string_view(line).substr(
+          start, comma == std::string::npos ? std::string::npos
+                                            : comma - start);
+      if (comma == std::string::npos) break;
+      start = comma + 1;
     }
+    if (n < 4) reject("fewer than four fields", lineno);
+    HostRequest req;
+    req.timestamp_us = parse_number(fields[0], lineno);
+    req.start_lpn = parse_number(fields[2], lineno);
+    const std::uint64_t num_pages = parse_number(fields[3], lineno);
+    const std::string_view op = fields[1];
     if (op == "W" || op == "w")
       req.op = OpType::kWrite;
     else if (op == "R" || op == "r")
@@ -65,14 +94,12 @@ Trace read_trace_csv(std::istream& is, std::uint64_t logical_pages,
     else if (op == "T" || op == "t")
       req.op = OpType::kTrim;
     else
-      throw std::runtime_error("trace CSV: bad op on line " +
-                               std::to_string(lineno));
+      reject("bad op", lineno);
     // Overflow-safe: a huge start or count must not wrap into range.
     if (num_pages == 0 || num_pages > UINT32_MAX ||
         req.start_lpn >= logical_pages ||
         num_pages > logical_pages - req.start_lpn)
-      throw std::runtime_error("trace CSV: request out of range on line " +
-                               std::to_string(lineno));
+      reject("request out of range", lineno);
     req.num_pages = static_cast<std::uint32_t>(num_pages);
     trace.ops.push_back(req);
   }

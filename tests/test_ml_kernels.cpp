@@ -40,53 +40,80 @@ std::vector<float> random_unit_vec(std::size_t n, Xoshiro256& rng) {
   return v;
 }
 
-TEST(PackedGates3, LayoutInterleavesRowsAndZeroPads) {
-  // 2 rows x 3 cols, three distinct matrices.
+TEST(PackedGates3, LayoutPairsColumnsAndZeroPads) {
+  // 2 rows x 3 cols, three distinct matrices: 2 column pairs, 1 row block.
   const std::int8_t g0[] = {1, 2, 3, 4, 5, 6};
   const std::int8_t g1[] = {10, 20, 30, 40, 50, 60};
   const std::int8_t g2[] = {-1, -2, -3, -4, -5, -6};
   const auto p = kernels::pack_gates3(g0, g1, g2, 2, 3);
   EXPECT_EQ(p.rows, 2u);
   EXPECT_EQ(p.cols, 3u);
-  EXPECT_EQ(p.stride % kernels::kLaneAlign, 0u);
-  // Row block r holds gate-0, gate-1, gate-2 rows back to back.
-  EXPECT_EQ(p.row_block(1)[0], 4);
-  EXPECT_EQ(p.row_block(1)[p.stride + 1], 50);
-  EXPECT_EQ(p.row_block(1)[2 * p.stride + 2], -6);
-  // Padding beyond the logical columns is zero.
-  for (std::size_t c = 3; c < p.stride; ++c)
-    EXPECT_EQ(p.row_block(0)[c], 0) << "col " << c;
+  EXPECT_EQ(p.pairs, 2u);
+  EXPECT_EQ(p.blocks, 1u);
+  ASSERT_EQ(p.data.size(), 2 * 1 * 3 * kernels::PackedGates3::kTileSize);
+  // Tiles follow pair, then block, then gate; a tile holds each row's
+  // (w[r][2p], w[r][2p+1]) in row order.
+  EXPECT_EQ(p.tile(0, 0, 0) - p.data.data(), 0);
+  EXPECT_EQ(p.tile(0, 0, 2) - p.tile(0, 0, 1),
+            static_cast<std::ptrdiff_t>(kernels::PackedGates3::kTileSize));
+  EXPECT_EQ(p.tile(1, 0, 0) - p.tile(0, 0, 2),
+            static_cast<std::ptrdiff_t>(kernels::PackedGates3::kTileSize));
+  const std::vector<std::int16_t> pair0_gate0(p.tile(0, 0, 0),
+                                              p.tile(0, 0, 0) + 16);
+  EXPECT_EQ(pair0_gate0, (std::vector<std::int16_t>{1, 2, 4, 5, 0, 0, 0, 0,
+                                                    0, 0, 0, 0, 0, 0, 0, 0}));
+  const std::vector<std::int16_t> pair1_gate1(p.tile(1, 0, 1),
+                                              p.tile(1, 0, 1) + 16);
+  // Column 3 pads the odd count, rows 2-7 pad the row block: all zero.
+  EXPECT_EQ(pair1_gate1, (std::vector<std::int16_t>{30, 0, 60, 0, 0, 0, 0, 0,
+                                                    0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(p.tile(1, 0, 2)[0], -3);
+  EXPECT_EQ(p.tile(1, 0, 2)[2], -6);
 }
 
 TEST(FusedGemv3, MatchesReferenceGemvExactly) {
   Xoshiro256 rng(11);
-  // Odd shapes exercise the stride padding; larger ones the unrolled loops.
-  const std::size_t shapes[][2] = {{1, 1},  {3, 5},   {16, 6},
-                                   {32, 32}, {32, 20}, {24, 7},
-                                   {40, 33}, {64, 96}};
-  for (const auto& shape : shapes) {
-    const std::size_t rows = shape[0], cols = shape[1];
-    const auto g0 = random_i8(rows * cols, rng);
-    const auto g1 = random_i8(rows * cols, rng);
-    const auto g2 = random_i8(rows * cols, rng);
-    const auto p = kernels::pack_gates3(g0.data(), g1.data(), g2.data(), rows,
-                                        cols);
-    // x padded to the stride with zeros, as the kernel contract requires.
-    std::vector<std::int8_t> x(p.stride, 0);
-    const auto xv = random_i8(cols, rng);
-    std::copy(xv.begin(), xv.end(), x.begin());
+  // Odd column counts exercise the padding column, row counts off a
+  // multiple of 8 the padded row block and its partial store, and more
+  // than 32 rows a second register pass.
+  const std::size_t shapes[][2] = {{1, 1},   {3, 5},   {16, 6},  {32, 32},
+                                   {32, 20}, {24, 7},  {40, 33}, {64, 96},
+                                   {12, 9},  {33, 40}, {7, 1},   {71, 13}};
+  for (const auto& shape : shapes)
+    for (const bool extremes : {false, true}) {
+      const std::size_t rows = shape[0], cols = shape[1];
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                   (extremes ? " with -128" : ""));
+      auto g0 = random_i8(rows * cols, rng);
+      auto g1 = random_i8(rows * cols, rng);
+      auto g2 = random_i8(rows * cols, rng);
+      auto xv = random_i8(cols, rng);
+      if (extremes) {
+        // int8's full range: -128 weights and inputs, whose products are
+        // the largest the int16 multiply-add sees.
+        for (auto* v : {&g0, &g1, &g2, &xv})
+          for (std::size_t i = 0; i < v->size(); i += 2) (*v)[i] = -128;
+      }
+      const auto p = kernels::pack_gates3(g0.data(), g1.data(), g2.data(),
+                                          rows, cols);
+      // x readable up to whole column pairs; the padding value is ignored.
+      std::vector<std::int8_t> x(2 * p.pairs, 99);
+      std::copy(xv.begin(), xv.end(), x.begin());
 
-    std::vector<std::int32_t> out0(rows), out1(rows), out2(rows);
-    kernels::fused_gemv3_i8(p, x.data(), out0.data(), out1.data(),
-                            out2.data());
-    std::vector<std::int32_t> ref0(rows), ref1(rows), ref2(rows);
-    kernels::gemv_i8_ref(g0.data(), rows, cols, x.data(), ref0.data());
-    kernels::gemv_i8_ref(g1.data(), rows, cols, x.data(), ref1.data());
-    kernels::gemv_i8_ref(g2.data(), rows, cols, x.data(), ref2.data());
-    EXPECT_EQ(out0, ref0) << rows << "x" << cols;
-    EXPECT_EQ(out1, ref1) << rows << "x" << cols;
-    EXPECT_EQ(out2, ref2) << rows << "x" << cols;
-  }
+      std::vector<std::int32_t> out0(rows + 1, 7), out1(rows + 1, 7),
+          out2(rows + 1, 7);
+      kernels::fused_gemv3_i8(p, x.data(), out0.data(), out1.data(),
+                              out2.data());
+      std::vector<std::int32_t> ref0(rows + 1, 7), ref1(rows + 1, 7),
+          ref2(rows + 1, 7);
+      kernels::gemv_i8_ref(g0.data(), rows, cols, x.data(), ref0.data());
+      kernels::gemv_i8_ref(g1.data(), rows, cols, x.data(), ref1.data());
+      kernels::gemv_i8_ref(g2.data(), rows, cols, x.data(), ref2.data());
+      // The guard element past the rows stays untouched.
+      EXPECT_EQ(out0, ref0);
+      EXPECT_EQ(out1, ref1);
+      EXPECT_EQ(out2, ref2);
+    }
 }
 
 /// Random floats in [-1, 1). With `zeros`, about a quarter are exact zeros
@@ -370,13 +397,20 @@ TEST(Activations, TanhIsOddAndBothStayInRange) {
 /// implementation, bit for bit, over randomized models and sequences.
 TEST(QuantizedGruFused, BitExactAgainstReferenceAcrossRandomModels) {
   Xoshiro256 rng(2027);
-  const std::size_t dims[][2] = {{6, 16}, {20, 32}, {7, 24}, {33, 40}};
+  // Hidden sizes off a multiple of 8 (12, 33) run the float tail's scalar
+  // remainder after its AVX2 vectors.
+  const std::size_t dims[][2] = {{6, 16}, {20, 32}, {7, 24},
+                                 {33, 40}, {20, 12}, {9, 33}};
   for (const auto& d : dims) {
     GruClassifier::Config cfg;
     cfg.input_dim = d[0];
     cfg.hidden_dim = d[1];
     cfg.seed = 100 + d[0];
-    const GruClassifier model(cfg);
+    GruClassifier model(cfg);
+    // Nonzero biases, as after training: with the initial zeros a misordered
+    // bias add would still round alike.
+    for (float& p : model.store().all_params())
+      p += static_cast<float>(0.2 * rng.next_gaussian());
     QuantizedGru q(model);
     q.set_decision_bias(static_cast<float>(rng.next_gaussian()));
 
@@ -386,7 +420,16 @@ TEST(QuantizedGruFused, BitExactAgainstReferenceAcrossRandomModels) {
       for (int t = 0; t < 12; ++t) {
         const auto x = random_unit_vec(d[0], rng);
         const int cls_fused = q.predict_incremental(x, h_fused);
+        const std::vector<float> float_fused(q.last_hidden().begin(),
+                                             q.last_hidden().end());
         const int cls_ref = q.predict_incremental_reference(x, h_ref);
+        // The float hidden state too: int8 rounding would hide a float
+        // tail that drifted by an ulp.
+        ASSERT_TRUE(same_bits(float_fused, std::vector<float>(
+                                               q.last_hidden().begin(),
+                                               q.last_hidden().end())))
+            << "float hidden state diverged at dims " << d[0] << "x" << d[1]
+            << " trial " << trial << " step " << t;
         ASSERT_EQ(cls_fused, cls_ref)
             << "dims " << d[0] << "x" << d[1] << " trial " << trial
             << " step " << t;
@@ -423,8 +466,13 @@ TEST(QuantizedGruFused, BitExactAfterTraining) {
   std::vector<std::int8_t> h_ref(q.hidden_dim(), 0);
   for (int t = 0; t < 64; ++t) {
     const auto x = random_unit_vec(6, rng);
-    ASSERT_EQ(q.predict_incremental(x, h_fused),
-              q.predict_incremental_reference(x, h_ref));
+    const int cls_fused = q.predict_incremental(x, h_fused);
+    const std::vector<float> float_fused(q.last_hidden().begin(),
+                                         q.last_hidden().end());
+    ASSERT_EQ(cls_fused, q.predict_incremental_reference(x, h_ref));
+    ASSERT_TRUE(same_bits(float_fused,
+                          std::vector<float>(q.last_hidden().begin(),
+                                             q.last_hidden().end())));
     ASSERT_EQ(0, std::memcmp(h_fused.data(), h_ref.data(), h_fused.size()));
   }
 }

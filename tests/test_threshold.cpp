@@ -10,16 +10,27 @@
 namespace phftl::core {
 namespace {
 
+/// A window matrix: one compact-encoded row per lifetime sample.
+struct Window {
+  std::vector<float> data;
+  std::size_t rows = 0;
+  operator ml::ConstMatView() const {
+    return {data.data(), rows, kCompactDim};
+  }
+};
+
 /// Build (lifetime, encoded-feature) pairs where prev_lifetime mirrors the
 /// sampled lifetime — a learnable association, as in real windows.
 void make_window(const std::vector<std::uint64_t>& lifetimes,
-                 std::vector<std::vector<float>>& features) {
-  features.clear();
+                 Window& features) {
+  features.data.clear();
   for (const auto lt : lifetimes) {
     RawFeatures raw;
     raw.prev_lifetime = static_cast<std::uint32_t>(lt);
-    features.push_back(encode_features_compact(raw));
+    const auto row = encode_features_compact(raw);
+    features.data.insert(features.data.end(), row.begin(), row.end());
   }
+  features.rows = lifetimes.size();
 }
 
 /// A skewed, bimodal lifetime population: `n_short` short-living samples
@@ -74,7 +85,7 @@ TEST(ThresholdController, StartsUnset) {
 TEST(ThresholdController, FirstWindowUsesInflectionPoint) {
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 2);
-  std::vector<std::vector<float>> feats;
+  Window feats;
   make_window(lifetimes, feats);
   const auto t = tc.pick_threshold(lifetimes, feats);
   EXPECT_EQ(t, ThresholdController::inflection_point(lifetimes));
@@ -84,7 +95,7 @@ TEST(ThresholdController, FirstWindowUsesInflectionPoint) {
 TEST(ThresholdController, EmptyWindowKeepsThreshold) {
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 3);
-  std::vector<std::vector<float>> feats;
+  Window feats;
   make_window(lifetimes, feats);
   const auto t = tc.pick_threshold(lifetimes, feats);
   EXPECT_EQ(tc.pick_threshold({}, {}), t);
@@ -95,7 +106,7 @@ TEST(ThresholdController, TracksDistributionAcrossWindows) {
   // Threshold should remain in the gap between the two modes as windows
   // repeat, and stay finite/sane when the distribution shifts.
   ThresholdController tc(test_cfg());
-  std::vector<std::vector<float>> feats;
+  Window feats;
   for (int w = 0; w < 6; ++w) {
     const auto lifetimes = bimodal(400, 50, 100, 5000, 10 + w);
     make_window(lifetimes, feats);
@@ -118,7 +129,7 @@ TEST(ThresholdController, TracksDistributionAcrossWindows) {
 
 TEST(ThresholdController, StepStaysWithinBounds) {
   ThresholdController tc(test_cfg());
-  std::vector<std::vector<float>> feats;
+  Window feats;
   for (int w = 0; w < 20; ++w) {
     const auto lifetimes = bimodal(300, 50 + 10 * w, 100, 5000, 100 + w);
     make_window(lifetimes, feats);
@@ -133,7 +144,7 @@ TEST(ThresholdController, StableWindowsGrowStep) {
   // "trapped in local optimum" rule grows the step.
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 7);
-  std::vector<std::vector<float>> feats;
+  Window feats;
   make_window(lifetimes, feats);
   tc.pick_threshold(lifetimes, feats);  // first window: inflection point
   int prev_step = tc.step();
@@ -150,7 +161,7 @@ TEST(ThresholdController, FreezeAfterFirstWindowHoldsThreshold) {
   auto cfg = test_cfg();
   cfg.freeze_after_first_window = true;
   ThresholdController tc(cfg);
-  std::vector<std::vector<float>> feats;
+  Window feats;
   const auto w1 = bimodal(400, 50, 100, 5000, 71);
   make_window(w1, feats);
   const auto t1 = tc.pick_threshold(w1, feats);
@@ -165,7 +176,7 @@ TEST(ThresholdController, ReanchorFollowsDistributionJump) {
   // With re-anchoring, a sudden 8x lifetime shift is tracked in one
   // window instead of crawling at <= kMaxStep percentile points.
   ThresholdController tc(test_cfg());
-  std::vector<std::vector<float>> feats;
+  Window feats;
   const auto w1 = bimodal(400, 50, 100, 5000, 73);
   make_window(w1, feats);
   tc.pick_threshold(w1, feats);
@@ -178,7 +189,7 @@ TEST(ThresholdController, ReanchorFollowsDistributionJump) {
 TEST(ThresholdController, ReportsAccuracyOfWinningCandidate) {
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 9);
-  std::vector<std::vector<float>> feats;
+  Window feats;
   make_window(lifetimes, feats);
   tc.pick_threshold(lifetimes, feats);
   tc.pick_threshold(lifetimes, feats);

@@ -184,6 +184,40 @@ TEST(Csv, RejectsMalformedInput) {
   std::stringstream truncates(
       "timestamp_us,op,lpn,num_pages\n1,W,0,4294967297\n");
   EXPECT_THROW(read_trace_csv(truncates, 100, "x"), std::runtime_error);
+
+  // Numbers are all decimal digits: no sign (a -1 timestamp must not wrap
+  // to 2^64 - 1), no space, no trailing junk, nothing past 64 bits; and a
+  // line has exactly four fields.
+  const char* bad_lines[] = {"-1,W,3,1",   "+1,W,3,1",  " 1,W,3,1",
+                             "12abc,W,3,1", "1,W,3x,1", "1,W,3,1 ",
+                             "1,W,,1",      "1,W,3,1,9", "1,W,3,1,",
+                             "18446744073709551616,W,3,1"};
+  for (const char* bad : bad_lines) {
+    std::stringstream ss(std::string("timestamp_us,op,lpn,num_pages\n"
+                                     "0,W,0,1\n") +
+                         bad + "\n");
+    try {
+      read_trace_csv(ss, 100, "x");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("on line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Csv, LoadsCrlfLines) {
+  std::stringstream ss(
+      "timestamp_us,op,lpn,num_pages\r\n1,W,3,1\r\n\r\n2,R,4,2\r\n");
+  const Trace t = read_trace_csv(ss, 100, "x");
+  ASSERT_EQ(t.ops.size(), 2u);
+  EXPECT_EQ(t.ops[0].timestamp_us, 1u);
+  EXPECT_EQ(t.ops[0].op, OpType::kWrite);
+  EXPECT_EQ(t.ops[0].start_lpn, 3u);
+  EXPECT_EQ(t.ops[0].num_pages, 1u);
+  EXPECT_EQ(t.ops[1].timestamp_us, 2u);
+  EXPECT_EQ(t.ops[1].op, OpType::kRead);
+  EXPECT_EQ(t.ops[1].num_pages, 2u);
 }
 
 TEST(AlibabaSuite, TwentyTracesWithPaperIds) {
