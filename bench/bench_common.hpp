@@ -1,5 +1,6 @@
 // Shared runner for the trace-suite benchmarks (bench_fig5's tables and
-// bench_replay's identity rows).
+// artifact, and the other suite benches), plus the aged-tail method of the
+// timed benches (bench_fig7, bench_gc_latency).
 //
 // Every suite benchmark replays a (scheme × trace × config) grid of fully
 // independent runs. ExperimentRunner executes that grid on a fixed-size
@@ -23,6 +24,7 @@
 
 #include "core/phftl.hpp"
 #include "core/schemes.hpp"
+#include "device/replayer.hpp"
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
 #include "util/cli.hpp"
@@ -247,22 +249,70 @@ inline unsigned parse_jobs(const util::FlagParser& flags, const char* text) {
 }
 
 /// Shared CLI handling: every suite bench accepts `--jobs N` (overriding
-/// PHFTL_JOBS; 0 = one job per hardware thread). Unknown arguments exit 2
-/// with a usage line.
-inline unsigned jobs_from_cli(int argc, char** argv) {
+/// PHFTL_JOBS; 0 = one job per hardware thread), and a bench that passes
+/// `out_path` also accepts `--out <path>` for its artifact. Unknown
+/// arguments exit 2 with a usage line.
+inline unsigned jobs_from_cli(int argc, char** argv,
+                              std::string* out_path = nullptr) {
   const util::FlagParser flags(argv[0]);
   long cli = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
       cli = parse_jobs(flags, argv[++i]);
+    } else if (out_path && arg == "--out" && i + 1 < argc) {
+      *out_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--jobs N]  (or PHFTL_JOBS=N)\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--jobs N]%s  (or PHFTL_JOBS=N)\n",
+                   argv[0], out_path ? " [--out <path>]" : "");
       std::exit(2);
     }
   }
   return util::resolve_jobs(cli);
+}
+
+/// The timed benches' cut of a trace. `head`, its first 90 % of requests,
+/// is stress-loaded to age the device, one bandwidth sample per drive
+/// write of pages (`segment_pages`); `tail`, the rest rebased to t = 0, is
+/// the measured open-loop replay.
+struct AgedTail {
+  Trace head, tail;
+  std::uint64_t segment_pages = 0;
+
+  AgedTail(const Trace& trace, double drive_writes)
+      : segment_pages(static_cast<std::uint64_t>(
+            static_cast<double>(trace.total_write_pages()) / drive_writes)) {
+    const auto cut = trace.ops.begin() +
+                     static_cast<std::ptrdiff_t>(trace.ops.size() * 9 / 10);
+    head.name = tail.name = trace.name;
+    head.logical_pages = tail.logical_pages = trace.logical_pages;
+    head.ops.assign(trace.ops.begin(), cut);
+    tail.ops.assign(cut, trace.ops.end());
+    const std::uint64_t t0 = tail.ops.front().timestamp_us;
+    for (auto& op : tail.ops) op.timestamp_us -= t0;
+  }
+};
+
+/// The open-loop arrival scale that replays `cut.tail` at 65 % of the
+/// service rate of a device aged by `aged` (stress_load of `cut.head`), so
+/// the replay does not saturate it. The head's mean service time per
+/// request understates the aged device's cost, so it is corrected by the
+/// first-to-last drive-write slowdown; the scale is floored at 1e-6. A
+/// bench computes it once per pair of runs that must see identical arrivals.
+inline double arrival_scale(const AgedTail& cut, const Phase1Result& aged) {
+  const double service_per_op = static_cast<double>(aged.total_sim_ns) /
+                                static_cast<double>(cut.head.ops.size());
+  const double slowdown =
+      aged.bandwidth_mb_s.size() >= 2 && aged.bandwidth_mb_s.back() > 0
+          ? aged.bandwidth_mb_s.front() / aged.bandwidth_mb_s.back()
+          : 1.0;
+  const double tail_duration_ns =
+      static_cast<double>(cut.tail.ops.back().timestamp_us) * 1000.0;
+  const double tail_arrival_per_op =
+      tail_duration_ns / static_cast<double>(cut.tail.ops.size());
+  const double scale =
+      service_per_op * slowdown / (0.65 * tail_arrival_per_op);
+  return scale < 1e-6 ? 1e-6 : scale;
 }
 
 }  // namespace phftl::bench

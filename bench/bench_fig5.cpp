@@ -36,6 +36,12 @@
 // summed over the suite. A stream whose flash pages far exceed its host
 // pages absorbs relocation traffic; a hot stream near 1:1 separates well.
 //
+// `--out <path>` writes the grid as an artifact (schema
+// "phftl-bench-fig5/1", EXPERIMENTS.md): one row per cell in grid order
+// with its exact WA and write and erase counts, plus Table I's confusion
+// counts on PHFTL rows. BENCH_fig5_6dw.json and BENCH_fig5_20dw.json are
+// committed, and tools/check_artifacts.py regenerates and compares them.
+//
 // Runtime is controlled by PHFTL_DRIVE_WRITES (default 6; the paper replays
 // 20 drive writes — set PHFTL_DRIVE_WRITES=20 for the full-fidelity run) and
 // by `--jobs N` / PHFTL_JOBS (each cell is an independent run; output and
@@ -44,6 +50,7 @@
 #include <array>
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -272,10 +279,43 @@ void print_stream_attribution(const std::vector<SuiteRunResult>& grid,
       "concentrated in the cold/GC-fed streams. See EXPERIMENTS.md.\n");
 }
 
+/// The grid artifact: one row per cell, in grid order. WA is printed at
+/// full precision so a fresh replay can be compared with it exactly.
+std::string grid_json(double drive_writes,
+                      const std::vector<bench::GridCell>& cells,
+                      const std::vector<SuiteRunResult>& results) {
+  const auto num = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::ostringstream js;
+  js << "{\n  \"schema\": \"phftl-bench-fig5/1\",\n"
+     << "  \"drive_writes\": " << num(drive_writes) << ",\n"
+     << "  \"cells\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const SuiteRunResult& r = results[i];
+    js << "    {\"trace\": \"" << r.trace_id << "\", \"scheme\": \""
+       << r.scheme << "\", \"wa\": " << num(r.wa)
+       << ", \"user_writes\": " << r.stats.user_writes
+       << ", \"gc_writes\": " << r.stats.gc_writes
+       << ", \"erases\": " << r.stats.erases;
+    if (cells[i].scheme == "PHFTL") {
+      const ConfusionMatrix& cm = r.classifier;
+      js << ", \"tp\": " << cm.tp() << ", \"fp\": " << cm.fp()
+         << ", \"tn\": " << cm.tn() << ", \"fn\": " << cm.fn();
+    }
+    js << "}" << (i + 1 < results.size() ? ",\n" : "\n");
+  }
+  js << "  ]\n}\n";
+  return js.str();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = bench::jobs_from_cli(argc, argv);
+  std::string out_path;
+  const unsigned jobs = bench::jobs_from_cli(argc, argv, &out_path);
   const double drive_writes = drive_writes_from_env(6.0);
   const std::vector<std::string>& schemes = kSchemeNames;
 
@@ -350,5 +390,14 @@ int main(int argc, char** argv) {
   print_threshold_ablation(results);
   print_victim_ablation(results);
   print_stream_attribution(results, schemes);
+
+  if (!out_path.empty()) {
+    if (!obs::write_text_file(out_path,
+                              grid_json(drive_writes, cells, results))) {
+      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", out_path.c_str());
+  }
   return 0;
 }

@@ -51,8 +51,9 @@ std::string run_trace(const char* trace_id, double drive_writes) {
   const auto& spec = suite_spec(trace_id);
   const FtlConfig cfg = suite_ftl_config(spec);
   const Trace trace = make_suite_trace(spec, drive_writes);
-  const auto segment = static_cast<std::uint64_t>(
-      static_cast<double>(trace.total_write_pages()) / drive_writes);
+  // Phase 2 replays the last ~10 % of the trace by timestamp (the paper
+  // replays the last hour) on a device aged by the rest.
+  const bench::AgedTail cut(trace, drive_writes);
 
   std::snprintf(buf, sizeof(buf),
                 "=== Trace %s (%s, %.1f drive writes) ===\n", trace_id,
@@ -74,7 +75,7 @@ std::string run_trace(const char* trace_id, double drive_writes) {
   for (const char* scheme : {"Stock", "PHFTL-hw"}) {
     auto ftl = make_scheme(scheme_of(scheme), core::default_phftl_config(cfg));
     TimedReplayer replayer(*ftl, timing_for(scheme));
-    const Phase1Result res = replayer.stress_load(trace, segment);
+    const Phase1Result res = replayer.stress_load(trace, cut.segment_pages);
     std::vector<std::string> row{scheme};
     for (double b : res.bandwidth_mb_s)
       row.push_back(TextTable::num(b, 0));
@@ -90,20 +91,6 @@ std::string run_trace(const char* trace_id, double drive_writes) {
   out << buf;
 
   // --- Phase 2: timestamped replay of the trace tail ---
-  // Replay the last ~10% of the trace by timestamp (the paper replays the
-  // last hour) on a device already aged by the stress phase.
-  const std::size_t tail_start = trace.ops.size() * 9 / 10;
-  Trace tail;
-  tail.name = trace.name;
-  tail.logical_pages = trace.logical_pages;
-  tail.ops.assign(trace.ops.begin() + static_cast<std::ptrdiff_t>(tail_start),
-                  trace.ops.end());
-  // Rebase tail timestamps to zero.
-  const std::uint64_t t0 = tail.ops.front().timestamp_us;
-  for (auto& op : tail.ops) op.timestamp_us -= t0;
-  const double tail_duration_ns =
-      static_cast<double>(tail.ops.back().timestamp_us) * 1000.0;
-
   TextTable lat;
   lat.header({"scheme", "P50 us", "P90 us", "P99 us", "P99.5 us",
               "P99.9 us", "Avg us"});
@@ -113,34 +100,12 @@ std::string run_trace(const char* trace_id, double drive_writes) {
   for (const char* scheme : {"Stock", "PHFTL-hw"}) {
     auto ftl = make_scheme(scheme_of(scheme), core::default_phftl_config(cfg));
     TimedReplayer replayer(*ftl, timing_for(scheme));
-    // Age the device first (phase 1 portion), then measure the tail.
-    Trace head;
-    head.name = trace.name;
-    head.logical_pages = trace.logical_pages;
-    head.ops.assign(trace.ops.begin(),
-                    trace.ops.begin() + static_cast<std::ptrdiff_t>(tail_start));
-    const Phase1Result aged = replayer.stress_load(head, segment);
-    // Scale arrivals so the offered load sits at ~65% of the *stock*
-    // device's aged service rate: the open-loop replay must not saturate
-    // the device, and both schemes must see identical arrival times
-    // (the paper replays wall-clock timestamps). We key the scale off the
-    // head portion's measured service time per trace op.
-    if (scheme == std::string("Stock")) {
-      const double service_per_op =
-          static_cast<double>(aged.total_sim_ns) /
-          static_cast<double>(head.ops.size());
-      // The head average understates the aged device's cost; correct by
-      // the measured first-to-last drive-write slowdown.
-      const double slowdown =
-          aged.bandwidth_mb_s.size() >= 2 && aged.bandwidth_mb_s.back() > 0
-              ? aged.bandwidth_mb_s.front() / aged.bandwidth_mb_s.back()
-              : 1.0;
-      const double tail_arrival_per_op =
-          tail_duration_ns / static_cast<double>(tail.ops.size());
-      time_scale = service_per_op * slowdown / (0.65 * tail_arrival_per_op);
-      if (time_scale < 1e-6) time_scale = 1e-6;
-    }
-    const Phase2Result res = replayer.timed_replay(tail, time_scale);
+    const Phase1Result aged = replayer.stress_load(cut.head, cut.segment_pages);
+    // Both schemes see the arrival times the *stock* device's aged service
+    // rate sets, as the paper replays wall-clock timestamps.
+    if (scheme == std::string("Stock"))
+      time_scale = bench::arrival_scale(cut, aged);
+    const Phase2Result res = replayer.timed_replay(cut.tail, time_scale);
     lat.row({scheme, TextTable::num(res.p50_us, 1),
              TextTable::num(res.p90_us, 1), TextTable::num(res.p99_us, 1),
              TextTable::num(res.p995_us, 1),

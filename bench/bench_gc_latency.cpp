@@ -10,18 +10,19 @@
 // victim) while staying WA-neutral to within 1 % (the cursor-based round
 // relocates the same valid pages, minus any the host invalidates mid-round).
 //
-// Method (mirrors bench_fig7): age the device by stress-loading the first
-// 90 % of the trace, calibrate the open-loop arrival scale off the
-// stop-the-world run (~65 % of its aged service rate), then reuse that
-// scale for the time-sliced run so both see identical arrivals.
+// Method (bench_fig7's, from bench_common.hpp): age the device by
+// stress-loading the first 90 % of the trace (bench::AgedTail), calibrate
+// the open-loop arrival scale off the stop-the-world run (65 % of its aged
+// service rate, bench::arrival_scale), then reuse that scale for the
+// time-sliced run so both see identical arrivals.
 //
 // Usage: bench_gc_latency [--jobs N] [--step-pages N] [--out <path>]
 // Writes BENCH_gc_latency.json (schema "phftl-bench-gc-latency/1" — see
 // EXPERIMENTS.md). The job count is --jobs, else PHFTL_JOBS, else 4; 0 means
-// one per hardware thread. --step-pages 0 keeps the default 8, since a
-// budget of 0 would make both arms stop-the-world. A numeric flag whose
+// one per hardware thread. --step-pages defaults to 8. A numeric flag whose
 // whole token is not an integer in its range (--jobs [0, 256];
-// --step-pages >= 0) exits with status 2.
+// --step-pages >= 1, since a budget of 0 would make both arms
+// stop-the-world) exits with status 2.
 #include <cstdio>
 #include <cstring>
 #include <future>
@@ -64,23 +65,8 @@ std::string json_num(double v) {
 CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
                     double drive_writes, std::uint64_t step_pages) {
   FtlConfig cfg = suite_ftl_config(spec);
-  const Trace trace = make_suite_trace(spec, drive_writes);
-  const auto segment = static_cast<std::uint64_t>(
-      static_cast<double>(trace.total_write_pages()) / drive_writes);
-
-  // Head ages the device; the rebased tail is the measured open-loop phase.
-  const std::size_t tail_start = trace.ops.size() * 9 / 10;
-  Trace head, tail;
-  head.name = tail.name = trace.name;
-  head.logical_pages = tail.logical_pages = trace.logical_pages;
-  head.ops.assign(trace.ops.begin(),
-                  trace.ops.begin() + static_cast<std::ptrdiff_t>(tail_start));
-  tail.ops.assign(trace.ops.begin() + static_cast<std::ptrdiff_t>(tail_start),
-                  trace.ops.end());
-  const std::uint64_t t0 = tail.ops.front().timestamp_us;
-  for (auto& op : tail.ops) op.timestamp_us -= t0;
-  const double tail_duration_ns =
-      static_cast<double>(tail.ops.back().timestamp_us) * 1000.0;
+  const bench::AgedTail cut(make_suite_trace(spec, drive_writes),
+                           drive_writes);
 
   CellResult cell;
   cell.trace_id = spec.id;
@@ -92,25 +78,11 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
     auto ftl = bench::make_scheme(scheme, cfg);
     TimedReplayer replayer(*ftl, DeviceTimingConfig{});
 
-    const Phase1Result aged = replayer.stress_load(head, segment);
-    if (!sliced) {
-      // Offered load at ~65 % of the aged stop-the-world service rate
-      // (bench_fig7's calibration), corrected by the first-to-last
-      // drive-write slowdown the head understates.
-      const double service_per_op = static_cast<double>(aged.total_sim_ns) /
-                                    static_cast<double>(head.ops.size());
-      const double slowdown =
-          aged.bandwidth_mb_s.size() >= 2 && aged.bandwidth_mb_s.back() > 0
-              ? aged.bandwidth_mb_s.front() / aged.bandwidth_mb_s.back()
-              : 1.0;
-      const double tail_arrival_per_op =
-          tail_duration_ns / static_cast<double>(tail.ops.size());
-      time_scale = service_per_op * slowdown / (0.65 * tail_arrival_per_op);
-      if (time_scale < 1e-6) time_scale = 1e-6;
-    }
+    const Phase1Result aged = replayer.stress_load(cut.head, cut.segment_pages);
+    if (!sliced) time_scale = bench::arrival_scale(cut, aged);
 
     ModeResult& r = sliced ? cell.sliced : cell.stw;
-    r.lat = replayer.timed_replay(tail, time_scale);
+    r.lat = replayer.timed_replay(cut.tail, time_scale);
     ftl->drain();  // finish a preempted round before reading final stats
     const FtlStats& s = ftl->stats();
     r.wa = s.write_amplification();
@@ -163,7 +135,7 @@ int main(int argc, char** argv) {
     if (arg == "--jobs" && i + 1 < argc) {
       cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--step-pages" && i + 1 < argc) {
-      step_pages = flags.parse_uint(arg, argv[++i]);
+      step_pages = flags.parse_uint(arg, argv[++i], 1);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -173,7 +145,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (step_pages == 0) step_pages = 8;
   const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
   const double drive_writes = drive_writes_from_env(4.0);
 

@@ -32,7 +32,7 @@
 //
 // Usage: bench_mapping [--jobs N] [--ops-per-page X] [--warmup F]
 //                      [--smoke] [--out <path>]
-// Writes BENCH_mapping.json (schema "phftl-bench-mapping/2" — see
+// Writes BENCH_mapping.json (schema "phftl-bench-mapping/3" — see
 // EXPERIMENTS.md). --smoke shrinks the drive and the default op count
 // (0.5 ops per page instead of 2) for a seconds-scale CI run; an explicit
 // --ops-per-page wins in either order. The job count is --jobs, else
@@ -370,11 +370,10 @@ int main(int argc, char** argv) {
   tb.render(std::cout);
 
   std::ostringstream js;
-  js << "{\n  \"schema\": \"phftl-bench-mapping/2\",\n"
+  js << "{\n  \"schema\": \"phftl-bench-mapping/3\",\n"
      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
      << "  \"ops_per_page\": " << ops_per_page << ",\n"
      << "  \"warmup_fraction\": " << warmup_fraction << ",\n"
-     << "  \"hardware_threads\": " << hw << ",\n"
      << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i)
     emit_cell_json(js, cells[i], /*tb_row=*/false, i + 1 == cells.size());

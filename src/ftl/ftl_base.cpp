@@ -294,7 +294,6 @@ SubmitResult FtlBase::submit_checked(const HostRequest& req) {
     return res;
   }
   WriteContext ctx;
-  ctx.timestamp_us = req.timestamp_us;
   ctx.io_len_pages = req.num_pages;
   ctx.is_sequential = (req.start_lpn == prev_req_end_);
   for (std::uint32_t i = 0; i < req.num_pages; ++i) {

@@ -83,7 +83,7 @@ struct FtlConfig {
   /// translation pages on flash, a RAM Global Translation Directory, and a
   /// FlatMetaCache-backed cached mapping table with dirty-entry write-back
   /// batching. false (default) = pure in-RAM L2P, bit-identical to the
-  /// pre-tier FTL (CI-enforced against BENCH_replay.json).
+  /// pre-tier FTL (CI-enforced against BENCH_fig5_6dw.json).
   bool mapping_tier = false;
   /// CMT capacity in resident translation pages (mapping_tier only).
   std::uint64_t cmt_pages = 64;

@@ -35,7 +35,6 @@ struct SubmitResult {
 /// Per-page context handed to an FTL's user-write classifier.
 struct WriteContext {
   std::uint64_t now = 0;           ///< virtual clock: host pages written so far
-  std::uint64_t timestamp_us = 0;  ///< wall-clock trace timestamp
   std::uint32_t io_len_pages = 1;  ///< size of the containing request
   bool is_sequential = false;      ///< request starts where the previous ended
 };
