@@ -13,7 +13,9 @@
 //    dispatched array path (AVX2 where the CPU has it).
 //  * window training — one GRU epoch (lane-batched BPTT), one
 //    logistic-regression fit and one threshold adjustment (Algorithm 1),
-//    run once per window.
+//    run once per window. The epoch and Algorithm 1 run on the host's
+//    fork-join team (util/team.hpp); their *Inline twins run the same
+//    bodies on one thread, as a one-CPU host or a grid job would.
 //  * GC victim selection — greedy via the incremental victim index (O(1)
 //    pop) and Adjusted Greedy via the bounded ascending-bucket scan, vs
 //    the historical full superblock scan. Run at 1k and 10k superblocks:
@@ -46,6 +48,7 @@
 #include "ml/logreg.hpp"
 #include "ml/qgru.hpp"
 #include "util/rng.hpp"
+#include "util/team.hpp"
 
 namespace {
 
@@ -226,6 +229,15 @@ void BM_TrainEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainEpoch)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
 
+void BM_TrainEpochInline(benchmark::State& state) {
+  const util::InlineScope serial;
+  BM_TrainEpoch(state);
+}
+BENCHMARK(BM_TrainEpochInline)
+    ->Arg(128)
+    ->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ThresholdAdjustment(benchmark::State& state) {
   Xoshiro256 rng(7);
   std::vector<std::uint64_t> lifetimes;
@@ -250,6 +262,12 @@ void BM_ThresholdAdjustment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThresholdAdjustment)->Unit(benchmark::kMillisecond);
+
+void BM_ThresholdAdjustmentInline(benchmark::State& state) {
+  const util::InlineScope serial;
+  BM_ThresholdAdjustment(state);
+}
+BENCHMARK(BM_ThresholdAdjustmentInline)->Unit(benchmark::kMillisecond);
 
 void BM_LogRegFit(benchmark::State& state) {
   Xoshiro256 rng(9);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/assert.hpp"
+#include "util/team.hpp"
 
 namespace phftl::core {
 
@@ -57,40 +58,34 @@ double ThresholdController::percentile_of_value(
   return 100.0 * rank / static_cast<double>(sorted.size());
 }
 
-double ThresholdController::evaluate_candidate(
-    std::uint64_t candidate, std::span<const std::uint64_t> lifetimes) {
-  // Label with the candidate, balance, train the lightweight model, and
-  // report held-out accuracy (Algorithm 1's TrainEvalLightModel). Two
-  // independent resample/split rounds are averaged: the hill climb follows
-  // these estimates, so their noise must be below the real accuracy
-  // differences between candidates.
-  std::vector<int> labels(lifetimes.size());
+void ThresholdController::stage_candidate(
+    std::size_t c, std::uint64_t threshold,
+    std::span<const std::uint64_t> lifetimes) {
+  // Label with the candidate, balance, and split for the lightweight model
+  // (Algorithm 1's TrainEvalLightModel); pick_threshold fits and scores.
+  // Two independent resample/split rounds are averaged: the hill climb
+  // follows these estimates, so their noise must be below the real
+  // accuracy differences between candidates.
+  std::vector<int>& labels = labels_[c];
+  labels.resize(lifetimes.size());
   std::size_t positives = 0;
   for (std::size_t i = 0; i < lifetimes.size(); ++i) {
-    labels[i] = lifetimes[i] <= candidate ? 1 : 0;
+    labels[i] = lifetimes[i] <= threshold ? 1 : 0;
     positives += static_cast<std::size_t>(labels[i]);
   }
   // Degenerate splits (almost everything on one side) cannot be evaluated:
   // a balanced resample of a handful of boundary samples scores spuriously
   // high accuracy and would pin the threshold at the window's extremes.
   const std::size_t minority = std::min(positives, labels.size() - positives);
-  if (minority < std::max<std::size_t>(8, labels.size() / 50)) return 0.0;
+  if (minority < std::max<std::size_t>(8, labels.size() / 50)) return;
 
-  ml::LogisticRegression::Config lm;
-  lm.epochs = 12;
-  lm.lr = 0.2f;
-
-  double total = 0.0;
-  int rounds = 0;
-  std::vector<std::uint32_t> balanced;
-  for (int round = 0; round < 2; ++round) {
-    ml::balanced_resample(labels, cfg_.resample_per_class, rng_, balanced);
-    if (balanced.size() < 8) continue;
-    total += ml::train_eval_light_model(window_, labels, balanced,
-                                        kTestFraction, rng_, lm);
-    ++rounds;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    ml::balanced_resample(labels, cfg_.resample_per_class, rng_, balanced_);
+    if (balanced_.size() < 8) continue;
+    Fit& fit = fits_[fit_count_++];
+    fit.candidate = c;
+    fit.n_train = ml::split_rows(balanced_, kTestFraction, rng_, fit.split);
   }
-  return rounds ? total / rounds : 0.0;
 }
 
 std::uint64_t ThresholdController::pick_threshold(
@@ -127,17 +122,43 @@ std::uint64_t ThresholdController::pick_threshold(
   // placement the paper's Fig. 2 intends — instead of letting a flat,
   // noisy accuracy surface random-walk the threshold away from it.
   // A re-anchor counts as "no directional adjustment" (chosen_dir 0).
-  std::uint64_t max_thres = inflection_point(sorted);
-  double max_accu = evaluate_candidate(max_thres, lifetimes);
+  constexpr int kDirs[kCandidates] = {0, 0, -1, 1};
+  std::uint64_t candidates[kCandidates];
+  candidates[0] = inflection_point(sorted);
+  for (std::size_t c = 1; c < kCandidates; ++c)
+    candidates[c] = value_at_percentile(
+        sorted, p + kDirs[c] * static_cast<double>(step_));
+
+  // Every draw is staged first, in candidate order; the fits then run side
+  // by side on the team (each seeds its own RNG), and their accuracies are
+  // averaged and compared in candidate and round order.
+  fit_count_ = 0;
+  for (std::size_t c = 0; c < kCandidates; ++c)
+    stage_candidate(c, candidates[c], lifetimes);
+  ml::LogisticRegression::Config lm;
+  lm.epochs = 12;
+  lm.lr = 0.2f;
+  util::Team::Lease().run(fit_count_, [&](std::size_t i) {
+    Fit& fit = fits_[i];
+    fit.accuracy = ml::fit_and_score(window_, labels_[fit.candidate],
+                                     fit.split, fit.n_train, lm);
+  });
+  double accuracy[kCandidates] = {};
+  int rounds[kCandidates] = {};
+  for (std::size_t i = 0; i < fit_count_; ++i) {
+    accuracy[fits_[i].candidate] += fits_[i].accuracy;
+    ++rounds[fits_[i].candidate];
+  }
+
+  std::uint64_t max_thres = candidates[0];
+  double max_accu = 0.0;
   int chosen_dir = 0;
-  for (const int dir : {0, -1, 1}) {
-    const std::uint64_t t =
-        value_at_percentile(sorted, p + dir * static_cast<double>(step_));
-    const double accu = evaluate_candidate(t, lifetimes);
-    if (accu > max_accu) {
+  for (std::size_t c = 0; c < kCandidates; ++c) {
+    const double accu = rounds[c] ? accuracy[c] / rounds[c] : 0.0;
+    if (c == 0 || accu > max_accu) {
       max_accu = accu;
-      max_thres = t;
-      chosen_dir = dir;
+      max_thres = candidates[c];
+      chosen_dir = kDirs[c];
     }
   }
 

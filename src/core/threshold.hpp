@@ -73,9 +73,11 @@ class ThresholdController {
   static double percentile_of_value(const std::vector<std::uint64_t>& sorted,
                                     std::uint64_t value);
 
-  /// Label the window with `candidate` and score it on `window_`.
-  double evaluate_candidate(std::uint64_t candidate,
-                            std::span<const std::uint64_t> lifetimes);
+  /// Label the window with candidate `c`'s threshold and stage its fits:
+  /// every random draw Algorithm 1's TrainEvalLightModel makes for it, in
+  /// the controller's RNG order.
+  void stage_candidate(std::size_t c, std::uint64_t threshold,
+                       std::span<const std::uint64_t> lifetimes);
 
   Config cfg_;
   Xoshiro256 rng_;
@@ -88,6 +90,25 @@ class ThresholdController {
   /// The window matrix's nonzeros, shared by the window's fits; kept so
   /// its buffers are reused across windows.
   ml::SparseRows window_;
+
+  /// Candidates per window: the inflection point and the walk's three.
+  static constexpr std::size_t kCandidates = 4;
+  /// Resample/split rounds averaged per candidate.
+  static constexpr std::size_t kRounds = 2;
+  /// One staged (candidate, round) fit: its shuffled train/test split of
+  /// a balanced resample and, once fitted, its held-out accuracy.
+  struct Fit {
+    std::size_t candidate = 0;
+    std::vector<std::uint32_t> split;
+    std::size_t n_train = 0;
+    float accuracy = 0.0f;
+  };
+  /// Staging kept across windows: each candidate's labels, the resample
+  /// being split, and the window's first `fit_count_` fits.
+  std::vector<int> labels_[kCandidates];
+  std::vector<std::uint32_t> balanced_;
+  Fit fits_[kCandidates * kRounds];
+  std::size_t fit_count_ = 0;
 };
 
 }  // namespace phftl::core

@@ -4,6 +4,7 @@
 
 #include "ml/logreg.hpp"
 #include "util/assert.hpp"
+#include "util/team.hpp"
 
 namespace phftl::core {
 
@@ -103,6 +104,10 @@ void ModelTrainer::train_window() {
   const std::size_t n = sample_lifetime_.size();
   last_sample_count_ = n;
   if (n == 0) return;
+  // Algorithm 1's fits and the epoch's phases share the host's idle cores
+  // (util/team.hpp); holding the team for the whole window keeps its
+  // workers ready between them.
+  const util::Team::Lease lease;
 
   // 1. Threshold adjustment (Algorithm 1) on (lifetime, last-step feature)
   //    pairs. The lightweight model consumes the compact monotone encoding
@@ -117,34 +122,46 @@ void ModelTrainer::train_window() {
       sample_lifetime_, ml::ConstMatView(compact_.data(), n, kCompactDim));
 
   // 2. Label sequences and balance classes.
-  std::vector<std::size_t> pos_idx, neg_idx;
+  pos_idx_.clear();
+  neg_idx_.clear();
   for (std::size_t i = 0; i < n; ++i)
-    (sample_lifetime_[i] <= threshold ? pos_idx : neg_idx).push_back(i);
-  if (pos_idx.empty() || neg_idx.empty()) return;  // degenerate window
+    (sample_lifetime_[i] <= threshold ? pos_idx_ : neg_idx_).push_back(i);
+  if (pos_idx_.empty() || neg_idx_.empty()) return;  // degenerate window
 
   const std::size_t per_class =
-      std::min({cfg_.train_per_class, pos_idx.size(), neg_idx.size()});
-  auto draw = [&](std::vector<std::size_t>& idx,
-                  std::vector<ml::Sequence>& dst, int label) {
+      std::min({cfg_.train_per_class, pos_idx_.size(), neg_idx_.size()});
+  if (train_set_.size() < 2 * per_class) train_set_.resize(2 * per_class);
+  std::size_t filled = 0;
+  auto draw = [&](std::vector<std::size_t>& idx, int label) {
     for (std::size_t k = 0; k < per_class; ++k) {
       const std::size_t j = k + rng_.next_below(idx.size() - k);
       std::swap(idx[k], idx[j]);
       const RawFeatures* steps = sample_steps_.data() + idx[k] * len;
-      ml::Sequence seq;
+      ml::Sequence& seq = train_set_[filled++];
       seq.label = label;
-      seq.steps.reserve(sample_len_[idx[k]]);
-      for (std::uint32_t t = 0; t < sample_len_[idx[k]]; ++t)
-        seq.steps.push_back(encode_features(steps[t]));
-      dst.push_back(std::move(seq));
+      const std::size_t seq_len = sample_len_[idx[k]];
+      while (seq.steps.size() > seq_len) {
+        spare_steps_.push_back(std::move(seq.steps.back()));
+        seq.steps.pop_back();
+      }
+      while (seq.steps.size() < seq_len) {
+        if (spare_steps_.empty()) {
+          seq.steps.emplace_back(kInputDim);
+        } else {
+          seq.steps.push_back(std::move(spare_steps_.back()));
+          spare_steps_.pop_back();
+        }
+      }
+      for (std::size_t t = 0; t < seq_len; ++t)
+        encode_features(steps[t], seq.steps[t]);
     }
   };
-  std::vector<ml::Sequence> train_set;
-  train_set.reserve(2 * per_class);
-  draw(pos_idx, train_set, 1);
-  draw(neg_idx, train_set, 0);
+  draw(pos_idx_, 1);
+  draw(neg_idx_, 0);
 
   // 3. One epoch of training on the persistent model (paper §III-B).
-  model_.train_epoch(train_set, cfg_.batch_size, rng_);
+  model_.train_epoch(std::span(train_set_).first(filled), cfg_.batch_size,
+                     rng_);
 
   // 4. Deployment: quantize to int8, recalibrate the decision boundary to
   //    the window's natural class prior, and hand to the device.
@@ -156,7 +173,7 @@ void ModelTrainer::train_window() {
   // sampled share instead would ignore the never-rewritten (cold) writes
   // and overstate the prior badly.
   const double pos_rate = std::clamp(
-      static_cast<double>(pos_idx.size()) *
+      static_cast<double>(pos_idx_.size()) *
           (static_cast<double>(samples_seen_) /
            std::max<double>(1.0, static_cast<double>(n))) /
           static_cast<double>(pages_in_window_),

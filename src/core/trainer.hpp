@@ -130,6 +130,14 @@ class ModelTrainer {
   std::vector<std::uint8_t> sample_len_;
   std::vector<RawFeatures> sample_steps_;
   std::vector<float> compact_;  ///< window matrix for Algorithm 1
+  /// The window's GRU training set, encoded in place and kept across
+  /// windows with the class index lists that draw it; the epoch trains on
+  /// its first 2 · per-class slots.
+  std::vector<ml::Sequence> train_set_;
+  std::vector<std::size_t> pos_idx_, neg_idx_;
+  /// Step vectors a slot gave up when its sequence got shorter, reused
+  /// when one grows, so a warm trainer allocates none per window.
+  std::vector<std::vector<float>> spare_steps_;
   std::uint64_t samples_seen_ = 0;  ///< total this window (for reservoir)
   std::uint64_t window_start_ = 0;
   std::uint64_t pages_in_window_ = 0;

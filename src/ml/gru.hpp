@@ -17,12 +17,15 @@
 // (device-side O(1) incremental prediction, paper §III-C).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "ml/param_store.hpp"
 #include "ml/tensor.hpp"
+#include "util/team.hpp"
 
 namespace phftl::ml {
 
@@ -64,12 +67,14 @@ class GruClassifier {
                           std::span<float> h_inout) const;
 
   /// Train one epoch over `data` with minibatch Adam. `batch_size` must be
-  /// positive. Returns mean cross-entropy loss over the epoch.
-  float train_epoch(const std::vector<Sequence>& data, std::size_t batch_size,
+  /// positive. Returns mean cross-entropy loss over the epoch. Runs on the
+  /// process-wide util::Team (see gru.cpp); the result does not depend on
+  /// its size.
+  float train_epoch(std::span<const Sequence> data, std::size_t batch_size,
                     Xoshiro256& rng);
 
   /// Fraction of sequences classified correctly.
-  float evaluate(const std::vector<Sequence>& data) const;
+  float evaluate(std::span<const Sequence> data) const;
 
   /// Raw weights for deployment / quantization.
   std::vector<float> weights() const { return store_.snapshot(); }
@@ -95,31 +100,65 @@ class GruClassifier {
   /// each sequence's cross-entropy loss to `losses`. The sequences run as
   /// SIMD lanes, up to 32 per pass, yet every gradient float is bit-identical
   /// to per-sequence scalar BPTT applied in batch order (see gru.cpp).
-  void backward_batch(const std::vector<Sequence>& data,
+  void backward_batch(std::span<const Sequence> data,
                       std::span<const std::size_t> batch,
                       std::span<float> losses);
 
   ParamStore& store() { return store_; }
 
  private:
-  /// backward_batch for at most 32 sequences, one per lane.
-  void backward_lanes(const std::vector<Sequence>& data,
-                      std::span<const std::size_t> batch,
-                      std::span<float> losses);
+  /// backward_batch on `lease`'s team, chunk by chunk. With `adam_scale`,
+  /// the last chunk's row shards then scale their gradients by it and
+  /// apply one Adam step to their parameters.
+  void accumulate(std::span<const Sequence> data,
+                  std::span<const std::size_t> batch, std::span<float> losses,
+                  const util::Team::Lease& lease,
+                  std::optional<float> adam_scale);
+  /// Lay out one chunk's lane shards for at most `width` threads; returns
+  /// the shard count.
+  std::size_t layout_chunk(std::span<const Sequence> data,
+                           std::span<const std::size_t> chunk,
+                           std::size_t width);
+  /// Phase A: lane shard `shard`'s forward pass, head, loss and BPTT.
+  void lane_shard(std::span<const Sequence> data,
+                  std::span<const std::size_t> chunk, std::span<float> losses,
+                  std::size_t shard);
+  /// The chunk's weight-gradient updates in scalar order (serial).
+  void order_updates(std::span<const Sequence> data,
+                     std::span<const std::size_t> chunk);
+  /// Phase B: row shard `shard` of `shards` accumulates its parameter
+  /// rows' gradients and, with `adam_scale`, scales and steps them.
+  void row_shard(std::size_t shard, std::size_t shards, std::size_t nb,
+                 std::optional<float> adam_scale);
 
-  /// Training tiles, lane-major: element (unit i, lane l) of step t sits at
-  /// (t * units + i) * lanes + l. Sized for the longest chunk seen.
+  /// Lane tiles of one shard, in one block of the arena. Lane-major:
+  /// element (unit i, lane l) of step t sits at (t * units + i) * lanes + l.
+  enum Tile : std::size_t {
+    kX,                          // inputs
+    kZ, kR, kN, kS, kH,          // activations, s = Un h + bun
+    kDan, kDs, kDaz, kDar,       // gate gradients per step
+    kHRows,                      // h again, [lane][step][unit]
+    kU, kDh, kDhPrev, kZero,     // one step's [unit][lane]
+    kLogits, kDlogits,           // [class][lane]
+    kLg, kProbs,                 // one lane's logits and softmax
+    kTiles
+  };
+
+  /// Training tiles of the current chunk: `shards` blocks of `block`
+  /// floats, each cache-line aligned, one per lane shard of `lanes` lanes.
   struct LaneTiles {
-    std::vector<float> x;                     // inputs
-    std::vector<float> z, r, n, s, h;         // activations, s = Un h + bun
-    std::vector<float> dan, ds, daz, dar;     // gate gradients per step
-    std::vector<float> h_rows;                // h again, [lane][step][unit]
-    std::vector<float> u, dh, dh_prev, zero;  // one step's [unit][lane]
-    std::vector<float> logits, dlogits;       // [class][lane]
-    std::vector<std::size_t> first;           // first active step per lane
+    std::size_t steps = 0, lanes = 0, shards = 0, block = 0;
+    std::array<std::size_t, kTiles> at{};  ///< tile offsets in a block
+    std::vector<float> arena;
+    float* base = nullptr;  ///< arena's first 64-byte boundary
+    std::vector<std::size_t> first;  ///< first active step per lane
     // Weight-gradient updates in scalar order (see gru.cpp).
     std::vector<std::size_t> off, head_off;
     std::vector<const float*> xs, hs, head_h;
+
+    float* tile(std::size_t shard, Tile t) {
+      return base + shard * block + at[t];
+    }
   };
 
   /// Scratch reused across calls so that prediction and training allocate
@@ -128,9 +167,9 @@ class GruClassifier {
   /// instance must not be used from two threads at once.
   struct Workspace {
     std::vector<float> z, r, n, s;         // step()
-    std::vector<float> logits, probs;      // head + loss, one sequence
+    std::vector<float> logits;             // head, one sequence
     std::vector<float> h_seq;              // predict_sequence
-    LaneTiles lane;                        // backward_batch
+    LaneTiles lane;                        // training
   };
   mutable Workspace ws_;
 

@@ -140,6 +140,8 @@ void balanced_resample(std::span<const int> labels, std::size_t max_per_class,
                        Xoshiro256& rng, std::vector<std::uint32_t>& out_rows) {
   out_rows.clear();
   std::vector<std::uint32_t> pos_idx, neg_idx;
+  pos_idx.reserve(labels.size());
+  neg_idx.reserve(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i)
     (labels[i] ? pos_idx : neg_idx).push_back(static_cast<std::uint32_t>(i));
   if (pos_idx.empty() || neg_idx.empty()) {
@@ -166,19 +168,32 @@ float train_eval_light_model(const SparseRows& x, std::span<const int> labels,
                              std::span<const std::uint32_t> rows,
                              double test_fraction, Xoshiro256& rng,
                              LogisticRegression::Config cfg) {
-  if (rows.size() < 4) return 0.0f;
+  std::vector<std::uint32_t> split;
+  const std::size_t n_train = split_rows(rows, test_fraction, rng, split);
+  return fit_and_score(x, labels, split, n_train, cfg);
+}
+
+std::size_t split_rows(std::span<const std::uint32_t> rows,
+                       double test_fraction, Xoshiro256& rng,
+                       std::vector<std::uint32_t>& split) {
+  split.clear();
+  if (rows.size() < 4) return 0;
   std::vector<std::size_t> order(rows.size());
   std::iota(order.begin(), order.end(), 0);
   deterministic_shuffle(order, rng);
 
   const auto n_test = static_cast<std::size_t>(
       static_cast<double>(rows.size()) * test_fraction);
-  const std::size_t n_train = rows.size() - std::max<std::size_t>(n_test, 1);
-  std::vector<std::uint32_t> split(rows.size());
+  split.resize(rows.size());
   for (std::size_t i = 0; i < order.size(); ++i) split[i] = rows[order[i]];
-  const std::span<const std::uint32_t> train(split.data(), n_train);
-  const std::span<const std::uint32_t> test(split.data() + n_train,
-                                            split.size() - n_train);
+  return rows.size() - std::max<std::size_t>(n_test, 1);
+}
+
+float fit_and_score(const SparseRows& x, std::span<const int> labels,
+                    std::span<const std::uint32_t> split, std::size_t n_train,
+                    LogisticRegression::Config cfg) {
+  const std::span<const std::uint32_t> train = split.first(n_train);
+  const std::span<const std::uint32_t> test = split.subspan(n_train);
   if (train.empty() || test.empty()) return 0.0f;
   cfg.input_dim = x.cols;
   LogisticRegression model(cfg);

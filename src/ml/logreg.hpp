@@ -92,11 +92,28 @@ class LogisticRegression {
 /// Train-test split + fit + held-out accuracy in one call, the exact
 /// operation `TrainEvalLightModel` performs in Algorithm 1, on rows `rows`
 /// of `x` labelled by `labels` (indexed by row). `test_fraction` of the
-/// rows (after shuffling) is held out.
+/// rows (after shuffling) is held out. It is split_rows then
+/// fit_and_score; the threshold controller calls the two apart so that
+/// its fits can run side by side after their draws.
 float train_eval_light_model(const SparseRows& x, std::span<const int> labels,
                              std::span<const std::uint32_t> rows,
                              double test_fraction, Xoshiro256& rng,
                              LogisticRegression::Config cfg = {});
+
+/// The split's draw: with at least 4 rows, shuffles `rows` with `rng`
+/// into `split` and returns how many lead it as the training part, the
+/// rest (test_fraction of the rows, at least one) being held out. With
+/// fewer it draws nothing, leaves `split` empty and returns 0.
+std::size_t split_rows(std::span<const std::uint32_t> rows,
+                       double test_fraction, Xoshiro256& rng,
+                       std::vector<std::uint32_t>& split);
+
+/// Fit a fresh model on split[0, n_train) and return its accuracy on the
+/// rest of `split`; 0 when either part is empty. Draws no random number
+/// outside the model's own seeded RNG, so fits may run in any order.
+float fit_and_score(const SparseRows& x, std::span<const int> labels,
+                    std::span<const std::uint32_t> split, std::size_t n_train,
+                    LogisticRegression::Config cfg = {});
 
 /// Resample (without replacement) to a balanced set of at most
 /// `max_per_class` rows per class — "label and resample to a small,

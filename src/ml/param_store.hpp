@@ -62,6 +62,9 @@ class ParamStore {
     return {grads_.data() + s.offset, s.cols};
   }
 
+  /// Position of segment `id`'s first element in the flat buffers.
+  std::size_t offset(std::size_t id) const { return segs_[id].offset; }
+
   std::span<float> all_params() { return params_; }
   std::span<const float> all_params() const { return params_; }
   std::span<float> all_grads() { return grads_; }
@@ -118,15 +121,27 @@ class Adam {
   /// gradient buffer untouched (caller zeroes it).
   void step(std::span<float> params, std::span<const float> grads) {
     PHFTL_CHECK(params.size() == m_.size() && grads.size() == m_.size());
+    begin_step();
+    update(params, grads, 0, params.size());
+  }
+
+  /// step() in parts: begin_step() advances the step count and its bias
+  /// corrections once, then update() applies that step to elements
+  /// [begin, end) of the flat buffers. Each element must be updated once
+  /// per step; disjoint ranges may be updated from different threads.
+  void begin_step() {
     ++t_;
-    const float b1t = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));
-    const float b2t = 1.0f - std::pow(cfg_.beta2, static_cast<float>(t_));
-    for (std::size_t i = 0; i < params.size(); ++i) {
+    b1t_ = 1.0f - std::pow(cfg_.beta1, static_cast<float>(t_));
+    b2t_ = 1.0f - std::pow(cfg_.beta2, static_cast<float>(t_));
+  }
+  void update(std::span<float> params, std::span<const float> grads,
+              std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
       const float g = grads[i];
       m_[i] = cfg_.beta1 * m_[i] + (1.0f - cfg_.beta1) * g;
       v_[i] = cfg_.beta2 * v_[i] + (1.0f - cfg_.beta2) * g * g;
-      const float mhat = m_[i] / b1t;
-      const float vhat = v_[i] / b2t;
+      const float mhat = m_[i] / b1t_;
+      const float vhat = v_[i] / b2t_;
       params[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
     }
   }
@@ -142,6 +157,7 @@ class Adam {
   std::vector<float> m_;
   std::vector<float> v_;
   std::uint64_t t_ = 0;
+  float b1t_ = 0.0f, b2t_ = 0.0f;  ///< this step's bias corrections
 };
 
 }  // namespace phftl::ml

@@ -12,6 +12,9 @@
 // callers hold the futures in grid order and join them in grid order, so
 // merged output is byte-identical to a serial run regardless of which
 // worker finishes first (tests/test_runner.cpp proves this property).
+//
+// A pool of more than one thread already keeps the CPUs busy with grid
+// jobs, so its workers run training phases inline (util/team.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -20,6 +23,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <type_traits>
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/team.hpp"
 
 namespace phftl::util {
 
@@ -37,7 +42,11 @@ class ThreadPool {
     if (num_threads == 0) num_threads = 1;
     workers_.reserve(num_threads);
     for (unsigned i = 0; i < num_threads; ++i)
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, num_threads] {
+        std::optional<InlineScope> grid_job;
+        if (num_threads > 1) grid_job.emplace();
+        worker_loop();
+      });
   }
 
   ThreadPool(const ThreadPool&) = delete;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,23 @@
 #include "core/schemes.hpp"
 #include "ftl/ftl_base.hpp"
 #include "trace/generator.hpp"
+#include "util/team.hpp"
 
 namespace phftl::test {
+
+/// Run `body` twice: under util::InlineScope (one thread) and on the
+/// process-wide training team. Training outputs must not depend on which.
+template <class Fn>
+void inline_then_team(Fn&& body) {
+  {
+    SCOPED_TRACE("inline");
+    util::InlineScope scope;
+    body();
+  }
+  SCOPED_TRACE("team of " +
+               std::to_string(util::Team::Lease().width()) + " threads");
+  body();
+}
 
 /// A tiny drive that keeps unit tests fast: 4 dies × 64 blocks × 16 pages
 /// × 4 KB = 16 MiB, 4096 pages, 64 superblocks of 64 pages.

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers.hpp"
 #include "ml/activations.hpp"
 #include "ml/gru.hpp"
 #include "util/rng.hpp"
@@ -386,54 +387,59 @@ std::string describe(const ParityCase& c) {
 
 TEST(GruClassifier, LaneGradientsMatchScalarOracleBitForBit) {
   // One batch, in a shuffled order, from the same weights: the summed
-  // gradients and every per-sequence loss must match the oracle's bits.
-  for (const ParityCase& c : parity_cases()) {
-    SCOPED_TRACE(describe(c));
-    auto cfg = tiny_cfg(c.input, c.hidden);
-    cfg.seed = 100 + c.hidden;
-    GruClassifier lane(cfg), oracle(cfg);
-    Xoshiro256 rng(c.input * 1000 + c.hidden * 100 + c.batch);
-    const auto data = parity_data(c.batch + 5, c.input, c.ragged, rng);
-    std::vector<std::size_t> batch(data.size());
-    std::iota(batch.begin(), batch.end(), 0);
-    deterministic_shuffle(batch, rng);
-    batch.resize(c.batch);
+  // gradients and every per-sequence loss must match the oracle's bits,
+  // inline and with the batch split into lane and row shards.
+  test::inline_then_team([] {
+    for (const ParityCase& c : parity_cases()) {
+      SCOPED_TRACE(describe(c));
+      auto cfg = tiny_cfg(c.input, c.hidden);
+      cfg.seed = 100 + c.hidden;
+      GruClassifier lane(cfg), oracle(cfg);
+      Xoshiro256 rng(c.input * 1000 + c.hidden * 100 + c.batch);
+      const auto data = parity_data(c.batch + 5, c.input, c.ragged, rng);
+      std::vector<std::size_t> batch(data.size());
+      std::iota(batch.begin(), batch.end(), 0);
+      deterministic_shuffle(batch, rng);
+      batch.resize(c.batch);
 
-    oracle.store().zero_grads();
-    std::vector<float> oracle_losses;
-    for (std::size_t i : batch)
-      oracle_losses.push_back(oracle_backward_sequence(oracle, data[i]));
-    lane.store().zero_grads();
-    std::vector<float> lane_losses(batch.size());
-    lane.backward_batch(data, batch, lane_losses);
+      oracle.store().zero_grads();
+      std::vector<float> oracle_losses;
+      for (std::size_t i : batch)
+        oracle_losses.push_back(oracle_backward_sequence(oracle, data[i]));
+      lane.store().zero_grads();
+      std::vector<float> lane_losses(batch.size());
+      lane.backward_batch(data, batch, lane_losses);
 
-    EXPECT_EQ(first_bit_mismatch(lane.store().all_grads(),
-                                 oracle.store().all_grads()),
-              -1);
-    EXPECT_EQ(first_bit_mismatch(lane_losses, oracle_losses), -1);
-  }
+      EXPECT_EQ(first_bit_mismatch(lane.store().all_grads(),
+                                   oracle.store().all_grads()),
+                -1);
+      EXPECT_EQ(first_bit_mismatch(lane_losses, oracle_losses), -1);
+    }
+  });
 }
 
 TEST(GruClassifier, LaneTrainingMatchesScalarOracleAfterFiveEpochs) {
-  for (const ParityCase& c : parity_cases()) {
-    SCOPED_TRACE(describe(c));
-    auto cfg = tiny_cfg(c.input, c.hidden);
-    cfg.seed = 200 + c.hidden;
-    cfg.adam.lr = 5e-3f;
-    GruClassifier lane(cfg), oracle(cfg);
-    Adam oracle_adam(oracle.num_params(), cfg.adam);
-    Xoshiro256 data_rng(c.input * 1000 + c.hidden * 100 + c.batch + 1);
-    const auto data = parity_data(75, c.input, c.ragged, data_rng);
-    Xoshiro256 lane_rng(9), oracle_rng(9);
-    for (int epoch = 0; epoch < 5; ++epoch) {
-      const float lane_loss = lane.train_epoch(data, c.batch, lane_rng);
-      const float oracle_loss =
-          oracle_train_epoch(oracle, oracle_adam, data, c.batch, oracle_rng);
-      EXPECT_EQ(std::memcmp(&lane_loss, &oracle_loss, sizeof(float)), 0)
-          << "epoch " << epoch << ": " << lane_loss << " vs " << oracle_loss;
+  test::inline_then_team([] {
+    for (const ParityCase& c : parity_cases()) {
+      SCOPED_TRACE(describe(c));
+      auto cfg = tiny_cfg(c.input, c.hidden);
+      cfg.seed = 200 + c.hidden;
+      cfg.adam.lr = 5e-3f;
+      GruClassifier lane(cfg), oracle(cfg);
+      Adam oracle_adam(oracle.num_params(), cfg.adam);
+      Xoshiro256 data_rng(c.input * 1000 + c.hidden * 100 + c.batch + 1);
+      const auto data = parity_data(75, c.input, c.ragged, data_rng);
+      Xoshiro256 lane_rng(9), oracle_rng(9);
+      for (int epoch = 0; epoch < 5; ++epoch) {
+        const float lane_loss = lane.train_epoch(data, c.batch, lane_rng);
+        const float oracle_loss = oracle_train_epoch(oracle, oracle_adam, data,
+                                                     c.batch, oracle_rng);
+        EXPECT_EQ(std::memcmp(&lane_loss, &oracle_loss, sizeof(float)), 0)
+            << "epoch " << epoch << ": " << lane_loss << " vs " << oracle_loss;
+      }
+      EXPECT_EQ(first_bit_mismatch(lane.weights(), oracle.weights()), -1);
     }
-    EXPECT_EQ(first_bit_mismatch(lane.weights(), oracle.weights()), -1);
-  }
+  });
 }
 
 TEST(GruClassifierDeathTest, ZeroBatchSizeIsRejected) {

@@ -10,11 +10,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/team.hpp"
 #include "util/thread_pool.hpp"
 
 namespace phftl {
@@ -66,6 +69,123 @@ TEST(ThreadPool, ManyMoreTasksThanWorkers) {
     futs.push_back(pool.submit([&sum, i] { sum += i; }));
   for (auto& f : futs) f.get();
   EXPECT_EQ(sum.load(), 500500u);
+}
+
+// --- Team (training phases) ---
+
+TEST(Team, RunsEachIndexExactlyOnce) {
+  util::Team team(3);
+  for (const std::size_t n : {0u, 1u, 7u, 64u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    std::vector<std::atomic<int>> hits(n);
+    team.run(n, [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+TEST(Team, TwoCallersAtOnceBothFinish) {
+  // One caller holds the team while the other runs its phases inline; both
+  // get every index, on every round.
+  util::Team team(3);
+  auto caller = [&team](std::uint64_t salt) {
+    for (int round = 0; round < 200; ++round) {
+      std::vector<std::uint64_t> out(16, 0);
+      team.run(out.size(), [&](std::size_t i) { out[i] = salt * 100 + i; });
+      for (std::size_t i = 0; i < out.size(); ++i)
+        if (out[i] != salt * 100 + i) return false;
+    }
+    return true;
+  };
+  auto a = std::async(std::launch::async, caller, 1);
+  auto b = std::async(std::launch::async, caller, 2);
+  EXPECT_TRUE(a.get());
+  EXPECT_TRUE(b.get());
+}
+
+TEST(Team, HeldByAnotherThreadRunsInline) {
+  util::Team team(3);
+  std::promise<void> held, release;
+  auto holder = std::async(std::launch::async, [&] {
+    const util::Team::Lease lease(team);
+    EXPECT_EQ(lease.width(), 4u);
+    held.set_value();
+    release.get_future().wait();
+  });
+  held.get_future().wait();
+  const util::Team::Lease lease(team);
+  EXPECT_EQ(lease.width(), 1u);
+  release.set_value();
+  holder.get();
+}
+
+/// Thread ids that ran fn for n indices under `lease`.
+std::vector<std::thread::id> runners(const util::Team::Lease& lease,
+                                     std::size_t n) {
+  std::vector<std::thread::id> ids(n);
+  lease.run(n, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+  return ids;
+}
+
+TEST(Team, PoolWorkerRunsInline) {
+  // Grid jobs already use the CPUs: a worker of a multi-thread pool runs
+  // a phase entirely on itself.
+  util::Team team(3);
+  util::ThreadPool pool(4);
+  pool.submit([&team] {
+        const util::Team::Lease lease(team);
+        EXPECT_EQ(lease.width(), 1u);
+        for (const std::thread::id id : runners(lease, 64))
+          EXPECT_EQ(id, std::this_thread::get_id());
+      })
+      .get();
+}
+
+TEST(Team, InlineScopeRunsInline) {
+  util::Team team(3);
+  util::InlineScope scope;
+  const util::Team::Lease lease(team);
+  EXPECT_EQ(lease.width(), 1u);
+  for (const std::thread::id id : runners(lease, 64))
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(Team, ZeroWorkersRunInline) {
+  util::Team team(0);
+  const util::Team::Lease lease(team);
+  EXPECT_EQ(lease.width(), 1u);
+  for (const std::thread::id id : runners(lease, 64))
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(Team, NestedLeaseSharesTheTeamAndPhasesDoNotNest) {
+  util::Team team(3);
+  const util::Team::Lease outer(team);
+  const util::Team::Lease inner(team);
+  EXPECT_EQ(inner.width(), 4u);
+  std::vector<std::atomic<int>> hits(8 * 8);
+  inner.run(8, [&](std::size_t i) {
+    // A phase started inside a shard runs on that shard's thread.
+    const std::thread::id self = std::this_thread::get_id();
+    team.run(8, [&](std::size_t j) {
+      EXPECT_EQ(std::this_thread::get_id(), self);
+      ++hits[i * 8 + j];
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Team, ShardExceptionIsRethrownAfterTheJoin) {
+  util::Team team(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(team.run(32,
+                        [&](std::size_t i) {
+                          ++ran;
+                          if (i == 5) throw std::runtime_error("shard");
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 32);
+  team.run(4, [&](std::size_t) { ++ran; });  // the team still works
+  EXPECT_EQ(ran.load(), 36);
 }
 
 // --- resolve_jobs precedence ---

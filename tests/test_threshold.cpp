@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/features.hpp"
 #include "core/threshold.hpp"
 #include "util/rng.hpp"
+#include "util/team.hpp"
 
 namespace phftl::core {
 namespace {
@@ -195,6 +198,44 @@ TEST(ThresholdController, ReportsAccuracyOfWinningCandidate) {
   tc.pick_threshold(lifetimes, feats);
   // prev_lifetime mirrors the label, so the light model should score well.
   EXPECT_GT(tc.last_accuracy(), 0.7);
+}
+
+TEST(ThresholdController, FitsSideBySideMatchFitsInline) {
+  // Algorithm 1 stages every draw serially and then fits its candidates on
+  // the team: each window's threshold, step, direction and accuracy bits
+  // must be those of running the fits one by one on the caller.
+  struct Pick {
+    std::int64_t threshold;
+    int step, direction;
+    std::uint64_t accuracy;
+  };
+  auto walk = [] {
+    ThresholdController tc(test_cfg());
+    Window feats;
+    std::vector<Pick> picks;
+    for (int w = 0; w < 10; ++w) {
+      const auto lifetimes = bimodal(400, 50 + 30 * w, 100, 5000, 300 + w);
+      make_window(lifetimes, feats);
+      tc.pick_threshold(lifetimes, feats);
+      picks.push_back({tc.threshold(), tc.step(), tc.last_direction(),
+                       std::bit_cast<std::uint64_t>(tc.last_accuracy())});
+    }
+    return picks;
+  };
+  std::vector<Pick> serial;
+  {
+    util::InlineScope scope;
+    serial = walk();
+  }
+  const std::vector<Pick> team = walk();
+  ASSERT_EQ(serial.size(), team.size());
+  for (std::size_t w = 0; w < serial.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    EXPECT_EQ(serial[w].threshold, team[w].threshold);
+    EXPECT_EQ(serial[w].step, team[w].step);
+    EXPECT_EQ(serial[w].direction, team[w].direction);
+    EXPECT_EQ(serial[w].accuracy, team[w].accuracy);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "helpers.hpp"
 #include "util/rng.hpp"
 
 namespace phftl::core {
@@ -165,66 +166,69 @@ TEST(ModelTrainer, RandomWritesMatchRecordedWindows) {
                                      7555253391541850227ull,
                                      3411825628509954926ull};
   const std::uint32_t kHistory[] = {1, 8, 16};
-  for (std::size_t k = 0; k < std::size(kHistory); ++k) {
-    SCOPED_TRACE("history_len " + std::to_string(kHistory[k]));
-    ModelTrainer::Config cfg;
-    cfg.logical_pages = 4096;
-    cfg.window_pages = 6000;
-    cfg.history_len = kHistory[k];
-    cfg.seed = 77;
-    ModelTrainer trainer(cfg);
+  // Inline and with Algorithm 1's fits and the epoch split into shards.
+  test::inline_then_team([&] {
+    for (std::size_t k = 0; k < std::size(kHistory); ++k) {
+      SCOPED_TRACE("history_len " + std::to_string(kHistory[k]));
+      ModelTrainer::Config cfg;
+      cfg.logical_pages = 4096;
+      cfg.window_pages = 6000;
+      cfg.history_len = kHistory[k];
+      cfg.seed = 77;
+      ModelTrainer trainer(cfg);
 
-    Xoshiro256 rng(2024 + kHistory[k]);
-    std::vector<std::uint64_t> last(cfg.logical_pages, kNeverWritten);
-    std::vector<RawFeatures> probe(5);
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      probe[i].prev_lifetime = static_cast<std::uint32_t>(30u << (2 * i));
-      probe[i].io_len = static_cast<std::uint16_t>(1 + i);
-      probe[i].chunk_write = static_cast<std::uint16_t>(40 * i);
-      probe[i].rw_percent = 35;
-    }
-    Fnv1a fnv;
-    std::size_t full_windows = 0;
-    for (std::uint64_t now = 0; now < 6 * cfg.window_pages; ++now) {
-      const std::uint64_t tier = rng.next_below(10);
-      const Lpn lpn = tier < 6   ? rng.next_below(96)
-                      : tier < 9 ? 96 + rng.next_below(904)
-                                 : 1000 + rng.next_below(3096);
-      RawFeatures f;
-      f.prev_lifetime = last[lpn] == kNeverWritten
-                            ? 0
-                            : static_cast<std::uint32_t>(now - last[lpn]);
-      f.io_len = static_cast<std::uint16_t>(1 + rng.next_below(16));
-      f.chunk_write = static_cast<std::uint16_t>(rng.next_below(600));
-      f.chunk_read = static_cast<std::uint16_t>(rng.next_below(300));
-      f.rw_percent = static_cast<std::uint8_t>(rng.next_below(101));
-      f.is_seq = rng.next_bool(0.2) ? 1 : 0;
-      last[lpn] = now;
-      trainer.observe_page_write(lpn, f, now);
-      if (!trainer.maybe_train()) continue;
-
-      const ThresholdController& tc = trainer.controller();
-      fnv.mix(trainer.threshold());
-      fnv.mix(tc.step());
-      fnv.mix(tc.last_direction());
-      fnv.mix(std::bit_cast<std::uint64_t>(tc.last_accuracy()));
-      fnv.mix(trainer.last_window_sample_count());
-      if (trainer.last_window_sample_count() == cfg.max_window_samples)
-        ++full_windows;
-      if (!trainer.model_deployed()) continue;
-      const ml::QuantizedGru& q = trainer.deployed_model();
-      fnv.mix(std::bit_cast<std::uint32_t>(q.decision_bias()));
-      std::vector<std::int8_t> hidden(q.hidden_dim(), 0);
-      for (const RawFeatures& p : probe) {
-        fnv.mix(q.predict_incremental(encode_features(p), hidden));
-        for (std::int8_t v : hidden) fnv.mix(v);
+      Xoshiro256 rng(2024 + kHistory[k]);
+      std::vector<std::uint64_t> last(cfg.logical_pages, kNeverWritten);
+      std::vector<RawFeatures> probe(5);
+      for (std::size_t i = 0; i < probe.size(); ++i) {
+        probe[i].prev_lifetime = static_cast<std::uint32_t>(30u << (2 * i));
+        probe[i].io_len = static_cast<std::uint16_t>(1 + i);
+        probe[i].chunk_write = static_cast<std::uint16_t>(40 * i);
+        probe[i].rw_percent = 35;
       }
+      Fnv1a fnv;
+      std::size_t full_windows = 0;
+      for (std::uint64_t now = 0; now < 6 * cfg.window_pages; ++now) {
+        const std::uint64_t tier = rng.next_below(10);
+        const Lpn lpn = tier < 6   ? rng.next_below(96)
+                        : tier < 9 ? 96 + rng.next_below(904)
+                                   : 1000 + rng.next_below(3096);
+        RawFeatures f;
+        f.prev_lifetime = last[lpn] == kNeverWritten
+                              ? 0
+                              : static_cast<std::uint32_t>(now - last[lpn]);
+        f.io_len = static_cast<std::uint16_t>(1 + rng.next_below(16));
+        f.chunk_write = static_cast<std::uint16_t>(rng.next_below(600));
+        f.chunk_read = static_cast<std::uint16_t>(rng.next_below(300));
+        f.rw_percent = static_cast<std::uint8_t>(rng.next_below(101));
+        f.is_seq = rng.next_bool(0.2) ? 1 : 0;
+        last[lpn] = now;
+        trainer.observe_page_write(lpn, f, now);
+        if (!trainer.maybe_train()) continue;
+
+        const ThresholdController& tc = trainer.controller();
+        fnv.mix(trainer.threshold());
+        fnv.mix(tc.step());
+        fnv.mix(tc.last_direction());
+        fnv.mix(std::bit_cast<std::uint64_t>(tc.last_accuracy()));
+        fnv.mix(trainer.last_window_sample_count());
+        if (trainer.last_window_sample_count() == cfg.max_window_samples)
+          ++full_windows;
+        if (!trainer.model_deployed()) continue;
+        const ml::QuantizedGru& q = trainer.deployed_model();
+        fnv.mix(std::bit_cast<std::uint32_t>(q.decision_bias()));
+        std::vector<std::int8_t> hidden(q.hidden_dim(), 0);
+        for (const RawFeatures& p : probe) {
+          fnv.mix(q.predict_incremental(encode_features(p), hidden));
+          for (std::int8_t v : hidden) fnv.mix(v);
+        }
+      }
+      EXPECT_EQ(trainer.windows_completed(), 6u);
+      EXPECT_EQ(trainer.trainings_run(), 6u);
+      EXPECT_GE(full_windows, 3u);
+      EXPECT_EQ(fnv.h, kRecorded[k]);
     }
-    EXPECT_EQ(trainer.windows_completed(), 6u);
-    EXPECT_EQ(trainer.trainings_run(), 6u);
-    EXPECT_GE(full_windows, 3u);
-    EXPECT_EQ(fnv.h, kRecorded[k]);
-  }
+  });
 }
 
 TEST(ModelTrainer, ReservoirBoundsSampleMemory) {
