@@ -11,7 +11,6 @@
 //   * the GRU              (full sequence, hex encoding),
 // reporting held-out accuracy and parameter counts.
 #include <cstdio>
-#include <future>
 #include <iostream>
 #include <vector>
 
@@ -167,25 +166,24 @@ std::vector<std::string> explore_trace(const char* id) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned jobs = phftl::bench::jobs_from_cli(argc, argv);
+  const std::vector<const char*> ids = {"#52", "#141", "#721", "#228"};
+  const unsigned threads = util::grid_threads(
+      phftl::bench::jobs_from_cli(argc, argv), ids.size());
   std::printf("Model exploration: classifier choice for the Page "
               "Classifier (balanced datasets, 75/25 split), %u job(s)\n\n",
-              jobs);
+              threads);
 
   // Each trace's exploration is self-contained (own dataset, own seeded
   // models), so traces run concurrently and rows land in trace order.
-  util::ThreadPool pool(jobs);
-  std::vector<std::future<std::vector<std::string>>> rows;
-  for (const char* id : {"#52", "#141", "#721", "#228"})
-    rows.push_back(pool.submit([id] { return explore_trace(id); }));
+  const std::vector<std::vector<std::string>> rows =
+      util::run_grid(threads, ids.size(),
+                     [&ids](std::size_t i) { return explore_trace(ids[i]); });
 
   TextTable table;
   table.header({"trace", "samples", "LogReg", "MLP (last step)",
                 "GRU (sequence)", "GRU params"});
-  for (auto& row : rows) {
-    const std::vector<std::string> r = row.get();
+  for (const std::vector<std::string>& r : rows)
     if (!r.empty()) table.row(r);
-  }
   table.render(std::cout);
   std::printf(
       "\nPaper (§III-B): prev_lifetime alone gives ~70%%; request/locality "

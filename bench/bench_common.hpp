@@ -3,12 +3,12 @@
 // timed benches (bench_fig7, bench_gc_latency).
 //
 // Every suite benchmark replays a (scheme × trace × config) grid of fully
-// independent runs. ExperimentRunner executes that grid on a fixed-size
-// thread pool (`--jobs N` / PHFTL_JOBS; default serial) — each run owns its
-// FTL, FlashArray, RNG, and obs::MetricsRegistry/TraceRecorder, so workers
-// share nothing — and returns results in *grid order* regardless of which
-// run finishes first. The merged ${PHFTL_METRICS_DIR}/BENCH_metrics.json is
-// likewise appended in grid order, and make_scheme() turns PHFTL's
+// independent runs. run_suite_grid executes that grid through
+// util::run_grid (`--jobs N`; 0 or absent = one job per usable CPU) — each
+// run owns its FTL, FlashArray, RNG, and obs::MetricsRegistry/TraceRecorder,
+// so jobs share nothing — and returns results in *grid order* regardless of
+// which run finishes first. The merged ${PHFTL_METRICS_DIR}/BENCH_metrics.json
+// is likewise appended in grid order, and make_scheme() turns PHFTL's
 // wall-clock prediction timing (the one non-simulated metric) off, so the
 // artifact is byte-identical between serial and parallel execution
 // (tests/test_runner.cpp holds this property under TSan in CI).
@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,7 +28,7 @@
 #include "trace/alibaba_suite.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
+#include "util/team.hpp"
 
 namespace phftl::bench {
 
@@ -40,8 +39,8 @@ namespace detail {
 /// bench binary exits. One artifact per binary (schema
 /// "phftl-bench-metrics/1", documented in EXPERIMENTS.md) lets perf PRs
 /// diff full metric sets across commits instead of collecting a directory of
-/// per-run side files. add() is serialized by a mutex; ExperimentRunner
-/// additionally calls it only after joining its futures, in grid order, so
+/// per-run side files. add() is serialized by a mutex; run_suite_grid
+/// additionally calls it only after the grid has joined, in grid order, so
 /// the artifact layout is deterministic under any job count.
 class MetricsArtifact {
  public:
@@ -158,7 +157,7 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
   const Trace trace = make_suite_trace(spec, drive_writes);
   auto ftl = make_scheme(scheme, cfg, opts);
   // A write the capacity watermark rejects counts in
-  // stats.enospc_rejections, which ExperimentRunner reports.
+  // stats.enospc_rejections, which run_suite_grid reports.
   for (const auto& req : trace.ops) ftl->submit_checked(req);
   ftl->drain();  // finish a parked GC round, flush CMT write-back
 
@@ -176,7 +175,7 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
     res.cache_hit_rate = phftl->meta_store().cache_hit_rate();
   }
 
-  // With PHFTL_METRICS_DIR set, ExperimentRunner embeds every run's full
+  // With PHFTL_METRICS_DIR set, run_suite_grid embeds every run's full
   // metric dump in a single <dir>/BENCH_metrics.json artifact flushed at
   // process exit (schema "phftl-bench-metrics/1" — EXPERIMENTS.md).
   if (detail::MetricsArtifact::instance().enabled() || opts.capture_metrics)
@@ -192,83 +191,63 @@ struct GridCell {
   RunOptions opts;
 };
 
-/// Executes a (scheme × trace × config) grid on a thread pool and merges
-/// the results deterministically.
-class ExperimentRunner {
- public:
-  /// `jobs` as resolved by util::resolve_jobs (1 = serial; still runs
-  /// through the same code path so serial and parallel outputs match).
-  explicit ExperimentRunner(unsigned jobs) : jobs_(jobs == 0 ? 1 : jobs) {}
+/// Run every cell of a (scheme × trace × config) grid on `jobs` threads
+/// (util::run_grid) and return the results in cell order. Artifact entries
+/// are appended in cell order after the whole grid has run, so
+/// BENCH_metrics.json is byte-identical to a serial run. A cell whose
+/// writes hit the capacity watermark gets one stdout line with its
+/// rejection count. An exception from a run propagates out of this call.
+inline std::vector<SuiteRunResult> run_suite_grid(
+    unsigned jobs, const std::vector<GridCell>& cells) {
+  std::vector<SuiteRunResult> results =
+      util::run_grid(jobs, cells.size(), [&cells](std::size_t i) {
+        return run_suite_trace(*cells[i].spec, cells[i].scheme,
+                               cells[i].drive_writes, cells[i].opts);
+      });
+  for (const SuiteRunResult& r : results)
+    if (r.stats.enospc_rejections > 0)
+      std::printf("%s on %s: %llu write requests rejected (ENOSPC)\n",
+                  r.scheme.c_str(), r.trace_id.c_str(),
+                  static_cast<unsigned long long>(r.stats.enospc_rejections));
 
-  /// Run every cell, concurrently when jobs > 1, and return results in
-  /// cell order. Artifact entries are appended in cell order after all
-  /// runs complete, so BENCH_metrics.json is byte-identical to a serial
-  /// run. A cell whose writes hit the capacity watermark gets one stdout
-  /// line with its rejection count. Exceptions from a run propagate out
-  /// of this call.
-  std::vector<SuiteRunResult> run(const std::vector<GridCell>& cells) const {
-    std::vector<SuiteRunResult> results;
-    results.reserve(cells.size());
-
-    util::ThreadPool pool(jobs_);
-    std::vector<std::future<SuiteRunResult>> futures;
-    futures.reserve(cells.size());
-    for (const GridCell& cell : cells) {
-      futures.push_back(pool.submit([&cell] {
-        return run_suite_trace(*cell.spec, cell.scheme, cell.drive_writes,
-                               cell.opts);
-      }));
-    }
-    for (auto& fut : futures) results.push_back(fut.get());
-    for (const SuiteRunResult& r : results)
-      if (r.stats.enospc_rejections > 0)
-        std::printf("%s on %s: %llu write requests rejected (ENOSPC)\n",
-                    r.scheme.c_str(), r.trace_id.c_str(),
-                    static_cast<unsigned long long>(
-                        r.stats.enospc_rejections));
-
-    auto& artifact = detail::MetricsArtifact::instance();
-    if (artifact.enabled()) {
-      for (std::size_t i = 0; i < cells.size(); ++i)
-        artifact.add(results[i].trace_id, results[i].scheme,
-                     cells[i].drive_writes, results[i].metrics_json);
-    }
-    return results;
+  auto& artifact = detail::MetricsArtifact::instance();
+  if (artifact.enabled()) {
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      artifact.add(results[i].trace_id, results[i].scheme,
+                   cells[i].drive_writes, results[i].metrics_json);
   }
+  return results;
+}
 
- private:
-  unsigned jobs_;
-};
-
-/// The one `--jobs` value parser every bench shares: the whole token must
-/// be an integer in [0, 256], where 0 means one job per hardware thread
+/// The one `--jobs` value parser every harness shares: the whole token
+/// must be an integer in [0, 256], where 0 means one job per usable CPU
 /// (util::resolve_jobs); anything else exits 2 with one line naming the
 /// flag and the value.
 inline unsigned parse_jobs(const util::FlagParser& flags, const char* text) {
   return static_cast<unsigned>(flags.parse_uint("--jobs", text, 0, 256));
 }
 
-/// Shared CLI handling: every suite bench accepts `--jobs N` (overriding
-/// PHFTL_JOBS; 0 = one job per hardware thread), and a bench that passes
+/// Shared CLI handling: every suite bench accepts `--jobs N` (0 or absent =
+/// one job per usable CPU) and returns its value; a bench that passes
 /// `out_path` also accepts `--out <path>` for its artifact. Unknown
 /// arguments exit 2 with a usage line.
 inline unsigned jobs_from_cli(int argc, char** argv,
                               std::string* out_path = nullptr) {
   const util::FlagParser flags(argv[0]);
-  long cli = -1;
+  unsigned jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli = parse_jobs(flags, argv[++i]);
+      jobs = parse_jobs(flags, argv[++i]);
     } else if (out_path && arg == "--out" && i + 1 < argc) {
       *out_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--jobs N]%s  (or PHFTL_JOBS=N)\n",
-                   argv[0], out_path ? " [--out <path>]" : "");
+      std::fprintf(stderr, "usage: %s [--jobs N]%s\n", argv[0],
+                   out_path ? " [--out <path>]" : "");
       std::exit(2);
     }
   }
-  return util::resolve_jobs(cli);
+  return jobs;
 }
 
 /// The timed benches' cut of a trace. `head`, its first 90 % of requests,

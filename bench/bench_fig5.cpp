@@ -44,8 +44,8 @@
 //
 // Runtime is controlled by PHFTL_DRIVE_WRITES (default 6; the paper replays
 // 20 drive writes — set PHFTL_DRIVE_WRITES=20 for the full-fidelity run) and
-// by `--jobs N` / PHFTL_JOBS (each cell is an independent run; output and
-// artifacts are identical under any job count).
+// by `--jobs N` (default one per usable CPU; each cell is an independent
+// run, so output and artifacts are identical under any job count).
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -319,10 +319,6 @@ int main(int argc, char** argv) {
   const double drive_writes = drive_writes_from_env(6.0);
   const std::vector<std::string>& schemes = kSchemeNames;
 
-  std::printf("Figure 5: overall write amplification, %.1f drive writes "
-              "(paper: 20; set PHFTL_DRIVE_WRITES to change), %u job(s)\n\n",
-              drive_writes, jobs);
-
   // Figure 5's cells come first, trace-major, so BENCH_metrics.json starts
   // with them; then one cell per PHFTL ablation arm no Figure 5 cell runs.
   std::vector<bench::GridCell> cells;
@@ -338,7 +334,11 @@ int main(int argc, char** argv) {
   add_arm(kPhaseTraces, PhftlArm::kFrozenThreshold);
   add_arm(kGcTraces, PhftlArm::kGreedy);
   add_arm(kGcTraces, PhftlArm::kCostBenefit);
-  const auto results = bench::ExperimentRunner(jobs).run(cells);
+
+  std::printf("Figure 5: overall write amplification, %.1f drive writes "
+              "(paper: 20; set PHFTL_DRIVE_WRITES to change), %u job(s)\n\n",
+              drive_writes, util::grid_threads(jobs, cells.size()));
+  const auto results = bench::run_suite_grid(jobs, cells);
   // WA reduction of `wa` against `ref`, in percent. A zero reference (no
   // GC yet, as for Base, 2R and SepBIT at PHFTL_DRIVE_WRITES=1) has none.
   const auto reduction = [](double wa, double ref) {

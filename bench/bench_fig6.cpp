@@ -18,7 +18,6 @@
 // BENCH_metrics.json artifact when PHFTL_METRICS_DIR is set — the same
 // machinery every replay benchmark uses (docs/METRICS.md).
 #include <cstdio>
-#include <future>
 #include <iostream>
 #include <vector>
 
@@ -77,10 +76,10 @@ int main(int argc, char** argv) {
   std::printf("Figure 6: write latency vs request size (buffered writes, "
               "%d requests per point)\n\n", kRequests);
 
-  util::ThreadPool pool(jobs);
-  std::vector<std::future<SizePoint>> points;
-  for (const std::uint32_t kb : sizes_kb)
-    points.push_back(pool.submit([kb] { return run_size(kb, kRequests); }));
+  const std::vector<SizePoint> points =
+      util::run_grid(jobs, sizes_kb.size(), [&sizes_kb](std::size_t i) {
+        return run_size(sizes_kb[i], kRequests);
+      });
 
   // Shared registry: one latency histogram per size × mode, filled after
   // the join (points arrive in grid order, so registration order — and the
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
   double inflation_sum = 0.0;
   for (std::size_t i = 0; i < sizes_kb.size(); ++i) {
     const std::uint32_t kb = sizes_kb[i];
-    const SizePoint p = points[i].get();
+    const SizePoint& p = points[i];
     inflation_sum += p.inflation;
     const std::string label = kb >= 1024
                                   ? std::to_string(kb / 1024) + "MB"

@@ -16,7 +16,6 @@
 // across traces: each trace runs as one task that buffers its report, and
 // the reports print in trace order.
 #include <cstdio>
-#include <future>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -128,13 +127,11 @@ int main(int argc, char** argv) {
   const unsigned jobs = phftl::bench::jobs_from_cli(argc, argv);
   const double drive_writes = drive_writes_from_env(6.0);
 
-  phftl::util::ThreadPool pool(jobs);
-  std::vector<std::future<std::string>> reports;
-  for (const char* trace_id : {"#52", "#144"})
-    reports.push_back(pool.submit([trace_id, drive_writes] {
-      return run_trace(trace_id, drive_writes);
-    }));
-  for (auto& report : reports) std::fputs(report.get().c_str(), stdout);
+  const std::vector<const char*> trace_ids = {"#52", "#144"};
+  const std::vector<std::string> reports = phftl::util::run_grid(
+      jobs, trace_ids.size(),
+      [&](std::size_t i) { return run_trace(trace_ids[i], drive_writes); });
+  for (const std::string& report : reports) std::fputs(report.c_str(), stdout);
 
   std::printf(
       "Paper: last-drive-write bandwidth +12.1%% (#52) and +61.6%% (#144); "

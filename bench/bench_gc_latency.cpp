@@ -18,14 +18,12 @@
 //
 // Usage: bench_gc_latency [--jobs N] [--step-pages N] [--out <path>]
 // Writes BENCH_gc_latency.json (schema "phftl-bench-gc-latency/1" — see
-// EXPERIMENTS.md). The job count is --jobs, else PHFTL_JOBS, else 4; 0 means
-// one per hardware thread. --step-pages defaults to 8. A numeric flag whose
-// whole token is not an integer in its range (--jobs [0, 256];
-// --step-pages >= 1, since a budget of 0 would make both arms
-// stop-the-world) exits with status 2.
+// EXPERIMENTS.md). The job count is --jobs; 0 or absent means one per
+// usable CPU. --step-pages defaults to 8. A numeric flag whose whole token
+// is not an integer in its range (--jobs [0, 256]; --step-pages >= 1, since
+// a budget of 0 would make both arms stop-the-world) exits with status 2.
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,13 +125,13 @@ CellResult run_cell(const SuiteTraceSpec& spec, const std::string& scheme,
 
 int main(int argc, char** argv) {
   const phftl::util::FlagParser flags("bench_gc_latency");
-  long cli_jobs = -1;
+  unsigned jobs = 0;
   std::uint64_t step_pages = 8;
   std::string out_path = "BENCH_gc_latency.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
+      jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--step-pages" && i + 1 < argc) {
       step_pages = flags.parse_uint(arg, argv[++i], 1);
     } else if (arg == "--out" && i + 1 < argc) {
@@ -145,25 +143,22 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
   const double drive_writes = drive_writes_from_env(4.0);
 
   const std::vector<std::string> trace_ids = {"#144", "#52"};
+  const std::size_t schemes = kSchemeNames.size();
+  const std::size_t n = trace_ids.size() * schemes;  // trace-major
+  const unsigned threads = phftl::util::grid_threads(jobs, n);
   std::printf("GC scheduling tail latency: %zu traces x %zu schemes, "
               "%.1f drive writes, step budget %llu pages, %u jobs\n\n",
-              trace_ids.size(), kSchemeNames.size(), drive_writes,
-              static_cast<unsigned long long>(step_pages), jobs);
+              trace_ids.size(), schemes, drive_writes,
+              static_cast<unsigned long long>(step_pages), threads);
 
-  phftl::util::ThreadPool pool(jobs);
-  std::vector<std::future<CellResult>> futures;
-  for (const auto& id : trace_ids)
-    for (const auto& scheme : kSchemeNames)
-      futures.push_back(pool.submit([&spec = suite_spec(id), scheme,
-                                     drive_writes, step_pages] {
-        return run_cell(spec, scheme, drive_writes, step_pages);
-      }));
-  std::vector<CellResult> cells;
-  for (auto& f : futures) cells.push_back(f.get());
+  const std::vector<CellResult> cells =
+      phftl::util::run_grid(threads, n, [&](std::size_t i) {
+        return run_cell(suite_spec(trace_ids[i / schemes]),
+                        kSchemeNames[i % schemes], drive_writes, step_pages);
+      });
   for (const auto& cell : cells) std::fputs(cell.report.c_str(), stdout);
 
   std::ostringstream js;

@@ -19,13 +19,11 @@
 // Usage: bench_lifetime [--jobs N] [--budget N] [--smoke] [--out <path>]
 // Writes BENCH_lifetime.json (schema "phftl-bench-lifetime/1" — see
 // EXPERIMENTS.md). --smoke shrinks the budget for a seconds-scale CI run.
-// The job count is --jobs, else PHFTL_JOBS, else 4; 0 means one per
-// hardware thread. A numeric flag whose whole token is not an integer in
-// its range (--jobs [0, 256]; --budget [0, 1000000], 0 = 60) exits with
-// status 2.
+// The job count is --jobs; 0 or absent means one per usable CPU. A numeric
+// flag whose whole token is not an integer in its range (--jobs [0, 256];
+// --budget [0, 1000000], 0 = 60) exits with status 2.
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -132,7 +130,7 @@ CellResult run_cell(const std::string& scheme, bool wear_level,
 
 int main(int argc, char** argv) {
   const phftl::util::FlagParser flags("bench_lifetime");
-  long cli_jobs = -1;
+  unsigned jobs = 0;
   std::uint64_t budget = 60;
   bool budget_set = false;
   bool smoke = false;
@@ -140,7 +138,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
+      jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--budget" && i + 1 < argc) {
       budget = flags.parse_uint(arg, argv[++i], 0, 1000000);
       budget_set = true;
@@ -157,21 +155,19 @@ int main(int argc, char** argv) {
   }
   if (smoke && !budget_set) budget = 12;
   if (budget == 0) budget = 60;
-  const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
+  // Cell 2s is scheme s with wear leveling off, 2s + 1 with it on.
+  const std::size_t n = kSchemeNames.size() * 2;
+  const unsigned threads = phftl::util::grid_threads(jobs, n);
 
   std::printf("Lifetime to ENOSPC: %zu schemes x {WL off, WL on}, "
               "P/E budget %llu, %u jobs\n\n",
               kSchemeNames.size(), static_cast<unsigned long long>(budget),
-              jobs);
+              threads);
 
-  phftl::util::ThreadPool pool(jobs);
-  std::vector<std::future<CellResult>> futures;
-  for (const auto& scheme : kSchemeNames)
-    for (const bool wl : {false, true})
-      futures.push_back(pool.submit(
-          [scheme, wl, budget] { return run_cell(scheme, wl, budget); }));
-  std::vector<CellResult> cells;
-  for (auto& f : futures) cells.push_back(f.get());
+  const std::vector<CellResult> cells =
+      phftl::util::run_grid(threads, n, [budget](std::size_t i) {
+        return run_cell(kSchemeNames[i / 2], i % 2 == 1, budget);
+      });
 
   phftl::TextTable t;
   t.header({"scheme", "wear leveling", "host pages", "drive writes", "WA",

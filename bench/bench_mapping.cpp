@@ -35,17 +35,17 @@
 // Writes BENCH_mapping.json (schema "phftl-bench-mapping/3" — see
 // EXPERIMENTS.md). --smoke shrinks the drive and the default op count
 // (0.5 ops per page instead of 2) for a seconds-scale CI run; an explicit
-// --ops-per-page wins in either order. The job count is --jobs, else
-// PHFTL_JOBS, else 4; 0 means one per hardware thread. A numeric flag whose
+// --ops-per-page wins in either order. Both sweeps run as one grid of
+// --jobs threads (0 or absent = one per usable CPU). A numeric flag whose
 // whole token is not a number in its range (--jobs [0, 256]; --ops-per-page
 // [0, 1000]; --warmup [0, 1)) exits with status 2.
 #include <cstdio>
-#include <future>
+#include <functional>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -259,7 +259,7 @@ void emit_cell_json(std::ostringstream& js, const CellResult& c, bool tb_row,
 
 int main(int argc, char** argv) {
   const phftl::util::FlagParser flags("bench_mapping");
-  long cli_jobs = -1;
+  unsigned jobs = 0;
   bool smoke = false;
   std::optional<double> ops_flag;
   double warmup_fraction = 0.10;
@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      cli_jobs = phftl::bench::parse_jobs(flags, argv[++i]);
+      jobs = phftl::bench::parse_jobs(flags, argv[++i]);
     } else if (arg == "--ops-per-page" && i + 1 < argc) {
       ops_flag = flags.parse_real(arg, argv[++i], 0.0, 1000.0);
     } else if (arg == "--warmup" && i + 1 < argc) {
@@ -289,43 +289,38 @@ int main(int argc, char** argv) {
   }
   // --smoke only changes the default, whatever the flag order.
   const double ops_per_page = ops_flag.value_or(smoke ? 0.5 : 2.0);
-  const unsigned jobs = phftl::util::resolve_jobs(cli_jobs, /*fallback=*/4);
-  const unsigned hw = std::thread::hardware_concurrency();
 
   const std::vector<std::uint64_t> cmt_sizes = {0, 2, 4, 8, 16};
   const std::vector<std::uint64_t> tb_tp_entries = {2048, 256, 32, 2};
-  std::printf("Mapping-tier sweep: %zu schemes x %zu CMT sizes "
-              "(0 = flat L2P) x learned off/on, %zu-point multi-TB "
-              "tp_entries sweep, %g ops per page, %u jobs, %u hardware "
-              "threads\n\n",
-              kSchemeNames.size(), cmt_sizes.size(), tb_tp_entries.size(),
-              ops_per_page, jobs, hw);
-
-  phftl::util::ThreadPool pool(jobs);
-  std::vector<std::future<CellResult>> futures;
+  // One grid: the CMT sweep's cells, then the multi-TB sweep's.
+  std::vector<std::function<CellResult()>> grid;
   for (const auto& scheme : kSchemeNames)
     for (const std::uint64_t cmt : cmt_sizes)
       for (const bool learned : {false, true}) {
         if (cmt == 0 && learned) continue;  // model needs the tier
-        futures.push_back(
-            pool.submit([scheme, cmt, learned, smoke, ops_per_page,
-                         warmup_fraction] {
-              return run_cell(scheme, cmt, learned, smoke, ops_per_page,
-                              warmup_fraction);
-            }));
+        grid.push_back([=] {
+          return run_cell(scheme, cmt, learned, smoke, ops_per_page,
+                          warmup_fraction);
+        });
       }
-  std::vector<std::future<CellResult>> tb_futures;
+  const std::size_t sweep_cells = grid.size();
   for (const std::uint64_t tp : tb_tp_entries)
     for (const bool learned : {false, true})
-      tb_futures.push_back(
-          pool.submit([tp, learned, smoke, ops_per_page, warmup_fraction] {
-            return run_tb_cell(tp, learned, smoke, ops_per_page,
-                               warmup_fraction);
-          }));
-  std::vector<CellResult> cells;
-  for (auto& f : futures) cells.push_back(f.get());
-  std::vector<CellResult> tb_cells;
-  for (auto& f : tb_futures) tb_cells.push_back(f.get());
+      grid.push_back([=] {
+        return run_tb_cell(tp, learned, smoke, ops_per_page, warmup_fraction);
+      });
+  const unsigned threads = phftl::util::grid_threads(jobs, grid.size());
+  std::printf("Mapping-tier sweep: %zu schemes x %zu CMT sizes "
+              "(0 = flat L2P) x learned off/on, %zu-point multi-TB "
+              "tp_entries sweep, %g ops per page, %u jobs\n\n",
+              kSchemeNames.size(), cmt_sizes.size(), tb_tp_entries.size(),
+              ops_per_page, threads);
+
+  const std::vector<CellResult> results = phftl::util::run_grid(
+      threads, grid.size(), [&grid](std::size_t i) { return grid[i](); });
+  const std::span<const CellResult> cells(results.data(), sweep_cells);
+  const std::span<const CellResult> tb_cells =
+      std::span(results).subspan(sweep_cells);
 
   phftl::TextTable t;
   t.header({"scheme", "CMT pages", "learned", "mapping RAM", "vs flat", "WA",

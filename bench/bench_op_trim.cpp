@@ -20,9 +20,9 @@
 //
 // Usage: bench_op_trim [--jobs N]   (PHFTL_DRIVE_WRITES scales run length)
 #include <cstdio>
-#include <future>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -84,13 +84,18 @@ int main(int argc, char** argv) {
                                       (1.0 - op));
   };
 
+  // One cell per (sweep point, scheme), point-major: the OP points, then
+  // the trim points.
+  const std::size_t n = (op_points.size() + trim_points.size()) *
+                        schemes.size();
+  const unsigned threads = util::grid_threads(jobs, n);
   std::printf("WA sweeps: %zu OP points + %zu trim points x %zu schemes, "
               "%.1f drive writes, %u jobs\n\n",
               op_points.size(), trim_points.size(), schemes.size(),
-              drive_writes, jobs);
+              drive_writes, threads);
 
   // One trace per sweep point (shared across schemes); generated up front so
-  // worker threads only read them. OP traces fill the full logical capacity
+  // grid threads only read them. OP traces fill the full logical capacity
   // of their OP point; trim traces fill the 7 % OP capacity.
   std::vector<Trace> op_traces;
   for (double op : op_points)
@@ -100,23 +105,20 @@ int main(int argc, char** argv) {
     trim_traces.push_back(
         sweep_workload(logical_at(0.07), drive_writes, tf, 91));
 
-  util::ThreadPool pool(jobs);
-  std::vector<std::future<FtlStats>> futures;
+  // Each sweep point's OP and trace.
+  std::vector<std::pair<double, const Trace*>> points;
   for (std::size_t oi = 0; oi < op_points.size(); ++oi)
-    for (const auto& scheme : schemes)
-      futures.push_back(
-          pool.submit([op = op_points[oi], scheme, &trace = op_traces[oi]] {
-            return replay(scheme, sweep_config(op), trace);
-          }));
-  for (std::size_t ti = 0; ti < trim_points.size(); ++ti)
-    for (const auto& scheme : schemes)
-      futures.push_back(pool.submit([&trace = trim_traces[ti], scheme] {
-        return replay(scheme, sweep_config(0.07), trace);
-      }));
+    points.emplace_back(op_points[oi], &op_traces[oi]);
+  for (const Trace& trace : trim_traces) points.emplace_back(0.07, &trace);
+
+  const std::vector<FtlStats> stats =
+      util::run_grid(threads, n, [&](std::size_t i) {
+        const auto& [op, trace] = points[i / schemes.size()];
+        return replay(schemes[i % schemes.size()], sweep_config(op), *trace);
+      });
   std::vector<double> wa;
   std::uint64_t rejected = 0;
-  for (auto& f : futures) {
-    const FtlStats s = f.get();
+  for (const FtlStats& s : stats) {
     wa.push_back(s.write_amplification());
     rejected += s.enospc_rejections;
   }

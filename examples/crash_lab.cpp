@@ -21,9 +21,11 @@
 // simply not acknowledged), never a failure.
 //
 // Every (scheme, cut) cell is an independent drive + workload, so `--jobs N`
-// runs them concurrently: all cut indices are pre-drawn from the seed RNG in
-// the serial order, each cell buffers its report, and reports print in
-// (scheme, cut) order — output is identical under any job count.
+// runs them concurrently (0 or absent = one job per usable CPU): all cut
+// indices are pre-drawn from the seed RNG in the serial order, each cell
+// buffers its report, and reports print in (scheme, cut) order — output is
+// identical under any job count. --cuts is at most the lab's write count,
+// the range cut points are drawn from.
 //
 // Usage:
 //   crash_lab [--scheme Base|2R|SepBIT|PHFTL|all] [--cuts N] [--seed S]
@@ -31,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,7 +43,7 @@
 #include "ftl/host_oracle.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/team.hpp"
 
 using namespace phftl;
 
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
   std::string scheme = "all";
   std::uint64_t cuts = 5;
   std::uint64_t seed = 2024;
-  long cli_jobs = -1;
+  unsigned jobs = 0;
   FaultInjector::Config fc;
   bool with_faults = false;
 
@@ -194,7 +195,7 @@ int main(int argc, char** argv) {
     else if (arg == "--cuts") cuts = flags.parse_uint(arg, next(), 1);
     else if (arg == "--seed") seed = flags.parse_uint(arg, next());
     else if (arg == "--jobs")
-      cli_jobs = static_cast<long>(flags.parse_uint(arg, next(), 0, 256));
+      jobs = static_cast<unsigned>(flags.parse_uint(arg, next(), 0, 256));
     else if (arg == "--program-fail-prob") {
       fc.program_fail_prob = flags.parse_real(arg, next(), 0.0, 1.0);
       with_faults = true;
@@ -214,9 +215,16 @@ int main(int argc, char** argv) {
   const auto logical = static_cast<std::uint64_t>(
       static_cast<double>(probe.geom.total_pages()) * (1.0 - probe.op_ratio));
   const std::uint64_t total_writes = logical * 3;
+  // One cell per (scheme, cut) is allocated up front, so the count is
+  // bounded by the writes a cut can land in.
+  if (cuts > total_writes)
+    flags.bad_value("--cuts", std::to_string(cuts),
+                    "expected an integer in [1, " +
+                        std::to_string(total_writes) +
+                        "] (the lab's write count)");
 
   // Pre-draw every cell (the cut RNG is consumed in the same serial order
-  // regardless of --jobs), then run the cells on the pool and print the
+  // regardless of --jobs), then run the cells as one grid and print the
   // buffered reports in (scheme, cut) order.
   struct Cell {
     std::string scheme;
@@ -230,14 +238,11 @@ int main(int argc, char** argv) {
       cells.push_back(
           {s, 1 + cut_rng.next_below(total_writes), seed ^ (i + 1)});
 
-  util::ThreadPool pool(util::resolve_jobs(cli_jobs));
-  std::vector<std::future<CutOutcome>> runs;
-  runs.reserve(cells.size());
-  for (const Cell& cell : cells)
-    runs.push_back(pool.submit([&cell, &fc, with_faults] {
-      return run_one_cut(cell.scheme, cell.cut, cell.workload_seed, fc,
-                         with_faults);
-    }));
+  const std::vector<CutOutcome> runs = util::run_grid(
+      jobs, cells.size(), [&](std::size_t i) {
+        return run_one_cut(cells[i].scheme, cells[i].cut,
+                           cells[i].workload_seed, fc, with_faults);
+      });
 
   bool all_ok = true;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -246,9 +251,8 @@ int main(int argc, char** argv) {
                   cells[i].scheme.c_str(),
                   static_cast<unsigned long long>(cuts),
                   static_cast<unsigned long long>(total_writes));
-    const CutOutcome outcome = runs[i].get();
-    std::fputs(outcome.report.c_str(), stdout);
-    all_ok &= outcome.ok;
+    std::fputs(runs[i].report.c_str(), stdout);
+    all_ok &= runs[i].ok;
   }
   std::printf(all_ok ? "\nall cuts recovered: acknowledged data intact, "
                        "trimmed pages stayed unmapped\n"

@@ -17,8 +17,9 @@
 // Examples:
 //   trace_replay --scheme PHFTL --trace "#144" --drive-writes 4
 //   trace_replay --scheme all --trace "#144" --jobs 4
-//     (all four schemes, one replay per worker; reports print in canonical
-//     scheme order and are identical to four serial runs)
+//     (all four schemes, one replay per job, on --jobs threads: 0 or absent
+//     means one per usable CPU; reports print in canonical scheme order and
+//     are identical to four serial runs)
 //   trace_replay --scheme SepBIT --csv mytrace.csv --pages 45711
 //   trace_replay --trace "#52" --export out.csv   # export the synthetic trace
 //   trace_replay --metrics-out run.json --trace-out trace.json
@@ -53,7 +54,6 @@
 // range exits with status 2 and one line naming the flag and the value.
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -66,7 +66,7 @@
 #include "trace/alibaba_suite.hpp"
 #include "trace/csv.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
+#include "util/team.hpp"
 
 using namespace phftl;
 
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
   std::uint64_t csv_pages = 0;
   double drive_writes = 4.0;
   double trim_fraction = -1.0;  // < 0: keep the suite trace's own fraction
-  long cli_jobs = -1;
+  unsigned jobs = 0;
   std::uint64_t gc_step_pages = 0;  // 0: stop-the-world
   std::uint64_t max_pe_cycles = 0;          // 0: unlimited P/E budget
   std::uint64_t wear_level_threshold = 0;   // 0: wear leveling off
@@ -400,7 +400,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--scheme") scheme = next();
     else if (arg == "--jobs")
-      cli_jobs = static_cast<long>(flags.parse_uint(arg, next(), 0, 256));
+      jobs = static_cast<unsigned>(flags.parse_uint(arg, next(), 0, 256));
     else if (arg == "--trace") trace_id = next();
     else if (arg == "--csv") csv_path = next();
     else if (arg == "--pages")
@@ -535,20 +535,14 @@ int main(int argc, char** argv) {
                  "per run; pick a single --scheme\n");
     return 2;
   }
-  const unsigned jobs = util::resolve_jobs(cli_jobs);
-  util::ThreadPool pool(jobs);
-  std::vector<std::future<ReplayOutcome>> runs;
-  for (const auto& s : schemes)
-    runs.push_back(pool.submit(
-        [&s, &trace, &cfg, &opt] { return run_replay(s, trace, cfg, opt); }));
+  const std::vector<ReplayOutcome> runs = util::run_grid(
+      jobs, schemes.size(),
+      [&](std::size_t i) { return run_replay(schemes[i], trace, cfg, opt); });
   bool ok = true;
-  bool first = true;
-  for (auto& run : runs) {
-    const ReplayOutcome outcome = run.get();
-    if (!first) std::printf("\n================\n\n");
-    first = false;
-    std::fputs(outcome.report.c_str(), stdout);
-    ok &= outcome.ok;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (i > 0) std::printf("\n================\n\n");
+    std::fputs(runs[i].report.c_str(), stdout);
+    ok &= runs[i].ok;
   }
   return ok ? 0 : 1;
 }

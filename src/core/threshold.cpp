@@ -13,8 +13,13 @@ ThresholdController::ThresholdController(const Config& cfg)
 
 std::uint64_t ThresholdController::inflection_point(
     std::vector<std::uint64_t> samples) {
-  PHFTL_CHECK(!samples.empty());
   std::sort(samples.begin(), samples.end());
+  return sorted_inflection_point(samples);
+}
+
+std::uint64_t ThresholdController::sorted_inflection_point(
+    std::span<const std::uint64_t> samples) {
+  PHFTL_CHECK(!samples.empty());
   const std::size_t n = samples.size();
   if (n == 1) return samples[0];
 
@@ -100,7 +105,6 @@ std::uint64_t ThresholdController::pick_threshold(
     // First window: inflection point of the lifetime CDF.
     threshold_ = static_cast<std::int64_t>(
         inflection_point({lifetimes.begin(), lifetimes.end()}));
-    have_prev_window_ = true;
     prev_dir_ = 0;
     last_dir_ = 0;
     last_accuracy_ = 0.0;
@@ -124,7 +128,7 @@ std::uint64_t ThresholdController::pick_threshold(
   // A re-anchor counts as "no directional adjustment" (chosen_dir 0).
   constexpr int kDirs[kCandidates] = {0, 0, -1, 1};
   std::uint64_t candidates[kCandidates];
-  candidates[0] = inflection_point(sorted);
+  candidates[0] = sorted_inflection_point(sorted);
   for (std::size_t c = 1; c < kCandidates; ++c)
     candidates[c] = value_at_percentile(
         sorted, p + kDirs[c] * static_cast<double>(step_));

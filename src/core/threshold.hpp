@@ -66,6 +66,10 @@ class ThresholdController {
   static std::uint64_t inflection_point(std::vector<std::uint64_t> samples);
 
  private:
+  /// inflection_point of `samples` already in ascending order, read in
+  /// place (pick_threshold's window path sorts once for all its uses).
+  static std::uint64_t sorted_inflection_point(
+      std::span<const std::uint64_t> samples);
   /// Value at percentile q (0–100) of sorted samples (nearest rank).
   static std::uint64_t value_at_percentile(
       const std::vector<std::uint64_t>& sorted, double q);
@@ -84,7 +88,6 @@ class ThresholdController {
   std::int64_t threshold_ = -1;
   int step_;
   int last_dir_ = 0;
-  bool have_prev_window_ = false;
   int prev_dir_ = 0;
   double last_accuracy_ = 0.0;
   /// The window matrix's nonzeros, shared by the window's fits; kept so

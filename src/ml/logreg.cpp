@@ -164,15 +164,6 @@ void balanced_resample(std::span<const int> labels, std::size_t max_per_class,
   draw(neg_idx);
 }
 
-float train_eval_light_model(const SparseRows& x, std::span<const int> labels,
-                             std::span<const std::uint32_t> rows,
-                             double test_fraction, Xoshiro256& rng,
-                             LogisticRegression::Config cfg) {
-  std::vector<std::uint32_t> split;
-  const std::size_t n_train = split_rows(rows, test_fraction, rng, split);
-  return fit_and_score(x, labels, split, n_train, cfg);
-}
-
 std::size_t split_rows(std::span<const std::uint32_t> rows,
                        double test_fraction, Xoshiro256& rng,
                        std::vector<std::uint32_t>& split) {

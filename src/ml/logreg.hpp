@@ -89,17 +89,10 @@ class LogisticRegression {
   float b_ = 0.0f;
 };
 
-/// Train-test split + fit + held-out accuracy in one call, the exact
-/// operation `TrainEvalLightModel` performs in Algorithm 1, on rows `rows`
-/// of `x` labelled by `labels` (indexed by row). `test_fraction` of the
-/// rows (after shuffling) is held out. It is split_rows then
-/// fit_and_score; the threshold controller calls the two apart so that
-/// its fits can run side by side after their draws.
-float train_eval_light_model(const SparseRows& x, std::span<const int> labels,
-                             std::span<const std::uint32_t> rows,
-                             double test_fraction, Xoshiro256& rng,
-                             LogisticRegression::Config cfg = {});
-
+/// Algorithm 1's `TrainEvalLightModel` is split_rows, then fit_and_score:
+/// the threshold controller draws every split first, so that the fits can
+/// run side by side.
+///
 /// The split's draw: with at least 4 rows, shuffles `rows` with `rng`
 /// into `split` and returns how many lead it as the training part, the
 /// rest (test_fraction of the rows, at least one) being held out. With

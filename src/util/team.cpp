@@ -43,6 +43,44 @@ unsigned usable_cpus() {
 InlineScope::InlineScope() { ++t_inline_depth; }
 InlineScope::~InlineScope() { --t_inline_depth; }
 
+unsigned resolve_jobs(unsigned jobs) { return jobs ? jobs : usable_cpus(); }
+
+void detail::run_grid_jobs(unsigned threads, std::size_t n,
+                           const std::function<void(std::size_t)>& job) {
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;  // guards failed, error
+  std::size_t failed = n;
+  std::exception_ptr error;
+  const auto claim_jobs = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        job(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (i < failed) {
+          failed = i;
+          error = std::current_exception();
+        }
+      }
+    }
+  };
+  if (threads <= 1) {
+    claim_jobs();
+  } else {
+    const auto grid_thread = [&] {
+      const InlineScope grid_job;
+      claim_jobs();
+    };
+    std::vector<std::jthread> helpers;  // joined on the way out
+    helpers.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t) helpers.emplace_back(grid_thread);
+    grid_thread();
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 Team::Team(unsigned workers) {
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i)

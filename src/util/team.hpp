@@ -1,4 +1,5 @@
-// Process-wide fork-join team for the host's window training.
+// The host's threads: the process-wide fork-join team that runs window
+// training, and run_grid, which runs a harness's experiment grid.
 //
 // PHFTL's Model Trainer runs on the host (paper §III-A), and a host has
 // cores to spare. A training window splits into phases; a phase is a set of
@@ -12,21 +13,28 @@
 //
 // A phase runs inline, on the caller alone, when
 //  * the team has no workers (one usable CPU),
-//  * the caller is a worker of a util::ThreadPool with more than one thread
-//    (grid jobs already use the CPUs; the pool holds an InlineScope),
+//  * the caller is a job of a grid run on more than one thread (grid jobs
+//    already use the CPUs; run_grid holds an InlineScope),
 //  * another thread holds the team, or the caller is inside a phase,
 //  * an InlineScope is active on the calling thread.
 // Workers spin for the next phase only while a Lease is held (a training
 // window is in progress) and block on a condition variable otherwise.
 // The team holds no simulated state: a phase's inputs and outputs belong
 // to its caller.
+//
+// A grid job is a whole run (one replay, seconds long) that shares nothing
+// with the others, so run_grid's threads are started for one grid, claim
+// jobs until none is left and exit; they never spin between phases as the
+// team's workers do.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -34,6 +42,40 @@
 #include <vector>
 
 namespace phftl::util {
+
+/// A harness's job count: `jobs` (its --jobs value), or one per usable
+/// CPU (sched_getaffinity, as Team::global() counts) when 0.
+unsigned resolve_jobs(unsigned jobs);
+
+/// Threads run_grid(jobs, n, fn) runs on: min(resolve_jobs(jobs), n), at
+/// least 1.
+inline unsigned grid_threads(unsigned jobs, std::size_t n) {
+  return static_cast<unsigned>(
+      std::clamp<std::size_t>(n, 1, resolve_jobs(jobs)));
+}
+
+namespace detail {
+void run_grid_jobs(unsigned threads, std::size_t n,
+                   const std::function<void(std::size_t)>& job);
+}  // namespace detail
+
+/// fn(i) for every i in [0, n) on grid_threads(jobs, n) threads, which
+/// claim indices from one counter; returns the results in index order,
+/// whichever thread ran them. One thread is the caller itself, whose team
+/// phases then run on the team; with more, every thread (the caller
+/// included) holds an InlineScope while it runs jobs. If fn throws, the
+/// lowest failing index's exception is rethrown once every index has run.
+template <class Fn>
+auto run_grid(unsigned jobs, std::size_t n, Fn&& fn)
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
+  using R = std::invoke_result_t<Fn&, std::size_t>;
+  static_assert(!std::is_same_v<R, bool>,
+                "std::vector<bool> packs results into shared words");
+  std::vector<R> results(n);
+  detail::run_grid_jobs(grid_threads(jobs, n), n,
+                        [&](std::size_t i) { results[i] = fn(i); });
+  return results;
+}
 
 /// While alive, every team phase started on this thread runs inline.
 class InlineScope {

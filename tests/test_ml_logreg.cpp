@@ -260,7 +260,9 @@ TEST(TrainEvalLightModel, HighAccuracyOnSeparableData) {
   LogisticRegression::Config cfg;
   cfg.epochs = 40;
   cfg.lr = 0.5f;
-  const float acc = train_eval_light_model(x, y, rows, 0.25, rng, cfg);
+  std::vector<std::uint32_t> split;
+  const std::size_t n_train = split_rows(rows, 0.25, rng, split);
+  const float acc = fit_and_score(x, y, split, n_train, cfg);
   EXPECT_GT(acc, 0.85f);
 }
 
@@ -274,7 +276,9 @@ TEST(TrainEvalLightModel, RandomLabelsScoreNearChance) {
   }
   std::vector<std::uint32_t> rows;
   const SparseRows x = column(v, rows);
-  const float acc = train_eval_light_model(x, y, rows, 0.25, rng);
+  std::vector<std::uint32_t> split;
+  const std::size_t n_train = split_rows(rows, 0.25, rng, split);
+  const float acc = fit_and_score(x, y, split, n_train);
   EXPECT_LT(acc, 0.65f);
   EXPECT_GT(acc, 0.35f);
 }
@@ -284,7 +288,9 @@ TEST(TrainEvalLightModel, TinyInputReturnsZero) {
   std::vector<std::uint32_t> rows;
   const SparseRows x = column({1.0f}, rows);
   const std::vector<int> y{1};
-  EXPECT_EQ(train_eval_light_model(x, y, rows, 0.25, rng), 0.0f);
+  std::vector<std::uint32_t> split;
+  const std::size_t n_train = split_rows(rows, 0.25, rng, split);
+  EXPECT_EQ(fit_and_score(x, y, split, n_train), 0.0f);
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
-// Thread pool + parallel experiment runner tests.
+// Grid runner, training team and parallel experiment grid tests.
 //
 // The load-bearing property is the determinism contract
 // (docs/ARCHITECTURE.md "Threading model"): running the experiment grid
 // with any `--jobs N` must produce results — including the full serialized
 // metrics registry of every run — byte-identical to the serial run. CI
 // executes this binary under ThreadSanitizer as well (PHFTL_SANITIZE_THREAD)
-// to prove the workers genuinely share no mutable state.
+// to prove the grid's threads genuinely share no mutable state.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
-#include <cstdlib>
 #include <future>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,57 +20,106 @@
 
 #include "bench_common.hpp"
 #include "util/team.hpp"
-#include "util/thread_pool.hpp"
 
 namespace phftl {
 namespace {
 
-// --- ThreadPool ---
+// --- run_grid (experiment grids) ---
 
-TEST(ThreadPool, RunsSubmittedTasksAndReturnsValues) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 64; ++i)
-    futs.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(futs[i].get(), i * i);
+TEST(Grid, RunsEachIndexOnceAndReturnsResultsInIndexOrder) {
+  for (const unsigned width : {1u, 3u}) {
+    for (const std::size_t n : {0u, 1u, 7u, 64u}) {
+      SCOPED_TRACE("width " + std::to_string(width) + ", n = " +
+                   std::to_string(n));
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::thread::id> ran_on(n);
+      const std::vector<std::size_t> squares =
+          util::run_grid(width, n, [&](std::size_t i) {
+            ++hits[i];
+            ran_on[i] = std::this_thread::get_id();
+            return i * i;
+          });
+      ASSERT_EQ(squares.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << i;
+        EXPECT_EQ(squares[i], i * i) << i;
+      }
+      const std::set<std::thread::id> threads(ran_on.begin(), ran_on.end());
+      EXPECT_LE(threads.size(), util::grid_threads(width, n));
+      if (width == 1 && n > 0) {
+        EXPECT_EQ(*threads.begin(), std::this_thread::get_id());
+      }
+    }
+  }
+  EXPECT_EQ(util::grid_threads(4, 99), 4u);
+  EXPECT_EQ(util::grid_threads(4, 2), 2u);
+  EXPECT_EQ(util::grid_threads(4, 0), 1u);
 }
 
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  util::ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+TEST(Grid, LowestFailingIndexIsRethrownAfterEveryIndexRan) {
+  for (const unsigned width : {1u, 3u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<std::atomic<int>> hits(32);
+    std::atomic<bool> high_failed{false};
+    try {
+      util::run_grid(width, hits.size(), [&](std::size_t i) {
+        ++hits[i];
+        if (i == 25) {
+          high_failed = true;
+          throw std::runtime_error("25");
+        }
+        if (i == 5) {
+          // On more than one thread, fail only after index 25 has.
+          while (width > 1 && !high_failed) std::this_thread::yield();
+          throw std::runtime_error("5");
+        }
+        return i;
+      });
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "5");
+    }
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  util::ThreadPool pool(2);
-  auto ok = pool.submit([] { return 1; });
-  auto bad = pool.submit(
-      []() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 1);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  EXPECT_EQ(pool.submit([] { return 2; }).get(), 2);
+/// Thread ids that ran fn for n indices under `lease`.
+std::vector<std::thread::id> runners(const util::Team::Lease& lease,
+                                     std::size_t n) {
+  std::vector<std::thread::id> ids(n);
+  lease.run(n, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+  return ids;
 }
 
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> ran{0};
-  {
-    util::ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i)
-      pool.submit([&ran] { ++ran; });
-  }  // dtor joins after the queue drains
-  EXPECT_EQ(ran.load(), 32);
+TEST(Grid, OneThreadTrainsOnTheTeamAndWiderGridsRunPhasesInline) {
+  util::Team team(3);
+  // A one-thread grid runs on the caller, whose leases claim the team.
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<std::size_t> lone =
+      util::run_grid(1, 3, [&](std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        return util::Team::Lease(team).width();
+      });
+  for (const std::size_t w : lone) EXPECT_EQ(w, 4u);
+  // Jobs of a wider grid already use the CPUs: each runs its phases itself.
+  const std::vector<std::size_t> widths =
+      util::run_grid(4, 8, [&team](std::size_t) {
+        const util::Team::Lease lease(team);
+        for (const std::thread::id id : runners(lease, 64))
+          EXPECT_EQ(id, std::this_thread::get_id());
+        return lease.width();
+      });
+  for (const std::size_t w : widths) EXPECT_EQ(w, 1u);
 }
 
-TEST(ThreadPool, ManyMoreTasksThanWorkers) {
-  util::ThreadPool pool(3);
-  std::atomic<std::uint64_t> sum{0};
-  std::vector<std::future<void>> futs;
-  for (std::uint64_t i = 1; i <= 1000; ++i)
-    futs.push_back(pool.submit([&sum, i] { sum += i; }));
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(sum.load(), 500500u);
+TEST(ResolveJobs, ZeroMeansOnePerUsableCpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const auto usable = static_cast<unsigned>(CPU_COUNT(&set));
+  EXPECT_EQ(util::resolve_jobs(0), usable);
+  EXPECT_EQ(util::resolve_jobs(3), 3u);
+  EXPECT_EQ(util::grid_threads(0, 1000), usable);
 }
 
 // --- Team (training phases) ---
@@ -116,28 +167,6 @@ TEST(Team, HeldByAnotherThreadRunsInline) {
   EXPECT_EQ(lease.width(), 1u);
   release.set_value();
   holder.get();
-}
-
-/// Thread ids that ran fn for n indices under `lease`.
-std::vector<std::thread::id> runners(const util::Team::Lease& lease,
-                                     std::size_t n) {
-  std::vector<std::thread::id> ids(n);
-  lease.run(n, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
-  return ids;
-}
-
-TEST(Team, PoolWorkerRunsInline) {
-  // Grid jobs already use the CPUs: a worker of a multi-thread pool runs
-  // a phase entirely on itself.
-  util::Team team(3);
-  util::ThreadPool pool(4);
-  pool.submit([&team] {
-        const util::Team::Lease lease(team);
-        EXPECT_EQ(lease.width(), 1u);
-        for (const std::thread::id id : runners(lease, 64))
-          EXPECT_EQ(id, std::this_thread::get_id());
-      })
-      .get();
 }
 
 TEST(Team, InlineScopeRunsInline) {
@@ -188,24 +217,7 @@ TEST(Team, ShardExceptionIsRethrownAfterTheJoin) {
   EXPECT_EQ(ran.load(), 36);
 }
 
-// --- resolve_jobs precedence ---
-
-TEST(ResolveJobs, CliBeatsEnvBeatsDefault) {
-  ::unsetenv("PHFTL_JOBS");
-  EXPECT_EQ(util::resolve_jobs(-1), 1u);  // default: serial
-  EXPECT_EQ(util::resolve_jobs(3), 3u);   // CLI value
-  ::setenv("PHFTL_JOBS", "5", 1);
-  EXPECT_EQ(util::resolve_jobs(-1), 5u);  // env fallback
-  EXPECT_EQ(util::resolve_jobs(2), 2u);   // CLI still wins
-  ::unsetenv("PHFTL_JOBS");
-}
-
-TEST(ResolveJobs, ZeroMeansHardwareConcurrency) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  EXPECT_EQ(util::resolve_jobs(0), hw == 0 ? 1u : hw);
-}
-
-// --- ExperimentRunner determinism ---
+// --- Suite grid determinism ---
 
 std::vector<bench::GridCell> determinism_grid(double drive_writes) {
   std::vector<bench::GridCell> cells;
@@ -223,12 +235,12 @@ std::vector<bench::GridCell> determinism_grid(double drive_writes) {
 /// agree on every computed quantity, including the complete serialized
 /// metrics registry of every run — the property that makes `--jobs N`
 /// safe to use for paper-facing artifacts.
-TEST(ExperimentRunner, ParallelGridIsByteIdenticalToSerial) {
+TEST(SuiteGrid, ParallelGridIsByteIdenticalToSerial) {
   const double drive_writes = 1.0;
   const auto serial =
-      bench::ExperimentRunner(1).run(determinism_grid(drive_writes));
+      bench::run_suite_grid(1, determinism_grid(drive_writes));
   const auto parallel =
-      bench::ExperimentRunner(4).run(determinism_grid(drive_writes));
+      bench::run_suite_grid(4, determinism_grid(drive_writes));
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -260,9 +272,9 @@ TEST(ExperimentRunner, ParallelGridIsByteIdenticalToSerial) {
 /// Repeated parallel execution of the same grid agrees with itself: catches
 /// scheduling-dependent state leaks that a single serial/parallel pair can
 /// miss by luck.
-TEST(ExperimentRunner, ParallelRunsAgreeAcrossRepeats) {
-  const auto first = bench::ExperimentRunner(4).run(determinism_grid(0.5));
-  const auto second = bench::ExperimentRunner(4).run(determinism_grid(0.5));
+TEST(SuiteGrid, ParallelRunsAgreeAcrossRepeats) {
+  const auto first = bench::run_suite_grid(4, determinism_grid(0.5));
+  const auto second = bench::run_suite_grid(4, determinism_grid(0.5));
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_EQ(first[i].metrics_json, second[i].metrics_json)

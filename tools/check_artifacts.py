@@ -11,8 +11,8 @@ reproduce the committed file exactly, on any box and under any ``--jobs``:
 - ``BENCH_mapping.json``, ``BENCH_gc_latency.json`` and
   ``BENCH_lifetime.json``, from their benches' defaults.
 
-Each bench runs with ``--jobs`` set to the CPU count and writes into a
-temporary directory. The regenerated file must have the committed file's
+Each bench runs at its default job count (one per usable CPU) and writes
+into a temporary directory. The regenerated file must have the committed file's
 keys and equal scalars; list-valued keys are compared element by element.
 At the first difference the script prints the artifact, the key, the index
 and both elements, and exits 1. ``BENCH_kernels.json`` holds timings and is
@@ -64,7 +64,6 @@ def main():
         print("usage: check_artifacts.py BUILD_DIR", file=sys.stderr)
         return 2
     bench_dir = os.path.join(sys.argv[1], "bench")
-    jobs = str(os.cpu_count() or 1)
     # The caller's scale and metrics directory must not reach the benches.
     env = {k: v for k, v in os.environ.items()
            if k not in ("PHFTL_DRIVE_WRITES", "PHFTL_METRICS_DIR")}
@@ -86,8 +85,7 @@ def main():
             out = os.path.join(tmp, artifact)
             start = time.monotonic()
             proc = subprocess.run(
-                [os.path.join(bench_dir, bench), "--jobs", jobs,
-                 "--out", out],
+                [os.path.join(bench_dir, bench), "--out", out],
                 env={**env, **extra}, stdout=subprocess.DEVNULL,
                 stderr=subprocess.PIPE, text=True, check=False)
             if proc.returncode != 0:
@@ -102,7 +100,7 @@ def main():
             if diff:
                 print(f"{artifact} differs at {diff}", file=sys.stderr)
                 return 1
-            print(f"{artifact}: reproduced by {bench} --jobs {jobs} "
+            print(f"{artifact}: reproduced by {bench} "
                   f"({time.monotonic() - start:.1f} s)")
     return 0
 
